@@ -7,7 +7,6 @@ parse errors.
 from __future__ import annotations
 
 import argparse
-import random
 import re
 import sys
 from fractions import Fraction
@@ -33,7 +32,6 @@ from .floatfmt import (
     unpack,
     value_of_float,
 )
-from .oracle import VerifyReport, reference_round_nearest
 from .verify import SUITES
 
 _DECIMAL_RE = re.compile(r"^[+-]?\d+(\.\d+)?$")
@@ -255,40 +253,17 @@ def cmd_inspect(args) -> int:
 # verify
 
 
-def _oracle_selftest(seed: int, rounds: int = 2000) -> VerifyReport:
-    """Randomized cross-check of the reference rounder against brute-force
-    distance minimization."""
-    rep = VerifyReport("oracle-selftest", f"seed={seed}")
-    rng = random.Random(seed)
-    for _ in range(rounds):
-        rep.cases += 1
-        x = Fraction(rng.randint(-(1 << 20), 1 << 20), rng.randint(1, 1 << 12))
-        k = rng.randint(-8, 8)
-        grid = Fraction(2) ** k
-        picks = reference_round_nearest(x, k)
-        base = (x / grid).numerator // (x / grid).denominator
-        best = min(abs(x - n * grid) for n in range(base - 4, base + 5))
-        ok = all(abs(x - p.to_fraction()) == best for p in picks)
-        ok = ok and len(picks) == (2 if abs(x - picks[0].to_fraction()) * 2 == grid else 1)
-        if not ok:
-            rep.record(str(x), "nearest grid point", str(picks))
-    return rep.done()
-
-
 def cmd_verify(args) -> int:
-    if args.suite == "oracle-selftest":
-        reports = [_oracle_selftest(args.seed)]
-    else:
-        if args.suite not in SUITES:
-            raise CliError(f"unknown suite {args.suite!r}")
-        kwargs = {"threads": args.threads}
-        if args.width is not None:
-            kwargs["width"] = args.width
-        if args.format is not None:
-            if args.format not in FORMATS:
-                raise CliError(f"unknown format {args.format!r}")
-            kwargs["fmt"] = FORMATS[args.format]
-        reports = SUITES[args.suite](**kwargs)
+    if args.suite not in SUITES:
+        raise CliError(f"unknown suite {args.suite!r}")
+    kwargs = {"seed": args.seed}
+    if args.width is not None:
+        kwargs["width"] = args.width
+    if args.format is not None:
+        if args.format not in FORMATS:
+            raise CliError(f"unknown format {args.format!r}")
+        kwargs["fmt"] = FORMATS[args.format]
+    reports = SUITES[args.suite](**kwargs)
     failed = False
     for rep in reports:
         print(rep.to_text())
@@ -326,11 +301,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("verify", help="run a verification sweep")
-    p.add_argument("suite", help=f"one of: {', '.join(sorted(SUITES))}, oracle-selftest")
+    p.add_argument("suite", help=f"one of: {', '.join(sorted(SUITES))}")
     p.add_argument("--width", type=int, default=None, help="fixed-point width (or p for fixed-div)")
     p.add_argument("--format", default=None, help="float format name, e.g. rnf8")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for float sweeps")
     p.set_defaults(func=cmd_verify)
 
     return parser

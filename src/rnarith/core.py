@@ -36,9 +36,9 @@ class DyadicRational:
         if m == 0:
             e = 0
         else:
-            while m % 2 == 0:
-                m //= 2
-                e += 1
+            k = (m & -m).bit_length() - 1  # trailing zero bits
+            m >>= k
+            e += k
         object.__setattr__(self, "mantissa", m)
         object.__setattr__(self, "exp", e)
 

@@ -1,11 +1,13 @@
 """Floating-point add, multiply and divide on round-bit encoded words.
 
-Add and multiply are computed exactly on widened fixed-point significands
-and rounded once by truncation, so results are within half an ulp of the
-exact value and the result's round bit reports the rounding direction.
-Division follows the fixed-point divider: its reference value is the
-quotient of the operands' round-bit-extended words (the midpoints of their
-half-ulp intervals), which is what the divider sees.
+Every op forms its exact result and rounds it once, in ``_deliver``: the
+magnitude is truncated (so results are within half an ulp of the exact
+value and the round bit reports the rounding direction), and a negative
+result is the complement of the positive one, word and round bit.  Add and
+multiply are exact on widened fixed-point significands.  Division's
+reference value is the quotient of the operands' round-bit-extended words
+(the midpoints of their half-ulp intervals), which is what the fixed-point
+divider sees.
 
 Directed roundings never increment: when the truncated tail was nonzero the
 round bit is simply replaced according to the mode.
@@ -18,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import fixed
-from .core import DyadicRational, RnFixed, negate
+from .core import RnFixed, negate
 from .floatfmt import (
     FloatClass,
     FloatFormat,
@@ -62,26 +64,6 @@ def directed_round_bit(rbit: int, sign_bit: int, t: StickyTail, mode: RoundingMo
     if mode is RoundingMode.TOWARD_ZERO:
         return sign_bit
     return 1 - sign_bit
-
-
-def apply_directed_rounding(x: RnFixed, t: StickyTail, mode: RoundingMode) -> RnFixed:
-    """Adjust the round bit of a truncated result for a directed mode."""
-    sign_bit = 1 if x.bits < 0 else 0
-    r = directed_round_bit(x.round, sign_bit, t, mode)
-    if r == x.round:
-        return x
-    return RnFixed(x.bits, x.width, r, x.lsb_exp)
-
-
-def sticky_of(exact, kept: RnFixed) -> StickyTail:
-    """Sticky tail of ``kept`` relative to the exact result.
-
-    ``exact`` is the infinitely precise value (a DyadicRational) or a
-    division remainder (an int).
-    """
-    if isinstance(exact, int):
-        return StickyTail(exact != 0)
-    return StickyTail(DyadicRational(kept.bits + kept.round, kept.lsb_exp) != exact)
 
 
 def _require_same_format(a: RnFloat, b: RnFloat) -> FloatFormat:
@@ -142,74 +124,52 @@ def _floor_log2_ratio(num: int, den: int) -> int:
     return k if (num << -k) >= den else k - 1
 
 
-def _ratio_is_pow2(num: int, den: int, k: int) -> bool:
-    """num/den == 2**k, for positive num, den."""
-    if k >= 0:
-        return num == den << k
-    return num << -k == den
+def _deliver(num: int, den: int, g: int, fmt: FloatFormat, mode: RoundingMode) -> tuple[RnFloat, StickyTail]:
+    """Round the exact value ``num/den * 2**g`` (den > 0) into the format.
 
-
-def _boundary_word(fmt: FloatFormat, negative: bool) -> RnFloat:
-    """Encoding of +-2**(e_max+1), the format's largest finite magnitude."""
-    p = fmt.precision
-    if negative:
-        sig = RnFixed(-(1 << p), p + 1, 0, 1 - p)
-        return pack(UnpackedFloat(fmt, FloatClass.NORMAL, 1, fmt.e_max + fmt.bias, sig))
-    sig = RnFixed((1 << p) - 1, p + 1, 1, 1 - p)
-    return pack(UnpackedFloat(fmt, FloatClass.NORMAL, 0, fmt.e_max + fmt.bias, sig))
-
-
-def _deliver(num: int, den: int, fmt: FloatFormat, mode: RoundingMode) -> tuple[RnFloat, StickyTail]:
-    """Round the exact value num/den (den > 0) into the format.
-
-    One floor division places the word and round bit on the target grid;
-    overflow saturates to infinity, except that the exactly representable
-    edge magnitude 2**(e_max+1) is delivered on its boundary encoding.
+    One floor division truncates the magnitude onto the target grid, giving
+    word and round bit.  A negative result is then the complement of both,
+    as negation is in the encoding: nearest ties round away from zero and
+    exact negative results carry the round bit.  Overflow saturates to
+    infinity, except that the exactly representable edge magnitude
+    2**(e_max+1) is the all-ones word with the round bit set at e_max.
     """
     p = fmt.precision
     if num == 0:
         return fmt.zero(), StickyTail(False)
-    mag = -num if num < 0 else num
-    e_val = _floor_log2_ratio(mag, den)
-    if e_val > fmt.e_max:
-        if e_val == fmt.e_max + 1 and _ratio_is_pow2(mag, den, e_val):
-            return _boundary_word(fmt, num < 0), StickyTail(False)
-        return fmt.inf(1 if num < 0 else 0), StickyTail(True)
-    subnormal = e_val < fmt.e_min
-    e_tgt = fmt.e_min if subnormal else e_val
-    half = e_tgt - p  # absolute weight of the round-bit source position
-    if half >= 0:
-        t2, rem = divmod(num, den << half)
+    sign = 1 if num < 0 else 0
+    mag = -num if sign else num
+    e_val = _floor_log2_ratio(mag, den) + g
+    if e_val > fmt.e_max + 1:
+        return fmt.inf(sign), StickyTail(True)
+    e_tgt = min(max(e_val, fmt.e_min), fmt.e_max)
+    s = g + p - e_tgt  # the round bit's source position weighs 2**(e_tgt - p)
+    if s >= 0:
+        t2, rem = divmod(mag << s, den)
     else:
-        t2, rem = divmod(num << -half, den)
+        t2, rem = divmod(mag, den << -s)
+    sticky = StickyTail(t2 & 1 == 1 or rem != 0)
+    if e_val > fmt.e_max:
+        # beyond e_max only the exact edge is finite: all-ones word, r=1
+        if t2 != 1 << (p + 1) or sticky.nonzero:
+            return fmt.inf(sign), StickyTail(True)
+        t2 -= 1
     w, r = t2 >> 1, t2 & 1
-    sticky = StickyTail(r == 1 or rem != 0)
-    if not subnormal and w == -(1 << (p - 1)) and r == 0:
-        # exact negative power of two: use the normalized spelling
-        w, r = -(1 << (p - 1)) - 1, 1
-    r = directed_round_bit(r, 1 if w < 0 else 0, sticky, mode)
-    if subnormal:
+    if sign:
+        w, r = ~w, 1 - r
+    r = directed_round_bit(r, sign, sticky, mode)
+    if e_val < fmt.e_min:
         if w + r == 0:
             return fmt.zero(), sticky
-        sign = (w >> (p - 1)) & 1
         sig = RnFixed(w, p, r, 1 - p)
         return pack(UnpackedFloat(fmt, FloatClass.SUBNORMAL, sign, 0, sig)), sticky
-    sign = 1 if w < 0 else 0
     sig = RnFixed(w, p + 1, r, 1 - p)
     return pack(UnpackedFloat(fmt, FloatClass.NORMAL, sign, e_tgt + fmt.bias, sig)), sticky
 
 
-def _deliver_scaled(v: int, g: int, fmt: FloatFormat, mode: RoundingMode) -> tuple[RnFloat, StickyTail]:
-    if g >= 0:
-        return _deliver(v << g, 1, fmt, mode)
-    return _deliver(v, 1 << -g, fmt, mode)
-
-
 def round_to_format(value: Fraction, fmt: FloatFormat, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[RnFloat, StickyTail]:
     """Round an exact rational into a packed word, reporting inexactness."""
-    if value == 0:
-        return fmt.zero(), StickyTail(False)
-    return _deliver(value.numerator, value.denominator, fmt, mode)
+    return _deliver(value.numerator, value.denominator, 0, fmt, mode)
 
 
 def fadd_with_sticky(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[RnFloat, StickyTail]:
@@ -233,67 +193,12 @@ def fadd_with_sticky(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.N
     if _is_zero_value(ub):
         return a, exact
     sum_sig, scale = _aligned_sum(ua, ub)
-    v = sum_sig.bits + sum_sig.round
-    if v == 0:
-        return fmt.zero(), exact
-    return _deliver_scaled(v, scale + (1 - fmt.precision), fmt, mode)
+    return _deliver(sum_sig.bits + sum_sig.round, 1, scale + 1 - fmt.precision, fmt, mode)
 
 
 def fadd(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> RnFloat:
     """Correctly truncation-rounded sum; commutative bit-for-bit."""
     return fadd_with_sticky(a, b, mode)[0]
-
-
-def near_path(a: RnFloat, b: RnFloat) -> tuple[RnFixed, int]:
-    """Cancellation path: exact difference plus its scale exponent.
-
-    Requires an effective subtraction with exponent gap at most one.  Aligns
-    by at most one position, adds the two's complement significands, and
-    left-normalizes by shifting in copies of the result round bit.  Nothing
-    is rounded; the returned significand is exact.
-    """
-    fmt = _require_same_format(a, b)
-    ua, ub = unpack(a), unpack(b)
-    for u in (ua, ub):
-        if _is_nan(u) or _is_inf(u) or _is_zero_value(u):
-            raise ValueError("near path expects finite nonzero operands")
-    if ua.sign == ub.sign:
-        raise ValueError("near path handles effective subtraction only")
-    ea, _ = _finite_parts(ua)
-    eb, _ = _finite_parts(ub)
-    if abs(ea - eb) > 1:
-        raise ValueError("near path requires an exponent gap of at most 1")
-    sum_sig, scale = _aligned_sum(ua, ub)
-    v = sum_sig.bits + sum_sig.round
-    if v == 0:
-        return sum_sig, scale
-    lead = fmt.precision - abs(v).bit_length()
-    if lead > 0:
-        sum_sig = fixed.shift_left(sum_sig, lead)
-        scale -= lead
-    return sum_sig, scale
-
-
-def far_path(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> RnFloat:
-    """Alignment path: exact widened sum, then a single truncation.
-
-    Handles effective additions at any gap and effective subtractions with
-    gap at least two.
-    """
-    fmt = _require_same_format(a, b)
-    ua, ub = unpack(a), unpack(b)
-    for u in (ua, ub):
-        if _is_nan(u) or _is_inf(u) or _is_zero_value(u):
-            raise ValueError("far path expects finite nonzero operands")
-    ea, _ = _finite_parts(ua)
-    eb, _ = _finite_parts(ub)
-    if ua.sign != ub.sign and abs(ea - eb) <= 1:
-        raise ValueError("near-path operands routed to the far path")
-    sum_sig, scale = _aligned_sum(ua, ub)
-    v = sum_sig.bits + sum_sig.round
-    if v == 0:
-        return fmt.zero()
-    return _deliver_scaled(v, scale + (1 - fmt.precision), fmt, mode)[0]
 
 
 def far_shortcut(a: RnFloat, b: RnFloat) -> RnFloat:
@@ -335,10 +240,7 @@ def fmul_with_sticky(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.N
     ea, sa = _finite_parts(ua)
     eb, sb = _finite_parts(ub)
     prod = fixed.mul(sa, sb)
-    v = prod.bits + prod.round
-    if v == 0:
-        return fmt.zero(), exact
-    return _deliver_scaled(v, ea + eb + prod.lsb_exp, fmt, mode)
+    return _deliver(prod.bits + prod.round, 1, ea + eb + prod.lsb_exp, fmt, mode)
 
 
 def fmul(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> RnFloat:
@@ -370,13 +272,6 @@ def _normalize_positive(e: int, sig: RnFixed, p: int) -> tuple[int, RnFixed]:
     return e, sig
 
 
-def _values_match(m: int, e: int, num: int, den: int) -> bool:
-    """m * 2**e == num/den, den > 0."""
-    if e >= 0:
-        return (m * den) << e == num
-    return m * den == num << -e
-
-
 def fdiv_with_sticky(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[RnFloat, StickyTail]:
     fmt = _require_same_format(a, b)
     p = fmt.precision
@@ -398,44 +293,13 @@ def fdiv_with_sticky(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.N
         return fmt.inf(sign), exact
     if a_zero:
         return fmt.zero(), exact
-    ea, sa = _finite_parts(ua)
-    eb, sb = _finite_parts(ub)
-    neg = (sa.bits + sa.round < 0) ^ (sb.bits + sb.round < 0)
-    ea, pa = _normalize_positive(ea, sa, p)
-    eb, pb = _normalize_positive(eb, sb, p)
-    dr = fixed.div(pa, pb, p - 1)
-    q = dr.quotient
-    e_r = ea - eb
-    if q.lsb_exp == -p:
-        # quotient below one: the left shift is an exponent adjustment here
-        e_r -= 1
-        q = RnFixed(q.bits, q.width, q.round, 1 - p)
-    if neg:
-        q = negate(q)
+    ea, pa = _normalize_positive(*_finite_parts(ua), p)
+    eb, pb = _normalize_positive(*_finite_parts(ub), p)
     # reference value: quotient of the round-bit-extended operand words
-    n0, d0 = 2 * pa.bits + pa.round, 2 * pb.bits + pb.round
-    e_diff = ea - eb
-    if e_r > fmt.e_max:
-        k = fmt.e_max + 1 - e_diff
-        if _ratio_is_pow2(n0, d0, k):
-            return _boundary_word(fmt, neg), StickyTail(False)
-        return fmt.inf(1 if neg else 0), StickyTail(True)
-    if e_r < fmt.e_min:
-        num = -n0 if neg else n0
-        if e_diff >= 0:
-            return _deliver(num << e_diff, d0, fmt, mode)
-        return _deliver(num, d0 << -e_diff, fmt, mode)
-    signed_n0 = -n0 if neg else n0
-    if e_diff >= 0:
-        num, den = signed_n0 << e_diff, d0
-    else:
-        num, den = signed_n0, d0 << -e_diff
-    sticky = StickyTail(not _values_match(q.bits + q.round, q.lsb_exp + e_r, num, den))
-    q = apply_directed_rounding(q, sticky, mode)
-    sign_bit = 1 if q.bits < 0 else 0
-    return pack(UnpackedFloat(fmt, FloatClass.NORMAL, sign_bit, e_r + fmt.bias, q)), sticky
+    num = 2 * pa.bits + pa.round
+    return _deliver(-num if sign else num, 2 * pb.bits + pb.round, ea - eb, fmt, mode)
 
 
 def fdiv(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> RnFloat:
-    """Quotient by the fixed-point divider on normalized significands."""
+    """Quotient of the normalized, round-bit-extended significands."""
     return fdiv_with_sticky(a, b, mode)[0]

@@ -17,27 +17,6 @@ from .floatfmt import FloatFormat, RnFloat
 
 ENUMERATION_LIMIT = 1 << 26
 
-ExactRational = Fraction
-
-
-def exact_eval(op: str, a: Fraction, b: Fraction) -> Fraction:
-    """Ground-truth rational arithmetic.
-
-    For division the caller passes the round-bit-extended operand values,
-    matching the divider's reference quotient.
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
 
 def reference_round_nearest(x: Fraction, k: int) -> tuple[DyadicRational, ...]:
     """Nearest multiple(s) of 2**k; a tie returns both candidates."""

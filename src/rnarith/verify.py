@@ -8,8 +8,9 @@ the ``verify`` CLI command.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import random
 from fractions import Fraction
+from typing import Iterator
 
 from . import fixed, floatarith as fa
 from .core import (
@@ -27,11 +28,13 @@ from .core import (
 )
 from .floatfmt import RNF8, RNF16, FloatFormat, RnFloat, float_negate, pack, unpack
 from .oracle import (
+    ENUMERATION_LIMIT,
     VerifyReport,
     check_inclusion,
     enumerate_div_operands,
     enumerate_fixed,
     enumerate_format,
+    reference_round_nearest,
 )
 
 # ---------------------------------------------------------------------------
@@ -339,136 +342,142 @@ def _float_exact(fmt: FloatFormat, op: str, wa: int, wb: int,
     return _div_reference(fmt, wa, wb)
 
 
-def _partition(n: int, parts: int) -> list[range]:
-    step = (n + parts - 1) // parts
-    return [range(i, min(i + step, n)) for i in range(0, n, step)]
+def _pair_space(fmt: FloatFormat) -> int:
+    """Word count of a format whose operand pairs can be enumerated."""
+    n = 1 << fmt.total_bits
+    if n * n > ENUMERATION_LIMIT:
+        raise ValueError(
+            f"{fmt.name or 'format'} has {n * n} operand pairs, "
+            f"more than the enumeration limit of {ENUMERATION_LIMIT}"
+        )
+    return n
 
 
-def float_nearest_sweep(fmt: FloatFormat, op: str, threads: int = 1) -> VerifyReport:
+def _operand_pairs(fmt: FloatFormat) -> Iterator[tuple[RnFloat, RnFloat, Fraction | None, Fraction | None]]:
+    """Every operand pair with both exact values (None when not finite)."""
+    n = _pair_space(fmt)
+    words = [RnFloat(fmt, w) for w in range(n)]
+    values = [float_value(fmt, w) for w in range(n)]
+    return (
+        (words[wa], words[wb], values[wa], values[wb])
+        for wa in range(n)
+        for wb in range(n)
+    )
+
+
+def float_nearest_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
     """Nearest mode over every operand pair: half-ulp correctness, exact
     results delivered exactly, round-bit direction on inexact nonzero
     results, and commutativity for add and mul."""
     func, name = _FLOAT_OPS[op]
     rep = VerifyReport(name, f"format={fmt.name}")
-    n = 1 << fmt.total_bits
-    values = [float_value(fmt, w) for w in range(n)]
-
-    def run(rows: range) -> tuple[int, list[tuple[str, str, str]]]:
-        cases = 0
-        fails: list[tuple[str, str, str]] = []
-        for wa in rows:
-            a = RnFloat(fmt, wa)
-            va = values[wa]
-            for wb in range(n):
-                b = RnFloat(fmt, wb)
-                vb = values[wb]
-                if op == "div" and vb == 0:
-                    continue
-                cases += 1
-                out, sticky = func(a, b)
-                if op in ("add", "mul") and func(b, a)[0] != out:
-                    fails.append((f"{wa:#x},{wb:#x}", "commutative", f"{out.word:#x}"))
-                    continue
-                exact = _float_exact(fmt, op, wa, wb, va, vb)
-                if exact is None:
-                    continue
-                vo = float_value(fmt, out.word)
-                if vo is None:
-                    # overflow: legitimate only beyond the largest magnitude
-                    if abs(exact) < Fraction(2) ** (fmt.e_max + 1):
-                        fails.append((f"{wa:#x},{wb:#x}", str(exact), "inf"))
-                    continue
-                ulp = float_ulp(fmt, out.word)
-                if abs(vo - exact) > ulp / 2:
-                    fails.append((f"{wa:#x},{wb:#x}", str(exact), str(vo)))
-                    continue
-                if representable(exact, fmt) and vo != exact:
-                    fails.append((f"{wa:#x},{wb:#x}", f"exact {exact}", str(vo)))
-                    continue
-                if sticky.nonzero != (vo != exact):
-                    fails.append((f"{wa:#x},{wb:#x}", "sticky flag", str(sticky.nonzero)))
-                    continue
-                if vo != exact and vo != 0:
-                    up = (out.word & 1) == 1
-                    if up != (vo >= exact):
-                        fails.append((f"{wa:#x},{wb:#x}", "round-bit direction", str(out.word & 1)))
-        return cases, fails
-
-    parts = _partition(n, max(1, threads))
-    if len(parts) > 1:
-        with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-            results = list(pool.map(run, parts))
-    else:
-        results = [run(parts[0])]
-    for cases, fails in results:
-        rep.cases += cases
-        rep.failures.extend(fails)
+    for a, b, va, vb in _operand_pairs(fmt):
+        if op == "div" and vb == 0:
+            continue
+        rep.cases += 1
+        where = f"{a.word:#x},{b.word:#x}"
+        out, sticky = func(a, b)
+        if op in ("add", "mul") and func(b, a)[0] != out:
+            rep.record(where, "commutative", f"{out.word:#x}")
+            continue
+        exact = _float_exact(fmt, op, a.word, b.word, va, vb)
+        if exact is None:
+            continue
+        vo = float_value(fmt, out.word)
+        if vo is None:
+            # overflow: legitimate only beyond the largest magnitude
+            if abs(exact) < Fraction(2) ** (fmt.e_max + 1):
+                rep.record(where, str(exact), "inf")
+            continue
+        ulp = float_ulp(fmt, out.word)
+        if abs(vo - exact) > ulp / 2:
+            rep.record(where, str(exact), str(vo))
+        elif representable(exact, fmt) and vo != exact:
+            rep.record(where, f"exact {exact}", str(vo))
+        elif sticky.nonzero != (vo != exact):
+            rep.record(where, "sticky flag", str(sticky.nonzero))
+        elif vo != exact and vo != 0 and (out.word & 1 == 1) != (vo >= exact):
+            rep.record(where, "round-bit direction", str(out.word & 1))
     return rep.done()
 
 
-def float_directed_sweep(fmt: FloatFormat, op: str, threads: int = 1) -> VerifyReport:
+_DIRECTED = tuple(fa.RoundingMode)[1:]  # ru, rd, rz, ra
+
+
+def float_directed_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
     """Directed modes over every pair: directional bounds within one ulp on
     finite results, and bit identity with nearest when nothing was dropped."""
     func, name = _FLOAT_OPS[op]
     rep = VerifyReport(f"{name}-directed", f"format={fmt.name}")
-    n = 1 << fmt.total_bits
-    values = [float_value(fmt, w) for w in range(n)]
-    modes = (
-        fa.RoundingMode.UPWARD,
-        fa.RoundingMode.DOWNWARD,
-        fa.RoundingMode.TOWARD_ZERO,
-        fa.RoundingMode.AWAY_FROM_ZERO,
-    )
+    for a, b, va, vb in _operand_pairs(fmt):
+        if op == "div" and vb == 0:
+            continue
+        exact = _float_exact(fmt, op, a.word, b.word, va, vb)
+        if exact is None:
+            continue
+        near, sticky = func(a, b)
+        for mode in _DIRECTED:
+            rep.cases += 1
+            where = f"{a.word:#x},{b.word:#x},{mode.value}"
+            out = func(a, b, mode)[0]
+            if not sticky.nonzero:
+                if out != near:
+                    rep.record(where, "unchanged", f"{out.word:#x}")
+                continue
+            vo = float_value(fmt, out.word)
+            if vo is None:
+                if abs(exact) < Fraction(2) ** (fmt.e_max + 1):
+                    rep.record(where, str(exact), "inf")
+                continue
+            if mode is fa.RoundingMode.UPWARD:
+                ok = vo >= exact
+            elif mode is fa.RoundingMode.DOWNWARD:
+                ok = vo <= exact
+            elif mode is fa.RoundingMode.TOWARD_ZERO:
+                ok = abs(vo) <= abs(exact)
+            else:
+                ok = abs(vo) >= abs(exact)
+            if not ok or abs(vo - exact) >= float_ulp(fmt, out.word):
+                rep.record(where, str(exact), str(vo))
+    return rep.done()
 
-    def run(rows: range) -> tuple[int, list[tuple[str, str, str]]]:
-        cases = 0
-        fails: list[tuple[str, str, str]] = []
-        for wa in rows:
-            a = RnFloat(fmt, wa)
-            va = values[wa]
-            for wb in range(n):
-                b = RnFloat(fmt, wb)
-                vb = values[wb]
-                if op == "div" and vb == 0:
-                    continue
-                exact = _float_exact(fmt, op, wa, wb, va, vb)
-                if exact is None:
-                    continue
-                near, sticky = func(a, b)
-                for mode in modes:
-                    cases += 1
-                    out = func(a, b, mode)[0]
-                    if not sticky.nonzero:
-                        if out != near:
-                            fails.append((f"{wa:#x},{wb:#x},{mode.value}", "unchanged", f"{out.word:#x}"))
-                        continue
-                    vo = float_value(fmt, out.word)
-                    if vo is None:
-                        if abs(exact) < Fraction(2) ** (fmt.e_max + 1):
-                            fails.append((f"{wa:#x},{wb:#x},{mode.value}", str(exact), "inf"))
-                        continue
-                    ulp = float_ulp(fmt, out.word)
-                    if mode is fa.RoundingMode.UPWARD:
-                        ok = vo >= exact
-                    elif mode is fa.RoundingMode.DOWNWARD:
-                        ok = vo <= exact
-                    elif mode is fa.RoundingMode.TOWARD_ZERO:
-                        ok = abs(vo) <= abs(exact)
-                    else:
-                        ok = abs(vo) >= abs(exact)
-                    if not ok or abs(vo - exact) >= ulp:
-                        fails.append((f"{wa:#x},{wb:#x},{mode.value}", str(exact), str(vo)))
-        return cases, fails
 
-    parts = _partition(n, max(1, threads))
-    if len(parts) > 1:
-        with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-            results = list(pool.map(run, parts))
-    else:
-        results = [run(parts[0])]
-    for cases, fails in results:
-        rep.cases += cases
-        rep.failures.extend(fails)
+def _value_class(fmt: FloatFormat, word: int) -> str:
+    """nan, +inf, -inf, zero (any zero-valued spelling) or finite."""
+    s, e, f, r = _fields(fmt, word)
+    if e == fmt.exp_mask:
+        return "nan" if f or r else "-inf" if s else "+inf"
+    return "zero" if float_value(fmt, word) == 0 else "finite"
+
+
+# negation swaps ru and rd; rn, rz and ra map to themselves
+_MIRROR = {fa.RoundingMode.UPWARD: fa.RoundingMode.DOWNWARD,
+           fa.RoundingMode.DOWNWARD: fa.RoundingMode.UPWARD}
+
+
+def float_sign_symmetry_sweep(fmt: FloatFormat, op: str,
+                              mode: fa.RoundingMode = fa.RoundingMode.NEAREST) -> VerifyReport:
+    """Negating the result is negating an operand, over every pair.
+
+    ``fadd(-a, -b, m)`` and ``fmul/fdiv(-a, b, m)`` are compared with
+    ``op(a, b, mirror(m))``, where the mirror swaps ru and rd.  A nonzero
+    finite result must be the complement (``float_negate``) of the other bit
+    for bit; a zero stays zero, an infinity flips its sign, a NaN stays a
+    NaN, and the sticky flags agree.
+    """
+    func, name = _FLOAT_OPS[op]
+    rep = VerifyReport(f"{name}-symmetry", f"format={fmt.name} mode={mode.value}")
+    for a, b, _, _ in _operand_pairs(fmt):
+        rep.cases += 1
+        out, sticky = func(float_negate(a), float_negate(b) if op == "add" else b, mode)
+        ref, ref_sticky = func(a, b, _MIRROR.get(mode, mode))
+        want = float_negate(ref)
+        if float_value(fmt, ref.word) in (None, 0):
+            ok = _value_class(fmt, out.word) == _value_class(fmt, want.word)
+        else:
+            ok = out == want
+        if not ok or sticky != ref_sticky:
+            rep.record(f"{a.word:#x},{b.word:#x}", f"{want.word:#x}", f"{out.word:#x}")
     return rep.done()
 
 
@@ -481,7 +490,7 @@ def far_shortcut_sweep(fmt: FloatFormat) -> VerifyReport:
     operand's ulp), and the value must be within one ulp of the exact sum.
     """
     rep = VerifyReport("far-shortcut", f"format={fmt.name}")
-    n = 1 << fmt.total_bits
+    n = _pair_space(fmt)
     values = [float_value(fmt, w) for w in range(n)]
 
     def exp_of(word: int) -> int | None:
@@ -613,6 +622,26 @@ def pinned_examples() -> VerifyReport:
     return rep.done()
 
 
+def oracle_selftest(seed: int, rounds: int = 2000) -> VerifyReport:
+    """Randomized cross-check of the reference rounder against brute-force
+    distance minimization."""
+    rep = VerifyReport("oracle-selftest", f"seed={seed}")
+    rng = random.Random(seed)
+    for _ in range(rounds):
+        rep.cases += 1
+        x = Fraction(rng.randint(-(1 << 20), 1 << 20), rng.randint(1, 1 << 12))
+        k = rng.randint(-8, 8)
+        grid = Fraction(2) ** k
+        picks = reference_round_nearest(x, k)
+        base = (x / grid).numerator // (x / grid).denominator
+        best = min(abs(x - n * grid) for n in range(base - 4, base + 5))
+        ok = all(abs(x - p.to_fraction()) == best for p in picks)
+        ok = ok and len(picks) == (2 if abs(x - picks[0].to_fraction()) * 2 == grid else 1)
+        if not ok:
+            rep.record(str(x), "nearest grid point", str(picks))
+    return rep.done()
+
+
 SUITES = {
     "paper-examples": lambda **kw: [pinned_examples()],
     "fixed-add": lambda width=8, **kw: [fixed_add_sweep(width, "add")],
@@ -623,22 +652,23 @@ SUITES = {
     "fixed-roundtrip": lambda width=10, **kw: [roundtrip_sweep(width)],
     "fixed-truncate": lambda width=12, **kw: [double_rounding_sweep(width)],
     "fixed-negate": lambda width=12, **kw: [negation_sweep(width)],
-    "float-add": lambda fmt=RNF8, threads=1, **kw: [float_nearest_sweep(fmt, "add", threads)],
-    "float-mul": lambda fmt=RNF8, threads=1, **kw: [float_nearest_sweep(fmt, "mul", threads)],
-    "float-div": lambda fmt=RNF8, threads=1, **kw: [float_nearest_sweep(fmt, "div", threads)],
-    "float-directed": lambda fmt=RNF8, threads=1, **kw: [
-        float_directed_sweep(fmt, op, threads) for op in ("add", "mul", "div")
+    "float-add": lambda fmt=RNF8, **kw: [float_nearest_sweep(fmt, "add")],
+    "float-mul": lambda fmt=RNF8, **kw: [float_nearest_sweep(fmt, "mul")],
+    "float-div": lambda fmt=RNF8, **kw: [float_nearest_sweep(fmt, "div")],
+    "float-directed": lambda fmt=RNF8, **kw: [
+        float_directed_sweep(fmt, op) for op in ("add", "mul", "div")
+    ],
+    "float-symmetry": lambda fmt=RNF8, **kw: [
+        float_sign_symmetry_sweep(fmt, op) for op in ("add", "mul", "div")
     ],
     "float-shortcut": lambda fmt=RNF8, **kw: [far_shortcut_sweep(fmt)],
     "float-negate": lambda fmt=RNF8, **kw: [float_negate_sweep(fmt)],
     "float-roundtrip": lambda fmt=RNF16, **kw: [pack_unpack_sweep(fmt)],
-    "float-all": lambda fmt=RNF8, threads=1, **kw: [
-        rep
-        for group in (
-            [float_nearest_sweep(fmt, op, threads) for op in ("add", "mul", "div")],
-            [float_directed_sweep(fmt, op, threads) for op in ("add", "mul", "div")],
-            [far_shortcut_sweep(fmt), float_negate_sweep(fmt)],
-        )
-        for rep in group
+    "float-all": lambda fmt=RNF8, **kw: [
+        *(float_nearest_sweep(fmt, op) for op in ("add", "mul", "div")),
+        *(float_directed_sweep(fmt, op) for op in ("add", "mul", "div")),
+        far_shortcut_sweep(fmt),
+        float_negate_sweep(fmt),
     ],
+    "oracle-selftest": lambda seed=0, **kw: [oracle_selftest(seed)],
 }

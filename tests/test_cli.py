@@ -1,3 +1,5 @@
+import time
+
 from rnarith.cli import main
 
 
@@ -147,6 +149,14 @@ class TestVerify:
         code2, out2, _ = run(capsys, "verify", "oracle-selftest", "--seed", "3")
         assert code1 == code2 == 0
         assert out1.split()[:-1] == out2.split()[:-1]  # identical apart from timing
+
+    def test_oversized_pair_sweep_is_refused(self, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "verify", "float-add", "--format", "rnf16")
+        assert time.perf_counter() - t0 < 0.5
+        assert code == 2 and not out
+        assert err.startswith("error:") and "enumeration limit" in err
+        assert "Traceback" not in err
 
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "no-such-suite")

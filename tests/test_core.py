@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,15 @@ class TestDyadicRational:
     def test_normalization(self):
         assert DyadicRational(12, 0) == DyadicRational(3, 2)
         assert DyadicRational(0, 17) == DyadicRational(0, 0)
+        x = DyadicRational(-12)
+        assert (x.mantissa, x.exp) == (-3, 2)
+
+    def test_normalization_of_long_mantissa_is_fast(self):
+        t0 = time.perf_counter()
+        for _ in range(10):
+            x = DyadicRational(1 << 40000)
+        assert (x.mantissa, x.exp) == (1, 40000)
+        assert time.perf_counter() - t0 < 0.1
 
     def test_arithmetic(self):
         a = DyadicRational(3, -2)  # 0.75

@@ -2,26 +2,22 @@ from fractions import Fraction
 
 import pytest
 
-from rnarith.core import DyadicRational, RnFixed, value_of
 from rnarith.floatarith import (
     RoundingMode,
     StickyTail,
-    apply_directed_rounding,
     directed_round_bit,
     fadd,
     fadd_with_sticky,
-    far_path,
     far_shortcut,
     fdiv,
     fdiv_with_sticky,
     fmul,
     fmul_with_sticky,
-    near_path,
-    sticky_of,
 )
 from rnarith.floatfmt import (
     RNF8,
     FloatClass,
+    FloatFormat,
     RnFloat,
     float_negate,
     unpack,
@@ -125,24 +121,6 @@ class TestFaddBasics:
 
 
 class TestNearFarPaths:
-    def test_near_requires_effective_subtraction(self):
-        with pytest.raises(ValueError):
-            near_path(ONE, ONE)
-
-    def test_near_requires_small_gap(self):
-        far_b = float_negate(RnFloat(RNF8, 0x10))
-        with pytest.raises(ValueError):
-            near_path(ONE, far_b)
-
-    def test_near_exact_difference(self):
-        sig, scale = near_path(ONE, float_negate(RnFloat(RNF8, 0x31)))
-        got = value_of(sig).to_fraction() * Fraction(2) ** scale
-        assert got == Fraction(-1, 8)
-
-    def test_near_zero_result(self):
-        sig, _ = near_path(ONE, NEG_ONE)
-        assert value_of(sig).to_fraction() == 0
-
     def test_near_pairs_exact_when_representable(self):
         words = [RnFloat(RNF8, w) for w in range(256)]
         for a in words:
@@ -169,24 +147,6 @@ class TestNearFarPaths:
                 # with true cancellation nothing can be dropped
                 if exact != 0 and abs(exact) < Fraction(2) ** min(ea, eb):
                     assert vo == exact
-
-    def test_far_path_matches_fadd(self):
-        words = [RnFloat(RNF8, w) for w in range(256)]
-        for a in words[::3]:
-            va = finite_value(a)
-            if va in (None, 0):
-                continue
-            ua = unpack(a)
-            ea = (ua.biased_exp - RNF8.bias) if ua.cls is FloatClass.NORMAL else RNF8.e_min
-            for b in words[::5]:
-                vb = finite_value(b)
-                if vb in (None, 0):
-                    continue
-                ub = unpack(b)
-                eb = (ub.biased_exp - RNF8.bias) if ub.cls is FloatClass.NORMAL else RNF8.e_min
-                if ua.sign != ub.sign and abs(ea - eb) <= 1:
-                    continue
-                assert far_path(a, b) == fadd(a, b)
 
     def test_far_gap2_power_sum_exact(self):
         quarter = RnFloat(RNF8, 0x10)
@@ -320,16 +280,6 @@ class TestDirectedRounding:
             assert directed_round_bit(0, 1, t, mode) == 0
             assert directed_round_bit(1, 0, t, mode) == 1
 
-    def test_apply_to_fixed(self):
-        x = RnFixed(10, 5, 0, -3)
-        up = apply_directed_rounding(x, StickyTail(True), RoundingMode.UPWARD)
-        assert up == RnFixed(10, 5, 1, -3)
-        same = apply_directed_rounding(x, StickyTail(False), RoundingMode.UPWARD)
-        assert same is x
-        neg = RnFixed(-10, 5, 0, -3)
-        rz = apply_directed_rounding(neg, StickyTail(True), RoundingMode.TOWARD_ZERO)
-        assert rz.round == 1
-
     def test_exact_results_identical_across_modes(self):
         for mode in RoundingMode:
             assert fadd(ONE, ONE, mode) == TWO
@@ -344,19 +294,31 @@ class TestDirectedRounding:
         assert up - dn == Fraction(1, 4)  # one ulp apart around an unrepresentable sum
 
 
-class TestStickyOf:
-    def test_representable_sum(self):
-        kept = RnFixed(10, 6, 0, -2)
-        assert not sticky_of(value_of(kept), kept).nonzero
+class TestSignSymmetry:
+    @pytest.mark.parametrize("mode", list(RoundingMode))
+    def test_negated_operands_give_complemented_results(self, mode):
+        import rnarith.verify as verify
 
-    def test_tail_below_round_bit(self):
-        exact = DyadicRational((1 << 7) + 1, -7)  # 1 + 2**-7
-        kept = RnFixed(8, 5, 0, -3)
-        assert sticky_of(exact, kept).nonzero
+        fmt = FloatFormat(2, 3, "rnf6")
+        for op in ("add", "mul", "div"):
+            rep = verify.float_sign_symmetry_sweep(fmt, op, mode)
+            assert rep.cases == 64 * 64
+            assert rep.passed, rep.failures[:5]
 
-    def test_division_remainder(self):
-        assert not sticky_of(0, RnFixed(8, 5, 0, -3)).nonzero
-        assert sticky_of(3, RnFixed(8, 5, 0, -3)).nonzero
+    def test_negative_tie_rounds_away_from_zero(self):
+        # -15/8 + 9/16 = -21/16, a tie between -5/4 and -11/8
+        a = float_negate(RnFloat(RNF8, 0x3E))
+        b = float_negate(RnFloat(RNF8, 0xAE))
+        out, sticky = fadd_with_sticky(a, b)
+        assert finite_value(out) == Fraction(-11, 8)
+        assert sticky.nonzero
+
+    def test_exact_negative_result_carries_round_bit(self):
+        three = fadd(ONE, TWO)
+        out, sticky = fadd_with_sticky(NEG_ONE, float_negate(TWO))
+        assert finite_value(out) == -3
+        assert out == float_negate(three) and out.round == 1
+        assert not sticky.nonzero
 
 
 class TestWiderFormats:
@@ -394,16 +356,6 @@ class TestWiderFormats:
                     assert sticky.nonzero == (vo != exact)
                     if representable(exact, fmt):
                         assert vo == exact
-
-
-class TestThreadedSweep:
-    def test_partitioned_run_matches_serial(self):
-        import rnarith.verify as verify
-
-        serial = verify.float_nearest_sweep(RNF8, "mul", threads=1)
-        threaded = verify.float_nearest_sweep(RNF8, "mul", threads=4)
-        assert serial.passed and threaded.passed
-        assert serial.cases == threaded.cases
 
 
 class TestAgainstIndependentValues:

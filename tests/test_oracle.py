@@ -11,32 +11,12 @@ from rnarith.oracle import (
     enumerate_div_operands,
     enumerate_fixed,
     enumerate_format,
-    exact_eval,
     reference_round_nearest,
 )
 
 
 def iv(lo, hi):
     return DyadicInterval(DyadicRational(*lo), DyadicRational(*hi))
-
-
-class TestExactEval:
-    def test_add_cancels(self):
-        assert exact_eval("add", Fraction(12), Fraction(-12)) == 0
-
-    def test_worked_product(self):
-        assert exact_eval("mul", Fraction(12), Fraction(10)) == 120
-
-    def test_extended_quotient(self):
-        assert exact_eval("div", Fraction(3, 2), Fraction(17, 16)) == Fraction(24, 17)
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            exact_eval("div", Fraction(1), Fraction(0))
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            exact_eval("pow", Fraction(1), Fraction(2))
 
 
 class TestReferenceRound:
