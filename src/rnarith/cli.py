@@ -239,10 +239,9 @@ def cmd_inspect(args) -> int:
         pieces.append(f"sig={format_literal(u.significand)}")
         v = value_of_float(f)
         pieces.append(f"value={v}")
-        scale = (u.biased_exp - fmt.bias) if u.cls is FloatClass.NORMAL else fmt.e_min
         iv = interval_of(u.significand)
-        lo = DyadicRational(iv.lo.mantissa, iv.lo.exp + scale)
-        hi = DyadicRational(iv.hi.mantissa, iv.hi.exp + scale)
+        lo = DyadicRational(iv.lo.mantissa, iv.lo.exp + u.scale)
+        hi = DyadicRational(iv.hi.mantissa, iv.hi.exp + u.scale)
         pieces.append(f"interval=[{lo} ; {hi}]")
     print(" ".join(pieces))
     print(f"fields: {format_fields(f)}")

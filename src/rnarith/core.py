@@ -90,10 +90,6 @@ class DyadicRational:
             return Fraction(self.mantissa << self.exp)
         return Fraction(self.mantissa, 1 << -self.exp)
 
-    @staticmethod
-    def from_int(n: int) -> "DyadicRational":
-        return DyadicRational(n, 0)
-
     def __str__(self) -> str:
         """Exact decimal representation (always finite for dyadic values)."""
         m, e = self.mantissa, self.exp
@@ -197,19 +193,11 @@ def booth_recode(word: int, width: int, lsb_exp: int = 0) -> SignedDigitString:
     """Recode a two's complement word into alternating-sign digits.
 
     Digit at position i is ``b[i-1] - b[i]`` with a zero appended below the
-    lsb, so the digit string represents exactly the same value.
+    lsb, so the digit string represents exactly the same value: it is the
+    signed-digit view of the word with round bit 0.  A width below 1 or a
+    word that does not fit raises ``ValueError``.
     """
-    if width < 1:
-        raise ValueError("width must be at least 1")
-    lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
-    if not lo <= word <= hi:
-        raise ValueError("word does not fit the given width")
-    digits = []
-    for i in range(width - 1, -1, -1):
-        below = (word >> (i - 1)) & 1 if i > 0 else 0
-        here = (word >> i) & 1
-        digits.append(below - here)
-    return SignedDigitString(tuple(digits), lsb_exp)
+    return sd_of_canonical(RnFixed(word, width, 0, lsb_exp))
 
 
 def validate_rn(sd: SignedDigitString) -> bool:

@@ -3,7 +3,7 @@
 Addition, subtraction and multiplication are exact: they widen the result
 word instead of rounding, and any rounding is left to an explicit
 ``core.truncate_at``.  Division rounds once, to the same number of digits as
-its operands, and fixes up its round bit from the remainder sign.
+its operands, by truncating its quotient.
 """
 
 from __future__ import annotations
@@ -116,14 +116,9 @@ def div(x: RnFixed, y: RnFixed, p: int) -> DivResult:
     words (round bits appended) is developed to ``p + 2`` fractional bits by
     restoring long division; the quotient word keeps ``p`` fractional bits,
     or ``p + 1`` after the single normalizing left shift when the quotient
-    is below one, and the next bit becomes the preliminary round bit.
-
-    The round bit of an encoding asserts the sign of what was dropped
-    (1: value rounded up, tail nonpositive; 0: rounded down).  When the
-    division's remainder contradicts the preliminary bit, the bit is
-    inverted; with restoring division the tail is never negative and the
-    preliminary bit is already consistent, so the inversion below cannot
-    trigger, but it is kept as the contract for signed-remainder dividers.
+    is below one, and the next bit becomes the round bit.  Truncation keeps
+    the round bit consistent with the sign of what was dropped (1: value
+    rounded up, tail nonpositive; 0: rounded down).
     """
     if p < 1:
         raise ValueError("need at least one fractional bit")
@@ -140,19 +135,10 @@ def div(x: RnFixed, y: RnFixed, p: int) -> DivResult:
 
     if n >= d:
         # quotient in [1, 2): word keeps weights 2**0 .. 2**-p
-        word, r0, dropped = t >> 2, (t >> 1) & 1, t & 1
+        word, r0 = t >> 2, (t >> 1) & 1
         lsb = -p
     else:
         # quotient in (1/2, 1): one left shift, word keeps 2**-1 .. 2**-p-1
-        word, r0, dropped = t >> 1, t & 1, 0
+        word, r0 = t >> 1, t & 1
         lsb = -p - 1
-
-    # sign of (true quotient - delivered value); nonnegative remainders keep
-    # it consistent with r0 by construction
-    err_sign = (dropped * d + rem) - 2 * r0 * d
-    if r0 == 1 and err_sign > 0:
-        r0 = 0
-    elif r0 == 0 and err_sign < 0:
-        r0 = 1
-
     return DivResult(RnFixed(word, p + 2, r0, lsb), rem == 0)

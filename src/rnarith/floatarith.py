@@ -3,11 +3,15 @@
 Every op forms its exact result and rounds it once, in ``_deliver``: the
 magnitude is truncated (so results are within half an ulp of the exact
 value and the round bit reports the rounding direction), and a negative
-result is the complement of the positive one, word and round bit.  Add and
-multiply are exact on widened fixed-point significands.  Division's
-reference value is the quotient of the operands' round-bit-extended words
-(the midpoints of their half-ulp intervals), which is what the fixed-point
-divider sees.
+result is the complement of the positive one, word and round bit.
+
+Each finite operand is read once, as the integer ``bits + round`` of its
+significand times a power of two.  Add and multiply are exact on these
+integer significands: add aligns them by shifting, multiply multiplies
+them.  Division's reference value is the quotient of the operands'
+round-bit-extended words (the midpoints of their half-ulp intervals), which
+is what the fixed-point divider sees.  The fixed-point layer (``fixed``)
+serves the CLI's fixed-point operators and their sweeps, not these ops.
 
 Directed roundings never increment: when the truncated tail was nonzero the
 round bit is simply replaced according to the mode.
@@ -19,8 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from . import fixed
-from .core import RnFixed, negate
+from .core import RnFixed
 from .floatfmt import (
     FloatClass,
     FloatFormat,
@@ -86,34 +89,11 @@ def _is_zero_value(u: UnpackedFloat) -> bool:
     return u.cls is FloatClass.SUBNORMAL and u.significand.bits + u.significand.round == 0
 
 
-def _finite_parts(u: UnpackedFloat) -> tuple[int, RnFixed]:
-    """Scale exponent and p+1-bit significand of a finite operand."""
-    fmt = u.fmt
-    p = fmt.precision
+def _int_value(u: UnpackedFloat) -> tuple[int, int]:
+    """A finite operand's exact value as ``m * 2**e``: ``m`` is the
+    significand word plus its round bit, ``e`` the weight of the word's lsb."""
     sig = u.significand
-    if u.cls is FloatClass.NORMAL:
-        return u.biased_exp - fmt.bias, sig
-    # subnormal: same value at the minimum exponent, sign-extended one bit
-    return fmt.e_min, RnFixed(sig.bits, p + 1, sig.round, sig.lsb_exp)
-
-
-def _aligned_sum(ua: UnpackedFloat, ub: UnpackedFloat) -> tuple[RnFixed, int]:
-    """Exact significand sum at the smaller operand's scale.
-
-    The larger-exponent operand is shifted left over the gap, appending
-    copies of its round bit, which scales its value exactly.
-    """
-    ea, sa = _finite_parts(ua)
-    eb, sb = _finite_parts(ub)
-    if ea > eb:
-        sa = fixed.shift_left(sa, ea - eb)
-        scale = eb
-    elif eb > ea:
-        sb = fixed.shift_left(sb, eb - ea)
-        scale = ea
-    else:
-        scale = ea
-    return fixed.add(sa, sb), scale
+    return sig.bits + sig.round, u.scale + sig.lsb_exp
 
 
 def _floor_log2_ratio(num: int, den: int) -> int:
@@ -192,8 +172,10 @@ def fadd_with_sticky(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.N
         return b, exact
     if _is_zero_value(ub):
         return a, exact
-    sum_sig, scale = _aligned_sum(ua, ub)
-    return _deliver(sum_sig.bits + sum_sig.round, 1, scale + 1 - fmt.precision, fmt, mode)
+    ma, ea = _int_value(ua)
+    mb, eb = _int_value(ub)
+    e = min(ea, eb)
+    return _deliver((ma << (ea - e)) + (mb << (eb - e)), 1, e, fmt, mode)
 
 
 def fadd(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> RnFloat:
@@ -216,9 +198,7 @@ def far_shortcut(a: RnFloat, b: RnFloat) -> RnFloat:
             raise ValueError("shortcut expects finite operands")
     if _is_zero_value(ub):
         raise ValueError("shortcut expects a nonzero smaller operand")
-    ea, _ = _finite_parts(ua)
-    eb, _ = _finite_parts(ub)
-    if ea <= eb + fmt.precision:
+    if ua.scale <= ub.scale + fmt.precision:
         raise ValueError("shortcut requires the gap to exceed the precision")
     return RnFloat(fmt, (a.word & ~1) | (1 - ub.sign))
 
@@ -237,10 +217,9 @@ def fmul_with_sticky(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.N
         return fmt.inf(sign), exact
     if _is_zero_value(ua) or _is_zero_value(ub):
         return fmt.zero(), exact
-    ea, sa = _finite_parts(ua)
-    eb, sb = _finite_parts(ub)
-    prod = fixed.mul(sa, sb)
-    return _deliver(prod.bits + prod.round, 1, ea + eb + prod.lsb_exp, fmt, mode)
+    ma, ea = _int_value(ua)
+    mb, eb = _int_value(ub)
+    return _deliver(ma * mb, 1, ea + eb, fmt, mode)
 
 
 def fmul(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> RnFloat:
@@ -248,33 +227,32 @@ def fmul(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> R
     return fmul_with_sticky(a, b, mode)[0]
 
 
-def _normalize_positive(e: int, sig: RnFixed, p: int) -> tuple[int, RnFixed]:
-    """Absolute value of a significand, rescaled so the word lies in [1, 2).
+def _divider_word(u: UnpackedFloat) -> tuple[int, int]:
+    """Round-bit-extended word ``2*w + r`` of a nonzero finite operand's
+    absolute value, rescaled so the word ``w`` lies in [1, 2), and its scale.
 
-    Value-preserving: shifts append round-bit copies and the two boundary
-    spellings of an exact power (all-ones word with round bit set) are
-    replaced by the power's plain word.
+    Value-preserving: negation complements word and round bit, shifts
+    append round-bit copies, and the two boundary spellings of an exact
+    power (all-ones word with round bit set) become the power's plain word.
     """
-    if sig.bits + sig.round < 0:
-        sig = negate(sig)
-    v = sig.bits + sig.round
+    p = u.fmt.precision
+    w, r, e = u.significand.bits, u.significand.round, u.scale
+    if w + r < 0:
+        w, r = ~w, 1 - r
+    v = w + r
     if v == 1 << p:
-        return e + 1, RnFixed(1 << (p - 1), p + 1, 0, 1 - p)
+        return 1 << p, e + 1
     k = p - v.bit_length()
     if k > 0:
         e -= k
-        word = (sig.bits << k) | (sig.round * ((1 << k) - 1))
-        sig = RnFixed(word, p + 1, sig.round, 1 - p)
-    elif sig.width != p + 1:
-        sig = RnFixed(sig.bits, p + 1, sig.round, 1 - p)
-    if sig.bits == (1 << (p - 1)) - 1:
-        sig = RnFixed(1 << (p - 1), p + 1, 0, 1 - p)
-    return e, sig
+        w = (w << k) | (r * ((1 << k) - 1))
+    if w == (1 << (p - 1)) - 1:
+        w, r = 1 << (p - 1), 0
+    return 2 * w + r, e
 
 
 def fdiv_with_sticky(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[RnFloat, StickyTail]:
     fmt = _require_same_format(a, b)
-    p = fmt.precision
     ua, ub = unpack(a), unpack(b)
     exact = StickyTail(False)
     if _is_nan(ua) or _is_nan(ub):
@@ -293,11 +271,10 @@ def fdiv_with_sticky(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.N
         return fmt.inf(sign), exact
     if a_zero:
         return fmt.zero(), exact
-    ea, pa = _normalize_positive(*_finite_parts(ua), p)
-    eb, pb = _normalize_positive(*_finite_parts(ub), p)
+    na, ea = _divider_word(ua)
+    nb, eb = _divider_word(ub)
     # reference value: quotient of the round-bit-extended operand words
-    num = 2 * pa.bits + pa.round
-    return _deliver(-num if sign else num, 2 * pb.bits + pb.round, ea - eb, fmt, mode)
+    return _deliver(-na if sign else na, nb, ea - eb, fmt, mode)
 
 
 def fdiv(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> RnFloat:

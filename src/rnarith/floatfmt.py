@@ -121,6 +121,14 @@ class UnpackedFloat:
     biased_exp: int
     significand: RnFixed
 
+    @property
+    def scale(self) -> int:
+        """Exponent of the significand's units digit: the unbiased exponent
+        for normals, ``e_min`` for every other class."""
+        if self.cls is FloatClass.NORMAL:
+            return self.biased_exp - self.fmt.bias
+        return self.fmt.e_min
+
 
 def _assemble(fmt: FloatFormat, sign: int, biased_exp: int, frac: int, rbit: int) -> RnFloat:
     word = (
@@ -183,8 +191,7 @@ def value_of_float(f: RnFloat) -> DyadicRational | FloatClass:
     if u.cls is FloatClass.ZERO:
         return DyadicRational(0)
     sig = u.significand
-    scale = (u.biased_exp - f.fmt.bias) if u.cls is FloatClass.NORMAL else f.fmt.e_min
-    return DyadicRational(sig.bits + sig.round, sig.lsb_exp + scale)
+    return DyadicRational(sig.bits + sig.round, sig.lsb_exp + u.scale)
 
 
 def float_negate(f: RnFloat) -> RnFloat:

@@ -313,6 +313,14 @@ class TestSignSymmetry:
         assert finite_value(out) == Fraction(-11, 8)
         assert sticky.nonzero
 
+    def test_float_all_suite_includes_symmetry(self):
+        from rnarith.verify import SUITES
+
+        reports = SUITES["float-all"](fmt=FloatFormat(2, 2, "rnf5"))
+        symmetry = [r for r in reports if r.op.endswith("-symmetry")]
+        assert sorted(r.op for r in symmetry) == ["fadd-symmetry", "fdiv-symmetry", "fmul-symmetry"]
+        assert all(r.cases == 32 * 32 and r.passed for r in symmetry)
+
     def test_exact_negative_result_carries_round_bit(self):
         three = fadd(ONE, TWO)
         out, sticky = fadd_with_sticky(NEG_ONE, float_negate(TWO))
@@ -323,15 +331,19 @@ class TestSignSymmetry:
 
 class TestWiderFormats:
     def test_random_pairs_against_oracle(self):
+        """Uniform words, so rnf64 sums mostly align over exponent gaps of
+        hundreds to ~2,000 bits; every mode is checked against the exact
+        value."""
         import random
 
-        from rnarith.floatfmt import RNF16, RNF32
+        from rnarith.floatfmt import RNF16, RNF32, RNF64
         from rnarith.verify import _div_reference, float_ulp, float_value
 
         rng = random.Random(123)
         ops = (("add", fadd_with_sticky), ("mul", fmul_with_sticky), ("div", fdiv_with_sticky))
-        for fmt in (RNF16, RNF32):
+        for fmt in (RNF16, RNF32, RNF64):
             n = 1 << fmt.total_bits
+            edge = Fraction(2) ** (fmt.e_max + 1)
             for _ in range(1200):
                 wa, wb = rng.randrange(n), rng.randrange(n)
                 a, b = RnFloat(fmt, wa), RnFloat(fmt, wb)
@@ -349,13 +361,33 @@ class TestWiderFormats:
                         exact = va * vb
                     else:
                         exact = Fraction(0) if va == 0 else _div_reference(fmt, wa, wb)
+                    overflow = abs(exact) >= edge
                     if vo is None:
-                        assert abs(exact) >= Fraction(2) ** (fmt.e_max + 1)
-                        continue
-                    assert abs(vo - exact) <= float_ulp(fmt, out.word) / 2
-                    assert sticky.nonzero == (vo != exact)
-                    if representable(exact, fmt):
-                        assert vo == exact
+                        assert overflow
+                    else:
+                        assert abs(vo - exact) <= float_ulp(fmt, out.word) / 2
+                        assert sticky.nonzero == (vo != exact)
+                        if representable(exact, fmt):
+                            assert vo == exact
+                    for mode in list(RoundingMode)[1:]:
+                        got, got_sticky = fn(a, b, mode)
+                        assert got_sticky == sticky
+                        if not sticky.nonzero:
+                            assert got == out
+                            continue
+                        vg = float_value(fmt, got.word)
+                        if vg is None:
+                            assert overflow
+                            continue
+                        assert abs(vg - exact) < float_ulp(fmt, got.word)
+                        if mode is RoundingMode.UPWARD:
+                            assert vg >= exact
+                        elif mode is RoundingMode.DOWNWARD:
+                            assert vg <= exact
+                        elif mode is RoundingMode.TOWARD_ZERO:
+                            assert abs(vg) <= abs(exact)
+                        else:
+                            assert abs(vg) >= abs(exact)
 
 
 class TestAgainstIndependentValues:
