@@ -25,6 +25,7 @@ from .floatfmt import (
     FORMATS,
     FloatClass,
     RnFloat,
+    decode,
     float_negate,
     format_fields,
     format_hex_literal,
@@ -113,7 +114,9 @@ def cmd_convert(args) -> int:
                 return 0
             print(str(v))
             return 0
-        print(_fraction_decimal(_operand_value(operand)))
+        # a fixed literal prints from its dyadic value, never via a Fraction
+        # whose denominator alone is 2**-lsb_exp
+        print(value_of(operand) if isinstance(operand, RnFixed) else _fraction_decimal(operand))
         return 0
     if target.startswith("float:"):
         name = target.split(":", 1)[1]
@@ -169,11 +172,7 @@ class _Evaluator:
                 return fixed.sub(a, b)
             if op == "*":
                 return fixed.mul(a, b)
-            p = -a.lsb_exp
-            try:
-                res = fixed.div(a, b, p)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise CliError(str(exc)) from exc
+            res = fixed.div(a, b, -a.lsb_exp)
             self.inexact |= not res.exact
             return res.quotient
         if a.fmt != b.fmt:
@@ -230,6 +229,7 @@ def cmd_inspect(args) -> int:
     f = parse_float_literal(args.value)
     u = unpack(f)
     fmt = f.fmt
+    scale = decode(fmt, f.word)[4]
     pieces = [f"class={u.cls.value}", f"s={f.sign}", f"e={f.biased_exp}(bias {fmt.bias})"]
     if u.cls is FloatClass.NORMAL:
         pieces.append(f"hidden={1 - f.sign}")
@@ -240,8 +240,8 @@ def cmd_inspect(args) -> int:
         v = value_of_float(f)
         pieces.append(f"value={v}")
         iv = interval_of(u.significand)
-        lo = DyadicRational(iv.lo.mantissa, iv.lo.exp + u.scale)
-        hi = DyadicRational(iv.hi.mantissa, iv.hi.exp + u.scale)
+        lo = DyadicRational(iv.lo.mantissa, iv.lo.exp + scale)
+        hi = DyadicRational(iv.hi.mantissa, iv.hi.exp + scale)
         pieces.append(f"interval=[{lo} ; {hi}]")
     print(" ".join(pieces))
     print(f"fields: {format_fields(f)}")

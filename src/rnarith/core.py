@@ -15,6 +15,8 @@ digits alternate in sign; ``booth_recode`` / ``sd_of_canonical`` /
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -95,6 +97,11 @@ class DyadicRational:
         m, e = self.mantissa, self.exp
         if e >= 0:
             return str(m << e)
+        # str() enforces the interpreter's digit limit only after the power
+        # is built, in superlinear time; refuse when 5**-e alone exceeds it
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and -e * math.log10(5) >= limit:
+            raise ValueError(f"exact decimal of 2**{e} has more than {limit} digits")
         digits = m * 5 ** (-e)
         sign = "-" if digits < 0 else ""
         text = str(abs(digits)).rjust(-e + 1, "0")

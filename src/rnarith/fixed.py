@@ -129,8 +129,6 @@ def div(x: RnFixed, y: RnFixed, p: int) -> DivResult:
             raise ValueError(f"{name} word must lie in [1, 2)")
     n = 2 * x.bits + x.round
     d = 2 * y.bits + y.round
-    if d == 0:
-        raise ZeroDivisionError("division by zero")
     t, rem = divmod(n << (p + 2), d)
 
     if n >= d:

@@ -5,13 +5,15 @@ magnitude is truncated (so results are within half an ulp of the exact
 value and the round bit reports the rounding direction), and a negative
 result is the complement of the positive one, word and round bit.
 
-Each finite operand is read once, as the integer ``bits + round`` of its
-significand times a power of two.  Add and multiply are exact on these
-integer significands: add aligns them by shifting, multiply multiplies
-them.  Division's reference value is the quotient of the operands'
-round-bit-extended words (the midpoints of their half-ulp intervals), which
-is what the fixed-point divider sees.  The fixed-point layer (``fixed``)
-serves the CLI's fixed-point operators and their sweeps, not these ops.
+Each operand is read once, from its raw fields (``floatfmt.decode``): a
+finite one is the integer ``w + r`` of its significand word and round bit
+times a power of two, and the result word is written directly from its
+fields.  Add and multiply are exact on these integer significands: add
+aligns them by shifting, multiply multiplies them.  Division's reference
+value is the quotient of the operands' round-bit-extended words (the
+midpoints of their half-ulp intervals), which is what the fixed-point
+divider sees.  The fixed-point layer (``fixed``) serves the CLI's
+fixed-point operators and their sweeps, not these ops.
 
 Directed roundings never increment: when the truncated tail was nonzero the
 round bit is simply replaced according to the mode.
@@ -23,15 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .core import RnFixed
-from .floatfmt import (
-    FloatClass,
-    FloatFormat,
-    RnFloat,
-    UnpackedFloat,
-    pack,
-    unpack,
-)
+from .floatfmt import FloatClass, FloatFormat, RnFloat, _assemble, decode
 
 
 class RoundingMode(Enum):
@@ -73,27 +67,6 @@ def _require_same_format(a: RnFloat, b: RnFloat) -> FloatFormat:
     if a.fmt != b.fmt:
         raise ValueError("operands must share a format")
     return a.fmt
-
-
-def _is_nan(u: UnpackedFloat) -> bool:
-    return u.cls is FloatClass.NAN
-
-
-def _is_inf(u: UnpackedFloat) -> bool:
-    return u.cls is FloatClass.INFINITY
-
-
-def _is_zero_value(u: UnpackedFloat) -> bool:
-    if u.cls is FloatClass.ZERO:
-        return True
-    return u.cls is FloatClass.SUBNORMAL and u.significand.bits + u.significand.round == 0
-
-
-def _int_value(u: UnpackedFloat) -> tuple[int, int]:
-    """A finite operand's exact value as ``m * 2**e``: ``m`` is the
-    significand word plus its round bit, ``e`` the weight of the word's lsb."""
-    sig = u.significand
-    return sig.bits + sig.round, u.scale + sig.lsb_exp
 
 
 def _floor_log2_ratio(num: int, den: int) -> int:
@@ -138,13 +111,10 @@ def _deliver(num: int, den: int, g: int, fmt: FloatFormat, mode: RoundingMode) -
     if sign:
         w, r = ~w, 1 - r
     r = directed_round_bit(r, sign, sticky, mode)
-    if e_val < fmt.e_min:
-        if w + r == 0:
-            return fmt.zero(), sticky
-        sig = RnFixed(w, p, r, 1 - p)
-        return pack(UnpackedFloat(fmt, FloatClass.SUBNORMAL, sign, 0, sig)), sticky
-    sig = RnFixed(w, p + 1, r, 1 - p)
-    return pack(UnpackedFloat(fmt, FloatClass.NORMAL, sign, e_tgt + fmt.bias, sig)), sticky
+    if w + r == 0:  # only a subnormal result can truncate to zero
+        return fmt.zero(), sticky
+    biased_exp = 0 if e_val < fmt.e_min else e_tgt + fmt.bias
+    return _assemble(fmt, sign, biased_exp, w & ((1 << (p - 1)) - 1), r), sticky
 
 
 def round_to_format(value: Fraction, fmt: FloatFormat, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[RnFloat, StickyTail]:
@@ -154,28 +124,28 @@ def round_to_format(value: Fraction, fmt: FloatFormat, mode: RoundingMode = Roun
 
 def fadd_with_sticky(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[RnFloat, StickyTail]:
     fmt = _require_same_format(a, b)
-    ua, ub = unpack(a), unpack(b)
+    ca, sa, wa, ra, ea = decode(fmt, a.word)
+    cb, sb, wb, rb, eb = decode(fmt, b.word)
     exact = StickyTail(False)
-    if _is_nan(ua) or _is_nan(ub):
+    if ca is FloatClass.NAN or cb is FloatClass.NAN:
         return fmt.nan(), exact
-    if _is_inf(ua) and _is_inf(ub):
-        if ua.sign != ub.sign:
+    if ca is FloatClass.INFINITY and cb is FloatClass.INFINITY:
+        if sa != sb:
             return fmt.nan(), exact
-        return fmt.inf(ua.sign), exact
-    if _is_inf(ua):
-        return fmt.inf(ua.sign), exact
-    if _is_inf(ub):
-        return fmt.inf(ub.sign), exact
-    if _is_zero_value(ua) and _is_zero_value(ub):
+        return fmt.inf(sa), exact
+    if ca is FloatClass.INFINITY:
+        return fmt.inf(sa), exact
+    if cb is FloatClass.INFINITY:
+        return fmt.inf(sb), exact
+    ma, mb = wa + ra, wb + rb
+    if ma == 0 and mb == 0:
         return fmt.zero(), exact
-    if _is_zero_value(ua):
+    if ma == 0:
         return b, exact
-    if _is_zero_value(ub):
+    if mb == 0:
         return a, exact
-    ma, ea = _int_value(ua)
-    mb, eb = _int_value(ub)
     e = min(ea, eb)
-    return _deliver((ma << (ea - e)) + (mb << (eb - e)), 1, e, fmt, mode)
+    return _deliver((ma << (ea - e)) + (mb << (eb - e)), 1, e + 1 - fmt.precision, fmt, mode)
 
 
 def fadd(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> RnFloat:
@@ -192,34 +162,34 @@ def far_shortcut(a: RnFloat, b: RnFloat) -> RnFloat:
     significand digit count, with the smaller operand finite and nonzero.
     """
     fmt = _require_same_format(a, b)
-    ua, ub = unpack(a), unpack(b)
-    for u in (ua, ub):
-        if _is_nan(u) or _is_inf(u):
-            raise ValueError("shortcut expects finite operands")
-    if _is_zero_value(ub):
+    ca, _, _, _, ea = decode(fmt, a.word)
+    cb, sb, wb, rb, eb = decode(fmt, b.word)
+    if FloatClass.NAN in (ca, cb) or FloatClass.INFINITY in (ca, cb):
+        raise ValueError("shortcut expects finite operands")
+    if wb + rb == 0:
         raise ValueError("shortcut expects a nonzero smaller operand")
-    if ua.scale <= ub.scale + fmt.precision:
+    if ea <= eb + fmt.precision:
         raise ValueError("shortcut requires the gap to exceed the precision")
-    return RnFloat(fmt, (a.word & ~1) | (1 - ub.sign))
+    return RnFloat(fmt, (a.word & ~1) | (1 - sb))
 
 
 def fmul_with_sticky(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[RnFloat, StickyTail]:
     fmt = _require_same_format(a, b)
-    ua, ub = unpack(a), unpack(b)
+    ca, sa, wa, ra, ea = decode(fmt, a.word)
+    cb, sb, wb, rb, eb = decode(fmt, b.word)
     exact = StickyTail(False)
-    if _is_nan(ua) or _is_nan(ub):
+    if ca is FloatClass.NAN or cb is FloatClass.NAN:
         return fmt.nan(), exact
-    sign = ua.sign ^ ub.sign
-    if _is_inf(ua) or _is_inf(ub):
-        other = ub if _is_inf(ua) else ua
-        if not _is_inf(other) and _is_zero_value(other):
+    sign = sa ^ sb
+    ma, mb = wa + ra, wb + rb
+    if ca is FloatClass.INFINITY or cb is FloatClass.INFINITY:
+        other_cls, other_m = (cb, mb) if ca is FloatClass.INFINITY else (ca, ma)
+        if other_cls is not FloatClass.INFINITY and other_m == 0:
             return fmt.nan(), exact
         return fmt.inf(sign), exact
-    if _is_zero_value(ua) or _is_zero_value(ub):
+    if ma == 0 or mb == 0:
         return fmt.zero(), exact
-    ma, ea = _int_value(ua)
-    mb, eb = _int_value(ub)
-    return _deliver(ma * mb, 1, ea + eb, fmt, mode)
+    return _deliver(ma * mb, 1, ea + eb + 2 - 2 * fmt.precision, fmt, mode)
 
 
 def fmul(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> RnFloat:
@@ -227,16 +197,16 @@ def fmul(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> R
     return fmul_with_sticky(a, b, mode)[0]
 
 
-def _divider_word(u: UnpackedFloat) -> tuple[int, int]:
+def _divider_word(w: int, r: int, e: int, p: int) -> tuple[int, int]:
     """Round-bit-extended word ``2*w + r`` of a nonzero finite operand's
     absolute value, rescaled so the word ``w`` lies in [1, 2), and its scale.
 
-    Value-preserving: negation complements word and round bit, shifts
-    append round-bit copies, and the two boundary spellings of an exact
-    power (all-ones word with round bit set) become the power's plain word.
+    ``w``, ``r`` and ``e`` are the operand's significand word, round bit and
+    scale as ``decode`` gives them, ``p`` the precision.  Value-preserving:
+    negation complements word and round bit, shifts append round-bit
+    copies, and the two boundary spellings of an exact power (all-ones word
+    with round bit set) become the power's plain word.
     """
-    p = u.fmt.precision
-    w, r, e = u.significand.bits, u.significand.round, u.scale
     if w + r < 0:
         w, r = ~w, 1 - r
     v = w + r
@@ -253,26 +223,28 @@ def _divider_word(u: UnpackedFloat) -> tuple[int, int]:
 
 def fdiv_with_sticky(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[RnFloat, StickyTail]:
     fmt = _require_same_format(a, b)
-    ua, ub = unpack(a), unpack(b)
+    ca, sa, wa, ra, ea = decode(fmt, a.word)
+    cb, sb, wb, rb, eb = decode(fmt, b.word)
     exact = StickyTail(False)
-    if _is_nan(ua) or _is_nan(ub):
+    if ca is FloatClass.NAN or cb is FloatClass.NAN:
         return fmt.nan(), exact
-    sign = ua.sign ^ ub.sign
-    if _is_inf(ua):
-        if _is_inf(ub):
+    sign = sa ^ sb
+    if ca is FloatClass.INFINITY:
+        if cb is FloatClass.INFINITY:
             return fmt.nan(), exact
         return fmt.inf(sign), exact
-    if _is_inf(ub):
+    if cb is FloatClass.INFINITY:
         return fmt.zero(), exact
-    a_zero, b_zero = _is_zero_value(ua), _is_zero_value(ub)
+    a_zero, b_zero = wa + ra == 0, wb + rb == 0
     if a_zero and b_zero:
         return fmt.nan(), exact
     if b_zero:
         return fmt.inf(sign), exact
     if a_zero:
         return fmt.zero(), exact
-    na, ea = _divider_word(ua)
-    nb, eb = _divider_word(ub)
+    p = fmt.precision
+    na, ea = _divider_word(wa, ra, ea, p)
+    nb, eb = _divider_word(wb, rb, eb, p)
     # reference value: quotient of the round-bit-extended operand words
     return _deliver(-na if sign else na, nb, ea - eb, fmt, mode)
 

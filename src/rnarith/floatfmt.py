@@ -121,13 +121,30 @@ class UnpackedFloat:
     biased_exp: int
     significand: RnFixed
 
-    @property
-    def scale(self) -> int:
-        """Exponent of the significand's units digit: the unbiased exponent
-        for normals, ``e_min`` for every other class."""
-        if self.cls is FloatClass.NORMAL:
-            return self.biased_exp - self.fmt.bias
-        return self.fmt.e_min
+
+def decode(fmt: FloatFormat, word: int) -> tuple[FloatClass, int, int, int, int]:
+    """Raw fields of a word: class, sign, significand word ``w``, round bit
+    ``r`` and scale.
+
+    ``w`` is two's complement with its lsb weighing ``2**(1 - p)`` at the
+    scale, so a finite word's value is ``(w + r) * 2**(scale + 1 - p)``.  A
+    normal word has its hidden second bit (the complement of the sign)
+    restored and scale ``e - bias``; every other class keeps the raw ``s.f``
+    string at scale ``e_min``.
+    """
+    p = fmt.precision
+    s = word >> (fmt.total_bits - 1)
+    e = (word >> p) & fmt.exp_mask
+    f = (word >> 1) & ((1 << (p - 1)) - 1)
+    r = word & 1
+    if e == 0:
+        cls = FloatClass.ZERO if word == 0 else FloatClass.SUBNORMAL
+    elif e == fmt.exp_mask:
+        cls = FloatClass.INFINITY if f == 0 and r == 0 else FloatClass.NAN
+    else:
+        w = f + ((1 << (p - 1)) if s == 0 else -(1 << p))
+        return FloatClass.NORMAL, s, w, r, e - fmt.bias
+    return cls, s, f - (s << (p - 1)), r, fmt.e_min
 
 
 def _assemble(fmt: FloatFormat, sign: int, biased_exp: int, frac: int, rbit: int) -> RnFloat:
@@ -141,21 +158,10 @@ def _assemble(fmt: FloatFormat, sign: int, biased_exp: int, frac: int, rbit: int
 
 
 def unpack(f: RnFloat) -> UnpackedFloat:
-    fmt = f.fmt
-    p = fmt.precision
-    s, e, frac, r = f.sign, f.biased_exp, f.frac, f.round
-    lsb = 1 - p
-    if e == fmt.exp_mask:
-        cls = FloatClass.INFINITY if frac == 0 and r == 0 else FloatClass.NAN
-        word = frac - (s << (p - 1))
-        return UnpackedFloat(fmt, cls, s, e, RnFixed(word, p, r, lsb))
-    if e == 0:
-        word = frac - (s << (p - 1))
-        cls = FloatClass.ZERO if s == 0 and frac == 0 and r == 0 else FloatClass.SUBNORMAL
-        return UnpackedFloat(fmt, cls, s, e, RnFixed(word, p, r, lsb))
-    # normal: hidden second bit is the complement of the sign
-    word = frac + ((1 << (p - 1)) if s == 0 else -(1 << p))
-    return UnpackedFloat(fmt, FloatClass.NORMAL, s, e, RnFixed(word, p + 1, r, lsb))
+    cls, s, w, r, _ = decode(f.fmt, f.word)
+    p = f.fmt.precision
+    width = p + 1 if cls is FloatClass.NORMAL else p
+    return UnpackedFloat(f.fmt, cls, s, f.biased_exp, RnFixed(w, width, r, 1 - p))
 
 
 def pack(u: UnpackedFloat) -> RnFloat:
@@ -185,13 +191,10 @@ def pack(u: UnpackedFloat) -> RnFloat:
 
 def value_of_float(f: RnFloat) -> DyadicRational | FloatClass:
     """Exact value of a finite word; the class marker for infinities/NaNs."""
-    u = unpack(f)
-    if u.cls in (FloatClass.INFINITY, FloatClass.NAN):
-        return u.cls
-    if u.cls is FloatClass.ZERO:
-        return DyadicRational(0)
-    sig = u.significand
-    return DyadicRational(sig.bits + sig.round, sig.lsb_exp + u.scale)
+    cls, _, w, r, scale = decode(f.fmt, f.word)
+    if cls is FloatClass.INFINITY or cls is FloatClass.NAN:
+        return cls
+    return DyadicRational(w + r, scale + 1 - f.fmt.precision)
 
 
 def float_negate(f: RnFloat) -> RnFloat:
@@ -200,21 +203,20 @@ def float_negate(f: RnFloat) -> RnFloat:
     Zero-valued inputs come back as the canonical +0 word; NaNs are
     canonicalized; infinities just flip sign.
     """
-    u = unpack(f)
-    if u.cls is FloatClass.NAN:
-        return f.fmt.nan()
-    if u.cls is FloatClass.INFINITY:
-        return f.fmt.inf(1 - u.sign)
-    v = value_of_float(f)
-    assert isinstance(v, DyadicRational)
-    if v.is_zero:
-        return f.fmt.zero()
+    fmt = f.fmt
+    cls, s, w, r, _ = decode(fmt, f.word)
+    if cls is FloatClass.NAN:
+        return fmt.nan()
+    if cls is FloatClass.INFINITY:
+        return fmt.inf(1 - s)
+    if w + r == 0:
+        return fmt.zero()
     flip = (
-        (1 << (f.fmt.total_bits - 1))
-        | (((1 << f.fmt.frac_bits) - 1) << 1)
+        (1 << (fmt.total_bits - 1))
+        | (((1 << fmt.frac_bits) - 1) << 1)
         | 1
     )
-    return RnFloat(f.fmt, f.word ^ flip)
+    return RnFloat(fmt, f.word ^ flip)
 
 
 def format_hex_literal(f: RnFloat) -> str:

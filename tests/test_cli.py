@@ -50,6 +50,21 @@ class TestConvert:
         code, _, err = run(capsys, "convert", "rn:0a:r0@0", "--to", "decimal")
         assert code == 2 and err
 
+    def test_long_decimal_still_printed(self, capsys):
+        code, out, _ = run(capsys, "convert", "rn:01:r1@-5000", "--to", "decimal")
+        assert code == 0
+        assert out.startswith("0.") and len(out) == 2 + 4999 and out[2:].isdigit()
+
+    def test_decimal_beyond_digit_limit_refused_quickly(self, capsys):
+        for argv in (("convert", "rn:01:r1@-100000000", "--to", "decimal"),
+                     ("convert", "rn:01:r1@-10000000000", "--to", "decimal"),
+                     ("eval", "rn:01:r1@-100000000")):
+            t0 = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            assert time.perf_counter() - t0 < 0.5
+            assert code == 2 and not out
+            assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestEval:
     def test_worked_product(self, capsys):
@@ -90,6 +105,10 @@ class TestEval:
     def test_fixed_division_by_unnormalized_rejected(self, capsys):
         code, _, err = run(capsys, "eval", "rn:0100:r0@0 / rn:0000:r0@0")
         assert code == 2 and err
+
+    def test_fixed_division_by_zero_word_rejected(self, capsys):
+        code, _, err = run(capsys, "eval", "rn:01000:r0@-3 / rn:00000:r0@-3")
+        assert code == 2 and err == "error: divisor word must lie in [1, 2)"
 
     def test_mixed_kinds_rejected(self, capsys):
         code, _, err = run(capsys, "eval", "rn:0100:r0@0 + rnf8:0x30")
@@ -140,9 +159,10 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "fixed-mul", "--width", "4")
         assert code == 0 and "PASS" in out
 
-    def test_threaded_float_suite(self, capsys):
+    def test_float_negate_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "float-negate", "--format", "rnf8")
         assert code == 0
+        assert out.splitlines()[-1].startswith("PASS")
 
     def test_oracle_selftest_deterministic(self, capsys):
         code1, out1, _ = run(capsys, "verify", "oracle-selftest", "--seed", "3")

@@ -12,6 +12,7 @@ from rnarith.floatfmt import (
     FloatClass,
     RnFloat,
     UnpackedFloat,
+    decode,
     float_negate,
     format_fields,
     format_hex_literal,
@@ -53,6 +54,12 @@ class TestUnpack:
 
     def test_zero_word(self):
         assert unpack(RnFloat(RNF8, 0)).cls is FloatClass.ZERO
+
+    def test_decode_scale(self):
+        assert decode(RNF8, 0x30)[4] == 0  # normal: e - bias
+        assert decode(RNF8, 0x6F)[4] == RNF8.e_max
+        for word in (0x00, 0x01, 0x8F, 0x70, 0x71):  # every other class
+            assert decode(RNF8, word)[4] == RNF8.e_min
 
     def test_infinities(self):
         for sign, word in ((0, 0x70), (1, 0xF0)):
