@@ -54,38 +54,40 @@ def _parse_operand(text: str):
     raise CliError(f"unrecognized operand {text!r}")
 
 
-def _operand_value(op) -> Fraction:
+def _operand_value(op) -> DyadicRational | Fraction:
+    """Exact value of an operand: dyadic for literals and for decimals whose
+    denominator is a power of two (never expanded to ``2**|exp|``), a
+    Fraction for any other decimal."""
     if isinstance(op, RnFixed):
-        return value_of(op).to_fraction()
+        return value_of(op)
     if isinstance(op, RnFloat):
         v = value_of_float(op)
         if isinstance(v, FloatClass):
             raise CliError(f"{format_hex_literal(op)} has no finite value")
-        return v.to_fraction()
-    return op
-
-
-def _fraction_decimal(x: Fraction) -> str:
-    """Exact decimal string; requires a dyadic value."""
-    num, den = x.numerator, x.denominator
+        return v
+    den = op.denominator
     if den & (den - 1):
-        raise CliError(f"{x} has no finite decimal expansion")
-    return str(DyadicRational(num, -(den.bit_length() - 1)))
+        return op
+    return DyadicRational(op.numerator, 1 - den.bit_length())
 
 
 # ---------------------------------------------------------------------------
 # convert
 
 
-def _convert_to_fixed(value: Fraction, spec: str, prefer_round_bit: bool) -> RnFixed:
+def _convert_to_fixed(value: DyadicRational | Fraction, spec: str, prefer_round_bit: bool) -> RnFixed:
     m = re.match(r"^rn@(-?\d+),w=(\d+)$", spec)
     if not m:
         raise CliError(f"bad fixed-point target {spec!r} (expected rn@<lsb>,w=<width>)")
     lsb, width = int(m.group(1)), int(m.group(2))
-    scaled = value / Fraction(2) ** lsb
-    if scaled.denominator != 1:
-        raise CliError(f"{value} is not representable at lsb exponent {lsb}")
-    n = scaled.numerator
+    # decided on mantissa and exponent, before any shift builds the word
+    n = value.mantissa if isinstance(value, DyadicRational) else None
+    if n is None or (n and value.exp < lsb):
+        raise CliError(f"value is not representable at lsb exponent {lsb}")
+    if n:
+        if n.bit_length() + value.exp - lsb > width:  # |word| >= 2**width
+            raise CliError(f"value does not fit {width} bits at lsb exponent {lsb}")
+        n <<= value.exp - lsb
     try:
         if prefer_round_bit:
             return RnFixed(n - 1, width, 1, lsb)
@@ -106,17 +108,13 @@ def cmd_convert(args) -> int:
         print(" ".join(str(d) for d in digits))
         return 0
     if target == "decimal":
-        if isinstance(operand, RnFloat):
-            v = value_of_float(operand)
-            if isinstance(v, FloatClass):
-                name = "nan" if v is FloatClass.NAN else ("-inf" if operand.sign else "inf")
-                print(name)
-                return 0
-            print(str(v))
-            return 0
-        # a fixed literal prints from its dyadic value, never via a Fraction
-        # whose denominator alone is 2**-lsb_exp
-        print(value_of(operand) if isinstance(operand, RnFixed) else _fraction_decimal(operand))
+        v = value_of_float(operand) if isinstance(operand, RnFloat) else _operand_value(operand)
+        if isinstance(v, FloatClass):
+            print("nan" if v is FloatClass.NAN else ("-inf" if operand.sign else "inf"))
+        elif isinstance(v, Fraction):
+            raise CliError(f"{v} has no finite decimal expansion")
+        else:
+            print(v)
         return 0
     if target.startswith("float:"):
         name = target.split(":", 1)[1]
@@ -255,7 +253,7 @@ def cmd_inspect(args) -> int:
 def cmd_verify(args) -> int:
     if args.suite not in SUITES:
         raise CliError(f"unknown suite {args.suite!r}")
-    kwargs = {"seed": args.seed}
+    kwargs = {}
     if args.width is not None:
         kwargs["width"] = args.width
     if args.format is not None:
@@ -303,7 +301,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", help=f"one of: {', '.join(sorted(SUITES))}")
     p.add_argument("--width", type=int, default=None, help="fixed-point width (or p for fixed-div)")
     p.add_argument("--format", default=None, help="float format name, e.g. rnf8")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -44,14 +44,6 @@ class DyadicRational:
         object.__setattr__(self, "mantissa", m)
         object.__setattr__(self, "exp", e)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.mantissa == 0
-
-    @property
-    def sign(self) -> int:
-        return (self.mantissa > 0) - (self.mantissa < 0)
-
     def _parts(self, other: "DyadicRational") -> tuple[int, int, int]:
         e = min(self.exp, other.exp)
         return self.mantissa << (self.exp - e), other.mantissa << (other.exp - e), e
@@ -70,9 +62,6 @@ class DyadicRational:
     def __neg__(self) -> "DyadicRational":
         return DyadicRational(-self.mantissa, self.exp)
 
-    def __abs__(self) -> "DyadicRational":
-        return DyadicRational(abs(self.mantissa), self.exp)
-
     def __lt__(self, other: "DyadicRational") -> bool:
         a, b, _ = self._parts(other)
         return a < b
@@ -80,12 +69,6 @@ class DyadicRational:
     def __le__(self, other: "DyadicRational") -> bool:
         a, b, _ = self._parts(other)
         return a <= b
-
-    def __gt__(self, other: "DyadicRational") -> bool:
-        return other < self
-
-    def __ge__(self, other: "DyadicRational") -> bool:
-        return other <= self
 
     def to_fraction(self) -> Fraction:
         if self.exp >= 0:
@@ -95,13 +78,14 @@ class DyadicRational:
     def __str__(self) -> str:
         """Exact decimal representation (always finite for dyadic values)."""
         m, e = self.mantissa, self.exp
+        # str() enforces the interpreter's digit limit only after the number
+        # is built (5**-e in superlinear time, m << e in memory); refuse when
+        # 2**e or 5**-e alone exceeds it
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and abs(e) * math.log10(2 if e >= 0 else 5) >= limit:
+            raise ValueError(f"exact decimal of 2**{e} has more than {limit} digits")
         if e >= 0:
             return str(m << e)
-        # str() enforces the interpreter's digit limit only after the power
-        # is built, in superlinear time; refuse when 5**-e alone exceeds it
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and -e * math.log10(5) >= limit:
-            raise ValueError(f"exact decimal of 2**{e} has more than {limit} digits")
         digits = m * 5 ** (-e)
         sign = "-" if digits < 0 else ""
         text = str(abs(digits)).rjust(-e + 1, "0")
@@ -122,12 +106,6 @@ class DyadicInterval:
     @property
     def width(self) -> DyadicRational:
         return self.hi - self.lo
-
-    def contains_value(self, x: DyadicRational) -> bool:
-        return self.lo <= x and x <= self.hi
-
-    def contains(self, other: "DyadicInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
 
 
 @dataclass(frozen=True)

@@ -113,30 +113,23 @@ def div(x: RnFixed, y: RnFixed, p: int) -> DivResult:
 
     Operands must be nonnegative with word value in [1, 2) and ``p``
     fractional bits (lsb exponent ``-p``).  The quotient of the extended
-    words (round bits appended) is developed to ``p + 2`` fractional bits by
-    restoring long division; the quotient word keeps ``p`` fractional bits,
-    or ``p + 1`` after the single normalizing left shift when the quotient
-    is below one, and the next bit becomes the round bit.  Truncation keeps
-    the round bit consistent with the sign of what was dropped (1: value
-    rounded up, tail nonpositive; 0: rounded down).
+    words (round bits appended) is truncated once, as in long division: the
+    quotient word keeps ``p`` fractional bits, or ``p + 1`` after the single
+    normalizing left shift when the quotient is below one, and the next bit
+    becomes the round bit.  Truncation keeps the round bit consistent with
+    the sign of what was dropped (1: value rounded up, tail nonpositive; 0:
+    rounded down).
     """
     if p < 1:
         raise ValueError("need at least one fractional bit")
     if x.lsb_exp != -p or y.lsb_exp != -p:
         raise ValueError("operands must carry p fractional bits")
     for name, op in (("dividend", x), ("divisor", y)):
-        if not (1 << p) <= op.bits < (1 << (p + 1)):
+        if op.bits >> p != 1:
             raise ValueError(f"{name} word must lie in [1, 2)")
     n = 2 * x.bits + x.round
     d = 2 * y.bits + y.round
-    t, rem = divmod(n << (p + 2), d)
-
-    if n >= d:
-        # quotient in [1, 2): word keeps weights 2**0 .. 2**-p
-        word, r0 = t >> 2, (t >> 1) & 1
-        lsb = -p
-    else:
-        # quotient in (1/2, 1): one left shift, word keeps 2**-1 .. 2**-p-1
-        word, r0 = t >> 1, t & 1
-        lsb = -p - 1
-    return DivResult(RnFixed(word, p + 2, r0, lsb), rem == 0)
+    # a quotient below one takes the single normalizing shift: one more bit
+    below = n < d
+    t, rem = divmod(n << (p + 1 + below), d)
+    return DivResult(RnFixed(t >> 1, p + 2, t & 1, -p - below), rem == 0)

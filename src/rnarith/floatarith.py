@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from .core import DyadicRational
 from .floatfmt import FloatClass, FloatFormat, RnFloat, _assemble, decode
 
 
@@ -100,7 +101,8 @@ def _deliver(num: int, den: int, g: int, fmt: FloatFormat, mode: RoundingMode) -
     if s >= 0:
         t2, rem = divmod(mag << s, den)
     else:
-        t2, rem = divmod(mag, den << -s)
+        # any shift past the magnitude's top bit truncates it to 0 alike
+        t2, rem = divmod(mag, den << min(-s, mag.bit_length() + 1))
     sticky = StickyTail(t2 & 1 == 1 or rem != 0)
     if e_val > fmt.e_max:
         # beyond e_max only the exact edge is finite: all-ones word, r=1
@@ -117,8 +119,13 @@ def _deliver(num: int, den: int, g: int, fmt: FloatFormat, mode: RoundingMode) -
     return _assemble(fmt, sign, biased_exp, w & ((1 << (p - 1)) - 1), r), sticky
 
 
-def round_to_format(value: Fraction, fmt: FloatFormat, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[RnFloat, StickyTail]:
-    """Round an exact rational into a packed word, reporting inexactness."""
+def round_to_format(value: Fraction | DyadicRational, fmt: FloatFormat, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[RnFloat, StickyTail]:
+    """Round an exact rational into a packed word, reporting inexactness.
+
+    A ``DyadicRational`` reaches the sink as ``mantissa * 2**exp``, so a huge
+    exponent is never expanded into an integer."""
+    if isinstance(value, DyadicRational):
+        return _deliver(value.mantissa, 1, value.exp, fmt, mode)
     return _deliver(value.numerator, value.denominator, 0, fmt, mode)
 
 

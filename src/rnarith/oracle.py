@@ -9,38 +9,22 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator
 
-from .core import DyadicInterval, DyadicRational, RnFixed
+from .core import DyadicInterval, RnFixed
 from .floatfmt import FloatFormat, RnFloat
 
 ENUMERATION_LIMIT = 1 << 26
 
 
-def reference_round_nearest(x: Fraction, k: int) -> tuple[DyadicRational, ...]:
-    """Nearest multiple(s) of 2**k; a tie returns both candidates."""
-    grid = Fraction(1 << k) if k >= 0 else Fraction(1, 1 << -k)
-    scaled = x / grid
-    lo = scaled.numerator // scaled.denominator
-    frac = scaled - lo
-    if frac < Fraction(1, 2):
-        picks = (lo,)
-    elif frac > Fraction(1, 2):
-        picks = (lo + 1,)
-    else:
-        picks = (lo, lo + 1)
-    return tuple(DyadicRational(n, k) for n in picks)
-
-
-def enumerate_fixed(width: int, lsb_exp: int = 0) -> Iterator[RnFixed]:
+def enumerate_fixed(width: int) -> Iterator[RnFixed]:
     """Every width-bit encoding exactly once, words ascending, round bit 0
     before 1."""
     if (1 << width) * 2 > ENUMERATION_LIMIT:
         raise ValueError("enumeration space too large")
     for bits in range(-(1 << (width - 1)), 1 << (width - 1)):
         for r in (0, 1):
-            yield RnFixed(bits, width, r, lsb_exp)
+            yield RnFixed(bits, width, r)
 
 
 def enumerate_format(fmt: FloatFormat) -> Iterator[RnFloat]:
@@ -67,30 +51,14 @@ def enumerate_div_operands(p: int) -> Iterator[tuple[RnFixed, RnFixed]]:
             yield x, y
 
 
-def _interval_to_fractions(iv: DyadicInterval) -> tuple[Fraction, Fraction]:
-    return iv.lo.to_fraction(), iv.hi.to_fraction()
-
-
-def check_inclusion(result: DyadicInterval, a: DyadicInterval, b: DyadicInterval, op: str) -> bool:
-    """Is the result interval inside the exact image of the operand
-    intervals?  Supported images: add, mul of nonnegative intervals, div of
-    positive intervals."""
-    rl, rh = _interval_to_fractions(result)
-    al, ah = _interval_to_fractions(a)
-    bl, bh = _interval_to_fractions(b)
-    if op == "add":
-        lo, hi = al + bl, ah + bh
-    elif op == "mul-nonneg":
-        if al < 0 or bl < 0:
-            raise ValueError("mul inclusion is defined for nonnegative intervals")
-        lo, hi = al * bl, ah * bh
-    elif op == "div-normalized":
-        if al <= 0 or bl <= 0:
-            raise ValueError("div inclusion is defined for positive intervals")
-        lo, hi = al / bh, ah / bl
-    else:
-        raise ValueError(f"unknown operation {op!r}")
-    return lo <= rl and rh <= hi
+def check_inclusion(result: DyadicInterval, a: DyadicInterval, b: DyadicInterval) -> bool:
+    """Is the result interval inside the exact product image of two
+    nonnegative operand intervals?"""
+    if a.lo.mantissa < 0 or b.lo.mantissa < 0:
+        raise ValueError("mul inclusion is defined for nonnegative intervals")
+    lo = a.lo.to_fraction() * b.lo.to_fraction()
+    hi = a.hi.to_fraction() * b.hi.to_fraction()
+    return lo <= result.lo.to_fraction() and result.hi.to_fraction() <= hi
 
 
 @dataclass

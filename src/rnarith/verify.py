@@ -8,7 +8,6 @@ the ``verify`` CLI command.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from typing import Iterator
 
@@ -44,7 +43,6 @@ from .oracle import (
     enumerate_div_operands,
     enumerate_fixed,
     enumerate_format,
-    reference_round_nearest,
 )
 
 # ---------------------------------------------------------------------------
@@ -196,9 +194,7 @@ def fixed_mul_sweep(width: int) -> VerifyReport:
                 rep.record(f"{a},{b}", str(want), str(got))
                 continue
             if a.bits >= 0 and b.bits >= 0 and not _zero_pair(a, b):
-                if not check_inclusion(
-                    interval_of(out), interval_of(a), interval_of(b), "mul-nonneg"
-                ):
+                if not check_inclusion(interval_of(out), interval_of(a), interval_of(b)):
                     rep.record(f"{a},{b}", "interval inclusion", "violated")
     return rep.done()
 
@@ -494,39 +490,25 @@ def far_shortcut_sweep(fmt: FloatFormat) -> VerifyReport:
     operand's ulp), and the value must be within one ulp of the exact sum.
     """
     rep = VerifyReport("far-shortcut", f"format={fmt.name}")
-    n = _pair_space(fmt)
-    values = [float_value(fmt, w) for w in range(n)]
-
-    def exp_of(word: int) -> int | None:
-        v = values[word]
-        if v is None or v == 0:
-            return None
-        return _sig(fmt, word)[2]
-
-    for wa in range(n):
-        ea = exp_of(wa)
-        if ea is None:
+    for a, b, va, vb in _operand_pairs(fmt):
+        if va in (None, 0) or vb in (None, 0):
             continue
-        a = RnFloat(fmt, wa)
-        for wb in range(n):
-            eb = exp_of(wb)
-            if eb is None or ea <= eb + fmt.precision:
-                continue
-            rep.cases += 1
-            out = fa.far_shortcut(a, RnFloat(fmt, wb))
-            lo_r, hi_r = _sig_interval(fmt, out.word)
-            lo_a, hi_a = _sig_interval(fmt, wa)
-            half = float_ulp(fmt, wa) / 2
-            lo_b, hi_b = (Fraction(0), half) if values[wb] > 0 else (-half, Fraction(0))
-            exact = values[wa] + values[wb]
-            vo = float_value(fmt, out.word)
-            ok = (
-                lo_a + lo_b <= lo_r
-                and hi_r <= hi_a + hi_b
-                and abs(vo - exact) < float_ulp(fmt, wa)
-            )
-            if not ok:
-                rep.record(f"{wa:#x},{wb:#x}", "shortcut soundness", f"{out.word:#x}")
+        if _sig(fmt, a.word)[2] <= _sig(fmt, b.word)[2] + fmt.precision:
+            continue
+        rep.cases += 1
+        out = fa.far_shortcut(a, b)
+        lo_r, hi_r = _sig_interval(fmt, out.word)
+        lo_a, hi_a = _sig_interval(fmt, a.word)
+        half = float_ulp(fmt, a.word) / 2
+        lo_b, hi_b = (Fraction(0), half) if vb > 0 else (-half, Fraction(0))
+        vo = float_value(fmt, out.word)
+        ok = (
+            lo_a + lo_b <= lo_r
+            and hi_r <= hi_a + hi_b
+            and abs(vo - (va + vb)) < float_ulp(fmt, a.word)
+        )
+        if not ok:
+            rep.record(f"{a.word:#x},{b.word:#x}", "shortcut soundness", f"{out.word:#x}")
     return rep.done()
 
 
@@ -565,8 +547,7 @@ def pack_unpack_sweep(fmt: FloatFormat) -> VerifyReport:
         v = value_of_float(f)
         ref = float_value(fmt, f.word)
         if ref is None:
-            s, e, frac, r = _fields(fmt, f.word)
-            want = FloatClass.INFINITY if frac == 0 and r == 0 else FloatClass.NAN
+            want = FloatClass.NAN if _value_class(fmt, f.word) == "nan" else FloatClass.INFINITY
             if v is not want:
                 rep.record(f"{f.word:#x}", str(want), str(v))
         elif v.to_fraction() != ref:
@@ -606,7 +587,7 @@ def pinned_examples() -> VerifyReport:
     )
     check(
         "product-inclusion",
-        check_inclusion(iv, interval_of(a), interval_of(b), "mul-nonneg"),
+        check_inclusion(iv, interval_of(a), interval_of(b)),
     )
 
     for x in enumerate_fixed(8):
@@ -615,26 +596,6 @@ def pinned_examples() -> VerifyReport:
         check("add-zero", s == RnFixed(x.bits, 9, x.round), str(s))
         d = fixed.sub(x, x)
         check("sub-self", d == RnFixed(-1, 9, 1) and value_of(d).to_fraction() == 0, str(d))
-    return rep.done()
-
-
-def oracle_selftest(seed: int, rounds: int = 2000) -> VerifyReport:
-    """Randomized cross-check of the reference rounder against brute-force
-    distance minimization."""
-    rep = VerifyReport("oracle-selftest", f"seed={seed}")
-    rng = random.Random(seed)
-    for _ in range(rounds):
-        rep.cases += 1
-        x = Fraction(rng.randint(-(1 << 20), 1 << 20), rng.randint(1, 1 << 12))
-        k = rng.randint(-8, 8)
-        grid = Fraction(2) ** k
-        picks = reference_round_nearest(x, k)
-        base = (x / grid).numerator // (x / grid).denominator
-        best = min(abs(x - n * grid) for n in range(base - 4, base + 5))
-        ok = all(abs(x - p.to_fraction()) == best for p in picks)
-        ok = ok and len(picks) == (2 if abs(x - picks[0].to_fraction()) * 2 == grid else 1)
-        if not ok:
-            rep.record(str(x), "nearest grid point", str(picks))
     return rep.done()
 
 
@@ -660,7 +621,6 @@ SUITES = {
     "float-shortcut": lambda fmt=RNF8, **kw: [far_shortcut_sweep(fmt)],
     "float-negate": lambda fmt=RNF8, **kw: [float_negate_sweep(fmt)],
     "float-roundtrip": lambda fmt=RNF16, **kw: [pack_unpack_sweep(fmt)],
-    "oracle-selftest": lambda seed=0, **kw: [oracle_selftest(seed)],
 }
 # every other float-* suite, on one format
 SUITES["float-all"] = lambda fmt=RNF8, **kw: [

@@ -1,0 +1,37 @@
+"""The names the benchmark under ``perfbench/`` relies on still exist.
+
+The benchmark wraps each ``(module, name)`` in ``tracing.BOUNDARIES`` and
+imports its value helpers from ``rnarith.verify`` in ``checks.py``; deleting
+or renaming one of them breaks every benchmark run.  The modules are loaded
+from their files, so nothing under ``perfbench/`` is changed or put on the
+import path.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_boundaries_exist():
+    boundaries = _load("tracing").BOUNDARIES
+    assert boundaries
+    missing = [
+        f"rnarith.{mod}.{name}"
+        for mod, name, _ in boundaries
+        if not hasattr(importlib.import_module(f"rnarith.{mod}"), name)
+    ]
+    assert not missing
+
+
+def test_checks_import_cleanly():
+    checks = _load("checks")
+    assert callable(checks.check_float_op)

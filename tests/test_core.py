@@ -325,9 +325,3 @@ class TestIntervalType:
     def test_reversed_endpoints_rejected(self):
         with pytest.raises(ValueError):
             DyadicInterval(DyadicRational(1), DyadicRational(0))
-
-    def test_contains(self):
-        iv = DyadicInterval(DyadicRational(0), DyadicRational(1))
-        assert iv.contains(DyadicInterval(DyadicRational(1, -2), DyadicRational(1, -1)))
-        assert iv.contains_value(DyadicRational(1, -1))
-        assert not iv.contains_value(DyadicRational(3, 0))

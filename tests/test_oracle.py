@@ -1,51 +1,20 @@
-import random
-from fractions import Fraction
-
 import pytest
 
+import rnarith.floatarith as fa
+import rnarith.verify as verify
 from rnarith.core import DyadicInterval, DyadicRational
-from rnarith.floatfmt import RNF8
+from rnarith.floatfmt import RNF8, FloatClass, RnFloat
 from rnarith.oracle import (
     VerifyReport,
     check_inclusion,
     enumerate_div_operands,
     enumerate_fixed,
     enumerate_format,
-    reference_round_nearest,
 )
 
 
 def iv(lo, hi):
     return DyadicInterval(DyadicRational(*lo), DyadicRational(*hi))
-
-
-class TestReferenceRound:
-    def test_tie_returns_both(self):
-        picks = reference_round_nearest(Fraction(-718), 2)
-        assert {p.to_fraction() for p in picks} == {-720, -716}
-
-    def test_grid_points_fixed(self):
-        (only,) = reference_round_nearest(Fraction(-716), 2)
-        assert only.to_fraction() == -716
-
-    def test_half_grid_bound_randomized(self):
-        rng = random.Random(42)
-        for _ in range(500):
-            x = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
-            k = rng.randint(-6, 6)
-            picks = reference_round_nearest(x, k)
-            for p in picks:
-                assert abs(p.to_fraction() - x) <= Fraction(1, 2) * Fraction(2) ** k
-
-    def test_agrees_with_distance_minimization(self):
-        rng = random.Random(9)
-        grid = Fraction(1, 8)
-        for _ in range(300):
-            x = Fraction(rng.randint(-4000, 4000), rng.randint(1, 300))
-            picks = reference_round_nearest(x, -3)
-            base = (x / grid).numerator // (x / grid).denominator
-            best = min(abs(x - n * grid) for n in range(base - 4, base + 5))
-            assert all(abs(p.to_fraction() - x) == best for p in picks)
 
 
 class TestEnumerators:
@@ -72,26 +41,41 @@ class TestCheckInclusion:
         result = iv((239, -1), (120, 0))  # [119.5, 120]
         a = iv((23, -1), (12, 0))         # [11.5, 12]
         b = iv((19, -1), (10, 0))         # [9.5, 10]
-        assert check_inclusion(result, a, b, "mul-nonneg")
+        assert check_inclusion(result, a, b)
 
-    def test_reflexive_add(self):
+    def test_outside_product_image_rejected(self):
         a = iv((1, 0), (2, 0))
-        zero = iv((0, 0), (0, 0))
-        assert check_inclusion(a, a, zero, "add")
+        b = iv((3, 0), (4, 0))            # image [3, 8]
+        assert check_inclusion(iv((3, 0), (8, 0)), a, b)
+        assert not check_inclusion(iv((5, -1), (4, 0)), a, b)  # dips below 3
+        assert not check_inclusion(iv((4, 0), (9, 0)), a, b)   # reaches past 8
 
-    def test_superset_rejected(self):
-        result = iv((0, 0), (4, 0))
-        a = iv((1, 0), (2, 0))
-        b = iv((0, 0), (1, 0))
-        assert not check_inclusion(result, a, b, "add")
+    def test_negative_operand_rejected(self):
+        with pytest.raises(ValueError):
+            check_inclusion(iv((0, 0), (1, 0)), iv((-1, 0), (1, 0)), iv((1, 0), (2, 0)))
+        with pytest.raises(ValueError):
+            check_inclusion(iv((0, 0), (1, 0)), iv((1, 0), (2, 0)), iv((-1, -1), (1, 0)))
 
-    def test_div_bounds(self):
-        x = iv((1, 0), (17, -4))
-        y = iv((27, -4), (7, -2))
-        inside = iv((19, -5), (5, -3))       # [0.59375, 0.625]
-        outside = iv((9, -4), (5, -3))       # dips below the image's low end
-        assert check_inclusion(inside, x, y, "div-normalized")
-        assert not check_inclusion(outside, x, y, "div-normalized")
+
+class TestSweepsCatchFaults:
+    """A planted fault in the code under test shows up as sweep failures."""
+
+    def test_flipped_shortcut_round_bit(self, monkeypatch):
+        good = fa.far_shortcut
+        monkeypatch.setattr(fa, "far_shortcut", lambda a, b: RnFloat(a.fmt, good(a, b).word ^ 1))
+        rep = verify.far_shortcut_sweep(RNF8)
+        assert (rep.cases, len(rep.failures)) == (1984, 992)
+
+    def test_infinity_reported_as_nan(self, monkeypatch):
+        good = verify.value_of_float
+
+        def faulty(f):
+            v = good(f)
+            return FloatClass.NAN if v is FloatClass.INFINITY else v
+
+        monkeypatch.setattr(verify, "value_of_float", faulty)
+        rep = verify.pack_unpack_sweep(RNF8)
+        assert (rep.cases, len(rep.failures)) == (256, 2)
 
 
 class TestVerifyReport:
