@@ -71,6 +71,17 @@ def _operand_value(op) -> DyadicRational | Fraction:
     return DyadicRational(op.numerator, 1 - den.bit_length())
 
 
+def _decimal_text(v: Fraction) -> str:
+    """Exact decimal of a decimal operand (its denominator divides a power
+    of ten), spelled as ``DyadicRational`` prints: no exponent, no trailing
+    zeros."""
+    k, scale = 0, 1
+    while scale % v.denominator:
+        k, scale = k + 1, scale * 10
+    text = str(abs(v.numerator) * scale // v.denominator).rjust(k + 1, "0")
+    return ("-" if v < 0 else "") + (f"{text[:-k]}.{text[-k:]}" if k else text)
+
+
 # ---------------------------------------------------------------------------
 # convert
 
@@ -108,11 +119,12 @@ def cmd_convert(args) -> int:
         print(" ".join(str(d) for d in digits))
         return 0
     if target == "decimal":
-        v = value_of_float(operand) if isinstance(operand, RnFloat) else _operand_value(operand)
+        if isinstance(operand, Fraction):
+            print(_decimal_text(operand))
+            return 0
+        v = value_of_float(operand) if isinstance(operand, RnFloat) else value_of(operand)
         if isinstance(v, FloatClass):
             print("nan" if v is FloatClass.NAN else ("-inf" if operand.sign else "inf"))
-        elif isinstance(v, Fraction):
-            raise CliError(f"{v} has no finite decimal expansion")
         else:
             print(v)
         return 0

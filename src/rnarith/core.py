@@ -288,18 +288,6 @@ def tail_digit_sign(x: RnFixed) -> TailSign:
     return TailSign.ROUNDED_UP if x.round else TailSign.ROUNDED_DOWN
 
 
-def range_of(width: int, lsb_exp: int = 0) -> tuple[RnFixed, RnFixed]:
-    """Smallest and largest representable values at a width; the range is
-    sign-symmetric and its extremes are each other's negation."""
-    if width < 2:
-        raise ValueError("width must be at least 2")
-    top = 1 << (width - 1)
-    return (
-        RnFixed(-top, width, 0, lsb_exp),
-        RnFixed(top - 1, width, 1, lsb_exp),
-    )
-
-
 def format_literal(x: RnFixed) -> str:
     """Textual form ``rn:<word bits>:r<round>@<lsb_exp>``."""
     return f"rn:{x.word_string()}:r{x.round}@{x.lsb_exp}"

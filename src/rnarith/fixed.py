@@ -57,10 +57,6 @@ def sub(a: RnFixed, b: RnFixed) -> RnFixed:
     return add(a, negate(b))
 
 
-def sub_alt(a: RnFixed, b: RnFixed) -> RnFixed:
-    return add_alt(a, negate(b))
-
-
 def shift_left(x: RnFixed, k: int) -> RnFixed:
     """Scale by ``2**k`` at an unchanged lsb weight.
 

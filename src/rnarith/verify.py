@@ -1,9 +1,11 @@
 """Verification sweeps: exhaustive checks of the library against the oracle.
 
 Each sweep runs an operation over an enumerated space, checks its contract
-with independent Fraction arithmetic, and returns a
-:class:`~rnarith.oracle.VerifyReport`.  These back both the test suite and
-the ``verify`` CLI command.
+with independent integer and Fraction arithmetic on raw fields, and returns
+a :class:`~rnarith.oracle.VerifyReport`.  The nearest and directed float
+sweeps judge each result by one contract, :func:`rounding_fault`, on the
+exact value that :func:`_float_exact` states.  These back the test suite
+and the ``verify`` CLI command.
 """
 
 from __future__ import annotations
@@ -81,6 +83,14 @@ def float_value(fmt: FloatFormat, word: int) -> Fraction | None:
 
 def float_ulp(fmt: FloatFormat, word: int) -> Fraction:
     return Fraction(2) ** (_sig(fmt, word)[2] + 1 - fmt.precision)
+
+
+def _value_class(fmt: FloatFormat, word: int) -> str:
+    """nan, +inf, -inf, zero (any zero-valued spelling) or finite."""
+    s, e, f, r = _fields(fmt, word)
+    if e == fmt.exp_mask:
+        return "nan" if f or r else "-inf" if s else "+inf"
+    return "zero" if float_value(fmt, word) == 0 else "finite"
 
 
 def _floor_log2(x: Fraction) -> int:
@@ -342,6 +352,43 @@ def _float_exact(fmt: FloatFormat, op: str, wa: int, wb: int,
     return _div_reference(fmt, wa, wb)
 
 
+def rounding_fault(fmt: FloatFormat, exact: Fraction, mode: fa.RoundingMode,
+                   word: int, inexact: bool) -> str | None:
+    """The float rounding contract: None if ``word``, flagged ``inexact``,
+    correctly rounds ``exact`` in ``mode``, else the first clause it breaks.
+
+    Overflow: only the infinity of exact's sign, flagged inexact, and only
+    when ``|exact| >= 2**(e_max+1)``.  Sticky flag: ``value != exact``, in
+    every mode.  Nearest: within half an ulp, a representable ``exact``
+    returned exactly, and the round bit set exactly when the value lies
+    above ``exact``.  Directed: on the mode's side and less than an ulp away.
+    """
+    w, r, scale = _sig(fmt, word)
+    if scale > fmt.e_max:  # all-ones exponent field
+        ok = _value_class(fmt, word) == ("-inf" if exact < 0 else "+inf") and inexact
+        return None if ok and abs(exact) >= Fraction(2) ** (fmt.e_max + 1) else "overflow"
+    # value - exact and the word's ulp 2**k, as integers over one denominator
+    k = scale + 1 - fmt.precision
+    n, d = exact.numerator, exact.denominator
+    diff, ulp = (((w + r) * d << k) - n, d << k) if k >= 0 else ((w + r) * d - (n << -k), d)
+    if inexact != (diff != 0):
+        return "sticky flag"
+    if diff == 0:
+        return None
+    if mode is fa.RoundingMode.NEAREST:
+        if 2 * abs(diff) > ulp:
+            return "half ulp"
+        if representable(exact, fmt):
+            return "exact value"
+        return "round-bit direction" if w + r != 0 and (r == 1) != (diff > 0) else None
+    # rz goes down and ra up from a positive exact value, the other way from a negative one
+    up = {fa.RoundingMode.TOWARD_ZERO: exact < 0,
+          fa.RoundingMode.AWAY_FROM_ZERO: exact > 0}.get(mode, mode is fa.RoundingMode.UPWARD)
+    if (diff > 0) != up:
+        return "directed side"
+    return "one ulp" if abs(diff) >= ulp else None
+
+
 def _pair_space(fmt: FloatFormat) -> int:
     """Word count of a format whose operand pairs can be enumerated."""
     n = 1 << fmt.total_bits
@@ -366,88 +413,47 @@ def _operand_pairs(fmt: FloatFormat) -> Iterator[tuple[RnFloat, RnFloat, Fractio
 
 
 def float_nearest_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
-    """Nearest mode over every operand pair: half-ulp correctness, exact
-    results delivered exactly, round-bit direction on inexact nonzero
-    results, and commutativity for add and mul."""
+    """Nearest mode over every operand pair: the rounding contract
+    (``rounding_fault``) on every finite exact value, and commutativity for
+    add and mul."""
     func, name = _FLOAT_OPS[op]
     rep = VerifyReport(name, f"format={fmt.name}")
     for a, b, va, vb in _operand_pairs(fmt):
         if op == "div" and vb == 0:
             continue
         rep.cases += 1
-        where = f"{a.word:#x},{b.word:#x}"
         out, sticky = func(a, b)
-        if op in ("add", "mul") and func(b, a)[0] != out:
-            rep.record(where, "commutative", f"{out.word:#x}")
-            continue
         exact = _float_exact(fmt, op, a.word, b.word, va, vb)
-        if exact is None:
+        if op in ("add", "mul") and func(b, a)[0] != out:
+            fault = "commutative"
+        elif exact is None:
             continue
-        vo = float_value(fmt, out.word)
-        if vo is None:
-            # overflow: legitimate only beyond the largest magnitude
-            if abs(exact) < Fraction(2) ** (fmt.e_max + 1):
-                rep.record(where, str(exact), "inf")
-            continue
-        ulp = float_ulp(fmt, out.word)
-        if abs(vo - exact) > ulp / 2:
-            rep.record(where, str(exact), str(vo))
-        elif representable(exact, fmt) and vo != exact:
-            rep.record(where, f"exact {exact}", str(vo))
-        elif sticky.nonzero != (vo != exact):
-            rep.record(where, "sticky flag", str(sticky.nonzero))
-        elif vo != exact and vo != 0 and (out.word & 1 == 1) != (vo >= exact):
-            rep.record(where, "round-bit direction", str(out.word & 1))
+        else:
+            fault = rounding_fault(fmt, exact, fa.RoundingMode.NEAREST, out.word, sticky.nonzero)
+        if fault:
+            rep.record(f"{a.word:#x},{b.word:#x}", f"{fault} ({exact})", f"{out.word:#x}")
     return rep.done()
 
 
-_DIRECTED = tuple(fa.RoundingMode)[1:]  # ru, rd, rz, ra
-
-
 def float_directed_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
-    """Directed modes over every pair: directional bounds within one ulp on
-    finite results, and bit identity with nearest when nothing was dropped."""
+    """Directed modes over every pair with a finite exact value: the
+    rounding contract (``rounding_fault``) in each mode, and bit identity
+    with nearest when nearest dropped nothing."""
     func, name = _FLOAT_OPS[op]
     rep = VerifyReport(f"{name}-directed", f"format={fmt.name}")
     for a, b, va, vb in _operand_pairs(fmt):
-        if op == "div" and vb == 0:
-            continue
         exact = _float_exact(fmt, op, a.word, b.word, va, vb)
         if exact is None:
             continue
         near, sticky = func(a, b)
-        for mode in _DIRECTED:
+        for mode in tuple(fa.RoundingMode)[1:]:  # ru, rd, rz, ra
             rep.cases += 1
-            where = f"{a.word:#x},{b.word:#x},{mode.value}"
-            out = func(a, b, mode)[0]
-            if not sticky.nonzero:
-                if out != near:
-                    rep.record(where, "unchanged", f"{out.word:#x}")
-                continue
-            vo = float_value(fmt, out.word)
-            if vo is None:
-                if abs(exact) < Fraction(2) ** (fmt.e_max + 1):
-                    rep.record(where, str(exact), "inf")
-                continue
-            if mode is fa.RoundingMode.UPWARD:
-                ok = vo >= exact
-            elif mode is fa.RoundingMode.DOWNWARD:
-                ok = vo <= exact
-            elif mode is fa.RoundingMode.TOWARD_ZERO:
-                ok = abs(vo) <= abs(exact)
-            else:
-                ok = abs(vo) >= abs(exact)
-            if not ok or abs(vo - exact) >= float_ulp(fmt, out.word):
-                rep.record(where, str(exact), str(vo))
+            out, out_sticky = func(a, b, mode)
+            fault = ("unchanged" if not sticky.nonzero and out != near
+                     else rounding_fault(fmt, exact, mode, out.word, out_sticky.nonzero))
+            if fault:
+                rep.record(f"{a.word:#x},{b.word:#x},{mode.value}", f"{fault} ({exact})", f"{out.word:#x}")
     return rep.done()
-
-
-def _value_class(fmt: FloatFormat, word: int) -> str:
-    """nan, +inf, -inf, zero (any zero-valued spelling) or finite."""
-    s, e, f, r = _fields(fmt, word)
-    if e == fmt.exp_mask:
-        return "nan" if f or r else "-inf" if s else "+inf"
-    return "zero" if float_value(fmt, word) == 0 else "finite"
 
 
 # negation swaps ru and rd; rn, rz and ra map to themselves

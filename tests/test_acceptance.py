@@ -8,8 +8,7 @@ its stated runtime budget.
 import time
 
 import rnarith.verify as verify
-from rnarith.floatfmt import RNF8, RNF16, RnFloat
-from rnarith.verify import float_value
+from rnarith.floatfmt import RNF8, RNF16
 
 
 def _finish(name: str, reports, budget: float, started: float) -> None:
@@ -81,44 +80,23 @@ def test_criterion_7_directed_roundings():
 
 def test_criterion_8_round_bit_direction():
     """Every inexact nearest-mode nonzero result reports its rounding
-    direction in the round bit: set means the result is at or above the
-    exact value, clear means at or below."""
-    from rnarith.floatarith import fadd_with_sticky, fdiv_with_sticky, fmul_with_sticky
+    direction in the round bit: set means the result is above the exact
+    value, clear means below."""
+    from rnarith.floatarith import RoundingMode
     from rnarith.oracle import VerifyReport
 
     t0 = time.perf_counter()
     rep = VerifyReport("round-bit-direction", "format=rnf8")
-    values = [float_value(RNF8, w) for w in range(256)]
-    ops = {
-        "add": (fadd_with_sticky, lambda va, vb, wa, wb: va + vb),
-        "mul": (fmul_with_sticky, lambda va, vb, wa, wb: va * vb),
-        "div": (
-            fdiv_with_sticky,
-            lambda va, vb, wa, wb: verify._div_reference(RNF8, wa, wb),
-        ),
-    }
-    for name, (func, exact_of) in ops.items():
-        for wa in range(256):
-            va = values[wa]
-            if va is None:
+    for op, (func, _) in verify._FLOAT_OPS.items():
+        for a, b, va, vb in verify._operand_pairs(RNF8):
+            exact = verify._float_exact(RNF8, op, a.word, b.word, va, vb)
+            if exact is None:
                 continue
-            a = RnFloat(RNF8, wa)
-            for wb in range(256):
-                vb = values[wb]
-                if vb is None or (name == "div" and vb == 0):
-                    continue
-                if name == "div" and va == 0:
-                    continue
-                rep.cases += 1
-                out, _ = func(a, RnFloat(RNF8, wb))
-                vo = float_value(RNF8, out.word)
-                if vo is None or vo == 0:
-                    continue
-                exact = exact_of(va, vb, wa, wb)
-                if vo == exact:
-                    continue
-                if ((out.word & 1) == 1) != (vo >= exact):
-                    rep.record(f"{name} {wa:#x},{wb:#x}", "direction", str(out.word & 1))
+            rep.cases += 1
+            out, sticky = func(a, b)
+            fault = verify.rounding_fault(RNF8, exact, RoundingMode.NEAREST, out.word, sticky.nonzero)
+            if fault == "round-bit direction":
+                rep.record(f"{op} {a.word:#x},{b.word:#x}", "direction", str(out.word & 1))
     rep.done()
     _finish("8 round-bit-direction", [rep], 120.0, t0)
 

@@ -32,6 +32,24 @@ def test_traced_boundaries_exist():
     assert not missing
 
 
+def test_sticky_flag_is_a_bool_attribute():
+    # the float-ops-wide workload stores ``(out.word, sticky.nonzero)``
+    from rnarith.floatarith import fadd_with_sticky, fdiv_with_sticky, fmul_with_sticky
+    from rnarith.floatfmt import RNF8, RnFloat
+
+    one, three, x = RnFloat(RNF8, 0x30), RnFloat(RNF8, 0x48), RnFloat(RNF8, 0x3E)  # 1, 3, 15/8
+    inexact_pairs = {
+        fadd_with_sticky: (x, three),
+        fmul_with_sticky: (x, three),
+        fdiv_with_sticky: (one, three),
+    }
+    for op, pair in inexact_pairs.items():
+        for (a, b), inexact in (((one, one), False), (pair, True)):
+            out, sticky = op(a, b)
+            assert isinstance(out, RnFloat)
+            assert sticky.nonzero is inexact
+
+
 def test_checks_import_cleanly():
     checks = _load("checks")
     assert callable(checks.check_float_op)

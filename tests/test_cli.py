@@ -45,6 +45,13 @@ class TestConvert:
         code, out, _ = run(capsys, "convert", "rnf8:0x30", "--to", "decimal")
         assert code == 0 and out == "1"
 
+    @pytest.mark.parametrize("value, want", [
+        ("0.3", "0.3"), ("-3.25", "-3.25"), ("12", "12"), ("+0.300", "0.3"), ("-0.0", "0"), ("007.10", "7.1"),
+    ])
+    def test_decimal_to_decimal_is_exact(self, capsys, value, want):
+        code, out, _ = run(capsys, "convert", value, "--to", "decimal")
+        assert code == 0 and out == want
+
     def test_unrepresentable_decimal_rejected(self, capsys):
         code, _, err = run(capsys, "convert", "0.3", "--to", "rn@0,w=5")
         assert code == 2 and "error" in err

@@ -16,7 +16,6 @@ from rnarith.core import (
     interval_of,
     negate,
     parse_literal,
-    range_of,
     sd_of_canonical,
     tail_digit_sign,
     truncate_at,
@@ -260,26 +259,6 @@ class TestTailDigitSign:
             last = next(d for d in reversed(sd_of_canonical(x).digits) if d != 0)
             expect = TailSign.ROUNDED_UP if last == 1 else TailSign.ROUNDED_DOWN
             assert tail_digit_sign(x) is expect
-
-
-class TestRangeOf:
-    def test_width5(self):
-        mn, mx = range_of(5)
-        assert mx == RnFixed(15, 5, 1)
-        assert mn == RnFixed(-16, 5, 0)
-        assert value_of(mx).to_fraction() == 16
-        assert value_of(mn).to_fraction() == -16
-
-    def test_sign_symmetry(self):
-        for w in range(2, 13):
-            mn, mx = range_of(w)
-            assert value_of(mx) == -value_of(mn)
-            assert negate(mx) == mn
-
-    def test_width2(self):
-        mn, mx = range_of(2)
-        assert value_of(mx).to_fraction() == 2
-        assert value_of(mn).to_fraction() == -2
 
 
 class TestLiterals:

@@ -23,7 +23,7 @@ from rnarith.floatfmt import (
     unpack,
     value_of_float,
 )
-from rnarith.verify import representable
+from rnarith.verify import _float_exact, float_value, rounding_fault
 
 ONE = RnFloat(RNF8, 0x30)
 TWO = RnFloat(RNF8, 0x40)
@@ -104,20 +104,14 @@ class TestFaddBasics:
         assert finite_value(fadd(float_negate(eight), float_negate(eight))) == -16
 
     def test_half_ulp_sample(self):
+        values = [float_value(RNF8, w) for w in range(256)]
         for wa in range(0, 256, 7):
             for wb in range(0, 256, 5):
-                a, b = RnFloat(RNF8, wa), RnFloat(RNF8, wb)
-                va, vb = finite_value(a), finite_value(b)
-                if va is None or vb is None:
+                exact = _float_exact(RNF8, "add", wa, wb, values[wa], values[wb])
+                if exact is None:
                     continue
-                out = fadd(a, b)
-                vo = finite_value(out)
-                if vo is None:
-                    continue
-                e = unpack(out).biased_exp
-                scale = RNF8.e_min if e == 0 else e - RNF8.bias
-                ulp = Fraction(2) ** (scale + 1 - RNF8.precision)
-                assert abs(vo - (va + vb)) <= ulp / 2
+                out, sticky = fadd_with_sticky(RnFloat(RNF8, wa), RnFloat(RNF8, wb))
+                assert rounding_fault(RNF8, exact, RoundingMode.NEAREST, out.word, sticky.nonzero) is None
 
 
 class TestNearFarPaths:
@@ -140,13 +134,11 @@ class TestNearFarPaths:
                 if abs(ea - eb) > 1:
                     continue
                 exact = va + vb
-                out = fadd(a, b)
-                vo = finite_value(out)
-                if representable(exact, RNF8):
-                    assert vo == exact
+                out, sticky = fadd_with_sticky(a, b)
+                assert rounding_fault(RNF8, exact, RoundingMode.NEAREST, out.word, sticky.nonzero) is None
                 # with true cancellation nothing can be dropped
                 if exact != 0 and abs(exact) < Fraction(2) ** min(ea, eb):
-                    assert vo == exact
+                    assert not sticky.nonzero
 
     def test_far_gap2_power_sum_exact(self):
         quarter = RnFloat(RNF8, 0x10)
@@ -333,61 +325,28 @@ class TestWiderFormats:
     def test_random_pairs_against_oracle(self):
         """Uniform words, so rnf64 sums mostly align over exponent gaps of
         hundreds to ~2,000 bits; every mode is checked against the exact
-        value."""
+        value, and an exact result is the same word in every mode."""
         import random
 
         from rnarith.floatfmt import RNF16, RNF32, RNF64
-        from rnarith.verify import _div_reference, float_ulp, float_value
 
         rng = random.Random(123)
         ops = (("add", fadd_with_sticky), ("mul", fmul_with_sticky), ("div", fdiv_with_sticky))
         for fmt in (RNF16, RNF32, RNF64):
             n = 1 << fmt.total_bits
-            edge = Fraction(2) ** (fmt.e_max + 1)
             for _ in range(1200):
                 wa, wb = rng.randrange(n), rng.randrange(n)
                 a, b = RnFloat(fmt, wa), RnFloat(fmt, wb)
                 va, vb = float_value(fmt, wa), float_value(fmt, wb)
-                if va is None or vb is None:
-                    continue
                 for name, fn in ops:
-                    if name == "div" and vb == 0:
+                    exact = _float_exact(fmt, name, wa, wb, va, vb)
+                    if exact is None:
                         continue
-                    out, sticky = fn(a, b)
-                    vo = float_value(fmt, out.word)
-                    if name == "add":
-                        exact = va + vb
-                    elif name == "mul":
-                        exact = va * vb
-                    else:
-                        exact = Fraction(0) if va == 0 else _div_reference(fmt, wa, wb)
-                    overflow = abs(exact) >= edge
-                    if vo is None:
-                        assert overflow
-                    else:
-                        assert abs(vo - exact) <= float_ulp(fmt, out.word) / 2
-                        assert sticky.nonzero == (vo != exact)
-                        if representable(exact, fmt):
-                            assert vo == exact
-                    for mode in list(RoundingMode)[1:]:
-                        got, got_sticky = fn(a, b, mode)
-                        assert got_sticky == sticky
-                        if not sticky.nonzero:
-                            assert got == out
-                            continue
-                        vg = float_value(fmt, got.word)
-                        if vg is None:
-                            assert overflow
-                            continue
-                        assert abs(vg - exact) < float_ulp(fmt, got.word)
-                        if mode is RoundingMode.UPWARD:
-                            assert vg >= exact
-                        elif mode is RoundingMode.DOWNWARD:
-                            assert vg <= exact
-                        elif mode is RoundingMode.TOWARD_ZERO:
-                            assert abs(vg) <= abs(exact)
-                        else:
-                            assert abs(vg) >= abs(exact)
+                    near, sticky = fn(a, b)
+                    for mode in RoundingMode:
+                        out, out_sticky = fn(a, b, mode)
+                        assert rounding_fault(fmt, exact, mode, out.word, out_sticky.nonzero) is None
+                        assert sticky.nonzero or out == near
 
 
 class TestAgainstIndependentValues:

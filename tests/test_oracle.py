@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import pytest
 
 import rnarith.floatarith as fa
 import rnarith.verify as verify
 from rnarith.core import DyadicInterval, DyadicRational
-from rnarith.floatfmt import RNF8, FloatClass, RnFloat
+from rnarith.floatarith import RoundingMode, StickyTail
+from rnarith.floatfmt import RNF8, FloatClass, FloatFormat, RnFloat
 from rnarith.oracle import (
     VerifyReport,
     check_inclusion,
@@ -57,8 +60,36 @@ class TestCheckInclusion:
             check_inclusion(iv((0, 0), (1, 0)), iv((1, 0), (2, 0)), iv((-1, -1), (1, 0)))
 
 
+SMALL = FloatFormat(2, 3)
+
+
+def _plant(monkeypatch, fault):
+    """Pass every result of the rounding sink through ``fault(out, sticky,
+    fmt, mode)``."""
+    good = fa._deliver
+
+    def faulty(num, den, g, fmt, mode):
+        return fault(*good(num, den, g, fmt, mode), fmt, mode)
+
+    monkeypatch.setattr(fa, "_deliver", faulty)
+
+
+def _is_inf(out):
+    return out in (out.fmt.inf(0), out.fmt.inf(1))
+
+
+def _float_sweep_failures(fmt):
+    """Failure counts of the nearest, then the directed, add/mul/div sweeps."""
+    return [
+        len(sweep(fmt, op).failures)
+        for sweep in (verify.float_nearest_sweep, verify.float_directed_sweep)
+        for op in ("add", "mul", "div")
+    ]
+
+
 class TestSweepsCatchFaults:
-    """A planted fault in the code under test shows up as sweep failures."""
+    """A planted fault in the code under test shows up as sweep failures;
+    a fault in the rounding sink shows up in every float sweep it reaches."""
 
     def test_flipped_shortcut_round_bit(self, monkeypatch):
         good = fa.far_shortcut
@@ -76,6 +107,53 @@ class TestSweepsCatchFaults:
         monkeypatch.setattr(verify, "value_of_float", faulty)
         rep = verify.pack_unpack_sweep(RNF8)
         assert (rep.cases, len(rep.failures)) == (256, 2)
+
+    def test_overflow_returned_as_nan(self, monkeypatch):
+        _plant(monkeypatch, lambda out, s, fmt, mode: (fmt.nan() if _is_inf(out) else out, s))
+        assert _float_sweep_failures(SMALL) == [354, 548, 204, 1416, 2192, 816]
+
+    def test_overflow_with_wrong_sign(self, monkeypatch):
+        _plant(monkeypatch, lambda out, s, fmt, mode: (fmt.inf(1) if out == fmt.inf(0) else out, s))
+        assert _float_sweep_failures(SMALL) == [177, 274, 102, 708, 1096, 408]
+
+    def test_overflow_flagged_exact(self, monkeypatch):
+        _plant(monkeypatch, lambda out, s, fmt, mode: (out, StickyTail(False) if _is_inf(out) else s))
+        assert _float_sweep_failures(SMALL) == [354, 548, 204, 1416, 2192, 816]
+
+    def test_directed_sticky_flag_flipped(self, monkeypatch):
+        def flip(out, s, fmt, mode):
+            return out, s if mode is RoundingMode.NEAREST else StickyTail(not s.nonzero)
+
+        _plant(monkeypatch, flip)
+        assert _float_sweep_failures(SMALL) == [0, 0, 0, 8464, 8464, 8464]
+
+
+class TestRoundingFault:
+    """Each clause of the contract on rnf8 words: finite ones around 17/8
+    (ulp 1/4), +inf (0x70) and a NaN (0x71)."""
+
+    @pytest.mark.parametrize("exact, mode, word, inexact, clause", [
+        (Fraction(2), RoundingMode.NEAREST, 0x40, False, None),         # 2, exact
+        (Fraction(2), RoundingMode.NEAREST, 0x40, True, "sticky flag"),
+        (Fraction(17, 8), RoundingMode.NEAREST, 0x41, True, None),      # 9/4, r=1 above
+        (Fraction(17, 8), RoundingMode.NEAREST, 0x40, True, None),      # 2, r=0 below
+        (Fraction(17, 8), RoundingMode.NEAREST, 0x42, True, "round-bit direction"),  # 9/4, r=0
+        (Fraction(17, 8), RoundingMode.NEAREST, 0x44, True, "half ulp"),  # 5/2
+        (Fraction(15, 8), RoundingMode.NEAREST, 0x40, True, "exact value"),  # 15/8 is 0x3e
+        (Fraction(17, 8), RoundingMode.UPWARD, 0x41, True, None),
+        (Fraction(17, 8), RoundingMode.DOWNWARD, 0x41, True, "directed side"),
+        (Fraction(17, 8), RoundingMode.TOWARD_ZERO, 0x40, True, None),
+        (Fraction(17, 8), RoundingMode.AWAY_FROM_ZERO, 0x40, True, "directed side"),
+        (Fraction(17, 8), RoundingMode.UPWARD, 0x44, True, "one ulp"),
+        (Fraction(16), RoundingMode.NEAREST, 0x70, True, None),         # +inf from the edge 2**(e_max+1)
+        (Fraction(100), RoundingMode.TOWARD_ZERO, 0x70, True, None),
+        (Fraction(15), RoundingMode.NEAREST, 0x70, True, "overflow"),
+        (Fraction(-100), RoundingMode.NEAREST, 0x70, True, "overflow"),
+        (Fraction(100), RoundingMode.NEAREST, 0x70, False, "overflow"),
+        (Fraction(100), RoundingMode.NEAREST, 0x71, True, "overflow"),  # NaN
+    ])
+    def test_clause(self, exact, mode, word, inexact, clause):
+        assert verify.rounding_fault(RNF8, exact, mode, word, inexact) == clause
 
 
 class TestVerifyReport:
