@@ -91,6 +91,11 @@ def _convert_to_fixed(value: DyadicRational | Fraction, spec: str, prefer_round_
     if not m:
         raise CliError(f"bad fixed-point target {spec!r} (expected rn@<lsb>,w=<width>)")
     lsb, width = int(m.group(1)), int(m.group(2))
+    # the literal has one digit per bit: a width past the interpreter's digit
+    # limit is refused, as a decimal would be, before the word is built
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and width > limit:
+        raise CliError(f"width {width} is more than the {limit}-digit limit on printed integers")
     # decided on mantissa and exponent, before any shift builds the word
     n = value.mantissa if isinstance(value, DyadicRational) else None
     if n is None or (n and value.exp < lsb):

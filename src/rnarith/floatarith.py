@@ -47,6 +47,11 @@ class StickyTail:
     nonzero: bool
 
 
+# every result shares one of these two; StickyTail is frozen
+_EXACT = StickyTail(False)
+_INEXACT = StickyTail(True)
+
+
 def directed_round_bit(rbit: int, sign_bit: int, t: StickyTail, mode: RoundingMode) -> int:
     """Round-bit substitution table for the directed modes.
 
@@ -65,7 +70,7 @@ def directed_round_bit(rbit: int, sign_bit: int, t: StickyTail, mode: RoundingMo
 
 
 def _require_same_format(a: RnFloat, b: RnFloat) -> FloatFormat:
-    if a.fmt != b.fmt:
+    if a.fmt is not b.fmt and a.fmt != b.fmt:
         raise ValueError("operands must share a format")
     return a.fmt
 
@@ -90,12 +95,12 @@ def _deliver(num: int, den: int, g: int, fmt: FloatFormat, mode: RoundingMode) -
     """
     p = fmt.precision
     if num == 0:
-        return fmt.zero(), StickyTail(False)
+        return fmt.zero(), _EXACT
     sign = 1 if num < 0 else 0
     mag = -num if sign else num
     e_val = _floor_log2_ratio(mag, den) + g
     if e_val > fmt.e_max + 1:
-        return fmt.inf(sign), StickyTail(True)
+        return fmt.inf(sign), _INEXACT
     e_tgt = min(max(e_val, fmt.e_min), fmt.e_max)
     s = g + p - e_tgt  # the round bit's source position weighs 2**(e_tgt - p)
     if s >= 0:
@@ -103,11 +108,11 @@ def _deliver(num: int, den: int, g: int, fmt: FloatFormat, mode: RoundingMode) -
     else:
         # any shift past the magnitude's top bit truncates it to 0 alike
         t2, rem = divmod(mag, den << min(-s, mag.bit_length() + 1))
-    sticky = StickyTail(t2 & 1 == 1 or rem != 0)
+    sticky = _INEXACT if t2 & 1 or rem else _EXACT
     if e_val > fmt.e_max:
         # beyond e_max only the exact edge is finite: all-ones word, r=1
         if t2 != 1 << (p + 1) or sticky.nonzero:
-            return fmt.inf(sign), StickyTail(True)
+            return fmt.inf(sign), _INEXACT
         t2 -= 1
     w, r = t2 >> 1, t2 & 1
     if sign:
@@ -133,24 +138,23 @@ def fadd_with_sticky(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.N
     fmt = _require_same_format(a, b)
     ca, sa, wa, ra, ea = decode(fmt, a.word)
     cb, sb, wb, rb, eb = decode(fmt, b.word)
-    exact = StickyTail(False)
     if ca is FloatClass.NAN or cb is FloatClass.NAN:
-        return fmt.nan(), exact
+        return fmt.nan(), _EXACT
     if ca is FloatClass.INFINITY and cb is FloatClass.INFINITY:
         if sa != sb:
-            return fmt.nan(), exact
-        return fmt.inf(sa), exact
+            return fmt.nan(), _EXACT
+        return fmt.inf(sa), _EXACT
     if ca is FloatClass.INFINITY:
-        return fmt.inf(sa), exact
+        return fmt.inf(sa), _EXACT
     if cb is FloatClass.INFINITY:
-        return fmt.inf(sb), exact
+        return fmt.inf(sb), _EXACT
     ma, mb = wa + ra, wb + rb
     if ma == 0 and mb == 0:
-        return fmt.zero(), exact
+        return fmt.zero(), _EXACT
     if ma == 0:
-        return b, exact
+        return b, _EXACT
     if mb == 0:
-        return a, exact
+        return a, _EXACT
     e = min(ea, eb)
     return _deliver((ma << (ea - e)) + (mb << (eb - e)), 1, e + 1 - fmt.precision, fmt, mode)
 
@@ -184,18 +188,17 @@ def fmul_with_sticky(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.N
     fmt = _require_same_format(a, b)
     ca, sa, wa, ra, ea = decode(fmt, a.word)
     cb, sb, wb, rb, eb = decode(fmt, b.word)
-    exact = StickyTail(False)
     if ca is FloatClass.NAN or cb is FloatClass.NAN:
-        return fmt.nan(), exact
+        return fmt.nan(), _EXACT
     sign = sa ^ sb
     ma, mb = wa + ra, wb + rb
     if ca is FloatClass.INFINITY or cb is FloatClass.INFINITY:
         other_cls, other_m = (cb, mb) if ca is FloatClass.INFINITY else (ca, ma)
         if other_cls is not FloatClass.INFINITY and other_m == 0:
-            return fmt.nan(), exact
-        return fmt.inf(sign), exact
+            return fmt.nan(), _EXACT
+        return fmt.inf(sign), _EXACT
     if ma == 0 or mb == 0:
-        return fmt.zero(), exact
+        return fmt.zero(), _EXACT
     return _deliver(ma * mb, 1, ea + eb + 2 - 2 * fmt.precision, fmt, mode)
 
 
@@ -232,23 +235,22 @@ def fdiv_with_sticky(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.N
     fmt = _require_same_format(a, b)
     ca, sa, wa, ra, ea = decode(fmt, a.word)
     cb, sb, wb, rb, eb = decode(fmt, b.word)
-    exact = StickyTail(False)
     if ca is FloatClass.NAN or cb is FloatClass.NAN:
-        return fmt.nan(), exact
+        return fmt.nan(), _EXACT
     sign = sa ^ sb
     if ca is FloatClass.INFINITY:
         if cb is FloatClass.INFINITY:
-            return fmt.nan(), exact
-        return fmt.inf(sign), exact
+            return fmt.nan(), _EXACT
+        return fmt.inf(sign), _EXACT
     if cb is FloatClass.INFINITY:
-        return fmt.zero(), exact
+        return fmt.zero(), _EXACT
     a_zero, b_zero = wa + ra == 0, wb + rb == 0
     if a_zero and b_zero:
-        return fmt.nan(), exact
+        return fmt.nan(), _EXACT
     if b_zero:
-        return fmt.inf(sign), exact
+        return fmt.inf(sign), _EXACT
     if a_zero:
-        return fmt.zero(), exact
+        return fmt.zero(), _EXACT
     p = fmt.precision
     na, ea = _divider_word(wa, ra, ea, p)
     nb, eb = _divider_word(wb, rb, eb, p)

@@ -9,7 +9,7 @@ minimum exponent; negative subnormals naturally carry leading ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .core import DyadicRational, RnFixed
@@ -17,38 +17,40 @@ from .core import DyadicRational, RnFixed
 
 @dataclass(frozen=True)
 class FloatFormat:
+    """A packed format: ``exp_bits`` exponent bits and ``precision`` (p)
+    significand digits, the hidden bit plus p-1 stored fraction bits.
+
+    The derived constants ``total_bits``, ``bias``, ``e_min``, ``e_max``,
+    ``exp_mask`` and ``frac_bits`` are computed once, when the format is
+    built, and read as plain attributes.  They follow from the two sizes, so
+    they are not part of equality, hashing, the repr or the constructor.
+    """
+
     exp_bits: int
     precision: int  # significand digits p: hidden bit + (p-1) fraction bits
     name: str = ""
+    total_bits: int = field(init=False, compare=False, repr=False)
+    bias: int = field(init=False, compare=False, repr=False)
+    e_min: int = field(init=False, compare=False, repr=False)
+    e_max: int = field(init=False, compare=False, repr=False)
+    exp_mask: int = field(init=False, compare=False, repr=False)
+    frac_bits: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.exp_bits < 2 or self.precision < 2:
             raise ValueError("format too small")
-
-    @property
-    def total_bits(self) -> int:
-        # sign + exponent + fraction + round bit
-        return 1 + self.exp_bits + (self.precision - 1) + 1
-
-    @property
-    def bias(self) -> int:
-        return (1 << (self.exp_bits - 1)) - 1
-
-    @property
-    def e_min(self) -> int:
-        return 1 - self.bias
-
-    @property
-    def e_max(self) -> int:
-        return (1 << self.exp_bits) - 2 - self.bias
-
-    @property
-    def exp_mask(self) -> int:
-        return (1 << self.exp_bits) - 1
-
-    @property
-    def frac_bits(self) -> int:
-        return self.precision - 1
+        bias = (1 << (self.exp_bits - 1)) - 1
+        derived = {
+            # sign + exponent + fraction + round bit
+            "total_bits": 1 + self.exp_bits + (self.precision - 1) + 1,
+            "bias": bias,
+            "e_min": 1 - bias,
+            "e_max": (1 << self.exp_bits) - 2 - bias,
+            "exp_mask": (1 << self.exp_bits) - 1,
+            "frac_bits": self.precision - 1,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def zero(self) -> "RnFloat":
         return RnFloat(self, 0)

@@ -381,9 +381,14 @@ def rounding_fault(fmt: FloatFormat, exact: Fraction, mode: fa.RoundingMode,
         if representable(exact, fmt):
             return "exact value"
         return "round-bit direction" if w + r != 0 and (r == 1) != (diff > 0) else None
-    # rz goes down and ra up from a positive exact value, the other way from a negative one
-    up = {fa.RoundingMode.TOWARD_ZERO: exact < 0,
-          fa.RoundingMode.AWAY_FROM_ZERO: exact > 0}.get(mode, mode is fa.RoundingMode.UPWARD)
+    # rz goes down and ra up from a positive exact value, the other way from
+    # a negative one; n carries exact's sign
+    if mode is fa.RoundingMode.TOWARD_ZERO:
+        up = n < 0
+    elif mode is fa.RoundingMode.AWAY_FROM_ZERO:
+        up = n > 0
+    else:
+        up = mode is fa.RoundingMode.UPWARD
     if (diff > 0) != up:
         return "directed side"
     return "one ulp" if abs(diff) >= ulp else None
@@ -435,6 +440,9 @@ def float_nearest_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
     return rep.done()
 
 
+_DIRECTED_MODES = tuple(fa.RoundingMode)[1:]  # ru, rd, rz, ra
+
+
 def float_directed_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
     """Directed modes over every pair with a finite exact value: the
     rounding contract (``rounding_fault``) in each mode, and bit identity
@@ -446,7 +454,7 @@ def float_directed_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
         if exact is None:
             continue
         near, sticky = func(a, b)
-        for mode in tuple(fa.RoundingMode)[1:]:  # ru, rd, rz, ra
+        for mode in _DIRECTED_MODES:
             rep.cases += 1
             out, out_sticky = func(a, b, mode)
             fault = ("unchanged" if not sticky.nonzero and out != near

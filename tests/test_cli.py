@@ -75,6 +75,22 @@ class TestConvert:
             assert code == 2 and not out
             assert err.startswith("error:") and "Traceback" not in err
 
+    def test_fixed_width_beyond_digit_limit_refused_quickly(self, capsys):
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            code, out, err = run(capsys, "convert", "1", "--to", "rn@0,w=10000000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - t0 < 0.5
+        assert peak < 5 << 20
+        assert code == 2 and not out and err.startswith("error:")
+
+    def test_fixed_width_at_digit_limit_still_printed(self, capsys):
+        code, out, _ = run(capsys, "convert", "1", "--to", "rn@0,w=4300")
+        assert code == 0 and out == "rn:" + "0" * 4299 + "1:r0@0"
+
     @pytest.mark.parametrize("exp", ["100000000", "-100000000"])
     def test_huge_literal_exponent_stays_small(self, capsys, exp):
         # the value reaches the sink and the fixed target as mantissa and

@@ -321,6 +321,20 @@ class TestSignSymmetry:
         assert not sticky.nonzero
 
 
+class TestSmallFormats:
+    @pytest.mark.parametrize("shape, cases", [
+        ((2, 2), 12_864), ((2, 3), 51_840), ((3, 2), 62_288),
+        ((2, 4), 208_128), ((3, 3), 249_152), ((4, 2), 274_896),
+    ])
+    def test_float_all_passes_on_every_5_to_7_bit_shape(self, shape, cases):
+        from rnarith.verify import SUITES
+
+        reports = SUITES["float-all"](fmt=FloatFormat(*shape))
+        assert sum(r.cases for r in reports) == cases
+        failed = [(r.op, r.failures[:3]) for r in reports if not r.passed]
+        assert not failed
+
+
 class TestWiderFormats:
     def test_random_pairs_against_oracle(self):
         """Uniform words, so rnf64 sums mostly align over exponent gaps of

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from rnarith.core import RnFixed
+from rnarith.floatarith import RoundingMode, fadd_with_sticky, fdiv_with_sticky, fmul_with_sticky
 from rnarith.floatfmt import (
     FORMATS,
     RNF8,
@@ -10,6 +11,7 @@ from rnarith.floatfmt import (
     RNF32,
     RNF64,
     FloatClass,
+    FloatFormat,
     RnFloat,
     UnpackedFloat,
     decode,
@@ -38,6 +40,43 @@ class TestFormatLayout:
     def test_exponent_range(self):
         assert RNF8.e_min == -2
         assert RNF8.e_max == 3
+
+    @pytest.mark.parametrize(
+        "fmt",
+        [*FORMATS.values(), FloatFormat(2, 2), FloatFormat(2, 3), FloatFormat(3, 3), FloatFormat(4, 2)],
+    )
+    def test_derived_constants_closed_forms(self, fmt):
+        e, p = fmt.exp_bits, fmt.precision
+        assert fmt.total_bits == e + p + 1
+        assert fmt.bias == 2 ** (e - 1) - 1
+        assert fmt.e_min == 2 - 2 ** (e - 1)
+        assert fmt.e_max == 2 ** (e - 1) - 1
+        assert fmt.exp_mask == 2 ** e - 1
+        assert fmt.frac_bits == p - 1
+
+    def test_equality_ignores_derived_constants(self):
+        twin = FloatFormat(3, 4, "rnf8")
+        assert twin == RNF8 and twin is not RNF8
+        assert hash(twin) == hash(RNF8)
+        assert repr(twin) == "FloatFormat(exp_bits=3, precision=4, name='rnf8')"
+        assert FloatFormat(3, 4) != RNF8
+
+    def test_equal_format_objects_give_the_same_results(self):
+        twin = FloatFormat(3, 4, "rnf8")
+        words = range(0, 256, 7)
+        for op in (fadd_with_sticky, fmul_with_sticky, fdiv_with_sticky):
+            for mode in RoundingMode:
+                for wa in words:
+                    for wb in words:
+                        out, sticky = op(RnFloat(twin, wa), RnFloat(twin, wb), mode)
+                        ref, ref_sticky = op(RnFloat(RNF8, wa), RnFloat(RNF8, wb), mode)
+                        assert (out.word, sticky.nonzero) == (ref.word, ref_sticky.nonzero)
+
+    @pytest.mark.parametrize("op", [fadd_with_sticky, fmul_with_sticky, fdiv_with_sticky])
+    def test_different_formats_rejected(self, op):
+        for other in (FloatFormat(3, 4), RNF16):
+            with pytest.raises(ValueError, match="share a format"):
+                op(ONE, RnFloat(other, 0x30))
 
 
 class TestUnpack:

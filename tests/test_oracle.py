@@ -151,6 +151,10 @@ class TestRoundingFault:
         (Fraction(-100), RoundingMode.NEAREST, 0x70, True, "overflow"),
         (Fraction(100), RoundingMode.NEAREST, 0x70, False, "overflow"),
         (Fraction(100), RoundingMode.NEAREST, 0x71, True, "overflow"),  # NaN
+        (Fraction(-17, 8), RoundingMode.TOWARD_ZERO, 0xCF, True, None),  # -2
+        (Fraction(-17, 8), RoundingMode.TOWARD_ZERO, 0xCE, True, "directed side"),  # -9/4
+        (Fraction(-17, 8), RoundingMode.AWAY_FROM_ZERO, 0xCE, True, None),
+        (Fraction(-17, 8), RoundingMode.AWAY_FROM_ZERO, 0xCF, True, "directed side"),
     ])
     def test_clause(self, exact, mode, word, inexact, clause):
         assert verify.rounding_fault(RNF8, exact, mode, word, inexact) == clause
