@@ -7,6 +7,8 @@ parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
+import inspect
 import re
 import sys
 from fractions import Fraction
@@ -36,6 +38,8 @@ from .floatfmt import (
 from .verify import SUITES
 
 _DECIMAL_RE = re.compile(r"^[+-]?\d+(\.\d+)?$")
+_FLOAT_PREFIX_RE = re.compile(r"^rnf\d+:")
+_FIXED_TARGET_RE = re.compile(r"^rn@(-?\d+),w=(\d+)$")
 _MODES = {m.value: m for m in fa.RoundingMode}
 
 
@@ -47,7 +51,7 @@ def _parse_operand(text: str):
     """Classify a token as a fixed literal, a float literal or a decimal."""
     if text.startswith("rn:"):
         return parse_literal(text)
-    if re.match(r"^rnf\d+:", text):
+    if _FLOAT_PREFIX_RE.match(text):
         return parse_float_literal(text)
     if _DECIMAL_RE.match(text):
         return Fraction(text)
@@ -87,7 +91,7 @@ def _decimal_text(v: Fraction) -> str:
 
 
 def _convert_to_fixed(value: DyadicRational | Fraction, spec: str, prefer_round_bit: bool) -> RnFixed:
-    m = re.match(r"^rn@(-?\d+),w=(\d+)$", spec)
+    m = _FIXED_TARGET_RE.match(spec)
     if not m:
         raise CliError(f"bad fixed-point target {spec!r} (expected rn@<lsb>,w=<width>)")
     lsb, width = int(m.group(1)), int(m.group(2))
@@ -268,16 +272,24 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in SUITES:
+    run = SUITES.get(args.suite)
+    if run is None:
         raise CliError(f"unknown suite {args.suite!r}")
+    takes = inspect.signature(run).parameters
     kwargs = {}
     if args.width is not None:
+        if "width" not in takes:
+            raise CliError(f"suite {args.suite!r} takes no --width")
+        if args.width < 1:
+            raise CliError(f"--width must be at least 1, not {args.width}")
         kwargs["width"] = args.width
     if args.format is not None:
+        if "fmt" not in takes:
+            raise CliError(f"suite {args.suite!r} takes no --format")
         if args.format not in FORMATS:
             raise CliError(f"unknown format {args.format!r}")
         kwargs["fmt"] = FORMATS[args.format]
-    reports = SUITES[args.suite](**kwargs)
+    reports = run(**kwargs)
     failed = False
     for rep in reports:
         print(rep.to_text())
@@ -288,7 +300,10 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on the first ``main`` call, not at import, and shared by every
+    later call: ``parse_args`` writes only to a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="rnarith",
         description="Round-to-nearest-by-truncation arithmetic toolbox.",

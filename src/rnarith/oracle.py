@@ -87,6 +87,7 @@ class VerifyReport:
         lines = [f"verify {self.op} {self.space}"]
         for inputs, want, got in self.failures:
             lines.append(f"FAIL {self.op} in={inputs} want={want} got={got}")
-        status = "PASS" if self.passed else "FAIL"
+        # a sweep that checked nothing did not pass anything
+        status = "FAIL" if not self.passed else "SKIP" if not self.cases else "PASS"
         lines.append(f"{status} {self.cases} {len(self.failures)} {self.elapsed:.3f}")
         return "\n".join(lines)

@@ -614,30 +614,30 @@ def pinned_examples() -> VerifyReport:
 
 
 SUITES = {
-    "paper-examples": lambda **kw: [pinned_examples()],
-    "fixed-add": lambda width=8, **kw: [fixed_add_sweep(width, "add")],
-    "fixed-add-alt": lambda width=8, **kw: [fixed_add_sweep(width, "add_alt")],
-    "fixed-sub": lambda width=8, **kw: [fixed_add_sweep(width, "sub")],
-    "fixed-mul": lambda width=6, **kw: [fixed_mul_sweep(width), fixed_mul_sign_sweep(width)],
-    "fixed-div": lambda width=3, **kw: [fixed_div_sweep(width)],
-    "fixed-roundtrip": lambda width=10, **kw: [roundtrip_sweep(width)],
-    "fixed-truncate": lambda width=12, **kw: [double_rounding_sweep(width)],
-    "fixed-negate": lambda width=12, **kw: [negation_sweep(width)],
-    "float-add": lambda fmt=RNF8, **kw: [float_nearest_sweep(fmt, "add")],
-    "float-mul": lambda fmt=RNF8, **kw: [float_nearest_sweep(fmt, "mul")],
-    "float-div": lambda fmt=RNF8, **kw: [float_nearest_sweep(fmt, "div")],
-    "float-directed": lambda fmt=RNF8, **kw: [
+    "paper-examples": lambda: [pinned_examples()],
+    "fixed-add": lambda width=8: [fixed_add_sweep(width, "add")],
+    "fixed-add-alt": lambda width=8: [fixed_add_sweep(width, "add_alt")],
+    "fixed-sub": lambda width=8: [fixed_add_sweep(width, "sub")],
+    "fixed-mul": lambda width=6: [fixed_mul_sweep(width), fixed_mul_sign_sweep(width)],
+    "fixed-div": lambda width=3: [fixed_div_sweep(width)],
+    "fixed-roundtrip": lambda width=10: [roundtrip_sweep(width)],
+    "fixed-truncate": lambda width=12: [double_rounding_sweep(width)],
+    "fixed-negate": lambda width=12: [negation_sweep(width)],
+    "float-add": lambda fmt=RNF8: [float_nearest_sweep(fmt, "add")],
+    "float-mul": lambda fmt=RNF8: [float_nearest_sweep(fmt, "mul")],
+    "float-div": lambda fmt=RNF8: [float_nearest_sweep(fmt, "div")],
+    "float-directed": lambda fmt=RNF8: [
         float_directed_sweep(fmt, op) for op in ("add", "mul", "div")
     ],
-    "float-symmetry": lambda fmt=RNF8, **kw: [
+    "float-symmetry": lambda fmt=RNF8: [
         float_sign_symmetry_sweep(fmt, op) for op in ("add", "mul", "div")
     ],
-    "float-shortcut": lambda fmt=RNF8, **kw: [far_shortcut_sweep(fmt)],
-    "float-negate": lambda fmt=RNF8, **kw: [float_negate_sweep(fmt)],
-    "float-roundtrip": lambda fmt=RNF16, **kw: [pack_unpack_sweep(fmt)],
+    "float-shortcut": lambda fmt=RNF8: [far_shortcut_sweep(fmt)],
+    "float-negate": lambda fmt=RNF8: [float_negate_sweep(fmt)],
+    "float-roundtrip": lambda fmt=RNF16: [pack_unpack_sweep(fmt)],
 }
 # every other float-* suite, on one format
-SUITES["float-all"] = lambda fmt=RNF8, **kw: [
+SUITES["float-all"] = lambda fmt=RNF8: [
     rep for name, run in SUITES.items()
     if name.startswith("float-") and name != "float-all"
     for rep in run(fmt=fmt)

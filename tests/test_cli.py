@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from rnarith.cli import main
+from rnarith.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -228,6 +228,50 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "no-such-suite")
         assert code == 2 and err
+
+    @pytest.mark.parametrize("suite, width", [
+        ("fixed-add", "0"), ("fixed-roundtrip", "0"), ("fixed-div", "-1"),
+    ])
+    def test_width_below_one_refused(self, capsys, suite, width):
+        code, out, err = run(capsys, "verify", suite, "--width", width)
+        assert code == 2 and not out
+        assert err == f"error: --width must be at least 1, not {width}"
+
+    @pytest.mark.parametrize("suite, flag, value", [
+        ("paper-examples", "--width", "3"),
+        ("float-add", "--width", "3"),
+        ("fixed-add", "--format", "rnf8"),
+    ])
+    def test_option_the_suite_does_not_take_refused(self, capsys, suite, flag, value):
+        code, out, err = run(capsys, "verify", suite, flag, value)
+        assert code == 2 and not out
+        assert err == f"error: suite '{suite}' takes no {flag}"
+
+    def test_zero_case_sweep_reports_skip(self, capsys):
+        code, out, _ = run(capsys, "verify", "fixed-negate", "--width", "1")
+        assert code == 0
+        assert out.splitlines()[-1].startswith("SKIP 0 0 ")
+
+
+class TestParserReuse:
+    """Every main() call in a process shares one parser; no option, default
+    or error may leak from one call into the next."""
+
+    def test_parser_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_calls_in_sequence_match_single_calls(self, capsys):
+        expr = "rnf8:0x30 + rnf8:0x01"
+        assert run(capsys, "eval", "--mode", "ru", expr) == (0, "rnf8:0x31 inexact sticky=1 (= 1.125)", "")
+        assert run(capsys, "eval", expr) == (0, "rnf8:0x30 inexact sticky=1 (= 1)", "")
+        target = ("convert", "12", "--to", "rn@0,w=5")
+        assert run(capsys, *target, "--prefer-round-bit") == (0, "rn:01011:r1@0", "")
+        assert run(capsys, *target) == (0, "rn:01100:r0@0", "")
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--mode", "bogus", expr])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        assert run(capsys, "eval", expr) == (0, "rnf8:0x30 inexact sticky=1 (= 1)", "")
 
 
 class TestLiteralRoundTrips:

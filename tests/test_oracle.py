@@ -179,3 +179,8 @@ class TestVerifyReport:
         assert lines[1] == "FAIL demo in=x=1 want=2 got=3"
         assert lines[-1].startswith("FAIL 2 1 ")
         assert not rep.passed
+
+    def test_zero_case_sweep_is_a_skip(self):
+        rep = verify.far_shortcut_sweep(FloatFormat(2, 2))
+        assert rep.cases == 0 and rep.passed
+        assert rep.to_text().splitlines()[-1].startswith("SKIP 0 0 ")
