@@ -119,6 +119,8 @@ def _convert_to_fixed(value: DyadicRational | Fraction, spec: str, prefer_round_
 def cmd_convert(args) -> int:
     operand = _parse_operand(args.value)
     target = args.to
+    if args.prefer_round_bit and not target.startswith("rn@"):
+        raise CliError("--prefer-round-bit applies only to an rn@<lsb>,w=<width> target")
     if target == "sd":
         if not isinstance(operand, RnFixed):
             raise CliError("signed-digit output needs a fixed-point literal")

@@ -14,41 +14,39 @@ from typing import Iterator
 from .core import DyadicInterval, RnFixed
 from .floatfmt import FloatFormat, RnFloat
 
-ENUMERATION_LIMIT = 1 << 26
+_LIMIT_BITS = 26
+ENUMERATION_LIMIT = 1 << _LIMIT_BITS
+
+
+def check_space(what: str, count: int, shift: int = 0) -> None:
+    """Refuse a space of ``count * 2**shift`` cases (``count >= 1``) larger
+    than ``ENUMERATION_LIMIT``, before its first case.  The shift is judged
+    first, so a huge width is refused without building its power of two."""
+    if shift > _LIMIT_BITS or count << shift > ENUMERATION_LIMIT:
+        raise ValueError(f"{what}: more cases than the enumeration limit of {ENUMERATION_LIMIT}")
 
 
 def enumerate_fixed(width: int) -> Iterator[RnFixed]:
     """Every width-bit encoding exactly once, words ascending, round bit 0
     before 1."""
-    if (1 << width) * 2 > ENUMERATION_LIMIT:
-        raise ValueError("enumeration space too large")
-    for bits in range(-(1 << (width - 1)), 1 << (width - 1)):
-        for r in (0, 1):
-            yield RnFixed(bits, width, r)
+    check_space(f"width={width} encodings", 1, width + 1)
+    top = 1 << (width - 1)
+    return (RnFixed(bits, width, r) for bits in range(-top, top) for r in (0, 1))
 
 
 def enumerate_format(fmt: FloatFormat) -> Iterator[RnFloat]:
     """Every word of a packed format exactly once, ascending."""
-    if (1 << fmt.total_bits) > ENUMERATION_LIMIT:
-        raise ValueError("enumeration space too large")
-    for word in range(1 << fmt.total_bits):
-        yield RnFloat(fmt, word)
+    check_space(f"{fmt.name or 'format'} words", 1, fmt.total_bits)
+    return (RnFloat(fmt, word) for word in range(1 << fmt.total_bits))
 
 
 def enumerate_div_operands(p: int) -> Iterator[tuple[RnFixed, RnFixed]]:
     """All pairs of scaled divider operands: word in [1, 2), p fractional
     bits, both round bits free."""
-    count = (1 << p) * 2
-    if count * count > ENUMERATION_LIMIT:
-        raise ValueError("enumeration space too large")
-    ops = [
-        RnFixed(bits, p + 2, r, -p)
-        for bits in range(1 << p, 1 << (p + 1))
-        for r in (0, 1)
-    ]
-    for x in ops:
-        for y in ops:
-            yield x, y
+    check_space(f"p={p} divider operand pairs", 1, 2 * p + 2)
+    ops = [RnFixed(bits, p + 2, r, -p)
+           for bits in range(1 << p, 1 << (p + 1)) for r in (0, 1)]
+    return ((x, y) for x in ops for y in ops)
 
 
 def check_inclusion(result: DyadicInterval, a: DyadicInterval, b: DyadicInterval) -> bool:

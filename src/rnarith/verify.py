@@ -39,9 +39,9 @@ from .floatfmt import (
     value_of_float,
 )
 from .oracle import (
-    ENUMERATION_LIMIT,
     VerifyReport,
     check_inclusion,
+    check_space,
     enumerate_div_operands,
     enumerate_fixed,
     enumerate_format,
@@ -161,6 +161,7 @@ def fixed_add_sweep(width: int, variant: str = "add") -> VerifyReport:
     """
     op = {"add": fixed.add, "add_alt": fixed.add_alt, "sub": fixed.sub}[variant]
     rep = VerifyReport(variant, f"width={width}")
+    check_space(f"{rep.op} {rep.space}", 1, 2 * width + 2)
     encs = list(enumerate_fixed(width))
     for a in encs:
         va = a.bits + a.round
@@ -192,6 +193,7 @@ def fixed_mul_sweep(width: int) -> VerifyReport:
     nonnegative words (the all-zero pair is excluded: no zero encoding's
     interval fits inside [0, u*u/4])."""
     rep = VerifyReport("mul", f"width={width}")
+    check_space(f"{rep.op} {rep.space}", 1, 2 * width + 2)
     encs = list(enumerate_fixed(width))
     for a in encs:
         va = value_of(a).to_fraction()
@@ -212,6 +214,7 @@ def fixed_mul_sweep(width: int) -> VerifyReport:
 def fixed_mul_sign_sweep(width: int) -> VerifyReport:
     """mul(a, b) == negate(mul(negate(a), b)) over every pair."""
     rep = VerifyReport("mul-sign", f"width={width}")
+    check_space(f"{rep.op} {rep.space}", 1, 2 * width + 2)
     encs = list(enumerate_fixed(width))
     for a in encs:
         na = negate(a)
@@ -234,8 +237,9 @@ def fixed_div_sweep(p: int) -> VerifyReport:
     grid; and the round bit must agree with the sign of the remaining
     remainder."""
     rep = VerifyReport("div", f"p={p}")
+    pairs = enumerate_div_operands(p)
     u = Fraction(1, 1 << p)
-    for x, y in enumerate_div_operands(p):
+    for x, y in pairs:
         rep.cases += 1
         n = 2 * x.bits + x.round
         d = 2 * y.bits + y.round
@@ -270,6 +274,8 @@ def fixed_div_sweep(p: int) -> VerifyReport:
 def double_rounding_sweep(width: int) -> VerifyReport:
     """Truncating twice lands on the same bits as truncating once."""
     rep = VerifyReport("double-rounding", f"width={width}")
+    # each encoding has width * (width + 1) / 2 pairs of truncation points
+    check_space(f"{rep.op} {rep.space}", width * (width + 1), width)
     for x in enumerate_fixed(width):
         for j in range(x.lsb_exp, x.msb_exp + 1):
             inner = truncate_at(x, j)
@@ -283,6 +289,8 @@ def double_rounding_sweep(width: int) -> VerifyReport:
 def negation_sweep(max_width: int) -> VerifyReport:
     """Negation is an exact involution at every width."""
     rep = VerifyReport("negate", f"width<={max_width}")
+    if max_width > 1:  # widths 2..max_width hold 2**(max_width + 2) - 8 encodings
+        check_space(f"{rep.op} {rep.space}", 1, max_width + 2)
     for width in range(2, max_width + 1):
         for x in enumerate_fixed(width):
             rep.cases += 1
@@ -295,6 +303,7 @@ def negation_sweep(max_width: int) -> VerifyReport:
 def roundtrip_sweep(width: int) -> VerifyReport:
     """Signed-digit conversions invert each other and stay valid."""
     rep = VerifyReport("roundtrip", f"width={width}")
+    check_space(f"{rep.op} {rep.space}", 3, width)  # 2**width words, 2**(width+1) encodings
     top = 1 << (width - 1)
     for word in range(-top, top):
         rep.cases += 1
@@ -394,20 +403,10 @@ def rounding_fault(fmt: FloatFormat, exact: Fraction, mode: fa.RoundingMode,
     return "one ulp" if abs(diff) >= ulp else None
 
 
-def _pair_space(fmt: FloatFormat) -> int:
-    """Word count of a format whose operand pairs can be enumerated."""
-    n = 1 << fmt.total_bits
-    if n * n > ENUMERATION_LIMIT:
-        raise ValueError(
-            f"{fmt.name or 'format'} has {n * n} operand pairs, "
-            f"more than the enumeration limit of {ENUMERATION_LIMIT}"
-        )
-    return n
-
-
 def _operand_pairs(fmt: FloatFormat) -> Iterator[tuple[RnFloat, RnFloat, Fraction | None, Fraction | None]]:
     """Every operand pair with both exact values (None when not finite)."""
-    n = _pair_space(fmt)
+    check_space(f"{fmt.name or 'format'} operand pairs", 1, 2 * fmt.total_bits)
+    n = 1 << fmt.total_bits
     words = [RnFloat(fmt, w) for w in range(n)]
     values = [float_value(fmt, w) for w in range(n)]
     return (

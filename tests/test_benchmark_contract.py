@@ -32,6 +32,20 @@ def test_traced_boundaries_exist():
     assert not missing
 
 
+def test_traced_generators_return_iterators():
+    # the tracer calls ``next()`` on what a "gen" boundary returns; a list
+    # would break only traced runs
+    from rnarith.floatfmt import FloatFormat
+
+    tiny = {"enumerate_fixed": (2,), "enumerate_format": (FloatFormat(2, 2),), "enumerate_div_operands": (1,)}
+    gens = [(mod, name) for mod, name, kind in _load("tracing").BOUNDARIES if kind == "gen"]
+    assert gens
+    for mod, name in gens:
+        out = getattr(importlib.import_module(f"rnarith.{mod}"), name)(*tiny[name])
+        assert iter(out) is out
+        next(out)
+
+
 def test_sticky_flag_is_a_bool_attribute():
     # the float-ops-wide workload stores ``(out.word, sticky.nonzero)``
     from rnarith.floatarith import fadd_with_sticky, fdiv_with_sticky, fmul_with_sticky

@@ -52,6 +52,14 @@ class TestConvert:
         code, out, _ = run(capsys, "convert", value, "--to", "decimal")
         assert code == 0 and out == want
 
+    @pytest.mark.parametrize("value, target", [
+        ("rn:01011:r1@0", "sd"), ("12", "decimal"), ("1", "float:rnf8"),
+    ])
+    def test_prefer_round_bit_refused_off_fixed_targets(self, capsys, value, target):
+        code, out, err = run(capsys, "convert", value, "--to", target, "--prefer-round-bit")
+        assert code == 2 and not out
+        assert err == "error: --prefer-round-bit applies only to an rn@<lsb>,w=<width> target"
+
     def test_unrepresentable_decimal_rejected(self, capsys):
         code, _, err = run(capsys, "convert", "0.3", "--to", "rn@0,w=5")
         assert code == 2 and "error" in err
@@ -221,6 +229,29 @@ class TestVerify:
         t0 = time.perf_counter()
         code, out, err = run(capsys, "verify", "float-add", "--format", "rnf16")
         assert time.perf_counter() - t0 < 0.5
+        assert code == 2 and not out
+        assert err.startswith("error:") and "enumeration limit" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("suite, width", [
+        *((suite, "13") for suite in ("fixed-add", "fixed-add-alt", "fixed-sub", "fixed-mul", "fixed-div")),
+        ("fixed-truncate", "18"), ("fixed-roundtrip", "25"), ("fixed-negate", "25"),
+        *((suite, "10000000000") for suite in (
+            "fixed-add", "fixed-add-alt", "fixed-sub", "fixed-mul", "fixed-div",
+            "fixed-truncate", "fixed-roundtrip", "fixed-negate")),
+    ])
+    def test_oversized_fixed_sweep_is_refused_before_its_first_case(self, capsys, suite, width):
+        # the first width each suite refuses, and a width whose power of two
+        # alone would take gigabytes
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            code, out, err = run(capsys, "verify", suite, "--width", width)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - t0 < 0.5
+        assert peak < 5 << 20
         assert code == 2 and not out
         assert err.startswith("error:") and "enumeration limit" in err
         assert "Traceback" not in err

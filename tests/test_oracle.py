@@ -3,13 +3,16 @@ from fractions import Fraction
 import pytest
 
 import rnarith.floatarith as fa
+import rnarith.oracle as oracle
 import rnarith.verify as verify
 from rnarith.core import DyadicInterval, DyadicRational
 from rnarith.floatarith import RoundingMode, StickyTail
 from rnarith.floatfmt import RNF8, FloatClass, FloatFormat, RnFloat
 from rnarith.oracle import (
+    ENUMERATION_LIMIT,
     VerifyReport,
     check_inclusion,
+    check_space,
     enumerate_div_operands,
     enumerate_fixed,
     enumerate_format,
@@ -37,6 +40,42 @@ class TestEnumerators:
     def test_oversize_guarded(self):
         with pytest.raises(ValueError):
             list(enumerate_fixed(40))
+
+
+class TestEnumerationGuard:
+    """Every fixed sweep asks the guard about its whole case count, not
+    only about the enumerations it draws from."""
+
+    @pytest.mark.parametrize("sweep, args", [
+        *((verify.fixed_add_sweep, (w, v)) for v in ("add", "add_alt", "sub") for w in range(1, 7)),
+        *((f, (w,)) for f in (
+            verify.fixed_mul_sweep, verify.fixed_mul_sign_sweep, verify.double_rounding_sweep,
+            verify.negation_sweep, verify.roundtrip_sweep) for w in range(1, 7)),
+        *((verify.fixed_div_sweep, (p,)) for p in range(1, 5)),
+    ])
+    def test_guard_sees_the_case_count(self, monkeypatch, sweep, args):
+        counts = []
+        check = oracle.check_space
+
+        def recording(what, count, shift=0):
+            counts.append(count << shift)
+            check(what, count, shift)
+
+        monkeypatch.setattr(oracle, "check_space", recording)
+        monkeypatch.setattr(verify, "check_space", recording)
+        rep = sweep(*args)
+        assert rep.cases <= max(counts, default=0) <= 2 * rep.cases
+
+    @pytest.mark.parametrize("count, shift, refused", [
+        (1, 26, False), (1, 27, True), (2, 25, False), (3, 25, True),
+        (ENUMERATION_LIMIT, 0, False), (ENUMERATION_LIMIT + 1, 0, True), (1, 10 ** 10, True),
+    ])
+    def test_limit_is_inclusive(self, count, shift, refused):
+        if refused:
+            with pytest.raises(ValueError, match="enumeration limit"):
+                check_space("space", count, shift)
+        else:
+            check_space("space", count, shift)
 
 
 class TestCheckInclusion:
