@@ -1,16 +1,17 @@
 """Verification sweeps: exhaustive checks of the library against the oracle.
 
 Each sweep runs an operation over an enumerated space, checks its contract
-with independent integer and Fraction arithmetic on raw fields, and returns
-a :class:`~rnarith.oracle.VerifyReport`.  The nearest and directed float
-sweeps judge each result by one contract, :func:`rounding_fault`, on the
-exact value that :func:`_float_exact` states.  These back the test suite
-and the ``verify`` CLI command.
+with independent arithmetic on raw fields, and returns a
+:class:`~rnarith.oracle.VerifyReport`.  The nearest and directed float
+sweeps judge each result in integers by one contract, :func:`rounding_fault`,
+on the exact ``(n, d, k)`` triple of :func:`_float_exact`; a Fraction is
+built only to print a failure.  These back the tests and the ``verify`` command.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterator
 
 from . import fixed, floatarith as fa
@@ -48,7 +49,7 @@ from .oracle import (
 )
 
 # ---------------------------------------------------------------------------
-# independent float helpers (Fraction arithmetic on raw fields only)
+# independent float helpers (integers from raw fields; Fractions only for callers)
 
 
 def _fields(fmt: FloatFormat, word: int) -> tuple[int, int, int, int]:
@@ -81,6 +82,13 @@ def float_value(fmt: FloatFormat, word: int) -> Fraction | None:
     return (w + r) * Fraction(2) ** (scale + 1 - fmt.precision)
 
 
+def _units(fmt: FloatFormat, word: int) -> int | None:
+    """A finite word's value as an integer in units of ``2**(e_min+1-p)``;
+    None for infinities and NaNs."""
+    w, r, scale = _sig(fmt, word)
+    return None if scale > fmt.e_max else (w + r) << (scale - fmt.e_min)
+
+
 def float_ulp(fmt: FloatFormat, word: int) -> Fraction:
     return Fraction(2) ** (_sig(fmt, word)[2] + 1 - fmt.precision)
 
@@ -90,40 +98,40 @@ def _value_class(fmt: FloatFormat, word: int) -> str:
     s, e, f, r = _fields(fmt, word)
     if e == fmt.exp_mask:
         return "nan" if f or r else "-inf" if s else "+inf"
-    return "zero" if float_value(fmt, word) == 0 else "finite"
+    return "zero" if _units(fmt, word) == 0 else "finite"
 
 
-def _floor_log2(x: Fraction) -> int:
-    n, d = x.numerator, x.denominator
-    k = n.bit_length() - d.bit_length()
-    if k >= 0:
-        return k if n >= (d << k) else k - 1
-    return k if (n << -k) >= d else k - 1
+def _representable(fmt: FloatFormat, n: int, d: int, k: int) -> bool:
+    """Can the format hold ``n/d * 2**k`` (``d > 0``) exactly?"""
+    if n == 0:
+        return True
+    g = gcd(n, d)
+    n, d = abs(n) // g, d // g
+    if d & (d - 1):  # an odd factor is left in the denominator
+        return False
+    t = (n & -n).bit_length() - 1  # trailing zero bits of n
+    n, k = n >> t, k + t - (d.bit_length() - 1)  # now |x| = n * 2**k, n odd
+    e = n.bit_length() - 1 + k  # floor(log2(|x|))
+    if e > fmt.e_max:
+        return e == fmt.e_max + 1 and n == 1
+    return k >= max(e, fmt.e_min) + 1 - fmt.precision
 
 
 def representable(x: Fraction, fmt: FloatFormat) -> bool:
     """Can the format hold x exactly?"""
-    if x == 0:
-        return True
-    e = _floor_log2(abs(x))
-    if e > fmt.e_max + 1:
-        return False
-    if e == fmt.e_max + 1:
-        return abs(x) == Fraction(2) ** e
-    grid = Fraction(2) ** (max(e, fmt.e_min) + 1 - fmt.precision)
-    return (x / grid).denominator == 1
+    return _representable(fmt, x.numerator, x.denominator, 0)
 
 
-def _sig_interval(fmt: FloatFormat, word: int) -> tuple[Fraction, Fraction]:
-    """Half-ulp interval of a finite word at full float scale."""
+def _half_interval(fmt: FloatFormat, word: int) -> tuple[int, int]:
+    """Low end and width (half the word's ulp) of a finite word's half-ulp
+    interval, in units of ``2**(e_min-p)``."""
     w, r, scale = _sig(fmt, word)
-    half = Fraction(2) ** (scale - fmt.precision)  # half of the word's scaled ulp
-    lo = (2 * w + r) * half
-    return lo, lo + half
+    return (2 * w + r) << (scale - fmt.e_min), 1 << (scale - fmt.e_min)
 
 
-def _div_reference(fmt: FloatFormat, word_a: int, word_b: int) -> Fraction:
-    """Quotient of the round-bit-extended, divider-normalized operands."""
+def _div_exact(fmt: FloatFormat, word_a: int, word_b: int) -> tuple[int, int, int]:
+    """``(n, d, k)`` with ``d > 0``: the quotient ``n/d * 2**k`` of the
+    round-bit-extended, divider-normalized operands."""
     p = fmt.precision
 
     def prep(word: int) -> tuple[int, int]:
@@ -145,7 +153,17 @@ def _div_reference(fmt: FloatFormat, word_a: int, word_b: int) -> Fraction:
 
     na, ea = prep(word_a)
     nb, eb = prep(word_b)
-    return Fraction(na, nb) * Fraction(2) ** (ea - eb)
+    return (na, nb, ea - eb) if nb > 0 else (-na, -nb, ea - eb)
+
+
+def _div_reference(fmt: FloatFormat, word_a: int, word_b: int) -> Fraction:
+    """Quotient of the round-bit-extended, divider-normalized operands."""
+    return _fraction(_div_exact(fmt, word_a, word_b))
+
+
+def _fraction(exact: tuple[int, int, int] | None) -> Fraction | None:
+    """The value of an exact ``(n, d, k)`` triple; None stays None."""
+    return None if exact is None else Fraction(*exact[:2]) * Fraction(2) ** exact[2]
 
 
 # ---------------------------------------------------------------------------
@@ -347,24 +365,28 @@ _FLOAT_OPS = {
 
 
 def _float_exact(fmt: FloatFormat, op: str, wa: int, wb: int,
-                 va: Fraction | None, vb: Fraction | None) -> Fraction | None:
+                 va: int | None, vb: int | None) -> tuple[int, int, int] | None:
+    """Exact ``a op b`` from the operands' ``_units`` as ``(n, d, k)``, meaning
+    ``n/d * 2**k`` with ``d > 0``; None if not finite or divided by zero."""
     if va is None or vb is None:
         return None
+    u = fmt.e_min + 1 - fmt.precision
     if op == "add":
-        return va + vb
+        return va + vb, 1, u
     if op == "mul":
-        return va * vb
+        return va * vb, 1, 2 * u
     if vb == 0:
         return None
     if va == 0:
-        return Fraction(0)
-    return _div_reference(fmt, wa, wb)
+        return 0, 1, 0
+    return _div_exact(fmt, wa, wb)
 
 
-def rounding_fault(fmt: FloatFormat, exact: Fraction, mode: fa.RoundingMode,
+def rounding_fault(fmt: FloatFormat, exact: tuple[int, int, int], mode: fa.RoundingMode,
                    word: int, inexact: bool) -> str | None:
     """The float rounding contract: None if ``word``, flagged ``inexact``,
-    correctly rounds ``exact`` in ``mode``, else the first clause it breaks.
+    correctly rounds the ``_float_exact`` triple ``exact`` in ``mode``, else
+    the first clause it breaks.  Every clause compares integers.
 
     Overflow: only the infinity of exact's sign, flagged inexact, and only
     when ``|exact| >= 2**(e_max+1)``.  Sticky flag: ``value != exact``, in
@@ -372,14 +394,16 @@ def rounding_fault(fmt: FloatFormat, exact: Fraction, mode: fa.RoundingMode,
     returned exactly, and the round bit set exactly when the value lies
     above ``exact``.  Directed: on the mode's side and less than an ulp away.
     """
+    n, d, k = exact
     w, r, scale = _sig(fmt, word)
     if scale > fmt.e_max:  # all-ones exponent field
-        ok = _value_class(fmt, word) == ("-inf" if exact < 0 else "+inf") and inexact
-        return None if ok and abs(exact) >= Fraction(2) ** (fmt.e_max + 1) else "overflow"
-    # value - exact and the word's ulp 2**k, as integers over one denominator
-    k = scale + 1 - fmt.precision
-    n, d = exact.numerator, exact.denominator
-    diff, ulp = (((w + r) * d << k) - n, d << k) if k >= 0 else ((w + r) * d - (n << -k), d)
+        ok = _value_class(fmt, word) == ("-inf" if n < 0 else "+inf") and inexact
+        t = k - fmt.e_max - 1  # |exact| >= 2**(e_max+1) as |n| * 2**t >= d
+        return None if ok and abs(n) << max(t, 0) >= d << max(-t, 0) else "overflow"
+    # value - exact and the word's ulp 2**(k + s), as integers over d * 2**min(k, k + s)
+    s = scale + 1 - fmt.precision - k
+    ulp = d << s if s >= 0 else d
+    diff = (w + r) * ulp - (n if s >= 0 else n << -s)
     if inexact != (diff != 0):
         return "sticky flag"
     if diff == 0:
@@ -387,7 +411,7 @@ def rounding_fault(fmt: FloatFormat, exact: Fraction, mode: fa.RoundingMode,
     if mode is fa.RoundingMode.NEAREST:
         if 2 * abs(diff) > ulp:
             return "half ulp"
-        if representable(exact, fmt):
+        if _representable(fmt, n, d, k):
             return "exact value"
         return "round-bit direction" if w + r != 0 and (r == 1) != (diff > 0) else None
     # rz goes down and ra up from a positive exact value, the other way from
@@ -403,12 +427,12 @@ def rounding_fault(fmt: FloatFormat, exact: Fraction, mode: fa.RoundingMode,
     return "one ulp" if abs(diff) >= ulp else None
 
 
-def _operand_pairs(fmt: FloatFormat) -> Iterator[tuple[RnFloat, RnFloat, Fraction | None, Fraction | None]]:
-    """Every operand pair with both exact values (None when not finite)."""
+def _operand_pairs(fmt: FloatFormat) -> Iterator[tuple[RnFloat, RnFloat, int | None, int | None]]:
+    """Every operand pair with both ``_units`` values (None when not finite)."""
     check_space(f"{fmt.name or 'format'} operand pairs", 1, 2 * fmt.total_bits)
     n = 1 << fmt.total_bits
     words = [RnFloat(fmt, w) for w in range(n)]
-    values = [float_value(fmt, w) for w in range(n)]
+    values = [_units(fmt, w) for w in range(n)]
     return (
         (words[wa], words[wb], values[wa], values[wb])
         for wa in range(n)
@@ -435,7 +459,7 @@ def float_nearest_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
         else:
             fault = rounding_fault(fmt, exact, fa.RoundingMode.NEAREST, out.word, sticky.nonzero)
         if fault:
-            rep.record(f"{a.word:#x},{b.word:#x}", f"{fault} ({exact})", f"{out.word:#x}")
+            rep.record(f"{a.word:#x},{b.word:#x}", f"{fault} ({_fraction(exact)})", f"{out.word:#x}")
     return rep.done()
 
 
@@ -459,7 +483,7 @@ def float_directed_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
             fault = ("unchanged" if not sticky.nonzero and out != near
                      else rounding_fault(fmt, exact, mode, out.word, out_sticky.nonzero))
             if fault:
-                rep.record(f"{a.word:#x},{b.word:#x},{mode.value}", f"{fault} ({exact})", f"{out.word:#x}")
+                rep.record(f"{a.word:#x},{b.word:#x},{mode.value}", f"{fault} ({_fraction(exact)})", f"{out.word:#x}")
     return rep.done()
 
 
@@ -485,7 +509,7 @@ def float_sign_symmetry_sweep(fmt: FloatFormat, op: str,
         out, sticky = func(float_negate(a), float_negate(b) if op == "add" else b, mode)
         ref, ref_sticky = func(a, b, _MIRROR.get(mode, mode))
         want = float_negate(ref)
-        if float_value(fmt, ref.word) in (None, 0):
+        if _units(fmt, ref.word) in (None, 0):
             ok = _value_class(fmt, out.word) == _value_class(fmt, want.word)
         else:
             ok = out == want
@@ -510,15 +534,14 @@ def far_shortcut_sweep(fmt: FloatFormat) -> VerifyReport:
             continue
         rep.cases += 1
         out = fa.far_shortcut(a, b)
-        lo_r, hi_r = _sig_interval(fmt, out.word)
-        lo_a, hi_a = _sig_interval(fmt, a.word)
-        half = float_ulp(fmt, a.word) / 2
-        lo_b, hi_b = (Fraction(0), half) if vb > 0 else (-half, Fraction(0))
-        vo = float_value(fmt, out.word)
+        # half is u/2 in the intervals' units of 2**(e_min-p), and u in _units
+        lo_r, width_r = _half_interval(fmt, out.word)
+        lo_a, half = _half_interval(fmt, a.word)
+        lo_b, hi_b = (0, half) if vb > 0 else (-half, 0)
         ok = (
             lo_a + lo_b <= lo_r
-            and hi_r <= hi_a + hi_b
-            and abs(vo - (va + vb)) < float_ulp(fmt, a.word)
+            and lo_r + width_r <= lo_a + half + hi_b
+            and abs(_units(fmt, out.word) - va - vb) < half
         )
         if not ok:
             rep.record(f"{a.word:#x},{b.word:#x}", "shortcut soundness", f"{out.word:#x}")
@@ -532,16 +555,15 @@ def float_negate_sweep(fmt: FloatFormat) -> VerifyReport:
     flipped = {"nan": "nan", "+inf": "-inf", "-inf": "+inf"}
     for f in enumerate_format(fmt):
         rep.cases += 1
-        v = float_value(fmt, f.word)
+        v = _units(fmt, f.word)
         out = float_negate(f)
         if v is None:
             ok = _value_class(fmt, out.word) == flipped[_value_class(fmt, f.word)]
         else:
-            vo = float_value(fmt, out.word)
-            ok = vo == -v
+            ok = _units(fmt, out.word) == -v
             if ok:
                 back = float_negate(out)
-                ok = back == f if v != 0 else float_value(fmt, back.word) == 0
+                ok = back == f if v != 0 else _units(fmt, back.word) == 0
         if not ok:
             rep.record(f"{f.word:#x}", "negation", f"{out.word:#x}")
     return rep.done()

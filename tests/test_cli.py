@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -315,3 +319,11 @@ class TestLiteralRoundTrips:
             zero = RnFixed(0, x.width, 0, x.lsb_exp)
             _, out, _ = run(capsys, "eval", f"{text} + {format_literal(zero)}")
             assert parse_literal(out.split()[0]) == add(x, zero)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "rnarith", "convert", "1", "--to", "decimal"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")

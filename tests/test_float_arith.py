@@ -23,7 +23,7 @@ from rnarith.floatfmt import (
     unpack,
     value_of_float,
 )
-from rnarith.verify import _float_exact, float_value, rounding_fault
+from rnarith.verify import _float_exact, _units, rounding_fault
 
 ONE = RnFloat(RNF8, 0x30)
 TWO = RnFloat(RNF8, 0x40)
@@ -104,7 +104,7 @@ class TestFaddBasics:
         assert finite_value(fadd(float_negate(eight), float_negate(eight))) == -16
 
     def test_half_ulp_sample(self):
-        values = [float_value(RNF8, w) for w in range(256)]
+        values = [_units(RNF8, w) for w in range(256)]
         for wa in range(0, 256, 7):
             for wb in range(0, 256, 5):
                 exact = _float_exact(RNF8, "add", wa, wb, values[wa], values[wb])
@@ -135,7 +135,8 @@ class TestNearFarPaths:
                     continue
                 exact = va + vb
                 out, sticky = fadd_with_sticky(a, b)
-                assert rounding_fault(RNF8, exact, RoundingMode.NEAREST, out.word, sticky.nonzero) is None
+                triple = (exact.numerator, exact.denominator, 0)
+                assert rounding_fault(RNF8, triple, RoundingMode.NEAREST, out.word, sticky.nonzero) is None
                 # with true cancellation nothing can be dropped
                 if exact != 0 and abs(exact) < Fraction(2) ** min(ea, eb):
                     assert not sticky.nonzero
@@ -351,7 +352,7 @@ class TestWiderFormats:
             for _ in range(1200):
                 wa, wb = rng.randrange(n), rng.randrange(n)
                 a, b = RnFloat(fmt, wa), RnFloat(fmt, wb)
-                va, vb = float_value(fmt, wa), float_value(fmt, wb)
+                va, vb = _units(fmt, wa), _units(fmt, wb)
                 for name, fn in ops:
                     exact = _float_exact(fmt, name, wa, wb, va, vb)
                     if exact is None:

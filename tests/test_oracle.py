@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import rnarith.oracle as oracle
 import rnarith.verify as verify
 from rnarith.core import DyadicInterval, DyadicRational
 from rnarith.floatarith import RoundingMode, StickyTail
-from rnarith.floatfmt import RNF8, FloatClass, FloatFormat, RnFloat
+from rnarith.floatfmt import RNF8, RNF16, RNF32, RNF64, FloatClass, FloatFormat, RnFloat
 from rnarith.oracle import (
     ENUMERATION_LIMIT,
     VerifyReport,
@@ -117,6 +118,17 @@ def _is_inf(out):
     return out in (out.fmt.inf(0), out.fmt.inf(1))
 
 
+def _flip_round_bit(when):
+    """A sink fault: flip the round bit of a finite result for which
+    ``when(value, inexact, mode)`` holds."""
+    def fault(out, s, fmt, mode):
+        v = verify.float_value(fmt, out.word)
+        flip = v is not None and when(v, s.nonzero, mode)
+        return (RnFloat(fmt, out.word ^ 1) if flip else out), s
+
+    return fault
+
+
 def _float_sweep_failures(fmt):
     """Failure counts of the nearest, then the directed, add/mul/div sweeps."""
     return [
@@ -166,37 +178,147 @@ class TestSweepsCatchFaults:
         _plant(monkeypatch, flip)
         assert _float_sweep_failures(SMALL) == [0, 0, 0, 8464, 8464, 8464]
 
+    def test_inexact_nearest_round_bit_flipped(self, monkeypatch):
+        _plant(monkeypatch, _flip_round_bit(lambda v, inexact, mode: inexact and mode is RoundingMode.NEAREST))
+        assert _float_sweep_failures(SMALL) == [0, 352, 1188, 0, 0, 0]
+
+    def test_inexact_directed_round_bit_flipped(self, monkeypatch):
+        _plant(monkeypatch, _flip_round_bit(lambda v, inexact, mode: inexact and mode is not RoundingMode.NEAREST))
+        assert _float_sweep_failures(SMALL) == [0, 0, 0, 1536, 3136, 5456]
+
+    def test_exact_nonzero_round_bit_flipped(self, monkeypatch):
+        _plant(monkeypatch, _flip_round_bit(lambda v, inexact, mode: not inexact and v != 0))
+        assert _float_sweep_failures(SMALL) == [1288, 784, 548, 5152, 3136, 2192]
+
 
 class TestRoundingFault:
     """Each clause of the contract on rnf8 words: finite ones around 17/8
     (ulp 1/4), +inf (0x70) and a NaN (0x71)."""
 
     @pytest.mark.parametrize("exact, mode, word, inexact, clause", [
-        (Fraction(2), RoundingMode.NEAREST, 0x40, False, None),         # 2, exact
-        (Fraction(2), RoundingMode.NEAREST, 0x40, True, "sticky flag"),
-        (Fraction(17, 8), RoundingMode.NEAREST, 0x41, True, None),      # 9/4, r=1 above
-        (Fraction(17, 8), RoundingMode.NEAREST, 0x40, True, None),      # 2, r=0 below
-        (Fraction(17, 8), RoundingMode.NEAREST, 0x42, True, "round-bit direction"),  # 9/4, r=0
-        (Fraction(17, 8), RoundingMode.NEAREST, 0x44, True, "half ulp"),  # 5/2
-        (Fraction(15, 8), RoundingMode.NEAREST, 0x40, True, "exact value"),  # 15/8 is 0x3e
-        (Fraction(17, 8), RoundingMode.UPWARD, 0x41, True, None),
-        (Fraction(17, 8), RoundingMode.DOWNWARD, 0x41, True, "directed side"),
-        (Fraction(17, 8), RoundingMode.TOWARD_ZERO, 0x40, True, None),
-        (Fraction(17, 8), RoundingMode.AWAY_FROM_ZERO, 0x40, True, "directed side"),
-        (Fraction(17, 8), RoundingMode.UPWARD, 0x44, True, "one ulp"),
-        (Fraction(16), RoundingMode.NEAREST, 0x70, True, None),         # +inf from the edge 2**(e_max+1)
-        (Fraction(100), RoundingMode.TOWARD_ZERO, 0x70, True, None),
-        (Fraction(15), RoundingMode.NEAREST, 0x70, True, "overflow"),
-        (Fraction(-100), RoundingMode.NEAREST, 0x70, True, "overflow"),
-        (Fraction(100), RoundingMode.NEAREST, 0x70, False, "overflow"),
-        (Fraction(100), RoundingMode.NEAREST, 0x71, True, "overflow"),  # NaN
-        (Fraction(-17, 8), RoundingMode.TOWARD_ZERO, 0xCF, True, None),  # -2
-        (Fraction(-17, 8), RoundingMode.TOWARD_ZERO, 0xCE, True, "directed side"),  # -9/4
-        (Fraction(-17, 8), RoundingMode.AWAY_FROM_ZERO, 0xCE, True, None),
-        (Fraction(-17, 8), RoundingMode.AWAY_FROM_ZERO, 0xCF, True, "directed side"),
+        ((2, 1, 0), RoundingMode.NEAREST, 0x40, False, None),         # 2, exact
+        ((2, 1, 0), RoundingMode.NEAREST, 0x40, True, "sticky flag"),
+        ((17, 8, 0), RoundingMode.NEAREST, 0x41, True, None),      # 9/4, r=1 above
+        ((17, 8, 0), RoundingMode.NEAREST, 0x40, True, None),      # 2, r=0 below
+        ((17, 8, 0), RoundingMode.NEAREST, 0x42, True, "round-bit direction"),  # 9/4, r=0
+        ((17, 8, 0), RoundingMode.NEAREST, 0x44, True, "half ulp"),  # 5/2
+        ((15, 8, 0), RoundingMode.NEAREST, 0x40, True, "exact value"),  # 15/8 is 0x3e
+        ((17, 8, 0), RoundingMode.UPWARD, 0x41, True, None),
+        ((17, 8, 0), RoundingMode.DOWNWARD, 0x41, True, "directed side"),
+        ((17, 8, 0), RoundingMode.TOWARD_ZERO, 0x40, True, None),
+        ((17, 8, 0), RoundingMode.AWAY_FROM_ZERO, 0x40, True, "directed side"),
+        ((17, 8, 0), RoundingMode.UPWARD, 0x44, True, "one ulp"),
+        ((16, 1, 0), RoundingMode.NEAREST, 0x70, True, None),         # +inf from the edge 2**(e_max+1)
+        ((100, 1, 0), RoundingMode.TOWARD_ZERO, 0x70, True, None),
+        ((15, 1, 0), RoundingMode.NEAREST, 0x70, True, "overflow"),
+        ((-100, 1, 0), RoundingMode.NEAREST, 0x70, True, "overflow"),
+        ((100, 1, 0), RoundingMode.NEAREST, 0x70, False, "overflow"),
+        ((100, 1, 0), RoundingMode.NEAREST, 0x71, True, "overflow"),  # NaN
+        ((-17, 8, 0), RoundingMode.TOWARD_ZERO, 0xCF, True, None),  # -2
+        ((-17, 8, 0), RoundingMode.TOWARD_ZERO, 0xCE, True, "directed side"),  # -9/4
+        ((-17, 8, 0), RoundingMode.AWAY_FROM_ZERO, 0xCE, True, None),
+        ((-17, 8, 0), RoundingMode.AWAY_FROM_ZERO, 0xCF, True, "directed side"),
     ])
     def test_clause(self, exact, mode, word, inexact, clause):
         assert verify.rounding_fault(RNF8, exact, mode, word, inexact) == clause
+        # the same value in other spellings of n/d * 2**k: a common odd
+        # factor, and powers of two moved between n, d and k
+        n, d, k = exact
+        for spelling in ((3 * n, 3 * d, k), (n << 5, d, k - 5), (n, d << 4, k + 4), (n << 3, d << 1, k - 2)):
+            assert verify.rounding_fault(RNF8, spelling, mode, word, inexact) == clause
+
+    def test_failure_text_shows_the_exact_fraction(self, monkeypatch):
+        _plant(monkeypatch, _flip_round_bit(lambda v, inexact, mode: inexact and mode is RoundingMode.NEAREST))
+        inputs, want, got = verify.float_nearest_sweep(SMALL, "mul").failures[0]
+        wa, wb = (int(w, 16) for w in inputs.split(","))
+        exact = verify.float_value(SMALL, wa) * verify.float_value(SMALL, wb)
+        assert want in (f"{clause} ({exact})" for clause in ("half ulp", "round-bit direction"))
+        assert "/" in want and "," not in want  # a fraction, not a raw (n, d, k) tuple
+
+
+def _fraction_representable(x, fmt):
+    """``representable`` stated in Fractions: floor(log2(|x|)), then the grid
+    of that binade."""
+    if x == 0:
+        return True
+    n, d = abs(x).numerator, abs(x).denominator
+    e = n.bit_length() - d.bit_length()
+    if n << max(-e, 0) < d << max(e, 0):
+        e -= 1
+    if e > fmt.e_max + 1:
+        return False
+    if e == fmt.e_max + 1:
+        return abs(x) == Fraction(2) ** e
+    grid = Fraction(2) ** (max(e, fmt.e_min) + 1 - fmt.precision)
+    return (x / grid).denominator == 1
+
+
+def _check_exact_triples(fmt, pairs):
+    """``_float_exact``'s ``(n, d, k)`` is the Fraction statement of the
+    exact value, and the integer ``representable`` agrees with its Fraction
+    restatement on it."""
+    for wa, wb in pairs:
+        va, vb = verify.float_value(fmt, wa), verify.float_value(fmt, wb)
+        ua, ub = verify._units(fmt, wa), verify._units(fmt, wb)
+        assert (ua is None) == (va is None) and (ub is None) == (vb is None)
+        for op in ("add", "mul", "div"):
+            exact = verify._float_exact(fmt, op, wa, wb, ua, ub)
+            if va is None or vb is None or (op == "div" and vb == 0):
+                assert exact is None
+                continue
+            n, d, k = exact
+            assert d > 0
+            x = Fraction(n, d) * Fraction(2) ** k
+            if op == "add":
+                assert x == va + vb
+            elif op == "mul":
+                assert x == va * vb
+            else:
+                # a zero dividend's quotient is 0; the divider's reference
+                # is not, for the all-ones spelling of zero
+                assert x == (verify._div_reference(fmt, wa, wb) if va != 0 else 0)
+            assert verify._representable(fmt, n, d, k) == _fraction_representable(x, fmt)
+            assert verify.representable(x, fmt) == _fraction_representable(x, fmt)
+
+
+class TestIntegerOracle:
+    """The integer oracle states the same values as Fraction arithmetic."""
+
+    @pytest.mark.parametrize("fmt", [RNF8, SMALL], ids=["rnf8", "e2p3"])
+    def test_exact_triples_every_pair(self, fmt):
+        n = 1 << fmt.total_bits
+        _check_exact_triples(fmt, ((wa, wb) for wa in range(n) for wb in range(n)))
+
+    @pytest.mark.parametrize("fmt", [RNF16, RNF32, RNF64], ids=lambda f: f.name)
+    def test_exact_triples_seeded_pairs(self, fmt):
+        # half uniform pairs, half pairs of nearby words (cancellation and
+        # representable sums)
+        rng = random.Random(2011)
+        n = 1 << fmt.total_bits
+        pairs = []
+        for _ in range(1000):
+            wa = rng.randrange(n)
+            pairs += [(wa, rng.randrange(n)), (wa, wa ^ rng.randrange(1 << 6) ^ (rng.getrandbits(1) << (fmt.total_bits - 1)))]
+        _check_exact_triples(fmt, pairs)
+
+    def test_float_sweeps_build_no_fraction(self, monkeypatch):
+        built = []
+
+        class Counting(Fraction):
+            def __new__(cls, *args, **kwargs):
+                built.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "Fraction", Counting)
+        reports = [
+            sweep(SMALL, op)
+            for sweep in (verify.float_nearest_sweep, verify.float_directed_sweep)
+            for op in ("add", "mul", "div")
+        ]
+        assert all(rep.cases and rep.passed for rep in reports)
+        assert built == []
+        verify.float_value(SMALL, 0x10)  # the counter does see verify's Fractions
+        assert built
 
 
 class TestVerifyReport:
