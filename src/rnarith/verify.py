@@ -1,11 +1,11 @@
 """Verification sweeps: exhaustive checks of the library against the oracle.
 
-Each sweep runs an operation over an enumerated space, checks its contract
-with independent arithmetic on raw fields, and returns a
-:class:`~rnarith.oracle.VerifyReport`.  The nearest and directed float
-sweeps judge each result in integers by one contract, :func:`rounding_fault`,
-on the exact ``(n, d, k)`` triple of :func:`_float_exact`; a Fraction is
-built only to print a failure.  These back the tests and the ``verify`` command.
+Each sweep runs an operation over an enumerated space, judges its contract
+in integer arithmetic on the raw fields (the float rounding contract is
+:func:`rounding_fault` on the exact ``(n, d, k)`` triple of
+:func:`_float_exact`), and returns a :class:`~rnarith.oracle.VerifyReport`.
+No sweep builds a Fraction except to print a failure.  These back the tests
+and the ``verify`` command.
 """
 
 from __future__ import annotations
@@ -76,10 +76,8 @@ def _sig(fmt: FloatFormat, word: int) -> tuple[int, int, int]:
 def float_value(fmt: FloatFormat, word: int) -> Fraction | None:
     """Exact value of a finite word straight from the layout; None for
     infinities and NaNs."""
-    w, r, scale = _sig(fmt, word)
-    if scale > fmt.e_max:  # all-ones exponent field
-        return None
-    return (w + r) * Fraction(2) ** (scale + 1 - fmt.precision)
+    units = _units(fmt, word)
+    return None if units is None else _fraction((units, 1, fmt.e_min + 1 - fmt.precision))
 
 
 def _units(fmt: FloatFormat, word: int) -> int | None:
@@ -137,6 +135,8 @@ def _div_exact(fmt: FloatFormat, word_a: int, word_b: int) -> tuple[int, int, in
     def prep(word: int) -> tuple[int, int]:
         """Signed extended word of the operand, normalized, and its scale."""
         w, r, scale = _sig(fmt, word)
+        if w + r == 0:  # either spelling of zero, all ones included
+            return 0, scale
         sign = 1
         if w + r < 0:
             w, r, sign = -w - 1, 1 - r, -1
@@ -202,30 +202,28 @@ def fixed_add_sweep(width: int, variant: str = "add") -> VerifyReport:
     return rep.done()
 
 
-def _zero_pair(a: RnFixed, b: RnFixed) -> bool:
-    return (a.bits, a.round) == (0, 0) and (b.bits, b.round) == (0, 0)
-
-
 def fixed_mul_sweep(width: int) -> VerifyReport:
-    """Value exactness for all sign combinations; interval inclusion for
-    nonnegative words (the all-zero pair is excluded: no zero encoding's
-    interval fits inside [0, u*u/4])."""
+    """Value exactness for all sign combinations; for nonnegative words, the
+    result's ``[2*l, 2*l + 2]`` inside ``[la*lb, (la+1)*(lb+1)]`` (quarter
+    ulps, ``l = 2*bits + round``), except for the all-zero pair: no zero
+    encoding's interval fits inside [0, u*u/4]."""
     rep = VerifyReport("mul", f"width={width}")
     check_space(f"{rep.op} {rep.space}", 1, 2 * width + 2)
     encs = list(enumerate_fixed(width))
     for a in encs:
-        va = value_of(a).to_fraction()
+        va = a.bits + a.round
+        la = 2 * a.bits + a.round
         for b in encs:
             rep.cases += 1
             out = fixed.mul(a, b)
-            want = va * value_of(b).to_fraction()
-            got = value_of(out).to_fraction()
-            if got != want:
-                rep.record(f"{a},{b}", str(want), str(got))
+            want = va * (b.bits + b.round)
+            if out.bits + out.round != want or out.lsb_exp != a.lsb_exp + b.lsb_exp:
+                rep.record(f"{a},{b}", str(want), str(out))
                 continue
-            if a.bits >= 0 and b.bits >= 0 and not _zero_pair(a, b):
-                if not check_inclusion(interval_of(out), interval_of(a), interval_of(b)):
-                    rep.record(f"{a},{b}", "interval inclusion", "violated")
+            lb, lo = 2 * b.bits + b.round, 2 * out.bits + out.round
+            inside = la * lb <= 2 * lo and 2 * lo + 2 <= (la + 1) * (lb + 1)
+            if a.bits >= 0 and b.bits >= 0 and (la or lb) and not inside:
+                rep.record(f"{a},{b}", "interval inclusion", str(out))
     return rep.done()
 
 
@@ -255,35 +253,31 @@ def fixed_div_sweep(p: int) -> VerifyReport:
     grid; and the round bit must agree with the sign of the remaining
     remainder."""
     rep = VerifyReport("div", f"p={p}")
-    pairs = enumerate_div_operands(p)
-    u = Fraction(1, 1 << p)
+    pairs = enumerate_div_operands(p)  # refuses an oversized p before 2**p is built
+    g = 1 << (p + 2)  # the approximation's grid: steps of 1/g = u/4, u = 2**-p
     for x, y in pairs:
         rep.cases += 1
+        # operands are n and d half-ulps; their quotient is q = n/d
         n = 2 * x.bits + x.round
         d = 2 * y.bits + y.round
-        q = Fraction(n, d)
-        lo = Fraction(n, 1 << (p + 1)) / (Fraction(d, 1 << (p + 1)) + u / 2)
-        hi = (Fraction(n, 1 << (p + 1)) + u / 2) / Fraction(d, 1 << (p + 1))
-        q_approx = Fraction((2 * (n << (p + 2)) + d) // (2 * d), 1 << (p + 2))
-        t_ref, rem_ref = divmod(n << (p + 2), d)
+        t_approx = (2 * n * g + d) // (2 * d)  # q_approx = t_approx / g
+        t_ref, rem_ref = divmod(n * g, d)
         out = fixed.div(x, y, p)
         quot = out.quotient
-        if n >= d:
-            expect = RnFixed(t_ref >> 2, p + 2, (t_ref >> 1) & 1, -p)
-        else:
-            expect = RnFixed(t_ref >> 1, p + 2, t_ref & 1, -p - 1)
+        s = int(n >= d)  # a quotient of at least one keeps one fractional bit fewer
+        expect = RnFixed(t_ref >> (1 + s), p + 2, (t_ref >> s) & 1, s - p - 1)
+        # n/(d+1) < q_approx < (n+1)/d and |q_approx - q| < u/4, cross-multiplied
         ok = (
             quot == expect
             and out.exact == (rem_ref == 0)
-            and lo < q_approx < hi
-            and abs(q_approx - q) < u / 4
+            and n * g < t_approx * (d + 1)
+            and t_approx * d < (n + 1) * g
+            and abs(t_approx * d - n * g) < d
         )
         if ok:
-            vq = value_of(quot).to_fraction()
-            if quot.round == 1:
-                ok = q - vq <= 0
-            else:
-                ok = q - vq >= 0
+            # (value - q) * d * 2**-lsb_exp: >= 0 for round bit 1, <= 0 for 0
+            above = (quot.bits + quot.round) * d - (n << -quot.lsb_exp)
+            ok = above >= 0 if quot.round else above <= 0
         if not ok:
             rep.record(f"{x},{y}", "divider contract", str(quot))
     return rep.done()
@@ -313,8 +307,9 @@ def negation_sweep(max_width: int) -> VerifyReport:
         for x in enumerate_fixed(width):
             rep.cases += 1
             nx = negate(x)
-            if negate(nx) != x or value_of(nx) != -value_of(x):
-                rep.record(str(x), str(-value_of(x).to_fraction()), str(value_of(nx)))
+            s = nx.lsb_exp - x.lsb_exp  # values compare at any lsb exponent
+            if negate(nx) != x or (nx.bits + nx.round) << max(s, 0) != -(x.bits + x.round) << max(-s, 0):
+                rep.record(str(x), "negation", str(nx))
     return rep.done()
 
 
@@ -328,7 +323,7 @@ def roundtrip_sweep(width: int) -> VerifyReport:
         sd = booth_recode(word, width)
         ok = (
             validate_rn(sd)
-            and sd.value().to_fraction() == word
+            and sum(d << i for i, d in enumerate(reversed(sd.digits))) == word
             and canonical_of_sd(sd) == RnFixed(word, width, 0, 0)
         )
         if not ok:
@@ -347,8 +342,7 @@ def roundtrip_sweep(width: int) -> VerifyReport:
         )
         if ok and x.bits + x.round != 0:
             last = next(d for d in reversed(sd.digits) if d != 0)
-            claim = tail_digit_sign(x)
-            ok = (claim is TailSign.ROUNDED_UP) == (last == 1)
+            ok = (tail_digit_sign(x) is TailSign.ROUNDED_UP) == (last == 1)
         if not ok:
             rep.record(str(x), "round trip", str(sd))
     return rep.done()
@@ -375,11 +369,16 @@ def _float_exact(fmt: FloatFormat, op: str, wa: int, wb: int,
         return va + vb, 1, u
     if op == "mul":
         return va * vb, 1, 2 * u
-    if vb == 0:
-        return None
-    if va == 0:
-        return 0, 1, 0
-    return _div_exact(fmt, wa, wb)
+    return None if vb == 0 else _div_exact(fmt, wa, wb)
+
+
+_DIRECTED_MODES = tuple(fa.RoundingMode)[1:]  # ru, rd, rz, ra
+
+
+def _rounds_up(negative: bool) -> tuple[bool, bool, bool, bool]:
+    """Whether ru, rd, rz and ra round up from an exact value of this sign
+    (rz rounds toward zero, ra away from it)."""
+    return True, False, negative, not negative
 
 
 def rounding_fault(fmt: FloatFormat, exact: tuple[int, int, int], mode: fa.RoundingMode,
@@ -414,15 +413,7 @@ def rounding_fault(fmt: FloatFormat, exact: tuple[int, int, int], mode: fa.Round
         if _representable(fmt, n, d, k):
             return "exact value"
         return "round-bit direction" if w + r != 0 and (r == 1) != (diff > 0) else None
-    # rz goes down and ra up from a positive exact value, the other way from
-    # a negative one; n carries exact's sign
-    if mode is fa.RoundingMode.TOWARD_ZERO:
-        up = n < 0
-    elif mode is fa.RoundingMode.AWAY_FROM_ZERO:
-        up = n > 0
-    else:
-        up = mode is fa.RoundingMode.UPWARD
-    if (diff > 0) != up:
+    if (diff > 0) != _rounds_up(n < 0)[_DIRECTED_MODES.index(mode)]:  # n carries exact's sign
         return "directed side"
     return "one ulp" if abs(diff) >= ulp else None
 
@@ -463,24 +454,31 @@ def float_nearest_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
     return rep.done()
 
 
-_DIRECTED_MODES = tuple(fa.RoundingMode)[1:]  # ru, rd, rz, ra
-
-
 def float_directed_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
     """Directed modes over every pair with a finite exact value: the
-    rounding contract (``rounding_fault``) in each mode, and bit identity
-    with nearest when nearest dropped nothing."""
+    rounding contract (``rounding_fault``) in each mode, and round-bit
+    substitution.  The directed word is the nearest word when that is exact
+    or not finite (overflow saturates in every mode); else the nearest word
+    with bit 0 set when the mode rounds up (``_rounds_up``), starting from
+    the all-ones zero for a nearest zero of a negative exact value, and a
+    spelling of value 0 is the canonical zero."""
     func, name = _FLOAT_OPS[op]
     rep = VerifyReport(f"{name}-directed", f"format={fmt.name}")
+    ones = (1 << (fmt.total_bits - 1)) | ((1 << fmt.precision) - 1)  # zero: all ones but the exponent
     for a, b, va, vb in _operand_pairs(fmt):
         exact = _float_exact(fmt, op, a.word, b.word, va, vb)
         if exact is None:
             continue
         near, sticky = func(a, b)
-        for mode in _DIRECTED_MODES:
+        wants = (near.word,) * 4
+        if sticky.nonzero and (near.word >> fmt.precision) & fmt.exp_mask != fmt.exp_mask:
+            base = ones - 1 if exact[0] < 0 and near.word in (0, ones) else near.word & ~1
+            words = (base | up for up in _rounds_up(exact[0] < 0))
+            wants = tuple(0 if word == ones else word for word in words)
+        for mode, want in zip(_DIRECTED_MODES, wants):
             rep.cases += 1
             out, out_sticky = func(a, b, mode)
-            fault = ("unchanged" if not sticky.nonzero and out != near
+            fault = ("substitution" if out.word != want
                      else rounding_fault(fmt, exact, mode, out.word, out_sticky.nonzero))
             if fault:
                 rep.record(f"{a.word:#x},{b.word:#x},{mode.value}", f"{fault} ({_fraction(exact)})", f"{out.word:#x}")
@@ -580,13 +578,14 @@ def pack_unpack_sweep(fmt: FloatFormat) -> VerifyReport:
             rep.record(f"{f.word:#x}", "round trip", str(u))
             continue
         v = value_of_float(f)
-        ref = float_value(fmt, f.word)
-        if ref is None:
+        units = _units(fmt, f.word)
+        e = fmt.e_min + 1 - fmt.precision  # units count 2**e; compare at the lower exponent
+        if units is None:
             want = FloatClass.NAN if _value_class(fmt, f.word) == "nan" else FloatClass.INFINITY
             if v is not want:
                 rep.record(f"{f.word:#x}", str(want), str(v))
-        elif v.to_fraction() != ref:
-            rep.record(f"{f.word:#x}", str(ref), str(v))
+        elif isinstance(v, FloatClass) or v.mantissa << max(v.exp - e, 0) != units << max(e - v.exp, 0):
+            rep.record(f"{f.word:#x}", str(float_value(fmt, f.word)), str(v))
     return rep.done()
 
 

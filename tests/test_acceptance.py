@@ -1,9 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Every sweep compares the library against independent arithmetic computed
-from raw fields (integers for the float sweeps, Fractions for some fixed
-ones); a criterion passes only with zero failures inside its stated runtime
-budget.
+Every sweep compares the library against independent integer arithmetic on
+raw fields; a criterion passes only with zero failures inside its stated
+runtime budget.
 """
 
 import time

@@ -219,10 +219,20 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "fixed-mul", "--width", "4")
         assert code == 0 and "PASS" in out
 
-    def test_float_negate_suite(self, capsys):
-        code, out, _ = run(capsys, "verify", "float-negate", "--format", "rnf8")
+    @pytest.mark.parametrize("argv, statuses", [
+        (("fixed-mul", "--width", "6"), ["PASS 16384 0", "PASS 16384 0"]),  # mul, mul-sign
+        (("fixed-div", "--width", "5"), ["PASS 4096 0"]),
+        (("fixed-negate", "--width", "12"), ["PASS 16376 0"]),
+        (("float-roundtrip", "--format", "rnf8"), ["PASS 256 0"]),
+        (("float-negate", "--format", "rnf8"), ["PASS 256 0"]),
+    ], ids=["fixed-mul-6", "fixed-div-5", "fixed-negate-12", "float-roundtrip-rnf8", "float-negate-rnf8"])
+    def test_suite_passes_its_case_count(self, capsys, argv, statuses):
+        # a dropped case cannot pass as PASS: each report's status line pins
+        # its case and failure counts (the elapsed time is left out)
+        code, out, _ = run(capsys, "verify", *argv)
         assert code == 0
-        assert out.splitlines()[-1].startswith("PASS")
+        lines = out.splitlines()
+        assert [line.rsplit(" ", 1)[0] for line in lines if not line.startswith("verify ")] == statuses
 
     def test_seed_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

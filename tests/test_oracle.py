@@ -1,12 +1,14 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import rnarith.fixed as fixed
 import rnarith.floatarith as fa
 import rnarith.oracle as oracle
 import rnarith.verify as verify
-from rnarith.core import DyadicInterval, DyadicRational
+from rnarith.core import DyadicInterval, DyadicRational, RnFixed
 from rnarith.floatarith import RoundingMode, StickyTail
 from rnarith.floatfmt import RNF8, RNF16, RNF32, RNF64, FloatClass, FloatFormat, RnFloat
 from rnarith.oracle import (
@@ -129,6 +131,19 @@ def _flip_round_bit(when):
     return fault
 
 
+def _flipped(x):
+    """A fixed-point encoding with its round bit flipped."""
+    return replace(x, round=1 - x.round)
+
+
+def _respelled(x):
+    """The other encoding of x's value, where the width holds it."""
+    try:
+        return RnFixed(x.bits + 2 * x.round - 1, x.width, 1 - x.round, x.lsb_exp)
+    except ValueError:
+        return x
+
+
 def _float_sweep_failures(fmt):
     """Failure counts of the nearest, then the directed, add/mul/div sweeps."""
     return [
@@ -180,7 +195,7 @@ class TestSweepsCatchFaults:
 
     def test_inexact_nearest_round_bit_flipped(self, monkeypatch):
         _plant(monkeypatch, _flip_round_bit(lambda v, inexact, mode: inexact and mode is RoundingMode.NEAREST))
-        assert _float_sweep_failures(SMALL) == [0, 352, 1188, 0, 0, 0]
+        assert _float_sweep_failures(SMALL) == [0, 352, 1188, 0, 32, 112]
 
     def test_inexact_directed_round_bit_flipped(self, monkeypatch):
         _plant(monkeypatch, _flip_round_bit(lambda v, inexact, mode: inexact and mode is not RoundingMode.NEAREST))
@@ -189,6 +204,38 @@ class TestSweepsCatchFaults:
     def test_exact_nonzero_round_bit_flipped(self, monkeypatch):
         _plant(monkeypatch, _flip_round_bit(lambda v, inexact, mode: not inexact and v != 0))
         assert _float_sweep_failures(SMALL) == [1288, 784, 548, 5152, 3136, 2192]
+
+    def test_directed_zero_spelled_all_ones(self, monkeypatch):
+        # the same value, so only round-bit substitution (canonical zero) sees it
+        def fault(out, s, fmt, mode):
+            if mode is not RoundingMode.NEAREST and verify._units(fmt, out.word) == 0:
+                out = RnFloat(fmt, (1 << (fmt.total_bits - 1)) | ((1 << fmt.precision) - 1))
+            return out, s
+
+        _plant(monkeypatch, fault)
+        assert _float_sweep_failures(SMALL) == [0, 0, 0, 360, 160, 408]
+
+    @pytest.mark.parametrize("module, name, fault, sweep, arg, counts, clause", [
+        pytest.param(fixed, "mul", lambda r, *_: _flipped(r), verify.fixed_mul_sweep, 6,
+                     (16384, 16384), None, id="mul-round-bit"),
+        pytest.param(fixed, "mul", lambda r, *_: _respelled(r), verify.fixed_mul_sweep, 6,
+                     (16384, 2110), "interval inclusion", id="mul-respelled"),
+        pytest.param(fixed, "div", lambda r, *_: replace(r, quotient=_flipped(r.quotient)),
+                     verify.fixed_div_sweep, 4, (1024, 1024), None, id="div-round-bit"),
+        pytest.param(fixed, "div", lambda r, *_: replace(r, exact=not r.exact),
+                     verify.fixed_div_sweep, 4, (1024, 1024), None, id="div-exact-flag"),
+        # shifted up for a nonnegative word and back down for its negative
+        # image, so the involution holds and only zero values still agree
+        pytest.param(verify, "negate", lambda r, x: replace(r, lsb_exp=r.lsb_exp + (1 if x.bits >= 0 else -1)),
+                     verify.negation_sweep, 12, (16376, 16354), None, id="negate-lsb-shifted"),
+    ])
+    def test_fixed_fault(self, monkeypatch, module, name, fault, sweep, arg, counts, clause):
+        """``fault(result, *inputs)`` rewrites every result of the patched op."""
+        good = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: fault(good(*args), *args))
+        rep = sweep(arg)
+        assert (rep.cases, len(rep.failures)) == counts
+        assert clause is None or {want for _, want, _ in rep.failures} == {clause}
 
 
 class TestRoundingFault:
@@ -274,9 +321,8 @@ def _check_exact_triples(fmt, pairs):
             elif op == "mul":
                 assert x == va * vb
             else:
-                # a zero dividend's quotient is 0; the divider's reference
-                # is not, for the all-ones spelling of zero
-                assert x == (verify._div_reference(fmt, wa, wb) if va != 0 else 0)
+                assert x == verify._div_reference(fmt, wa, wb)
+                assert va != 0 or x == 0  # every spelling of a zero dividend
             assert verify._representable(fmt, n, d, k) == _fraction_representable(x, fmt)
             assert verify.representable(x, fmt) == _fraction_representable(x, fmt)
 
@@ -301,24 +347,42 @@ class TestIntegerOracle:
             pairs += [(wa, rng.randrange(n)), (wa, wa ^ rng.randrange(1 << 6) ^ (rng.getrandbits(1) << (fmt.total_bits - 1)))]
         _check_exact_triples(fmt, pairs)
 
-    def test_float_sweeps_build_no_fraction(self, monkeypatch):
-        built = []
+    def test_zero_dividend_spelled_all_ones(self):
+        # rnf8 0x8f is sign 1, exponent 0, fraction and round bit all ones: 0
+        assert verify._div_exact(RNF8, 0x8f, 0x30)[0] == 0
+        assert verify._div_reference(RNF8, 0x8f, 0x30) == 0
+
+    def test_sweeps_build_no_fraction(self, monkeypatch):
+        """No sweep judges through a Fraction or the library's value types."""
+        used = []
 
         class Counting(Fraction):
             def __new__(cls, *args, **kwargs):
-                built.append(args)
+                used.append("Fraction")
                 return super().__new__(cls, *args, **kwargs)
 
+        def counted(name, func):
+            def call(*args, **kwargs):
+                used.append(name)
+                return func(*args, **kwargs)
+            return call
+
         monkeypatch.setattr(verify, "Fraction", Counting)
+        for name in ("value_of", "interval_of", "check_inclusion"):
+            monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+        monkeypatch.setattr(DyadicRational, "to_fraction", counted("to_fraction", DyadicRational.to_fraction))
         reports = [
-            sweep(SMALL, op)
-            for sweep in (verify.float_nearest_sweep, verify.float_directed_sweep)
-            for op in ("add", "mul", "div")
+            *(sweep(SMALL, op)
+              for sweep in (verify.float_nearest_sweep, verify.float_directed_sweep)
+              for op in ("add", "mul", "div")),
+            verify.fixed_mul_sweep(4), verify.fixed_div_sweep(3), verify.negation_sweep(6),
+            verify.roundtrip_sweep(6), verify.pack_unpack_sweep(SMALL),
         ]
         assert all(rep.cases and rep.passed for rep in reports)
-        assert built == []
-        verify.float_value(SMALL, 0x10)  # the counter does see verify's Fractions
-        assert built
+        assert used == []
+        verify.float_value(SMALL, 0x10)  # the counters do see verify's Fractions
+        verify.pinned_examples()  # and its value types
+        assert set(used) == {"Fraction", "value_of", "interval_of", "check_inclusion", "to_fraction"}
 
 
 class TestVerifyReport:
