@@ -52,23 +52,9 @@ class DyadicRational:
         a, b, e = self._parts(other)
         return DyadicRational(a + b, e)
 
-    def __sub__(self, other: "DyadicRational") -> "DyadicRational":
-        a, b, e = self._parts(other)
-        return DyadicRational(a - b, e)
-
-    def __mul__(self, other: "DyadicRational") -> "DyadicRational":
-        return DyadicRational(self.mantissa * other.mantissa, self.exp + other.exp)
-
-    def __neg__(self) -> "DyadicRational":
-        return DyadicRational(-self.mantissa, self.exp)
-
     def __lt__(self, other: "DyadicRational") -> bool:
         a, b, _ = self._parts(other)
         return a < b
-
-    def __le__(self, other: "DyadicRational") -> bool:
-        a, b, _ = self._parts(other)
-        return a <= b
 
     def to_fraction(self) -> Fraction:
         if self.exp >= 0:
@@ -102,10 +88,6 @@ class DyadicInterval:
     def __post_init__(self) -> None:
         if self.hi < self.lo:
             raise ValueError("interval endpoints out of order")
-
-    @property
-    def width(self) -> DyadicRational:
-        return self.hi - self.lo
 
 
 @dataclass(frozen=True)
@@ -164,12 +146,6 @@ class SignedDigitString:
         if any(d not in (-1, 0, 1) for d in self.digits):
             raise ValueError("digits must lie in {-1, 0, 1}")
 
-    def value(self) -> DyadicRational:
-        acc = 0
-        for d in self.digits:
-            acc = 2 * acc + d
-        return DyadicRational(acc, self.lsb_exp)
-
     def __str__(self) -> str:
         return " ".join(str(d) for d in self.digits)
 
@@ -214,28 +190,16 @@ def canonical_of_sd(sd: SignedDigitString) -> RnFixed:
     """Inverse of :func:`sd_of_canonical`.
 
     Accepts either finite representation of a value (last nonzero digit +1
-    or -1).  The all-zero string maps to the all-zero word with round bit 0.
+    or -1).  The round bit is 1 exactly when that digit is +1, and the word
+    is the digits' value minus the round bit.
     """
     if not validate_rn(sd):
         raise ValueError("nonzero digits must alternate in sign")
-    first = next((d for d in sd.digits if d != 0), 0)
-    top = 1 if first < 0 else 0
-    bits_msb_first = [top]
-    cur = top
-    for d in sd.digits[:-1]:
-        cur = d + cur
-        if cur not in (0, 1):
-            raise ValueError("digit string is not a valid recoding")
-        bits_msb_first.append(cur)
-    r = sd.digits[-1] + cur
-    if r not in (0, 1):
-        raise ValueError("digit string is not a valid recoding")
-    word = 0
-    for b in bits_msb_first:
-        word = (word << 1) | b
-    if top:
-        word -= 1 << len(sd.digits)
-    return RnFixed(word, len(sd.digits), r, sd.lsb_exp)
+    value = 0
+    for d in sd.digits:
+        value = 2 * value + d
+    r = 1 if next((d for d in reversed(sd.digits) if d != 0), 0) == 1 else 0
+    return RnFixed(value - r, len(sd.digits), r, sd.lsb_exp)
 
 
 def value_of(x: RnFixed) -> DyadicRational:

@@ -97,8 +97,8 @@ def mul(a: RnFixed, b: RnFixed) -> RnFixed:
 
 @dataclass(frozen=True)
 class DivResult:
-    """Quotient encoding plus a flag telling whether the internal
-    two-extra-bit approximation was exact (zero long-division remainder)."""
+    """Quotient encoding plus a flag telling whether the quotient is exact:
+    the long division left no remainder below the round bit."""
 
     quotient: RnFixed
     exact: bool

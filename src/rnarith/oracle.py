@@ -1,8 +1,11 @@
-"""Independent exact-arithmetic reference used by the verification sweeps.
+"""Shared scaffolding of the verification sweeps.
 
-Everything here is built on arbitrary-precision integers and
-``fractions.Fraction`` only; no rounding or arithmetic routine from the
-library under test is called.
+The enumeration guard ``check_space`` and the enumerators of fixed
+encodings, float words and divider operands; ``VerifyReport``, the
+machine-readable outcome of one sweep; and ``check_inclusion``, the product
+interval check of the pinned examples.  Everything here is built on
+arbitrary-precision integers and ``fractions.Fraction`` only; no rounding or
+arithmetic routine from the library under test is called.
 """
 
 from __future__ import annotations

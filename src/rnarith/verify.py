@@ -246,12 +246,15 @@ def fixed_mul_sign_sweep(width: int) -> VerifyReport:
 def fixed_div_sweep(p: int) -> VerifyReport:
     """Divider contract over every scaled operand pair.
 
-    The two-extra-bit approximation (nearest value on the p+2-bit grid, so
-    |error| <= u/8) must lie strictly inside the operand-interval quotient
-    bounds and within u/4 of the exact quotient; the delivered word and
-    round bit must be the truncation of the exact quotient at the delivered
-    grid; and the round bit must agree with the sign of the remaining
-    remainder."""
+    Two clauses judge ``fixed.div``: the delivered word and round bit must
+    be the truncation of the exact quotient at the delivered grid
+    (``quot == expect``), and the exact flag must say whether the division
+    left a remainder.  The other clauses test the paper's claim about a
+    two-extra-bit approximation on the oracle's own approximation (nearest
+    value on the p+2-bit grid, so |error| <= u/8): it must lie strictly
+    inside the operand-interval quotient bounds and within u/4 of the exact
+    quotient.  Once ``quot == expect`` holds, the round-bit sign test
+    follows from it."""
     rep = VerifyReport("div", f"p={p}")
     pairs = enumerate_div_operands(p)  # refuses an oversized p before 2**p is built
     g = 1 << (p + 2)  # the approximation's grid: steps of 1/g = u/4, u = 2**-p

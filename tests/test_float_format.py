@@ -136,15 +136,21 @@ class TestPack:
             f = RnFloat(RNF8, word)
             assert pack(unpack(f)) == f
 
-    def test_unnormalized_significand_rejected(self):
-        bad = UnpackedFloat(RNF8, FloatClass.NORMAL, 0, 3, RnFixed(4, 5, 0, -3))
+    @pytest.mark.parametrize(
+        "cls,biased_exp,sig",
+        [
+            (FloatClass.NORMAL, 3, RnFixed(4, 5, 0, -3)),
+            (FloatClass.NORMAL, 7, RnFixed(8, 5, 0, -3)),
+            (FloatClass.ZERO, 0, RnFixed(1, 4, 0, -3)),
+            (FloatClass.SUBNORMAL, 0, RnFixed(0, 4, 0, -3)),
+            (FloatClass.INFINITY, 7, RnFixed(0, 4, 1, -3)),
+        ],
+        # the last three are the fields of 0x02, 0x00 and 0x71 under another class
+        ids=["unnormalized", "normal-at-max-exp", "zero-on-0x02", "subnormal-on-0x00", "inf-on-0x71"],
+    )
+    def test_view_of_no_word_rejected(self, cls, biased_exp, sig):
         with pytest.raises(ValueError):
-            pack(bad)
-
-    def test_exponent_range_enforced(self):
-        sig = RnFixed(8, 5, 0, -3)
-        with pytest.raises(ValueError):
-            pack(UnpackedFloat(RNF8, FloatClass.NORMAL, 0, 7, sig))
+            pack(UnpackedFloat(RNF8, cls, 0, biased_exp, sig))
 
 
 class TestValue:
@@ -203,7 +209,7 @@ class TestNegate:
             v = value_of_float(f)
             if isinstance(v, FloatClass):
                 continue
-            assert value_of_float(float_negate(f)) == -v
+            assert value_of_float(float_negate(f)).to_fraction() == -v.to_fraction()
 
 
 class TestLiterals:
