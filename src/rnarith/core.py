@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 
@@ -44,17 +43,9 @@ class DyadicRational:
         object.__setattr__(self, "mantissa", m)
         object.__setattr__(self, "exp", e)
 
-    def _parts(self, other: "DyadicRational") -> tuple[int, int, int]:
-        e = min(self.exp, other.exp)
-        return self.mantissa << (self.exp - e), other.mantissa << (other.exp - e), e
-
-    def __add__(self, other: "DyadicRational") -> "DyadicRational":
-        a, b, e = self._parts(other)
-        return DyadicRational(a + b, e)
-
     def __lt__(self, other: "DyadicRational") -> bool:
-        a, b, _ = self._parts(other)
-        return a < b
+        e = min(self.exp, other.exp)
+        return self.mantissa << (self.exp - e) < other.mantissa << (other.exp - e)
 
     def to_fraction(self) -> Fraction:
         if self.exp >= 0:
@@ -123,13 +114,6 @@ class RnFixed:
 
     def __str__(self) -> str:
         return format_literal(self)
-
-
-class TailSign(Enum):
-    """Direction information carried by the round bit of a nonzero value."""
-
-    ROUNDED_UP = "rounded-up"
-    ROUNDED_DOWN = "rounded-down"
 
 
 @dataclass(frozen=True)
@@ -238,18 +222,8 @@ def interval_of(x: RnFixed) -> DyadicInterval:
     value and ``u`` its ulp; adjacent encodings tile the line, overlapping
     only at endpoints.
     """
-    lo = DyadicRational(2 * x.bits + x.round, x.lsb_exp - 1)
-    return DyadicInterval(lo, lo + DyadicRational(1, x.lsb_exp - 1))
-
-
-def tail_digit_sign(x: RnFixed) -> TailSign:
-    """Sign of the last nonzero signed digit: up for round=1, down for 0.
-
-    Zero has no nonzero digit, so it is rejected.
-    """
-    if x.bits + x.round == 0:
-        raise ValueError("tail sign undefined for zero")
-    return TailSign.ROUNDED_UP if x.round else TailSign.ROUNDED_DOWN
+    n = 2 * x.bits + x.round  # the lower end in half-ulps
+    return DyadicInterval(DyadicRational(n, x.lsb_exp - 1), DyadicRational(n + 1, x.lsb_exp - 1))
 
 
 def format_literal(x: RnFixed) -> str:

@@ -17,13 +17,11 @@ from typing import Iterator
 from . import fixed, floatarith as fa
 from .core import (
     RnFixed,
-    TailSign,
     booth_recode,
     canonical_of_sd,
     interval_of,
     negate,
     sd_of_canonical,
-    tail_digit_sign,
     truncate_at,
     validate_rn,
     value_of,
@@ -292,12 +290,14 @@ def double_rounding_sweep(width: int) -> VerifyReport:
     # each encoding has width * (width + 1) / 2 pairs of truncation points
     check_space(f"{rep.op} {rep.space}", width * (width + 1), width)
     for x in enumerate_fixed(width):
-        for j in range(x.lsb_exp, x.msb_exp + 1):
-            inner = truncate_at(x, j)
+        grids = range(x.lsb_exp, x.msb_exp + 1)
+        once = {k: truncate_at(x, k) for k in grids}  # each target, and each inner grid
+        for j in grids:
             for k in range(j, x.msb_exp + 1):
                 rep.cases += 1
-                if truncate_at(inner, k) != truncate_at(x, k):
-                    rep.record(f"{x},j={j},k={k}", str(truncate_at(x, k)), str(truncate_at(inner, k)))
+                twice = truncate_at(once[j], k)
+                if twice != once[k]:
+                    rep.record(f"{x},j={j},k={k}", str(once[k]), str(twice))
     return rep.done()
 
 
@@ -317,35 +317,25 @@ def negation_sweep(max_width: int) -> VerifyReport:
 
 
 def roundtrip_sweep(width: int) -> VerifyReport:
-    """Signed-digit conversions invert each other and stay valid."""
+    """Every encoding's signed-digit view is a valid recoding of its value
+    that converts back and carries its round bit.
+
+    The digits sum to ``bits + round``; ``canonical_of_sd`` gives the
+    encoding back (the plain zero word for either spelling of zero), whose
+    recoding is the same digits; and a nonzero value's round bit is 1
+    exactly when its last nonzero digit is +1."""
     rep = VerifyReport("roundtrip", f"width={width}")
-    check_space(f"{rep.op} {rep.space}", 3, width)  # 2**width words, 2**(width+1) encodings
-    top = 1 << (width - 1)
-    for word in range(-top, top):
-        rep.cases += 1
-        sd = booth_recode(word, width)
-        ok = (
-            validate_rn(sd)
-            and sum(d << i for i, d in enumerate(reversed(sd.digits))) == word
-            and canonical_of_sd(sd) == RnFixed(word, width, 0, 0)
-        )
-        if not ok:
-            rep.record(f"word={word}", "round trip", str(sd))
     for x in enumerate_fixed(width):
         rep.cases += 1
         sd = sd_of_canonical(x)
-        back = canonical_of_sd(sd)
-        # the all-ones spelling of zero recodes to the all-zero string,
-        # which canonicalizes to the plain zero word
-        expect = RnFixed(0, width, 0, 0) if x.bits + x.round == 0 else x
+        value = x.bits + x.round
         ok = (
             validate_rn(sd)
-            and back == expect
+            and sum(d << i for i, d in enumerate(reversed(sd.digits))) == value
+            and (back := canonical_of_sd(sd)) == (x if value else RnFixed(0, width))
             and sd_of_canonical(back).digits == sd.digits
+            and (value == 0 or x.round == (next(d for d in reversed(sd.digits) if d) == 1))
         )
-        if ok and x.bits + x.round != 0:
-            last = next(d for d in reversed(sd.digits) if d != 0)
-            ok = (tail_digit_sign(x) is TailSign.ROUNDED_UP) == (last == 1)
         if not ok:
             rep.record(str(x), "round trip", str(sd))
     return rep.done()

@@ -225,7 +225,10 @@ class TestVerify:
         (("fixed-negate", "--width", "12"), ["PASS 16376 0"]),
         (("float-roundtrip", "--format", "rnf8"), ["PASS 256 0"]),
         (("float-negate", "--format", "rnf8"), ["PASS 256 0"]),
-    ], ids=["fixed-mul-6", "fixed-div-5", "fixed-negate-12", "float-roundtrip-rnf8", "float-negate-rnf8"])
+        (("fixed-roundtrip", "--width", "10"), ["PASS 2048 0"]),  # encodings only
+        (("fixed-truncate", "--width", "12"), ["PASS 638976 0"]),
+    ], ids=["fixed-mul-6", "fixed-div-5", "fixed-negate-12", "float-roundtrip-rnf8", "float-negate-rnf8",
+            "fixed-roundtrip-10", "fixed-truncate-12"])
     def test_suite_passes_its_case_count(self, capsys, argv, statuses):
         # a dropped case cannot pass as PASS: each report's status line pins
         # its case and failure counts (the elapsed time is left out)
@@ -249,7 +252,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("suite, width", [
         *((suite, "13") for suite in ("fixed-add", "fixed-add-alt", "fixed-sub", "fixed-mul", "fixed-div")),
-        ("fixed-truncate", "18"), ("fixed-roundtrip", "25"), ("fixed-negate", "25"),
+        ("fixed-truncate", "18"), ("fixed-roundtrip", "26"), ("fixed-negate", "25"),
         *((suite, "10000000000") for suite in (
             "fixed-add", "fixed-add-alt", "fixed-sub", "fixed-mul", "fixed-div",
             "fixed-truncate", "fixed-roundtrip", "fixed-negate")),

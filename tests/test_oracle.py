@@ -120,13 +120,13 @@ def _is_inf(out):
     return out in (out.fmt.inf(0), out.fmt.inf(1))
 
 
-def _flip_round_bit(when):
-    """A sink fault: flip the round bit of a finite result for which
-    ``when(value, inexact, mode)`` holds."""
+def _flip_bit(when, bit=0):
+    """A sink fault: flip one bit of a finite result (the round bit unless
+    ``bit`` says otherwise) for which ``when(value, inexact, mode)`` holds."""
     def fault(out, s, fmt, mode):
         v = verify.float_value(fmt, out.word)
         flip = v is not None and when(v, s.nonzero, mode)
-        return (RnFloat(fmt, out.word ^ 1) if flip else out), s
+        return (RnFloat(fmt, out.word ^ (1 << bit)) if flip else out), s
 
     return fault
 
@@ -194,16 +194,24 @@ class TestSweepsCatchFaults:
         assert _float_sweep_failures(SMALL) == [0, 0, 0, 8464, 8464, 8464]
 
     def test_inexact_nearest_round_bit_flipped(self, monkeypatch):
-        _plant(monkeypatch, _flip_round_bit(lambda v, inexact, mode: inexact and mode is RoundingMode.NEAREST))
+        _plant(monkeypatch, _flip_bit(lambda v, inexact, mode: inexact and mode is RoundingMode.NEAREST))
         assert _float_sweep_failures(SMALL) == [0, 352, 1188, 0, 32, 112]
 
     def test_inexact_directed_round_bit_flipped(self, monkeypatch):
-        _plant(monkeypatch, _flip_round_bit(lambda v, inexact, mode: inexact and mode is not RoundingMode.NEAREST))
+        _plant(monkeypatch, _flip_bit(lambda v, inexact, mode: inexact and mode is not RoundingMode.NEAREST))
         assert _float_sweep_failures(SMALL) == [0, 0, 0, 1536, 3136, 5456]
 
     def test_exact_nonzero_round_bit_flipped(self, monkeypatch):
-        _plant(monkeypatch, _flip_round_bit(lambda v, inexact, mode: not inexact and v != 0))
+        _plant(monkeypatch, _flip_bit(lambda v, inexact, mode: not inexact and v != 0))
         assert _float_sweep_failures(SMALL) == [1288, 784, 548, 5152, 3136, 2192]
+
+    def test_inexact_upward_higher_bit_flipped(self, monkeypatch):
+        # a fault above the round bit in one mode: the directed sweep judges
+        # the word against the substituted nearest word before any other clause
+        _plant(monkeypatch, _flip_bit(lambda v, inexact, mode: inexact and mode is RoundingMode.UPWARD, bit=1))
+        assert _float_sweep_failures(SMALL) == [0, 0, 0, 384, 784, 1364]
+        reports = [verify.float_directed_sweep(SMALL, op) for op in ("add", "mul", "div")]
+        assert {want.split(" (")[0] for rep in reports for _, want, _ in rep.failures} == {"substitution"}
 
     def test_directed_zero_spelled_all_ones(self, monkeypatch):
         # the same value, so only round-bit substitution (canonical zero) sees it
@@ -228,6 +236,10 @@ class TestSweepsCatchFaults:
         # image, so the involution holds and only zero values still agree
         pytest.param(verify, "negate", lambda r, x: replace(r, lsb_exp=r.lsb_exp + (1 if x.bits >= 0 else -1)),
                      verify.negation_sweep, 12, (16376, 16354), None, id="negate-lsb-shifted"),
+        pytest.param(verify, "truncate_at", lambda r, x, k: _flipped(r) if k - x.lsb_exp >= 2 else r,
+                     verify.double_rounding_sweep, 8, (18432, 3072), None, id="truncate-round-bit"),
+        pytest.param(verify, "sd_of_canonical", lambda r, x: replace(r, digits=tuple(-d for d in r.digits)),
+                     verify.roundtrip_sweep, 8, (512, 510), "round trip", id="digits-negated"),
     ])
     def test_fixed_fault(self, monkeypatch, module, name, fault, sweep, arg, counts, clause):
         """``fault(result, *inputs)`` rewrites every result of the patched op."""
@@ -236,6 +248,17 @@ class TestSweepsCatchFaults:
         rep = sweep(arg)
         assert (rep.cases, len(rep.failures)) == counts
         assert clause is None or {want for _, want, _ in rep.failures} == {clause}
+
+
+class TestSweepWork:
+    def test_double_rounding_truncates_once_per_target(self, monkeypatch):
+        # per encoding: one truncation to each of the 6 grids, reused as
+        # both target and inner result, then one for each pair j <= k
+        calls = []
+        good = verify.truncate_at
+        monkeypatch.setattr(verify, "truncate_at", lambda x, k: calls.append(k) or good(x, k))
+        rep = verify.double_rounding_sweep(6)
+        assert (rep.cases, len(rep.failures), len(calls)) == (2688, 0, 3456)
 
 
 class TestRoundingFault:
@@ -275,7 +298,7 @@ class TestRoundingFault:
             assert verify.rounding_fault(RNF8, spelling, mode, word, inexact) == clause
 
     def test_failure_text_shows_the_exact_fraction(self, monkeypatch):
-        _plant(monkeypatch, _flip_round_bit(lambda v, inexact, mode: inexact and mode is RoundingMode.NEAREST))
+        _plant(monkeypatch, _flip_bit(lambda v, inexact, mode: inexact and mode is RoundingMode.NEAREST))
         inputs, want, got = verify.float_nearest_sweep(SMALL, "mul").failures[0]
         wa, wb = (int(w, 16) for w in inputs.split(","))
         exact = verify.float_value(SMALL, wa) * verify.float_value(SMALL, wb)
@@ -377,6 +400,7 @@ class TestIntegerOracle:
               for op in ("add", "mul", "div")),
             verify.fixed_mul_sweep(4), verify.fixed_div_sweep(3), verify.negation_sweep(6),
             verify.roundtrip_sweep(6), verify.pack_unpack_sweep(SMALL),
+            verify.double_rounding_sweep(4), verify.fixed_add_sweep(3, "add"),
         ]
         assert all(rep.cases and rep.passed for rep in reports)
         assert used == []
