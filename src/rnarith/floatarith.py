@@ -1,5 +1,12 @@
 """Floating-point add, multiply and divide on round-bit encoded words.
 
+The core is the word ops ``fadd_words``, ``fmul_words`` and ``fdiv_words``:
+they take a format and two int words and return the result word and a bool
+that says whether it is inexact.  ``fadd``/``fmul``/``fdiv``, their
+``*_with_sticky`` forms and ``round_to_format`` are wrappers for callers
+holding ``RnFloat``s: they check the format, call the word op (or the sink)
+and wrap the result as an ``RnFloat`` and a shared ``StickyTail``.
+
 Every op forms its exact result and rounds it once, in ``_deliver``: the
 magnitude is truncated (so results are within half an ulp of the exact
 value and the round bit reports the rounding direction), and a negative
@@ -69,10 +76,21 @@ def directed_round_bit(rbit: int, sign_bit: int, t: StickyTail, mode: RoundingMo
     return 1 - sign_bit
 
 
+# read once: a member read through its enum class is a slow lookup (about
+# 0.1 us on CPython 3.11), and every word op tests the classes several times
+_NAN, _INFINITY = FloatClass.NAN, FloatClass.INFINITY
+_NEAREST = RoundingMode.NEAREST
+
+
 def _require_same_format(a: RnFloat, b: RnFloat) -> FloatFormat:
     if a.fmt is not b.fmt and a.fmt != b.fmt:
         raise ValueError("operands must share a format")
     return a.fmt
+
+
+def _require_words(fmt: FloatFormat, a: int, b: int) -> None:
+    if (a | b) >> fmt.total_bits:  # negative or too wide
+        raise ValueError("word does not fit the format")
 
 
 def _floor_log2_ratio(num: int, den: int) -> int:
@@ -83,45 +101,65 @@ def _floor_log2_ratio(num: int, den: int) -> int:
     return k if (num << -k) >= den else k - 1
 
 
-def _deliver(num: int, den: int, g: int, fmt: FloatFormat, mode: RoundingMode) -> tuple[RnFloat, StickyTail]:
-    """Round the exact value ``num/den * 2**g`` (den > 0) into the format.
+def _deliver(num: int, den: int, g: int, fmt: FloatFormat, mode: RoundingMode) -> tuple[int, bool]:
+    """Round the exact value ``num/den * 2**g`` (den > 0) into the format:
+    the result word and whether it differs from the exact value.
 
-    One floor division truncates the magnitude onto the target grid, giving
-    word and round bit.  A negative result is then the complement of both,
+    One truncation puts the magnitude onto the target grid, giving word and
+    round bit: a shift when ``den`` is 1 (add, mul and dyadic values), else a
+    floor division.  A negative result is then the complement of both,
     as negation is in the encoding: nearest ties round away from zero and
     exact negative results carry the round bit.  Overflow saturates to
     infinity, except that the exactly representable edge magnitude
     2**(e_max+1) is the all-ones word with the round bit set at e_max.
     """
-    p = fmt.precision
     if num == 0:
-        return fmt.zero(), _EXACT
+        return 0, False
+    p = fmt.precision
     sign = 1 if num < 0 else 0
     mag = -num if sign else num
-    e_val = _floor_log2_ratio(mag, den) + g
-    if e_val > fmt.e_max + 1:
-        return fmt.inf(sign), _INEXACT
-    e_tgt = min(max(e_val, fmt.e_min), fmt.e_max)
+    e_val = (mag.bit_length() - 1 if den == 1 else _floor_log2_ratio(mag, den)) + g
+    e_max = fmt.e_max
+    if e_val > e_max + 1:
+        return fmt.inf_word(sign), True
+    if e_val < fmt.e_min:
+        e_tgt = fmt.e_min
+    elif e_val > e_max:
+        e_tgt = e_max
+    else:
+        e_tgt = e_val
     s = g + p - e_tgt  # the round bit's source position weighs 2**(e_tgt - p)
-    if s >= 0:
+    if den == 1:
+        if s >= 0:
+            t2, rem = mag << s, 0
+        else:
+            t2 = mag >> -s
+            rem = mag - (t2 << -s)  # t2 is 0 whenever -s is past the top bit
+    elif s >= 0:
         t2, rem = divmod(mag << s, den)
     else:
         # any shift past the magnitude's top bit truncates it to 0 alike
         t2, rem = divmod(mag, den << min(-s, mag.bit_length() + 1))
-    sticky = _INEXACT if t2 & 1 or rem else _EXACT
-    if e_val > fmt.e_max:
+    inexact = t2 & 1 == 1 or rem != 0
+    if e_val > e_max:
         # beyond e_max only the exact edge is finite: all-ones word, r=1
-        if t2 != 1 << (p + 1) or sticky.nonzero:
-            return fmt.inf(sign), _INEXACT
+        if t2 != 1 << (p + 1) or inexact:
+            return fmt.inf_word(sign), True
         t2 -= 1
     w, r = t2 >> 1, t2 & 1
     if sign:
         w, r = ~w, 1 - r
-    r = directed_round_bit(r, sign, sticky, mode)
+    if inexact and mode is not _NEAREST:
+        r = directed_round_bit(r, sign, _INEXACT, mode)
     if w + r == 0:  # only a subnormal result can truncate to zero
-        return fmt.zero(), sticky
+        return 0, inexact
     biased_exp = 0 if e_val < fmt.e_min else e_tgt + fmt.bias
-    return _assemble(fmt, sign, biased_exp, w & ((1 << (p - 1)) - 1), r), sticky
+    return _assemble(fmt, sign, biased_exp, w & ((1 << (p - 1)) - 1), r), inexact
+
+
+def _wrap(fmt: FloatFormat, result: tuple[int, bool]) -> tuple[RnFloat, StickyTail]:
+    word, inexact = result
+    return RnFloat(fmt, word), _INEXACT if inexact else _EXACT
 
 
 def round_to_format(value: Fraction | DyadicRational, fmt: FloatFormat, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[RnFloat, StickyTail]:
@@ -130,33 +168,39 @@ def round_to_format(value: Fraction | DyadicRational, fmt: FloatFormat, mode: Ro
     A ``DyadicRational`` reaches the sink as ``mantissa * 2**exp``, so a huge
     exponent is never expanded into an integer."""
     if isinstance(value, DyadicRational):
-        return _deliver(value.mantissa, 1, value.exp, fmt, mode)
-    return _deliver(value.numerator, value.denominator, 0, fmt, mode)
+        return _wrap(fmt, _deliver(value.mantissa, 1, value.exp, fmt, mode))
+    return _wrap(fmt, _deliver(value.numerator, value.denominator, 0, fmt, mode))
+
+
+def fadd_words(fmt: FloatFormat, a: int, b: int, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[int, bool]:
+    """Sum of two words of ``fmt``: the result word and whether it is inexact."""
+    _require_words(fmt, a, b)
+    ca, sa, wa, ra, ea = decode(fmt, a)
+    cb, sb, wb, rb, eb = decode(fmt, b)
+    if ca is _NAN or cb is _NAN:
+        return fmt.nan_word(), False
+    if ca is _INFINITY and cb is _INFINITY:
+        if sa != sb:
+            return fmt.nan_word(), False
+        return fmt.inf_word(sa), False
+    if ca is _INFINITY:
+        return fmt.inf_word(sa), False
+    if cb is _INFINITY:
+        return fmt.inf_word(sb), False
+    ma, mb = wa + ra, wb + rb
+    if ma == 0 and mb == 0:
+        return 0, False
+    if ma == 0:
+        return b, False
+    if mb == 0:
+        return a, False
+    e = min(ea, eb)
+    return _deliver((ma << (ea - e)) + (mb << (eb - e)), 1, e + 1 - fmt.precision, fmt, mode)
 
 
 def fadd_with_sticky(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[RnFloat, StickyTail]:
     fmt = _require_same_format(a, b)
-    ca, sa, wa, ra, ea = decode(fmt, a.word)
-    cb, sb, wb, rb, eb = decode(fmt, b.word)
-    if ca is FloatClass.NAN or cb is FloatClass.NAN:
-        return fmt.nan(), _EXACT
-    if ca is FloatClass.INFINITY and cb is FloatClass.INFINITY:
-        if sa != sb:
-            return fmt.nan(), _EXACT
-        return fmt.inf(sa), _EXACT
-    if ca is FloatClass.INFINITY:
-        return fmt.inf(sa), _EXACT
-    if cb is FloatClass.INFINITY:
-        return fmt.inf(sb), _EXACT
-    ma, mb = wa + ra, wb + rb
-    if ma == 0 and mb == 0:
-        return fmt.zero(), _EXACT
-    if ma == 0:
-        return b, _EXACT
-    if mb == 0:
-        return a, _EXACT
-    e = min(ea, eb)
-    return _deliver((ma << (ea - e)) + (mb << (eb - e)), 1, e + 1 - fmt.precision, fmt, mode)
+    return _wrap(fmt, fadd_words(fmt, a.word, b.word, mode))
 
 
 def fadd(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> RnFloat:
@@ -175,7 +219,7 @@ def far_shortcut(a: RnFloat, b: RnFloat) -> RnFloat:
     fmt = _require_same_format(a, b)
     ca, _, _, _, ea = decode(fmt, a.word)
     cb, sb, wb, rb, eb = decode(fmt, b.word)
-    if FloatClass.NAN in (ca, cb) or FloatClass.INFINITY in (ca, cb):
+    if _NAN in (ca, cb) or _INFINITY in (ca, cb):
         raise ValueError("shortcut expects finite operands")
     if wb + rb == 0:
         raise ValueError("shortcut expects a nonzero smaller operand")
@@ -184,22 +228,28 @@ def far_shortcut(a: RnFloat, b: RnFloat) -> RnFloat:
     return RnFloat(fmt, (a.word & ~1) | (1 - sb))
 
 
-def fmul_with_sticky(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[RnFloat, StickyTail]:
-    fmt = _require_same_format(a, b)
-    ca, sa, wa, ra, ea = decode(fmt, a.word)
-    cb, sb, wb, rb, eb = decode(fmt, b.word)
-    if ca is FloatClass.NAN or cb is FloatClass.NAN:
-        return fmt.nan(), _EXACT
+def fmul_words(fmt: FloatFormat, a: int, b: int, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[int, bool]:
+    """Product of two words of ``fmt``: the result word and whether it is inexact."""
+    _require_words(fmt, a, b)
+    ca, sa, wa, ra, ea = decode(fmt, a)
+    cb, sb, wb, rb, eb = decode(fmt, b)
+    if ca is _NAN or cb is _NAN:
+        return fmt.nan_word(), False
     sign = sa ^ sb
     ma, mb = wa + ra, wb + rb
-    if ca is FloatClass.INFINITY or cb is FloatClass.INFINITY:
-        other_cls, other_m = (cb, mb) if ca is FloatClass.INFINITY else (ca, ma)
-        if other_cls is not FloatClass.INFINITY and other_m == 0:
-            return fmt.nan(), _EXACT
-        return fmt.inf(sign), _EXACT
+    if ca is _INFINITY or cb is _INFINITY:
+        other_cls, other_m = (cb, mb) if ca is _INFINITY else (ca, ma)
+        if other_cls is not _INFINITY and other_m == 0:
+            return fmt.nan_word(), False
+        return fmt.inf_word(sign), False
     if ma == 0 or mb == 0:
-        return fmt.zero(), _EXACT
+        return 0, False
     return _deliver(ma * mb, 1, ea + eb + 2 - 2 * fmt.precision, fmt, mode)
+
+
+def fmul_with_sticky(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[RnFloat, StickyTail]:
+    fmt = _require_same_format(a, b)
+    return _wrap(fmt, fmul_words(fmt, a.word, b.word, mode))
 
 
 def fmul(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> RnFloat:
@@ -231,31 +281,37 @@ def _divider_word(w: int, r: int, e: int, p: int) -> tuple[int, int]:
     return 2 * w + r, e
 
 
-def fdiv_with_sticky(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[RnFloat, StickyTail]:
-    fmt = _require_same_format(a, b)
-    ca, sa, wa, ra, ea = decode(fmt, a.word)
-    cb, sb, wb, rb, eb = decode(fmt, b.word)
-    if ca is FloatClass.NAN or cb is FloatClass.NAN:
-        return fmt.nan(), _EXACT
+def fdiv_words(fmt: FloatFormat, a: int, b: int, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[int, bool]:
+    """Quotient of two words of ``fmt``: the result word and whether it is inexact."""
+    _require_words(fmt, a, b)
+    ca, sa, wa, ra, ea = decode(fmt, a)
+    cb, sb, wb, rb, eb = decode(fmt, b)
+    if ca is _NAN or cb is _NAN:
+        return fmt.nan_word(), False
     sign = sa ^ sb
-    if ca is FloatClass.INFINITY:
-        if cb is FloatClass.INFINITY:
-            return fmt.nan(), _EXACT
-        return fmt.inf(sign), _EXACT
-    if cb is FloatClass.INFINITY:
-        return fmt.zero(), _EXACT
+    if ca is _INFINITY:
+        if cb is _INFINITY:
+            return fmt.nan_word(), False
+        return fmt.inf_word(sign), False
+    if cb is _INFINITY:
+        return 0, False
     a_zero, b_zero = wa + ra == 0, wb + rb == 0
     if a_zero and b_zero:
-        return fmt.nan(), _EXACT
+        return fmt.nan_word(), False
     if b_zero:
-        return fmt.inf(sign), _EXACT
+        return fmt.inf_word(sign), False
     if a_zero:
-        return fmt.zero(), _EXACT
+        return 0, False
     p = fmt.precision
     na, ea = _divider_word(wa, ra, ea, p)
     nb, eb = _divider_word(wb, rb, eb, p)
     # reference value: quotient of the round-bit-extended operand words
     return _deliver(-na if sign else na, nb, ea - eb, fmt, mode)
+
+
+def fdiv_with_sticky(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[RnFloat, StickyTail]:
+    fmt = _require_same_format(a, b)
+    return _wrap(fmt, fdiv_words(fmt, a.word, b.word, mode))
 
 
 def fdiv(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> RnFloat:

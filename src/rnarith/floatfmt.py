@@ -53,14 +53,20 @@ class FloatFormat:
             object.__setattr__(self, name, value)
 
     def zero(self) -> "RnFloat":
-        return RnFloat(self, 0)
+        return RnFloat(self, 0)  # the canonical zero is the all-zeros word
+
+    def inf_word(self, sign: int = 0) -> int:
+        return (sign << (self.total_bits - 1)) | (self.exp_mask << self.precision)
+
+    def nan_word(self) -> int:
+        # don't-care bits are zero on output; the round bit marks it non-infinite
+        return (self.exp_mask << self.precision) | 1
 
     def inf(self, sign: int = 0) -> "RnFloat":
-        return RnFloat(self, (sign << (self.total_bits - 1)) | (self.exp_mask << self.precision))
+        return RnFloat(self, self.inf_word(sign))
 
     def nan(self) -> "RnFloat":
-        # don't-care bits are zero on output; the round bit marks it non-infinite
-        return RnFloat(self, (self.exp_mask << self.precision) | 1)
+        return RnFloat(self, self.nan_word())
 
 
 RNF8 = FloatFormat(3, 4, "rnf8")
@@ -149,14 +155,14 @@ def decode(fmt: FloatFormat, word: int) -> tuple[FloatClass, int, int, int, int]
     return cls, s, f - (s << (p - 1)), r, fmt.e_min
 
 
-def _assemble(fmt: FloatFormat, sign: int, biased_exp: int, frac: int, rbit: int) -> RnFloat:
-    word = (
+def _assemble(fmt: FloatFormat, sign: int, biased_exp: int, frac: int, rbit: int) -> int:
+    """The word with these fields."""
+    return (
         (sign << (fmt.total_bits - 1))
         | (biased_exp << fmt.precision)
         | (frac << 1)
         | rbit
     )
-    return RnFloat(fmt, word)
 
 
 def unpack(f: RnFloat) -> UnpackedFloat:
@@ -172,7 +178,7 @@ def pack(u: UnpackedFloat) -> RnFloat:
     The layout is stated once, in :func:`decode`: the fields are assembled
     into a word, which must unpack back to ``u``."""
     sig = u.significand
-    f = _assemble(u.fmt, u.sign, u.biased_exp, sig.bits & ((1 << u.fmt.frac_bits) - 1), sig.round)
+    f = RnFloat(u.fmt, _assemble(u.fmt, u.sign, u.biased_exp, sig.bits & ((1 << u.fmt.frac_bits) - 1), sig.round))
     if unpack(f) != u:
         raise ValueError(f"no word unpacks to {u.cls.value} s={u.sign} e={u.biased_exp} {sig}")
     return f
@@ -245,4 +251,4 @@ def parse_float_literal(text: str) -> RnFloat:
         raise ValueError(f"bad bit field in literal: {text!r}")
     if not 0 <= e <= fmt.exp_mask or not 0 <= frac < (1 << fmt.frac_bits):
         raise ValueError(f"field out of range in literal: {text!r}")
-    return _assemble(fmt, s, e, frac, r)
+    return RnFloat(fmt, _assemble(fmt, s, e, frac, r))

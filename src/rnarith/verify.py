@@ -4,8 +4,9 @@ Each sweep runs an operation over an enumerated space, judges its contract
 in integer arithmetic on the raw fields (the float rounding contract is
 :func:`rounding_fault` on the exact ``(n, d, k)`` triple of
 :func:`_float_exact`), and returns a :class:`~rnarith.oracle.VerifyReport`.
-No sweep builds a Fraction except to print a failure.  These back the tests
-and the ``verify`` command.
+No sweep builds a Fraction except to print a failure.  The float sweeps
+call the word ops (``floatarith.fadd_words`` and its twins) on int words.
+These back the tests and the ``verify`` command.
 """
 
 from __future__ import annotations
@@ -345,9 +346,9 @@ def roundtrip_sweep(width: int) -> VerifyReport:
 # floating-point sweeps
 
 _FLOAT_OPS = {
-    "add": (fa.fadd_with_sticky, "fadd"),
-    "mul": (fa.fmul_with_sticky, "fmul"),
-    "div": (fa.fdiv_with_sticky, "fdiv"),
+    "add": (fa.fadd_words, "fadd"),
+    "mul": (fa.fmul_words, "fmul"),
+    "div": (fa.fdiv_words, "fdiv"),
 }
 
 
@@ -411,14 +412,14 @@ def rounding_fault(fmt: FloatFormat, exact: tuple[int, int, int], mode: fa.Round
     return "one ulp" if abs(diff) >= ulp else None
 
 
-def _operand_pairs(fmt: FloatFormat) -> Iterator[tuple[RnFloat, RnFloat, int | None, int | None]]:
-    """Every operand pair with both ``_units`` values (None when not finite)."""
+def _operand_pairs(fmt: FloatFormat) -> Iterator[tuple[int, int, int | None, int | None]]:
+    """Every pair of operand words with both ``_units`` values (None when
+    not finite)."""
     check_space(f"{fmt.name or 'format'} operand pairs", 1, 2 * fmt.total_bits)
     n = 1 << fmt.total_bits
-    words = [RnFloat(fmt, w) for w in range(n)]
     values = [_units(fmt, w) for w in range(n)]
     return (
-        (words[wa], words[wb], values[wa], values[wb])
+        (wa, wb, values[wa], values[wb])
         for wa in range(n)
         for wb in range(n)
     )
@@ -434,16 +435,16 @@ def float_nearest_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
         if op == "div" and vb == 0:
             continue
         rep.cases += 1
-        out, sticky = func(a, b)
-        exact = _float_exact(fmt, op, a.word, b.word, va, vb)
-        if op in ("add", "mul") and func(b, a)[0] != out:
+        out, inexact = func(fmt, a, b)
+        exact = _float_exact(fmt, op, a, b, va, vb)
+        if op in ("add", "mul") and func(fmt, b, a)[0] != out:
             fault = "commutative"
         elif exact is None:
             continue
         else:
-            fault = rounding_fault(fmt, exact, fa.RoundingMode.NEAREST, out.word, sticky.nonzero)
+            fault = rounding_fault(fmt, exact, fa.RoundingMode.NEAREST, out, inexact)
         if fault:
-            rep.record(f"{a.word:#x},{b.word:#x}", f"{fault} ({_fraction(exact)})", f"{out.word:#x}")
+            rep.record(f"{a:#x},{b:#x}", f"{fault} ({_fraction(exact)})", f"{out:#x}")
     return rep.done()
 
 
@@ -459,22 +460,22 @@ def float_directed_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
     rep = VerifyReport(f"{name}-directed", f"format={fmt.name}")
     ones = (1 << (fmt.total_bits - 1)) | ((1 << fmt.precision) - 1)  # zero: all ones but the exponent
     for a, b, va, vb in _operand_pairs(fmt):
-        exact = _float_exact(fmt, op, a.word, b.word, va, vb)
+        exact = _float_exact(fmt, op, a, b, va, vb)
         if exact is None:
             continue
-        near, sticky = func(a, b)
-        wants = (near.word,) * 4
-        if sticky.nonzero and (near.word >> fmt.precision) & fmt.exp_mask != fmt.exp_mask:
-            base = ones - 1 if exact[0] < 0 and near.word in (0, ones) else near.word & ~1
+        near, inexact = func(fmt, a, b)
+        wants = (near,) * 4
+        if inexact and (near >> fmt.precision) & fmt.exp_mask != fmt.exp_mask:
+            base = ones - 1 if exact[0] < 0 and near in (0, ones) else near & ~1
             words = (base | up for up in _rounds_up(exact[0] < 0))
             wants = tuple(0 if word == ones else word for word in words)
         for mode, want in zip(_DIRECTED_MODES, wants):
             rep.cases += 1
-            out, out_sticky = func(a, b, mode)
-            fault = ("substitution" if out.word != want
-                     else rounding_fault(fmt, exact, mode, out.word, out_sticky.nonzero))
+            out, out_inexact = func(fmt, a, b, mode)
+            fault = ("substitution" if out != want
+                     else rounding_fault(fmt, exact, mode, out, out_inexact))
             if fault:
-                rep.record(f"{a.word:#x},{b.word:#x},{mode.value}", f"{fault} ({_fraction(exact)})", f"{out.word:#x}")
+                rep.record(f"{a:#x},{b:#x},{mode.value}", f"{fault} ({_fraction(exact)})", f"{out:#x}")
     return rep.done()
 
 
@@ -495,17 +496,18 @@ def float_sign_symmetry_sweep(fmt: FloatFormat, op: str,
     """
     func, name = _FLOAT_OPS[op]
     rep = VerifyReport(f"{name}-symmetry", f"format={fmt.name} mode={mode.value}")
+    neg = [float_negate(RnFloat(fmt, w)).word for w in range(1 << fmt.total_bits)]
     for a, b, _, _ in _operand_pairs(fmt):
         rep.cases += 1
-        out, sticky = func(float_negate(a), float_negate(b) if op == "add" else b, mode)
-        ref, ref_sticky = func(a, b, _MIRROR.get(mode, mode))
-        want = float_negate(ref)
-        if _units(fmt, ref.word) in (None, 0):
-            ok = _value_class(fmt, out.word) == _value_class(fmt, want.word)
+        out, inexact = func(fmt, neg[a], neg[b] if op == "add" else b, mode)
+        ref, ref_inexact = func(fmt, a, b, _MIRROR.get(mode, mode))
+        want = neg[ref]
+        if _units(fmt, ref) in (None, 0):
+            ok = _value_class(fmt, out) == _value_class(fmt, want)
         else:
             ok = out == want
-        if not ok or sticky != ref_sticky:
-            rep.record(f"{a.word:#x},{b.word:#x}", f"{want.word:#x}", f"{out.word:#x}")
+        if not ok or inexact != ref_inexact:
+            rep.record(f"{a:#x},{b:#x}", f"{want:#x}", f"{out:#x}")
     return rep.done()
 
 
@@ -521,21 +523,21 @@ def far_shortcut_sweep(fmt: FloatFormat) -> VerifyReport:
     for a, b, va, vb in _operand_pairs(fmt):
         if va in (None, 0) or vb in (None, 0):
             continue
-        if _sig(fmt, a.word)[2] <= _sig(fmt, b.word)[2] + fmt.precision:
+        if _sig(fmt, a)[2] <= _sig(fmt, b)[2] + fmt.precision:
             continue
         rep.cases += 1
-        out = fa.far_shortcut(a, b)
+        out = fa.far_shortcut(RnFloat(fmt, a), RnFloat(fmt, b)).word
         # half is u/2 in the intervals' units of 2**(e_min-p), and u in _units
-        lo_r, width_r = _half_interval(fmt, out.word)
-        lo_a, half = _half_interval(fmt, a.word)
+        lo_r, width_r = _half_interval(fmt, out)
+        lo_a, half = _half_interval(fmt, a)
         lo_b, hi_b = (0, half) if vb > 0 else (-half, 0)
         ok = (
             lo_a + lo_b <= lo_r
             and lo_r + width_r <= lo_a + half + hi_b
-            and abs(_units(fmt, out.word) - va - vb) < half
+            and abs(_units(fmt, out) - va - vb) < half
         )
         if not ok:
-            rep.record(f"{a.word:#x},{b.word:#x}", "shortcut soundness", f"{out.word:#x}")
+            rep.record(f"{a:#x},{b:#x}", "shortcut soundness", f"{out:#x}")
     return rep.done()
 
 

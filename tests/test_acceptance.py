@@ -89,14 +89,14 @@ def test_criterion_8_round_bit_direction():
     rep = VerifyReport("round-bit-direction", "format=rnf8")
     for op, (func, _) in verify._FLOAT_OPS.items():
         for a, b, va, vb in verify._operand_pairs(RNF8):
-            exact = verify._float_exact(RNF8, op, a.word, b.word, va, vb)
+            exact = verify._float_exact(RNF8, op, a, b, va, vb)
             if exact is None:
                 continue
             rep.cases += 1
-            out, sticky = func(a, b)
-            fault = verify.rounding_fault(RNF8, exact, RoundingMode.NEAREST, out.word, sticky.nonzero)
+            out, inexact = func(RNF8, a, b)
+            fault = verify.rounding_fault(RNF8, exact, RoundingMode.NEAREST, out, inexact)
             if fault == "round-bit direction":
-                rep.record(f"{op} {a.word:#x},{b.word:#x}", "direction", str(out.word & 1))
+                rep.record(f"{op} {a:#x},{b:#x}", "direction", str(out & 1))
     rep.done()
     _finish("8 round-bit-direction", [rep], 120.0, t0)
 

@@ -8,6 +8,9 @@ from pathlib import Path
 import pytest
 
 from rnarith.cli import _build_parser, main
+from rnarith.core import DyadicRational
+from rnarith.floatarith import RoundingMode, round_to_format
+from rnarith.floatfmt import RNF64
 
 
 def run(capsys, *argv):
@@ -124,6 +127,30 @@ class TestConvert:
             assert (code, out) == (want_code, want_out)
             assert peak < 5 << 20
             assert code == 0 or err.startswith("error:")
+
+
+    @pytest.mark.parametrize("mantissa, exp, words", [
+        (1, 10 ** 9, ("7ff0000000000000",) * 5),
+        (-3, 10 ** 9, ("fff0000000000000",) * 5),
+        (3, 10 ** 9, ("7ff0000000000000",) * 5),
+        (1, -10 ** 9, ("0", "1", "0", "0", "1")),
+        (-3, -10 ** 9, ("0", "0", "800ffffffffffffe", "0", "800ffffffffffffe")),
+        (3, -10 ** 9, ("0", "1", "0", "0", "1")),
+    ])
+    def test_huge_exponent_reaches_the_sink_as_a_shift(self, mantissa, exp, words):
+        # words in rn, ru, rd, rz, ra; every one is inexact, and the sink's
+        # shift path never builds 2**|exp|
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            got = [round_to_format(DyadicRational(mantissa, exp), RNF64, mode) for mode in RoundingMode]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - t0 < 0.5
+        assert peak < 5 << 20
+        assert [f"{out.word:x}" for out, _ in got] == list(words)
+        assert all(sticky.nonzero for _, sticky in got)
 
 
 class TestEval:

@@ -9,7 +9,7 @@ import rnarith.floatarith as fa
 import rnarith.oracle as oracle
 import rnarith.verify as verify
 from rnarith.core import DyadicInterval, DyadicRational, RnFixed
-from rnarith.floatarith import RoundingMode, StickyTail
+from rnarith.floatarith import RoundingMode
 from rnarith.floatfmt import RNF8, RNF16, RNF32, RNF64, FloatClass, FloatFormat, RnFloat
 from rnarith.oracle import (
     ENUMERATION_LIMIT,
@@ -106,8 +106,8 @@ SMALL = FloatFormat(2, 3)
 
 
 def _plant(monkeypatch, fault):
-    """Pass every result of the rounding sink through ``fault(out, sticky,
-    fmt, mode)``."""
+    """Pass every ``(word, inexact)`` result of the rounding sink through
+    ``fault(word, inexact, fmt, mode)``."""
     good = fa._deliver
 
     def faulty(num, den, g, fmt, mode):
@@ -116,17 +116,17 @@ def _plant(monkeypatch, fault):
     monkeypatch.setattr(fa, "_deliver", faulty)
 
 
-def _is_inf(out):
-    return out in (out.fmt.inf(0), out.fmt.inf(1))
+def _is_inf(fmt, word):
+    return word in (fmt.inf_word(0), fmt.inf_word(1))
 
 
 def _flip_bit(when, bit=0):
     """A sink fault: flip one bit of a finite result (the round bit unless
     ``bit`` says otherwise) for which ``when(value, inexact, mode)`` holds."""
-    def fault(out, s, fmt, mode):
-        v = verify.float_value(fmt, out.word)
-        flip = v is not None and when(v, s.nonzero, mode)
-        return (RnFloat(fmt, out.word ^ (1 << bit)) if flip else out), s
+    def fault(word, inexact, fmt, mode):
+        v = verify.float_value(fmt, word)
+        flip = v is not None and when(v, inexact, mode)
+        return (word ^ (1 << bit) if flip else word), inexact
 
     return fault
 
@@ -175,20 +175,20 @@ class TestSweepsCatchFaults:
         assert (rep.cases, len(rep.failures)) == (256, 2)
 
     def test_overflow_returned_as_nan(self, monkeypatch):
-        _plant(monkeypatch, lambda out, s, fmt, mode: (fmt.nan() if _is_inf(out) else out, s))
+        _plant(monkeypatch, lambda w, s, fmt, mode: (fmt.nan_word() if _is_inf(fmt, w) else w, s))
         assert _float_sweep_failures(SMALL) == [354, 548, 204, 1416, 2192, 816]
 
     def test_overflow_with_wrong_sign(self, monkeypatch):
-        _plant(monkeypatch, lambda out, s, fmt, mode: (fmt.inf(1) if out == fmt.inf(0) else out, s))
+        _plant(monkeypatch, lambda w, s, fmt, mode: (fmt.inf_word(1) if w == fmt.inf_word(0) else w, s))
         assert _float_sweep_failures(SMALL) == [177, 274, 102, 708, 1096, 408]
 
     def test_overflow_flagged_exact(self, monkeypatch):
-        _plant(monkeypatch, lambda out, s, fmt, mode: (out, StickyTail(False) if _is_inf(out) else s))
+        _plant(monkeypatch, lambda w, s, fmt, mode: (w, False if _is_inf(fmt, w) else s))
         assert _float_sweep_failures(SMALL) == [354, 548, 204, 1416, 2192, 816]
 
     def test_directed_sticky_flag_flipped(self, monkeypatch):
-        def flip(out, s, fmt, mode):
-            return out, s if mode is RoundingMode.NEAREST else StickyTail(not s.nonzero)
+        def flip(w, s, fmt, mode):
+            return w, s if mode is RoundingMode.NEAREST else not s
 
         _plant(monkeypatch, flip)
         assert _float_sweep_failures(SMALL) == [0, 0, 0, 8464, 8464, 8464]
@@ -215,10 +215,10 @@ class TestSweepsCatchFaults:
 
     def test_directed_zero_spelled_all_ones(self, monkeypatch):
         # the same value, so only round-bit substitution (canonical zero) sees it
-        def fault(out, s, fmt, mode):
-            if mode is not RoundingMode.NEAREST and verify._units(fmt, out.word) == 0:
-                out = RnFloat(fmt, (1 << (fmt.total_bits - 1)) | ((1 << fmt.precision) - 1))
-            return out, s
+        def fault(w, s, fmt, mode):
+            if mode is not RoundingMode.NEAREST and verify._units(fmt, w) == 0:
+                w = (1 << (fmt.total_bits - 1)) | ((1 << fmt.precision) - 1)
+            return w, s
 
         _plant(monkeypatch, fault)
         assert _float_sweep_failures(SMALL) == [0, 0, 0, 360, 160, 408]
