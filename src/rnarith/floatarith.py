@@ -65,13 +65,13 @@ def directed_round_bit(rbit: int, sign_bit: int, t: StickyTail, mode: RoundingMo
     Applies only when the truncated tail was nonzero; exact results pass
     through every mode unchanged.
     """
-    if not t.nonzero or mode is RoundingMode.NEAREST:
+    if not t.nonzero or mode is _NEAREST:
         return rbit
-    if mode is RoundingMode.UPWARD:
+    if mode is _UPWARD:
         return 1
-    if mode is RoundingMode.DOWNWARD:
+    if mode is _DOWNWARD:
         return 0
-    if mode is RoundingMode.TOWARD_ZERO:
+    if mode is _TOWARD_ZERO:
         return sign_bit
     return 1 - sign_bit
 
@@ -79,18 +79,14 @@ def directed_round_bit(rbit: int, sign_bit: int, t: StickyTail, mode: RoundingMo
 # read once: a member read through its enum class is a slow lookup (about
 # 0.1 us on CPython 3.11), and every word op tests the classes several times
 _NAN, _INFINITY = FloatClass.NAN, FloatClass.INFINITY
-_NEAREST = RoundingMode.NEAREST
+_NEAREST, _UPWARD = RoundingMode.NEAREST, RoundingMode.UPWARD
+_DOWNWARD, _TOWARD_ZERO = RoundingMode.DOWNWARD, RoundingMode.TOWARD_ZERO
 
 
 def _require_same_format(a: RnFloat, b: RnFloat) -> FloatFormat:
     if a.fmt is not b.fmt and a.fmt != b.fmt:
         raise ValueError("operands must share a format")
     return a.fmt
-
-
-def _require_words(fmt: FloatFormat, a: int, b: int) -> None:
-    if (a | b) >> fmt.total_bits:  # negative or too wide
-        raise ValueError("word does not fit the format")
 
 
 def _floor_log2_ratio(num: int, den: int) -> int:
@@ -174,7 +170,6 @@ def round_to_format(value: Fraction | DyadicRational, fmt: FloatFormat, mode: Ro
 
 def fadd_words(fmt: FloatFormat, a: int, b: int, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[int, bool]:
     """Sum of two words of ``fmt``: the result word and whether it is inexact."""
-    _require_words(fmt, a, b)
     ca, sa, wa, ra, ea = decode(fmt, a)
     cb, sb, wb, rb, eb = decode(fmt, b)
     if ca is _NAN or cb is _NAN:
@@ -230,7 +225,6 @@ def far_shortcut(a: RnFloat, b: RnFloat) -> RnFloat:
 
 def fmul_words(fmt: FloatFormat, a: int, b: int, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[int, bool]:
     """Product of two words of ``fmt``: the result word and whether it is inexact."""
-    _require_words(fmt, a, b)
     ca, sa, wa, ra, ea = decode(fmt, a)
     cb, sb, wb, rb, eb = decode(fmt, b)
     if ca is _NAN or cb is _NAN:
@@ -283,7 +277,6 @@ def _divider_word(w: int, r: int, e: int, p: int) -> tuple[int, int]:
 
 def fdiv_words(fmt: FloatFormat, a: int, b: int, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[int, bool]:
     """Quotient of two words of ``fmt``: the result word and whether it is inexact."""
-    _require_words(fmt, a, b)
     ca, sa, wa, ra, ea = decode(fmt, a)
     cb, sb, wb, rb, eb = decode(fmt, b)
     if ca is _NAN or cb is _NAN:

@@ -5,8 +5,10 @@ in integer arithmetic on the raw fields (the float rounding contract is
 :func:`rounding_fault` on the exact ``(n, d, k)`` triple of
 :func:`_float_exact`), and returns a :class:`~rnarith.oracle.VerifyReport`.
 No sweep builds a Fraction except to print a failure.  The float sweeps
-call the word ops (``floatarith.fadd_words`` and its twins) on int words.
-These back the tests and the ``verify`` command.
+call the word ops (``floatarith.fadd_words`` and its twins) on int words;
+the nearest add and mul sweeps call them once per ordered pair and judge
+commutativity from the two results of each unordered pair.  These back the
+tests and the ``verify`` command.
 """
 
 from __future__ import annotations
@@ -65,11 +67,13 @@ def _sig(fmt: FloatFormat, word: int) -> tuple[int, int, int]:
     its hidden bit (the complement of the sign) restored and scale
     ``e - bias``; a word with a zero exponent field has scale ``e_min``.
     """
-    s, e, f, r = _fields(fmt, word)
     p = fmt.precision
+    s = (word >> (fmt.total_bits - 1)) & 1
+    e = (word >> p) & fmt.exp_mask
+    f = (word >> 1) & ((1 << fmt.frac_bits) - 1)
     if e == 0:
-        return f - (s << (p - 1)), r, fmt.e_min
-    return f + ((1 << (p - 1)) if s == 0 else -(1 << p)), r, e - fmt.bias
+        return f - (s << (p - 1)), word & 1, fmt.e_min
+    return f + ((1 << (p - 1)) if s == 0 else -(1 << p)), word & 1, e - fmt.bias
 
 
 def float_value(fmt: FloatFormat, word: int) -> Fraction | None:
@@ -366,13 +370,17 @@ def _float_exact(fmt: FloatFormat, op: str, wa: int, wb: int,
     return None if vb == 0 else _div_exact(fmt, wa, wb)
 
 
-_DIRECTED_MODES = tuple(fa.RoundingMode)[1:]  # ru, rd, rz, ra
+_NEAREST = fa.RoundingMode.NEAREST  # read once, as in floatarith
 
-
-def _rounds_up(negative: bool) -> tuple[bool, bool, bool, bool]:
-    """Whether ru, rd, rz and ra round up from an exact value of this sign
-    (rz rounds toward zero, ra away from it)."""
-    return True, False, negative, not negative
+# whether each directed mode rounds up from an exact value, read as
+# _ROUNDS_UP[mode][negative]: rz rounds toward zero, ra away from it
+_ROUNDS_UP = {
+    fa.RoundingMode.UPWARD: (True, True),
+    fa.RoundingMode.DOWNWARD: (False, False),
+    fa.RoundingMode.TOWARD_ZERO: (False, True),
+    fa.RoundingMode.AWAY_FROM_ZERO: (True, False),
+}
+_DIRECTED_MODES = tuple(_ROUNDS_UP)  # ru, rd, rz, ra
 
 
 def rounding_fault(fmt: FloatFormat, exact: tuple[int, int, int], mode: fa.RoundingMode,
@@ -401,50 +409,76 @@ def rounding_fault(fmt: FloatFormat, exact: tuple[int, int, int], mode: fa.Round
         return "sticky flag"
     if diff == 0:
         return None
-    if mode is fa.RoundingMode.NEAREST:
+    if mode is _NEAREST:
         if 2 * abs(diff) > ulp:
             return "half ulp"
         if _representable(fmt, n, d, k):
             return "exact value"
         return "round-bit direction" if w + r != 0 and (r == 1) != (diff > 0) else None
-    if (diff > 0) != _rounds_up(n < 0)[_DIRECTED_MODES.index(mode)]:  # n carries exact's sign
+    if (diff > 0) != _ROUNDS_UP[mode][n < 0]:  # n carries exact's sign
         return "directed side"
     return "one ulp" if abs(diff) >= ulp else None
+
+
+def _operand_values(fmt: FloatFormat) -> list[int | None]:
+    """Every operand word's ``_units`` value (None when not finite), indexed
+    by the word; refuses a format whose operand pairs cannot be enumerated."""
+    check_space(f"{fmt.name or 'format'} operand pairs", 1, 2 * fmt.total_bits)
+    return [_units(fmt, w) for w in range(1 << fmt.total_bits)]
 
 
 def _operand_pairs(fmt: FloatFormat) -> Iterator[tuple[int, int, int | None, int | None]]:
     """Every pair of operand words with both ``_units`` values (None when
     not finite)."""
-    check_space(f"{fmt.name or 'format'} operand pairs", 1, 2 * fmt.total_bits)
-    n = 1 << fmt.total_bits
-    values = [_units(fmt, w) for w in range(n)]
+    values = _operand_values(fmt)
     return (
-        (wa, wb, values[wa], values[wb])
-        for wa in range(n)
-        for wb in range(n)
+        (wa, wb, va, vb)
+        for wa, va in enumerate(values)
+        for wb, vb in enumerate(values)
     )
 
 
 def float_nearest_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
     """Nearest mode over every operand pair: the rounding contract
     (``rounding_fault``) on every finite exact value, and commutativity for
-    add and mul."""
+    add and mul.
+
+    Add and mul walk the unordered pairs ``a <= b`` and call the op once in
+    each order, so ``n`` words cost ``n*n + n`` calls.  Each ordered pair is
+    its own case, judged on its own word and sticky flag; both orders fail
+    ``"commutative"`` when their words differ.  The exact value is the same
+    in either order, so two equal results share one verdict."""
     func, name = _FLOAT_OPS[op]
     rep = VerifyReport(name, f"format={fmt.name}")
-    for a, b, va, vb in _operand_pairs(fmt):
-        if op == "div" and vb == 0:
-            continue
-        rep.cases += 1
-        out, inexact = func(fmt, a, b)
-        exact = _float_exact(fmt, op, a, b, va, vb)
-        if op in ("add", "mul") and func(fmt, b, a)[0] != out:
-            fault = "commutative"
-        elif exact is None:
-            continue
-        else:
-            fault = rounding_fault(fmt, exact, fa.RoundingMode.NEAREST, out, inexact)
-        if fault:
-            rep.record(f"{a:#x},{b:#x}", f"{fault} ({_fraction(exact)})", f"{out:#x}")
+    if op == "div":
+        for a, b, va, vb in _operand_pairs(fmt):
+            if vb == 0:
+                continue
+            rep.cases += 1
+            out, inexact = func(fmt, a, b)
+            exact = _float_exact(fmt, op, a, b, va, vb)
+            if exact is not None and (fault := rounding_fault(fmt, exact, _NEAREST, out, inexact)):
+                rep.record(f"{a:#x},{b:#x}", f"{fault} ({_fraction(exact)})", f"{out:#x}")
+        return rep.done()
+    values = _operand_values(fmt)
+    for a, va in enumerate(values):
+        for b in range(a, len(values)):
+            ab, ba = func(fmt, a, b), func(fmt, b, a)
+            exact = _float_exact(fmt, op, a, b, va, values[b])
+            if ab[0] != ba[0]:
+                fault = fault_ba = "commutative"
+            elif exact is None:
+                fault = fault_ba = None
+            else:
+                fault = rounding_fault(fmt, exact, _NEAREST, *ab)
+                fault_ba = fault if ba == ab else rounding_fault(fmt, exact, _NEAREST, *ba)
+            rep.cases += 1
+            if fault:
+                rep.record(f"{a:#x},{b:#x}", f"{fault} ({_fraction(exact)})", f"{ab[0]:#x}")
+            if a != b:
+                rep.cases += 1
+                if fault_ba:
+                    rep.record(f"{b:#x},{a:#x}", f"{fault_ba} ({_fraction(exact)})", f"{ba[0]:#x}")
     return rep.done()
 
 
@@ -453,12 +487,15 @@ def float_directed_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
     rounding contract (``rounding_fault``) in each mode, and round-bit
     substitution.  The directed word is the nearest word when that is exact
     or not finite (overflow saturates in every mode); else the nearest word
-    with bit 0 set when the mode rounds up (``_rounds_up``), starting from
+    with bit 0 set when the mode rounds up (``_ROUNDS_UP``), starting from
     the all-ones zero for a nearest zero of a negative exact value, and a
     spelling of value 0 is the canonical zero."""
     func, name = _FLOAT_OPS[op]
     rep = VerifyReport(f"{name}-directed", f"format={fmt.name}")
     ones = (1 << (fmt.total_bits - 1)) | ((1 << fmt.precision) - 1)  # zero: all ones but the exponent
+    # bit 0 of the substituted word in each directed mode, indexed by whether
+    # the exact value is negative
+    ups = [[_ROUNDS_UP[mode][negative] for mode in _DIRECTED_MODES] for negative in (False, True)]
     for a, b, va, vb in _operand_pairs(fmt):
         exact = _float_exact(fmt, op, a, b, va, vb)
         if exact is None:
@@ -467,7 +504,7 @@ def float_directed_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
         wants = (near,) * 4
         if inexact and (near >> fmt.precision) & fmt.exp_mask != fmt.exp_mask:
             base = ones - 1 if exact[0] < 0 and near in (0, ones) else near & ~1
-            words = (base | up for up in _rounds_up(exact[0] < 0))
+            words = (base | up for up in ups[exact[0] < 0])
             wants = tuple(0 if word == ones else word for word in words)
         for mode, want in zip(_DIRECTED_MODES, wants):
             rep.cases += 1

@@ -4,11 +4,14 @@ The benchmark wraps each ``(module, name)`` in ``tracing.BOUNDARIES`` and
 imports its value helpers from ``rnarith.verify`` in ``checks.py``; deleting
 or renaming one of them breaks every benchmark run.  The modules are loaded
 from their files, so nothing under ``perfbench/`` is changed or put on the
-import path.
+import path.  The benchmark's own smoke run (``perfbench/smoke.py``) runs
+here too, in a subprocess.
 """
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -67,3 +70,12 @@ def test_sticky_flag_is_a_bool_attribute():
 def test_checks_import_cleanly():
     checks = _load("checks")
     assert callable(checks.check_float_op)
+
+
+def test_benchmark_smoke_run_passes():
+    # every workload at minimal size: metrics printed, checks passed, mix and
+    # digest repeated for a seed, and a planted wrong result counted
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "smoke.py")], cwd=PERFBENCH.parent,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    assert proc.stdout.splitlines()[-1] == "0 smoke failures"

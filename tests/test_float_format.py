@@ -100,6 +100,13 @@ class TestUnpack:
         for word in (0x00, 0x01, 0x8F, 0x70, 0x71):  # every other class
             assert decode(RNF8, word)[4] == RNF8.e_min
 
+    @pytest.mark.parametrize("fmt", [RNF8, FloatFormat(2, 3)], ids=lambda f: f.name or "e2p3")
+    def test_decode_refuses_words_outside_the_format(self, fmt):
+        for word in (-1, 1 << fmt.total_bits, -(1 << fmt.total_bits), 1 << (2 * fmt.total_bits)):
+            with pytest.raises(ValueError, match="word does not fit the format"):
+                decode(fmt, word)
+        decode(fmt, (1 << fmt.total_bits) - 1)  # the top word is in the format
+
     def test_infinities(self):
         for sign, word in ((0, 0x70), (1, 0xF0)):
             u = unpack(RnFloat(RNF8, word))

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -131,6 +132,16 @@ def _flip_bit(when, bit=0):
     return fault
 
 
+def _plant_ops(monkeypatch, fault):
+    """Pass every result of the swept word ops through
+    ``fault(word, inexact, fmt, a, b)``, which sees the operand order."""
+    for op, (func, name) in list(verify._FLOAT_OPS.items()):
+        def faulty(fmt, a, b, *mode, func=func):
+            return fault(*func(fmt, a, b, *mode), fmt, a, b)
+
+        monkeypatch.setitem(verify._FLOAT_OPS, op, (faulty, name))
+
+
 def _flipped(x):
     """A fixed-point encoding with its round bit flipped."""
     return replace(x, round=1 - x.round)
@@ -213,6 +224,25 @@ class TestSweepsCatchFaults:
         reports = [verify.float_directed_sweep(SMALL, op) for op in ("add", "mul", "div")]
         assert {want.split(" (")[0] for rep in reports for _, want, _ in rep.failures} == {"substitution"}
 
+    def test_commutativity_broken_in_one_order(self, monkeypatch):
+        # bit 0 of an exact nonzero result flips only when a < b, so each
+        # such add or mul pair fails "commutative" in both orders; div and
+        # the directed sweeps see the flipped word through the rounding
+        # contract.  The counts do not depend on how often the nearest sweep
+        # calls the op per pair: calling it in both orders for every case
+        # gives the same.
+        def fault(w, s, fmt, a, b):
+            flip = a < b and not s and verify.float_value(fmt, w) not in (None, 0)
+            return w ^ flip, s
+
+        _plant_ops(monkeypatch, fault)
+        assert _float_sweep_failures(SMALL) == [1440, 772, 232, 2880, 1544, 928]
+        for op in ("add", "mul"):
+            rep = verify.float_nearest_sweep(SMALL, op)
+            assert {want.split(" (")[0] for _, want, _ in rep.failures} == {"commutative"}
+            failed = {tuple(inputs.split(",")) for inputs, _, _ in rep.failures}
+            assert failed == {(b, a) for a, b in failed}
+
     def test_directed_zero_spelled_all_ones(self, monkeypatch):
         # the same value, so only round-bit substitution (canonical zero) sees it
         def fault(w, s, fmt, mode):
@@ -259,6 +289,27 @@ class TestSweepWork:
         monkeypatch.setattr(verify, "truncate_at", lambda x, k: calls.append(k) or good(x, k))
         rep = verify.double_rounding_sweep(6)
         assert (rep.cases, len(rep.failures), len(calls)) == (2688, 0, 3456)
+
+    def test_nearest_sweep_calls_each_ordered_pair_once(self, monkeypatch):
+        # add and mul call the op once per ordered pair and once more per
+        # diagonal pair: n*n + n calls for the n = 64 words (twice per case
+        # before); div calls it once per case
+        n = 1 << SMALL.total_bits
+        work = {}
+        for op, (func, name) in list(verify._FLOAT_OPS.items()):
+            calls = Counter()
+
+            def counted(fmt, a, b, func=func, calls=calls):
+                calls[a, b] += 1
+                return func(fmt, a, b)
+
+            monkeypatch.setitem(verify._FLOAT_OPS, op, (counted, name))
+            rep = verify.float_nearest_sweep(SMALL, op)
+            work[op] = (rep.cases, len(rep.failures), calls.total())
+            if op != "div":
+                assert len(calls) == n * n
+                assert all(count == 1 + (a == b) for (a, b), count in calls.items())
+        assert work == {"add": (4096, 0, 4160), "mul": (4096, 0, 4160), "div": (3968, 0, 3968)}
 
 
 class TestRoundingFault:
