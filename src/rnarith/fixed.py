@@ -3,7 +3,8 @@
 Addition, subtraction and multiplication are exact: they widen the result
 word instead of rounding, and any rounding is left to an explicit
 ``core.truncate_at``.  Division rounds once, to the same number of digits as
-its operands, by truncating its quotient.
+its operands, by truncating the quotient of :func:`long_divide`, the
+library's one divider.
 """
 
 from __future__ import annotations
@@ -95,6 +96,23 @@ def mul(a: RnFixed, b: RnFixed) -> RnFixed:
     return negate(out) if neg else out
 
 
+def long_divide(n: int, d: int, bits: int) -> tuple[int, int]:
+    """``(2*q + sticky, k)`` with ``q = floor(n * 2**k / d)`` of exactly
+    ``bits`` bits (0 when ``n`` is) for ``n >= 0``, ``d > 0``; ``sticky`` is
+    1 exactly when the remainder is nonzero.  ``k`` follows from the bit
+    lengths, with at most one renormalizing shift."""
+    k = bits - 1 - n.bit_length() + d.bit_length()
+    if k >= 0:
+        n <<= k
+    else:
+        d <<= -k
+    if n < d << (bits - 1):  # quotient one bit short: shift once more
+        n <<= 1
+        k += 1
+    q, rem = divmod(n, d)
+    return 2 * q + (rem != 0), k
+
+
 @dataclass(frozen=True)
 class DivResult:
     """Quotient encoding plus a flag telling whether the quotient is exact:
@@ -109,12 +127,11 @@ def div(x: RnFixed, y: RnFixed, p: int) -> DivResult:
 
     Operands must be nonnegative with word value in [1, 2) and ``p``
     fractional bits (lsb exponent ``-p``).  The quotient of the extended
-    words (round bits appended) is truncated once, as in long division: the
-    quotient word keeps ``p`` fractional bits, or ``p + 1`` after the single
-    normalizing left shift when the quotient is below one, and the next bit
-    becomes the round bit.  Truncation keeps the round bit consistent with
-    the sign of what was dropped (1: value rounded up, tail nonpositive; 0:
-    rounded down).
+    words (round bits appended) is cut to ``p + 2`` bits by
+    :func:`long_divide`: the word keeps ``p`` fractional bits, or ``p + 1``
+    when the quotient is below one, and the next bit becomes the round bit,
+    consistent with the sign of what was dropped (1: value rounded up, tail
+    nonpositive; 0: rounded down).
     """
     if p < 1:
         raise ValueError("need at least one fractional bit")
@@ -123,9 +140,5 @@ def div(x: RnFixed, y: RnFixed, p: int) -> DivResult:
     for name, op in (("dividend", x), ("divisor", y)):
         if op.bits >> p != 1:
             raise ValueError(f"{name} word must lie in [1, 2)")
-    n = 2 * x.bits + x.round
-    d = 2 * y.bits + y.round
-    # a quotient below one takes the single normalizing shift: one more bit
-    below = n < d
-    t, rem = divmod(n << (p + 1 + below), d)
-    return DivResult(RnFixed(t >> 1, p + 2, t & 1, -p - below), rem == 0)
+    q2, k = long_divide(2 * x.bits + x.round, 2 * y.bits + y.round, p + 2)
+    return DivResult(RnFixed(q2 >> 2, p + 2, (q2 >> 1) & 1, 1 - k), q2 & 1 == 0)

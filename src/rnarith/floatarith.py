@@ -18,9 +18,8 @@ times a power of two, and the result word is written directly from its
 fields.  Add and multiply are exact on these integer significands: add
 aligns them by shifting, multiply multiplies them.  Division's reference
 value is the quotient of the operands' round-bit-extended words (the
-midpoints of their half-ulp intervals), which is what the fixed-point
-divider sees.  The fixed-point layer (``fixed``) serves the CLI's
-fixed-point operators and their sweeps, not these ops.
+midpoints of their half-ulp intervals), cut by ``fixed.long_divide``, the
+library's one divider, to ``p + 3`` bits and a sticky bit.
 
 Directed roundings never increment: when the truncated tail was nonzero the
 round bit is simply replaced according to the mode.
@@ -33,7 +32,8 @@ from enum import Enum
 from fractions import Fraction
 
 from .core import DyadicRational
-from .floatfmt import FloatClass, FloatFormat, RnFloat, _assemble, decode
+from .fixed import long_divide
+from .floatfmt import _INFINITY, _NAN, FloatFormat, RnFloat, _assemble, decode
 
 
 class RoundingMode(Enum):
@@ -59,13 +59,10 @@ _EXACT = StickyTail(False)
 _INEXACT = StickyTail(True)
 
 
-def directed_round_bit(rbit: int, sign_bit: int, t: StickyTail, mode: RoundingMode) -> int:
-    """Round-bit substitution table for the directed modes.
-
-    Applies only when the truncated tail was nonzero; exact results pass
-    through every mode unchanged.
-    """
-    if not t.nonzero or mode is _NEAREST:
+def directed_round_bit(rbit: int, sign_bit: int, mode: RoundingMode) -> int:
+    """Round-bit substitution table for the directed modes, for a result
+    whose truncated tail was nonzero (exact results never reach it)."""
+    if mode is _NEAREST:
         return rbit
     if mode is _UPWARD:
         return 1
@@ -77,8 +74,7 @@ def directed_round_bit(rbit: int, sign_bit: int, t: StickyTail, mode: RoundingMo
 
 
 # read once: a member read through its enum class is a slow lookup (about
-# 0.1 us on CPython 3.11), and every word op tests the classes several times
-_NAN, _INFINITY = FloatClass.NAN, FloatClass.INFINITY
+# 0.1 us on CPython 3.11), and the sink tests the mode on every result
 _NEAREST, _UPWARD = RoundingMode.NEAREST, RoundingMode.UPWARD
 _DOWNWARD, _TOWARD_ZERO = RoundingMode.DOWNWARD, RoundingMode.TOWARD_ZERO
 
@@ -89,23 +85,15 @@ def _require_same_format(a: RnFloat, b: RnFloat) -> FloatFormat:
     return a.fmt
 
 
-def _floor_log2_ratio(num: int, den: int) -> int:
-    """floor(log2(num/den)) for positive num, den."""
-    k = num.bit_length() - den.bit_length()
-    if k >= 0:
-        return k if num >= (den << k) else k - 1
-    return k if (num << -k) >= den else k - 1
+def _deliver(num: int, g: int, fmt: FloatFormat, mode: RoundingMode) -> tuple[int, bool]:
+    """Round the value ``num * 2**g`` into the format: the result word and
+    whether it differs from the value.
 
-
-def _deliver(num: int, den: int, g: int, fmt: FloatFormat, mode: RoundingMode) -> tuple[int, bool]:
-    """Round the exact value ``num/den * 2**g`` (den > 0) into the format:
-    the result word and whether it differs from the exact value.
-
-    One truncation puts the magnitude onto the target grid, giving word and
-    round bit: a shift when ``den`` is 1 (add, mul and dyadic values), else a
-    floor division.  A negative result is then the complement of both,
-    as negation is in the encoding: nearest ties round away from zero and
-    exact negative results carry the round bit.  Overflow saturates to
+    One truncation, a shift, puts the magnitude onto the target grid, giving
+    word and round bit (a quotient's lowest bit, its sticky bit, always
+    drops).  A negative result is then the complement of both, as negation
+    is in the encoding: nearest ties round away from zero and exact negative
+    results carry the round bit.  Overflow saturates to
     infinity, except that the exactly representable edge magnitude
     2**(e_max+1) is the all-ones word with the round bit set at e_max.
     """
@@ -114,7 +102,7 @@ def _deliver(num: int, den: int, g: int, fmt: FloatFormat, mode: RoundingMode) -
     p = fmt.precision
     sign = 1 if num < 0 else 0
     mag = -num if sign else num
-    e_val = (mag.bit_length() - 1 if den == 1 else _floor_log2_ratio(mag, den)) + g
+    e_val = mag.bit_length() - 1 + g
     e_max = fmt.e_max
     if e_val > e_max + 1:
         return fmt.inf_word(sign), True
@@ -125,17 +113,11 @@ def _deliver(num: int, den: int, g: int, fmt: FloatFormat, mode: RoundingMode) -
     else:
         e_tgt = e_val
     s = g + p - e_tgt  # the round bit's source position weighs 2**(e_tgt - p)
-    if den == 1:
-        if s >= 0:
-            t2, rem = mag << s, 0
-        else:
-            t2 = mag >> -s
-            rem = mag - (t2 << -s)  # t2 is 0 whenever -s is past the top bit
-    elif s >= 0:
-        t2, rem = divmod(mag << s, den)
+    if s >= 0:
+        t2, rem = mag << s, 0
     else:
-        # any shift past the magnitude's top bit truncates it to 0 alike
-        t2, rem = divmod(mag, den << min(-s, mag.bit_length() + 1))
+        t2 = mag >> -s
+        rem = mag - (t2 << -s)  # t2 is 0 whenever -s is past the top bit
     inexact = t2 & 1 == 1 or rem != 0
     if e_val > e_max:
         # beyond e_max only the exact edge is finite: all-ones word, r=1
@@ -146,7 +128,7 @@ def _deliver(num: int, den: int, g: int, fmt: FloatFormat, mode: RoundingMode) -
     if sign:
         w, r = ~w, 1 - r
     if inexact and mode is not _NEAREST:
-        r = directed_round_bit(r, sign, _INEXACT, mode)
+        r = directed_round_bit(r, sign, mode)
     if w + r == 0:  # only a subnormal result can truncate to zero
         return 0, inexact
     biased_exp = 0 if e_val < fmt.e_min else e_tgt + fmt.bias
@@ -164,8 +146,10 @@ def round_to_format(value: Fraction | DyadicRational, fmt: FloatFormat, mode: Ro
     A ``DyadicRational`` reaches the sink as ``mantissa * 2**exp``, so a huge
     exponent is never expanded into an integer."""
     if isinstance(value, DyadicRational):
-        return _wrap(fmt, _deliver(value.mantissa, 1, value.exp, fmt, mode))
-    return _wrap(fmt, _deliver(value.numerator, value.denominator, 0, fmt, mode))
+        return _wrap(fmt, _deliver(value.mantissa, value.exp, fmt, mode))
+    n = value.numerator
+    q2, k = long_divide(abs(n), value.denominator, fmt.precision + 3)
+    return _wrap(fmt, _deliver(-q2 if n < 0 else q2, -k - 1, fmt, mode))
 
 
 def fadd_words(fmt: FloatFormat, a: int, b: int, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[int, bool]:
@@ -190,7 +174,7 @@ def fadd_words(fmt: FloatFormat, a: int, b: int, mode: RoundingMode = RoundingMo
     if mb == 0:
         return a, False
     e = min(ea, eb)
-    return _deliver((ma << (ea - e)) + (mb << (eb - e)), 1, e + 1 - fmt.precision, fmt, mode)
+    return _deliver((ma << (ea - e)) + (mb << (eb - e)), e + 1 - fmt.precision, fmt, mode)
 
 
 def fadd_with_sticky(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[RnFloat, StickyTail]:
@@ -238,7 +222,7 @@ def fmul_words(fmt: FloatFormat, a: int, b: int, mode: RoundingMode = RoundingMo
         return fmt.inf_word(sign), False
     if ma == 0 or mb == 0:
         return 0, False
-    return _deliver(ma * mb, 1, ea + eb + 2 - 2 * fmt.precision, fmt, mode)
+    return _deliver(ma * mb, ea + eb + 2 - 2 * fmt.precision, fmt, mode)
 
 
 def fmul_with_sticky(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[RnFloat, StickyTail]:
@@ -299,7 +283,8 @@ def fdiv_words(fmt: FloatFormat, a: int, b: int, mode: RoundingMode = RoundingMo
     na, ea = _divider_word(wa, ra, ea, p)
     nb, eb = _divider_word(wb, rb, eb, p)
     # reference value: quotient of the round-bit-extended operand words
-    return _deliver(-na if sign else na, nb, ea - eb, fmt, mode)
+    q2, k = long_divide(na, nb, p + 3)
+    return _deliver(-q2 if sign else q2, ea - eb - k - 1, fmt, mode)
 
 
 def fdiv_with_sticky(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[RnFloat, StickyTail]:

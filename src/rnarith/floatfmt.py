@@ -177,7 +177,7 @@ def _assemble(fmt: FloatFormat, sign: int, biased_exp: int, frac: int, rbit: int
 def unpack(f: RnFloat) -> UnpackedFloat:
     cls, s, w, r, _ = decode(f.fmt, f.word)
     p = f.fmt.precision
-    width = p + 1 if cls is FloatClass.NORMAL else p
+    width = p + 1 if cls is _NORMAL else p
     return UnpackedFloat(f.fmt, cls, s, f.biased_exp, RnFixed(w, width, r, 1 - p))
 
 
@@ -196,7 +196,7 @@ def pack(u: UnpackedFloat) -> RnFloat:
 def value_of_float(f: RnFloat) -> DyadicRational | FloatClass:
     """Exact value of a finite word; the class marker for infinities/NaNs."""
     cls, _, w, r, scale = decode(f.fmt, f.word)
-    if cls is FloatClass.INFINITY or cls is FloatClass.NAN:
+    if cls is _INFINITY or cls is _NAN:
         return cls
     return DyadicRational(w + r, scale + 1 - f.fmt.precision)
 
@@ -209,9 +209,9 @@ def float_negate(f: RnFloat) -> RnFloat:
     """
     fmt = f.fmt
     cls, s, w, r, _ = decode(fmt, f.word)
-    if cls is FloatClass.NAN:
+    if cls is _NAN:
         return fmt.nan()
-    if cls is FloatClass.INFINITY:
+    if cls is _INFINITY:
         return fmt.inf(1 - s)
     if w + r == 0:
         return fmt.zero()

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -144,6 +145,27 @@ class TestConvert:
         t0 = time.perf_counter()
         try:
             got = [round_to_format(DyadicRational(mantissa, exp), RNF64, mode) for mode in RoundingMode]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - t0 < 0.5
+        assert peak < 5 << 20
+        assert [f"{out.word:x}" for out, _ in got] == list(words)
+        assert all(sticky.nonzero for _, sticky in got)
+
+    @pytest.mark.parametrize("value, words", [
+        (Fraction(1, 3 ** 20000), ("0", "1", "0", "0", "1")),
+        (Fraction(3 ** 20000, 7), ("7ff0000000000000",) * 5),
+        (Fraction(-3 ** 20000, 7), ("fff0000000000000",) * 5),
+    ], ids=["tiny", "huge", "-huge"])
+    def test_huge_fraction_reaches_the_sink_as_a_shift(self, value, words):
+        # words in rn, ru, rd, rz, ra; every one is inexact: the divider
+        # hands the sink p + 3 quotient bits and a sticky bit, whatever the
+        # operands' widths
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            got = [round_to_format(value, RNF64, mode) for mode in RoundingMode]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,9 +1,13 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
+from rnarith import cli, core, fixed, floatarith, floatfmt
 from rnarith.core import RnFixed, interval_of, negate, value_of
-from rnarith.fixed import DivResult, add, add_alt, div, mul, shift_left, sub
+from rnarith.fixed import DivResult, add, add_alt, div, long_divide, mul, shift_left, sub
 
 
 def all_encodings(width, lsb_exp=0):
@@ -188,3 +192,71 @@ class TestDiv:
                         assert q <= val(quot)
                     else:
                         assert q >= val(quot)
+
+
+def _check_long_divide(n, d, bits):
+    q2, k = long_divide(n, d, bits)
+    q, sticky = q2 >> 1, q2 & 1
+    assert q.bit_length() == (bits if n else 0)
+    # q * d <= n * 2**k < (q + 1) * d, both sides scaled to integers
+    num, den = (n << k, d) if k >= 0 else (n, d << -k)
+    assert q * den <= num < (q + 1) * den
+    assert sticky == (num % den != 0)
+
+
+class TestLongDivide:
+    def test_exhaustive_small(self):
+        for bits in range(1, 8):
+            for n in range(128):
+                for d in range(1, 128):
+                    _check_long_divide(n, d, bits)
+
+    @given(st.integers(0, (1 << 4096) - 1), st.integers(1, (1 << 4096) - 1), st.integers(1, 4096))
+    def test_wide(self, n, d, bits):
+        _check_long_divide(n, d, bits)
+
+
+def _divmod_owners(tree):
+    """Name of the function around each ``divmod`` call (None at module
+    level)."""
+    owners = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "divmod":
+                owners.append(owner)
+            visit(child, owner)
+
+    visit(tree, None)
+    return owners
+
+
+class TestOneDivider:
+    """The library divides in one place.  ``floatfmt``'s hex-digit count and
+    ``cli``'s decimal rendering print values and keep their ``//`` and
+    ``%``; ``verify``'s reference division stays independent of the
+    library, so it is not walked."""
+
+    @staticmethod
+    def _tree(module):
+        return ast.parse(Path(module.__file__).read_text())
+
+    def test_divmod_only_in_long_divide(self):
+        owners = {
+            m.__name__: _divmod_owners(self._tree(m)) for m in (core, fixed, floatfmt, floatarith, cli)
+        }
+        assert owners == {
+            "rnarith.core": [], "rnarith.fixed": ["long_divide"], "rnarith.floatfmt": [],
+            "rnarith.floatarith": [], "rnarith.cli": [],
+        }
+
+    @pytest.mark.parametrize("module", [fixed, floatarith])
+    def test_no_floor_division_or_modulo(self, module):
+        ops = [
+            node.op for node in ast.walk(self._tree(module))
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, (ast.FloorDiv, ast.Mod))
+        ]
+        assert ops == []

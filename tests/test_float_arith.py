@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+import rnarith.floatarith as fa
 from rnarith.floatarith import (
     RoundingMode,
-    StickyTail,
     directed_round_bit,
     fadd,
     fadd_with_sticky,
@@ -267,19 +267,17 @@ class TestFdiv:
 
 class TestDirectedRounding:
     def test_table(self):
-        t = StickyTail(True)
-        assert directed_round_bit(0, 0, t, RoundingMode.UPWARD) == 1
-        assert directed_round_bit(1, 0, t, RoundingMode.DOWNWARD) == 0
-        assert directed_round_bit(0, 1, t, RoundingMode.TOWARD_ZERO) == 1
-        assert directed_round_bit(0, 0, t, RoundingMode.TOWARD_ZERO) == 0
-        assert directed_round_bit(0, 1, t, RoundingMode.AWAY_FROM_ZERO) == 0
-        assert directed_round_bit(0, 0, t, RoundingMode.AWAY_FROM_ZERO) == 1
-
-    def test_zero_tail_changes_nothing(self):
-        t = StickyTail(False)
-        for mode in RoundingMode:
-            assert directed_round_bit(0, 1, t, mode) == 0
-            assert directed_round_bit(1, 0, t, mode) == 1
+        # (rbit, sign_bit) -> substituted round bit of an inexact result
+        want = {
+            RoundingMode.NEAREST: {(0, 0): 0, (1, 0): 1, (0, 1): 0, (1, 1): 1},
+            RoundingMode.UPWARD: {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1},
+            RoundingMode.DOWNWARD: {(0, 0): 0, (1, 0): 0, (0, 1): 0, (1, 1): 0},
+            RoundingMode.TOWARD_ZERO: {(0, 0): 0, (1, 0): 0, (0, 1): 1, (1, 1): 1},
+            RoundingMode.AWAY_FROM_ZERO: {(0, 0): 1, (1, 0): 1, (0, 1): 0, (1, 1): 0},
+        }
+        for mode, table in want.items():
+            for (rbit, sign_bit), r in table.items():
+                assert directed_round_bit(rbit, sign_bit, mode) == r
 
     def test_exact_results_identical_across_modes(self):
         for mode in RoundingMode:
@@ -416,6 +414,47 @@ class TestWordOps:
             for a, b in ((bad, 0x30), (0x30, bad)):
                 with pytest.raises(ValueError, match="word does not fit the format"):
                     op(RNF8, a, b)
+
+
+def _nonzero_finite_word(rng, fmt):
+    """A seeded nonzero finite word whose exponent field is often at an edge
+    of the range, so quotients underflow and overflow too."""
+    while True:
+        e = rng.choice((0, 1, rng.randrange(fmt.exp_mask), fmt.exp_mask - 1))
+        word = (rng.getrandbits(1) << (fmt.total_bits - 1)) | (e << fmt.precision) | rng.getrandbits(fmt.precision)
+        if _units(fmt, word):
+            return word
+
+
+class TestSinkInputs:
+    """The divider hands the sink ``p + 3`` quotient bits and a sticky bit,
+    so every quotient reaches it as a magnitude of exactly ``p + 4`` bits."""
+
+    def _sink_widths(self, monkeypatch, fmt, pairs):
+        widths = []
+        good = fa._deliver
+
+        def spy(num, g, fmt, mode):
+            widths.append(abs(num).bit_length())
+            return good(num, g, fmt, mode)
+
+        monkeypatch.setattr(fa, "_deliver", spy)
+        for a, b in pairs:
+            fdiv_words(fmt, a, b)
+        return widths
+
+    def test_every_rnf8_quotient(self, monkeypatch):
+        finite = [w for w in range(256) if _units(RNF8, w)]
+        widths = self._sink_widths(monkeypatch, RNF8, ((a, b) for a in finite for b in finite))
+        assert len(widths) == len(finite) ** 2
+        assert set(widths) == {RNF8.precision + 4}
+
+    def test_seeded_rnf64_quotients(self, monkeypatch):
+        rng = random.Random(64)
+        pairs = [(_nonzero_finite_word(rng, RNF64), _nonzero_finite_word(rng, RNF64)) for _ in range(2000)]
+        widths = self._sink_widths(monkeypatch, RNF64, pairs)
+        assert len(widths) == 2000
+        assert set(widths) == {RNF64.precision + 4}
 
 
 class TestAgainstIndependentValues:

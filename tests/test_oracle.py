@@ -111,8 +111,8 @@ def _plant(monkeypatch, fault):
     ``fault(word, inexact, fmt, mode)``."""
     good = fa._deliver
 
-    def faulty(num, den, g, fmt, mode):
-        return fault(*good(num, den, g, fmt, mode), fmt, mode)
+    def faulty(num, g, fmt, mode):
+        return fault(*good(num, g, fmt, mode), fmt, mode)
 
     monkeypatch.setattr(fa, "_deliver", faulty)
 
