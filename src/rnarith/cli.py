@@ -41,6 +41,7 @@ _DECIMAL_RE = re.compile(r"^[+-]?\d+(\.\d+)?$")
 _FLOAT_PREFIX_RE = re.compile(r"^rnf\d+:")
 _FIXED_TARGET_RE = re.compile(r"^rn@(-?\d+),w=(\d+)$")
 _MODES = {m.value: m for m in fa.RoundingMode}
+_FLOAT_OPS = {"+": fa.fadd_words, "-": fa.fadd_words, "*": fa.fmul_words, "/": fa.fdiv_words}
 
 
 class CliError(Exception):
@@ -144,8 +145,8 @@ def cmd_convert(args) -> int:
         if name not in FORMATS:
             raise CliError(f"unknown format {name!r}")
         fmt = FORMATS[name]
-        out, sticky = fa.round_to_format(_operand_value(operand), fmt)
-        print(f"{format_hex_literal(out)} {'inexact' if sticky.nonzero else 'exact'}")
+        word, inexact = fa.round_to_format(_operand_value(operand), fmt)
+        print(f"{format_hex_literal(RnFloat(fmt, word))} {'inexact' if inexact else 'exact'}")
         return 0
     if target.startswith("rn@"):
         out = _convert_to_fixed(_operand_value(operand), target, args.prefer_round_bit)
@@ -196,18 +197,14 @@ class _Evaluator:
             res = fixed.div(a, b, -a.lsb_exp)
             self.inexact |= not res.exact
             return res.quotient
+        # the word ops compare no formats, so this is the only guard
         if a.fmt != b.fmt:
             raise CliError("operands use different formats")
         if op == "-":
-            out, sticky = fa.fadd_with_sticky(a, float_negate(b), self.mode)
-        elif op == "+":
-            out, sticky = fa.fadd_with_sticky(a, b, self.mode)
-        elif op == "*":
-            out, sticky = fa.fmul_with_sticky(a, b, self.mode)
-        else:
-            out, sticky = fa.fdiv_with_sticky(a, b, self.mode)
-        self.inexact |= sticky.nonzero
-        return out
+            b = float_negate(b)
+        word, inexact = _FLOAT_OPS[op](a.fmt, a.word, b.word, self.mode)
+        self.inexact |= inexact
+        return RnFloat(a.fmt, word)
 
     def _term(self):
         acc = self._operand()

@@ -1,11 +1,11 @@
 """Floating-point add, multiply and divide on round-bit encoded words.
 
-The core is the word ops ``fadd_words``, ``fmul_words`` and ``fdiv_words``:
-they take a format and two int words and return the result word and a bool
-that says whether it is inexact.  ``fadd``/``fmul``/``fdiv``, their
-``*_with_sticky`` forms and ``round_to_format`` are wrappers for callers
-holding ``RnFloat``s: they check the format, call the word op (or the sink)
-and wrap the result as an ``RnFloat`` and a shared ``StickyTail``.
+Words in, ``(word, inexact)`` out: ``fadd_words``, ``fmul_words`` and
+``fdiv_words`` take a format and two int words and return the result word
+and a bool that says whether it is inexact; ``round_to_format`` rounds an
+exact rational into the same shape, and ``far_shortcut`` maps two words to
+one.  Callers holding ``RnFloat``s pass ``.word`` and wrap the result only
+to print it.
 
 Every op forms its exact result and rounds it once, in ``_deliver``: the
 magnitude is truncated (so results are within half an ulp of the exact
@@ -23,6 +23,8 @@ library's one divider, to ``p + 3`` bits and a sticky bit.
 
 Directed roundings never increment: when the truncated tail was nonzero the
 round bit is simply replaced according to the mode.
+
+The ``RnFloat`` shims at the end of the module serve only the benchmark.
 """
 
 from __future__ import annotations
@@ -44,21 +46,6 @@ class RoundingMode(Enum):
     AWAY_FROM_ZERO = "ra"
 
 
-@dataclass(frozen=True)
-class StickyTail:
-    """Whether anything nonzero was discarded by the final truncation.
-
-    ``nonzero`` False means the delivered value equals the exact result.
-    """
-
-    nonzero: bool
-
-
-# every result shares one of these two; StickyTail is frozen
-_EXACT = StickyTail(False)
-_INEXACT = StickyTail(True)
-
-
 def directed_round_bit(rbit: int, sign_bit: int, mode: RoundingMode) -> int:
     """Round-bit substitution table for the directed modes, for a result
     whose truncated tail was nonzero (exact results never reach it)."""
@@ -77,12 +64,6 @@ def directed_round_bit(rbit: int, sign_bit: int, mode: RoundingMode) -> int:
 # 0.1 us on CPython 3.11), and the sink tests the mode on every result
 _NEAREST, _UPWARD = RoundingMode.NEAREST, RoundingMode.UPWARD
 _DOWNWARD, _TOWARD_ZERO = RoundingMode.DOWNWARD, RoundingMode.TOWARD_ZERO
-
-
-def _require_same_format(a: RnFloat, b: RnFloat) -> FloatFormat:
-    if a.fmt is not b.fmt and a.fmt != b.fmt:
-        raise ValueError("operands must share a format")
-    return a.fmt
 
 
 def _deliver(num: int, g: int, fmt: FloatFormat, mode: RoundingMode) -> tuple[int, bool]:
@@ -135,21 +116,17 @@ def _deliver(num: int, g: int, fmt: FloatFormat, mode: RoundingMode) -> tuple[in
     return _assemble(fmt, sign, biased_exp, w & ((1 << (p - 1)) - 1), r), inexact
 
 
-def _wrap(fmt: FloatFormat, result: tuple[int, bool]) -> tuple[RnFloat, StickyTail]:
-    word, inexact = result
-    return RnFloat(fmt, word), _INEXACT if inexact else _EXACT
-
-
-def round_to_format(value: Fraction | DyadicRational, fmt: FloatFormat, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[RnFloat, StickyTail]:
-    """Round an exact rational into a packed word, reporting inexactness.
+def round_to_format(value: Fraction | DyadicRational, fmt: FloatFormat, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[int, bool]:
+    """An exact rational rounded into ``fmt``: the word and whether it is
+    inexact.
 
     A ``DyadicRational`` reaches the sink as ``mantissa * 2**exp``, so a huge
     exponent is never expanded into an integer."""
     if isinstance(value, DyadicRational):
-        return _wrap(fmt, _deliver(value.mantissa, value.exp, fmt, mode))
+        return _deliver(value.mantissa, value.exp, fmt, mode)
     n = value.numerator
     q2, k = long_divide(abs(n), value.denominator, fmt.precision + 3)
-    return _wrap(fmt, _deliver(-q2 if n < 0 else q2, -k - 1, fmt, mode))
+    return _deliver(-q2 if n < 0 else q2, -k - 1, fmt, mode)
 
 
 def fadd_words(fmt: FloatFormat, a: int, b: int, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[int, bool]:
@@ -177,34 +154,24 @@ def fadd_words(fmt: FloatFormat, a: int, b: int, mode: RoundingMode = RoundingMo
     return _deliver((ma << (ea - e)) + (mb << (eb - e)), e + 1 - fmt.precision, fmt, mode)
 
 
-def fadd_with_sticky(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[RnFloat, StickyTail]:
-    fmt = _require_same_format(a, b)
-    return _wrap(fmt, fadd_words(fmt, a.word, b.word, mode))
-
-
-def fadd(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> RnFloat:
-    """Correctly truncation-rounded sum; commutative bit-for-bit."""
-    return fadd_with_sticky(a, b, mode)[0]
-
-
-def far_shortcut(a: RnFloat, b: RnFloat) -> RnFloat:
-    """Huge-gap sum without forming it: keep the larger operand's word and
-    force its round bit to the complement of the smaller operand's sign.
+def far_shortcut(fmt: FloatFormat, a: int, b: int) -> int:
+    """Huge-gap sum of two words of ``fmt`` without forming it: keep the
+    larger operand's word ``a`` and force its round bit to the complement
+    of the smaller operand's sign.
 
     Sound in the interval sense: the result's half-ulp interval stays inside
     the sum of the operand intervals.  Requires the gap to exceed the
     significand digit count, with the smaller operand finite and nonzero.
     """
-    fmt = _require_same_format(a, b)
-    ca, _, _, _, ea = decode(fmt, a.word)
-    cb, sb, wb, rb, eb = decode(fmt, b.word)
+    ca, _, _, _, ea = decode(fmt, a)
+    cb, sb, wb, rb, eb = decode(fmt, b)
     if _NAN in (ca, cb) or _INFINITY in (ca, cb):
         raise ValueError("shortcut expects finite operands")
     if wb + rb == 0:
         raise ValueError("shortcut expects a nonzero smaller operand")
     if ea <= eb + fmt.precision:
         raise ValueError("shortcut requires the gap to exceed the precision")
-    return RnFloat(fmt, (a.word & ~1) | (1 - sb))
+    return (a & ~1) | (1 - sb)
 
 
 def fmul_words(fmt: FloatFormat, a: int, b: int, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[int, bool]:
@@ -223,16 +190,6 @@ def fmul_words(fmt: FloatFormat, a: int, b: int, mode: RoundingMode = RoundingMo
     if ma == 0 or mb == 0:
         return 0, False
     return _deliver(ma * mb, ea + eb + 2 - 2 * fmt.precision, fmt, mode)
-
-
-def fmul_with_sticky(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[RnFloat, StickyTail]:
-    fmt = _require_same_format(a, b)
-    return _wrap(fmt, fmul_words(fmt, a.word, b.word, mode))
-
-
-def fmul(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> RnFloat:
-    """Correctly truncation-rounded product; commutative bit-for-bit."""
-    return fmul_with_sticky(a, b, mode)[0]
 
 
 def _divider_word(w: int, r: int, e: int, p: int) -> tuple[int, int]:
@@ -287,11 +244,48 @@ def fdiv_words(fmt: FloatFormat, a: int, b: int, mode: RoundingMode = RoundingMo
     return _deliver(-q2 if sign else q2, ea - eb - k - 1, fmt, mode)
 
 
+# ---------------------------------------------------------------------------
+# RnFloat shims.  Nothing in the package calls them; they stay only because
+# the benchmark under ``perfbench/`` calls, traces and pins them.  Once the
+# benchmark calls the word ops (ROADMAP item 3, step 1), this block goes.
+
+
+@dataclass(frozen=True)
+class StickyTail:
+    """Whether anything nonzero was discarded by the final truncation.
+
+    ``nonzero`` False means the delivered value equals the exact result.
+    """
+
+    nonzero: bool
+
+
+# every result shares one of these two; StickyTail is frozen
+_EXACT = StickyTail(False)
+_INEXACT = StickyTail(True)
+
+
+def _require_same_format(a: RnFloat, b: RnFloat) -> FloatFormat:
+    if a.fmt is not b.fmt and a.fmt != b.fmt:
+        raise ValueError("operands must share a format")
+    return a.fmt
+
+
+def _wrap(fmt: FloatFormat, result: tuple[int, bool]) -> tuple[RnFloat, StickyTail]:
+    word, inexact = result
+    return RnFloat(fmt, word), _INEXACT if inexact else _EXACT
+
+
+def fadd_with_sticky(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[RnFloat, StickyTail]:
+    fmt = _require_same_format(a, b)
+    return _wrap(fmt, fadd_words(fmt, a.word, b.word, mode))
+
+
+def fmul_with_sticky(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[RnFloat, StickyTail]:
+    fmt = _require_same_format(a, b)
+    return _wrap(fmt, fmul_words(fmt, a.word, b.word, mode))
+
+
 def fdiv_with_sticky(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[RnFloat, StickyTail]:
     fmt = _require_same_format(a, b)
     return _wrap(fmt, fdiv_words(fmt, a.word, b.word, mode))
-
-
-def fdiv(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> RnFloat:
-    """Quotient of the normalized, round-bit-extended significands."""
-    return fdiv_with_sticky(a, b, mode)[0]

@@ -53,13 +53,6 @@ from .oracle import (
 # independent float helpers (integers from raw fields; Fractions only for callers)
 
 
-def _fields(fmt: FloatFormat, word: int) -> tuple[int, int, int, int]:
-    s = (word >> (fmt.total_bits - 1)) & 1
-    e = (word >> fmt.precision) & fmt.exp_mask
-    f = (word >> 1) & ((1 << fmt.frac_bits) - 1)
-    return s, e, f, word & 1
-
-
 def _sig(fmt: FloatFormat, word: int) -> tuple[int, int, int]:
     """Two's complement significand word, round bit and scale of a word.
 
@@ -96,10 +89,12 @@ def float_ulp(fmt: FloatFormat, word: int) -> Fraction:
 
 def _value_class(fmt: FloatFormat, word: int) -> str:
     """nan, +inf, -inf, zero (any zero-valued spelling) or finite."""
-    s, e, f, r = _fields(fmt, word)
-    if e == fmt.exp_mask:
-        return "nan" if f or r else "-inf" if s else "+inf"
-    return "zero" if _units(fmt, word) == 0 else "finite"
+    w, r, scale = _sig(fmt, word)
+    if scale > fmt.e_max:  # all-ones exponent field: fraction and round bit tell NaN
+        if word & ((1 << fmt.precision) - 1):
+            return "nan"
+        return "-inf" if (word >> (fmt.total_bits - 1)) & 1 else "+inf"
+    return "zero" if w + r == 0 else "finite"
 
 
 def _representable(fmt: FloatFormat, n: int, d: int, k: int) -> bool:
@@ -525,7 +520,7 @@ def float_sign_symmetry_sweep(fmt: FloatFormat, op: str,
                               mode: fa.RoundingMode = fa.RoundingMode.NEAREST) -> VerifyReport:
     """Negating the result is negating an operand, over every pair.
 
-    ``fadd(-a, -b, m)`` and ``fmul/fdiv(-a, b, m)`` are compared with
+    ``add(-a, -b, m)`` and ``mul/div(-a, b, m)`` are compared with
     ``op(a, b, mirror(m))``, where the mirror swaps ru and rd.  A nonzero
     finite result must be the complement (``float_negate``) of the other bit
     for bit; a zero stays zero, an infinity flips its sign, a NaN stays a
@@ -534,10 +529,11 @@ def float_sign_symmetry_sweep(fmt: FloatFormat, op: str,
     func, name = _FLOAT_OPS[op]
     rep = VerifyReport(f"{name}-symmetry", f"format={fmt.name} mode={mode.value}")
     neg = [float_negate(RnFloat(fmt, w)).word for w in range(1 << fmt.total_bits)]
+    mirror = _MIRROR.get(mode, mode)  # fixed for the sweep; an enum-keyed lookup costs ~0.2 us
     for a, b, _, _ in _operand_pairs(fmt):
         rep.cases += 1
         out, inexact = func(fmt, neg[a], neg[b] if op == "add" else b, mode)
-        ref, ref_inexact = func(fmt, a, b, _MIRROR.get(mode, mode))
+        ref, ref_inexact = func(fmt, a, b, mirror)
         want = neg[ref]
         if _units(fmt, ref) in (None, 0):
             ok = _value_class(fmt, out) == _value_class(fmt, want)
@@ -563,7 +559,7 @@ def far_shortcut_sweep(fmt: FloatFormat) -> VerifyReport:
         if _sig(fmt, a)[2] <= _sig(fmt, b)[2] + fmt.precision:
             continue
         rep.cases += 1
-        out = fa.far_shortcut(RnFloat(fmt, a), RnFloat(fmt, b)).word
+        out = fa.far_shortcut(fmt, a, b)
         # half is u/2 in the intervals' units of 2**(e_min-p), and u in _units
         lo_r, width_r = _half_interval(fmt, out)
         lo_a, half = _half_interval(fmt, a)

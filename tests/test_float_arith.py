@@ -1,6 +1,8 @@
+import ast
 import hashlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,14 +10,11 @@ import rnarith.floatarith as fa
 from rnarith.floatarith import (
     RoundingMode,
     directed_round_bit,
-    fadd,
     fadd_with_sticky,
     fadd_words,
     far_shortcut,
-    fdiv,
     fdiv_with_sticky,
     fdiv_words,
-    fmul,
     fmul_with_sticky,
     fmul_words,
 )
@@ -33,83 +32,103 @@ from rnarith.floatfmt import (
 )
 from rnarith.verify import _float_exact, _units, rounding_fault
 
-ONE = RnFloat(RNF8, 0x30)
-TWO = RnFloat(RNF8, 0x40)
-NEG_ONE = float_negate(ONE)
-TINY = RnFloat(RNF8, 0x01)  # smallest positive subnormal, 2**-5
+# rnf8 words
+ONE = 0x30
+TWO = 0x40
+TINY = 0x01  # smallest positive subnormal, 2**-5
+ZERO = 0x00
+INF, NEG_INF, NAN = RNF8.inf_word(0), RNF8.inf_word(1), RNF8.nan_word()
 
 
-def every_word():
-    return (RnFloat(RNF8, w) for w in range(256))
+def neg(word):
+    return float_negate(RnFloat(RNF8, word)).word
 
 
-def finite_value(f):
-    v = value_of_float(f)
+NEG_ONE = neg(ONE)
+
+
+def finite_value(word):
+    v = value_of_float(RnFloat(RNF8, word))
     return None if isinstance(v, FloatClass) else v.to_fraction()
+
+
+def word_class(word):
+    return unpack(RnFloat(RNF8, word)).cls
+
+
+# the word ops on rnf8 words
+
+
+def fadd(a, b, mode=RoundingMode.NEAREST):
+    return fadd_words(RNF8, a, b, mode)
+
+
+def fmul(a, b, mode=RoundingMode.NEAREST):
+    return fmul_words(RNF8, a, b, mode)
+
+
+def fdiv(a, b, mode=RoundingMode.NEAREST):
+    return fdiv_words(RNF8, a, b, mode)
 
 
 class TestFaddBasics:
     def test_one_plus_one(self):
-        assert fadd(ONE, ONE) == TWO
+        assert fadd(ONE, ONE)[0] == TWO
 
     def test_cancellation_gives_canonical_zero(self):
-        for f in every_word():
+        for f in range(256):
             v = finite_value(f)
             if v is None:
                 continue
-            assert fadd(f, float_negate(f)) == RNF8.zero()
+            assert fadd(f, neg(f))[0] == ZERO
 
     def test_zero_operand_passthrough(self):
-        for f in every_word():
+        for f in range(256):
             if finite_value(f) is None:
                 continue
             if finite_value(f) != 0:
-                assert fadd(f, RNF8.zero()) == f
-                assert fadd(RNF8.zero(), f) == f
+                assert fadd(f, ZERO)[0] == f
+                assert fadd(ZERO, f)[0] == f
 
     def test_specials(self):
-        inf, nan = RNF8.inf(0), RNF8.nan()
-        assert fadd(inf, ONE) == inf
-        assert fadd(ONE, RNF8.inf(1)) == RNF8.inf(1)
-        assert unpack(fadd(inf, RNF8.inf(1))).cls is FloatClass.NAN
-        assert unpack(fadd(nan, ONE)).cls is FloatClass.NAN
+        assert fadd(INF, ONE)[0] == INF
+        assert fadd(ONE, NEG_INF)[0] == NEG_INF
+        assert word_class(fadd(INF, NEG_INF)[0]) is FloatClass.NAN
+        assert word_class(fadd(NAN, ONE)[0]) is FloatClass.NAN
 
     def test_far_tie_rounds_by_truncation(self):
         # 1.111 * 2**0 + 1.000 * 2**-2 = 2.125, a tie at the coarser grid
-        a = RnFloat(RNF8, 0x3E)
-        b = RnFloat(RNF8, 0x10)
-        out, sticky = fadd_with_sticky(a, b)
-        assert sticky.nonzero
-        assert out == RnFloat(RNF8, 0x41)
+        out, inexact = fadd(0x3E, 0x10)
+        assert inexact
+        assert out == 0x41
         assert finite_value(out) == Fraction(9, 4)
 
     def test_near_gap1_tie(self):
         # 15/8 - 9/16 = 21/16: not representable, rounds up to 11/8
-        a = RnFloat(RNF8, 0x3E)
-        b = RnFloat(RNF8, 0xAE)
+        a, b = 0x3E, 0xAE
         assert finite_value(a) == Fraction(15, 8)
         assert finite_value(b) == Fraction(-9, 16)
-        out = fadd(a, b)
+        out, _ = fadd(a, b)
         assert finite_value(out) == Fraction(11, 8)
 
     def test_cancellation_into_subnormal_exact(self):
-        just_above = RnFloat(RNF8, 0x31)  # 9/8
-        out, sticky = fadd_with_sticky(ONE, float_negate(just_above))
+        just_above = 0x31  # 9/8
+        out, inexact = fadd(ONE, neg(just_above))
         assert finite_value(out) == Fraction(-1, 8)
-        assert not sticky.nonzero
+        assert not inexact
 
     def test_overflow_saturates(self):
-        big = RnFloat(RNF8, 0x6E)  # 15/8 * 2**3 = 15
-        out = fadd(big, big)
-        assert unpack(out).cls is FloatClass.INFINITY
+        big = 0x6E  # 15/8 * 2**3 = 15
+        out, _ = fadd(big, big)
+        assert word_class(out) is FloatClass.INFINITY
 
     def test_exact_boundary_magnitude_is_finite(self):
         # 8 + 8 = 16 = 2**(e_max+1), representable on the boundary encoding
-        eight = RnFloat(RNF8, 0x60)
-        out = fadd(eight, eight)
+        eight = 0x60
+        out, _ = fadd(eight, eight)
         assert finite_value(out) == 16
-        assert out == RnFloat(RNF8, 0x6F)  # s=0 e=110 f=111 r=1
-        assert finite_value(fadd(float_negate(eight), float_negate(eight))) == -16
+        assert out == 0x6F  # s=0 e=110 f=111 r=1
+        assert finite_value(fadd(neg(eight), neg(eight))[0]) == -16
 
     def test_half_ulp_sample(self):
         values = [_units(RNF8, w) for w in range(256)]
@@ -118,149 +137,143 @@ class TestFaddBasics:
                 exact = _float_exact(RNF8, "add", wa, wb, values[wa], values[wb])
                 if exact is None:
                     continue
-                out, sticky = fadd_with_sticky(RnFloat(RNF8, wa), RnFloat(RNF8, wb))
-                assert rounding_fault(RNF8, exact, RoundingMode.NEAREST, out.word, sticky.nonzero) is None
+                out, inexact = fadd(wa, wb)
+                assert rounding_fault(RNF8, exact, RoundingMode.NEAREST, out, inexact) is None
 
 
 class TestNearFarPaths:
     def test_near_pairs_exact_when_representable(self):
-        words = [RnFloat(RNF8, w) for w in range(256)]
-        for a in words:
+        for a in range(256):
             va = finite_value(a)
             if va in (None, 0):
                 continue
-            ua = unpack(a)
+            ua = unpack(RnFloat(RNF8, a))
             ea = (ua.biased_exp - RNF8.bias) if ua.cls is FloatClass.NORMAL else RNF8.e_min
-            for b in words:
+            for b in range(256):
                 vb = finite_value(b)
                 if vb in (None, 0):
                     continue
-                ub = unpack(b)
+                ub = unpack(RnFloat(RNF8, b))
                 if ua.sign == ub.sign:
                     continue
                 eb = (ub.biased_exp - RNF8.bias) if ub.cls is FloatClass.NORMAL else RNF8.e_min
                 if abs(ea - eb) > 1:
                     continue
                 exact = va + vb
-                out, sticky = fadd_with_sticky(a, b)
+                out, inexact = fadd(a, b)
                 triple = (exact.numerator, exact.denominator, 0)
-                assert rounding_fault(RNF8, triple, RoundingMode.NEAREST, out.word, sticky.nonzero) is None
+                assert rounding_fault(RNF8, triple, RoundingMode.NEAREST, out, inexact) is None
                 # with true cancellation nothing can be dropped
                 if exact != 0 and abs(exact) < Fraction(2) ** min(ea, eb):
-                    assert not sticky.nonzero
+                    assert not inexact
 
     def test_far_gap2_power_sum_exact(self):
-        quarter = RnFloat(RNF8, 0x10)
-        out, sticky = fadd_with_sticky(ONE, quarter)
+        quarter = 0x10
+        out, inexact = fadd(ONE, quarter)
         assert finite_value(out) == Fraction(5, 4)
-        assert not sticky.nonzero
+        assert not inexact
 
 
 class TestFarShortcut:
     def test_positive_small_operand_forces_round_bit(self):
-        eight = RnFloat(RNF8, 0x60)
-        assert far_shortcut(eight, TINY) == RnFloat(RNF8, 0x61)
+        eight = 0x60
+        assert far_shortcut(RNF8, eight, TINY) == 0x61
 
     def test_negative_small_operand_clears_round_bit(self):
-        eight_r1 = RnFloat(RNF8, 0x61)
-        assert far_shortcut(eight_r1, float_negate(TINY)) == RnFloat(RNF8, 0x60)
+        eight_r1 = 0x61
+        assert far_shortcut(RNF8, eight_r1, neg(TINY)) == 0x60
 
     def test_gap_requirement(self):
         with pytest.raises(ValueError):
-            far_shortcut(ONE, TINY)  # gap is 0 - (-2) = 2, not > p
+            far_shortcut(RNF8, ONE, TINY)  # gap is 0 - (-2) = 2, not > p
 
     def test_zero_small_operand_rejected(self):
         with pytest.raises(ValueError):
-            far_shortcut(RnFloat(RNF8, 0x60), RNF8.zero())
+            far_shortcut(RNF8, 0x60, ZERO)
 
 
 class TestFmul:
     def test_identity_value(self):
-        for f in every_word():
+        for f in range(256):
             v = finite_value(f)
             if v is None:
                 continue
-            assert finite_value(fmul(ONE, f)) == v
+            assert finite_value(fmul(ONE, f)[0]) == v
 
     def test_negative_identity_matches_negate(self):
-        for f in every_word():
+        for f in range(256):
             v = finite_value(f)
             if v is None:
                 continue
-            assert finite_value(fmul(NEG_ONE, f)) == finite_value(float_negate(f))
+            assert finite_value(fmul(NEG_ONE, f)[0]) == finite_value(neg(f))
 
     def test_worked_product(self):
         # (3/2) * (5/4) = 15/8, exact
-        a = RnFloat(RNF8, 0x38)
-        b = RnFloat(RNF8, 0x34)
-        out, sticky = fmul_with_sticky(a, b)
+        out, inexact = fmul(0x38, 0x34)
         assert finite_value(out) == Fraction(15, 8)
-        assert not sticky.nonzero
+        assert not inexact
 
     def test_underflow_to_subnormal(self):
-        out = fmul(TINY, RnFloat(RNF8, 0x38))  # 2**-5 * 3/2 rounds at the bottom grid
+        out, _ = fmul(TINY, 0x38)  # 2**-5 * 3/2 rounds at the bottom grid
         vo = finite_value(out)
         assert abs(vo - Fraction(3, 64)) <= Fraction(1, 64)
 
     def test_specials(self):
-        assert unpack(fmul(RNF8.inf(0), RNF8.zero())).cls is FloatClass.NAN
-        assert fmul(RNF8.inf(0), NEG_ONE) == RNF8.inf(1)
-        assert fmul(RNF8.zero(), ONE) == RNF8.zero()
+        assert word_class(fmul(INF, ZERO)[0]) is FloatClass.NAN
+        assert fmul(INF, NEG_ONE)[0] == NEG_INF
+        assert fmul(ZERO, ONE)[0] == ZERO
 
     def test_commutative_sample(self):
         for wa in range(0, 256, 11):
             for wb in range(0, 256, 13):
-                a, b = RnFloat(RNF8, wa), RnFloat(RNF8, wb)
-                assert fmul(a, b) == fmul(b, a)
+                assert fmul(wa, wb)[0] == fmul(wb, wa)[0]
 
 
 class TestFdiv:
     def test_divide_by_one_preserves_value(self):
-        for f in every_word():
+        for f in range(256):
             v = finite_value(f)
             if v is None:
                 continue
-            assert finite_value(fdiv(f, ONE)) == v
+            assert finite_value(fdiv(f, ONE)[0]) == v
 
     def test_divide_by_one_bitexact_on_normals(self):
         # the all-ones boundary spelling is renormalized to the next power's
         # plain word before division, so only its value survives
-        for f in every_word():
-            u = unpack(f)
+        for f in range(256):
+            u = unpack(RnFloat(RNF8, f))
             if u.cls is not FloatClass.NORMAL:
                 continue
             sig = u.significand
             if abs(sig.bits + sig.round) == 1 << RNF8.precision:
-                assert finite_value(fdiv(f, ONE)) == finite_value(f)
+                assert finite_value(fdiv(f, ONE)[0]) == finite_value(f)
             else:
-                assert fdiv(f, ONE) == f
+                assert fdiv(f, ONE)[0] == f
 
     def test_self_division(self):
-        for f in every_word():
+        for f in range(256):
             v = finite_value(f)
             if v in (None, 0):
                 continue
-            out, sticky = fdiv_with_sticky(f, f)
+            out, inexact = fdiv(f, f)
             assert out == ONE
-            assert not sticky.nonzero
+            assert not inexact
 
     def test_specials(self):
-        assert fdiv(ONE, RNF8.zero()) == RNF8.inf(0)
-        assert fdiv(NEG_ONE, RNF8.zero()) == RNF8.inf(1)
-        assert unpack(fdiv(RNF8.zero(), RNF8.zero())).cls is FloatClass.NAN
-        assert unpack(fdiv(RNF8.inf(0), RNF8.inf(0))).cls is FloatClass.NAN
-        assert fdiv(ONE, RNF8.inf(0)) == RNF8.zero()
-        assert fdiv(RNF8.inf(0), NEG_ONE) == RNF8.inf(1)
+        assert fdiv(ONE, ZERO)[0] == INF
+        assert fdiv(NEG_ONE, ZERO)[0] == NEG_INF
+        assert word_class(fdiv(ZERO, ZERO)[0]) is FloatClass.NAN
+        assert word_class(fdiv(INF, INF)[0]) is FloatClass.NAN
+        assert fdiv(ONE, INF)[0] == ZERO
+        assert fdiv(INF, NEG_ONE)[0] == NEG_INF
 
     def test_reference_is_extended_word_quotient(self):
         # 1.0 (r clear) over 1.000 with round bit set: 16/17, rounds to 15/16
-        a = ONE
-        b = RnFloat(RNF8, 0x31)
-        out = fdiv(a, b)
+        out, _ = fdiv(ONE, 0x31)
         assert finite_value(out) == Fraction(15, 16)
 
     def test_underflow(self):
-        out = fdiv(TINY, TWO)
+        out, _ = fdiv(TINY, TWO)
         vo = finite_value(out)
         assert vo is not None and abs(vo) <= Fraction(1, 32)
 
@@ -281,14 +294,13 @@ class TestDirectedRounding:
 
     def test_exact_results_identical_across_modes(self):
         for mode in RoundingMode:
-            assert fadd(ONE, ONE, mode) == TWO
+            assert fadd(ONE, ONE, mode)[0] == TWO
 
     def test_directed_sum_bounds(self):
-        a = RnFloat(RNF8, 0x3E)
-        b = RnFloat(RNF8, 0x10)
+        a, b = 0x3E, 0x10
         exact = Fraction(17, 8)
-        up = finite_value(fadd(a, b, RoundingMode.UPWARD))
-        dn = finite_value(fadd(a, b, RoundingMode.DOWNWARD))
+        up = finite_value(fadd(a, b, RoundingMode.UPWARD)[0])
+        dn = finite_value(fadd(a, b, RoundingMode.DOWNWARD)[0])
         assert dn <= exact <= up
         assert up - dn == Fraction(1, 4)  # one ulp apart around an unrepresentable sum
 
@@ -306,11 +318,9 @@ class TestSignSymmetry:
 
     def test_negative_tie_rounds_away_from_zero(self):
         # -15/8 + 9/16 = -21/16, a tie between -5/4 and -11/8
-        a = float_negate(RnFloat(RNF8, 0x3E))
-        b = float_negate(RnFloat(RNF8, 0xAE))
-        out, sticky = fadd_with_sticky(a, b)
+        out, inexact = fadd(neg(0x3E), neg(0xAE))
         assert finite_value(out) == Fraction(-11, 8)
-        assert sticky.nonzero
+        assert inexact
 
     def test_float_all_suite_includes_symmetry(self):
         from rnarith.verify import SUITES
@@ -321,11 +331,11 @@ class TestSignSymmetry:
         assert all(r.cases == 32 * 32 and r.passed for r in symmetry)
 
     def test_exact_negative_result_carries_round_bit(self):
-        three = fadd(ONE, TWO)
-        out, sticky = fadd_with_sticky(NEG_ONE, float_negate(TWO))
+        three, _ = fadd(ONE, TWO)
+        out, inexact = fadd(NEG_ONE, neg(TWO))
         assert finite_value(out) == -3
-        assert out == float_negate(three) and out.round == 1
-        assert not sticky.nonzero
+        assert out == neg(three) and out & 1 == 1
+        assert not inexact
 
 
 class TestSmallFormats:
@@ -352,22 +362,21 @@ class TestWiderFormats:
         from rnarith.floatfmt import RNF16, RNF32, RNF64
 
         rng = random.Random(123)
-        ops = (("add", fadd_with_sticky), ("mul", fmul_with_sticky), ("div", fdiv_with_sticky))
+        ops = (("add", fadd_words), ("mul", fmul_words), ("div", fdiv_words))
         for fmt in (RNF16, RNF32, RNF64):
             n = 1 << fmt.total_bits
             for _ in range(1200):
                 wa, wb = rng.randrange(n), rng.randrange(n)
-                a, b = RnFloat(fmt, wa), RnFloat(fmt, wb)
                 va, vb = _units(fmt, wa), _units(fmt, wb)
                 for name, fn in ops:
                     exact = _float_exact(fmt, name, wa, wb, va, vb)
                     if exact is None:
                         continue
-                    near, sticky = fn(a, b)
+                    near, near_inexact = fn(fmt, wa, wb)
                     for mode in RoundingMode:
-                        out, out_sticky = fn(a, b, mode)
-                        assert rounding_fault(fmt, exact, mode, out.word, out_sticky.nonzero) is None
-                        assert sticky.nonzero or out == near
+                        out, inexact = fn(fmt, wa, wb, mode)
+                        assert rounding_fault(fmt, exact, mode, out, inexact) is None
+                        assert near_inexact or out == near
 
 
 def _pinned_pairs():
@@ -461,10 +470,50 @@ class TestAgainstIndependentValues:
     def test_library_values_match_formula(self):
         from rnarith.verify import float_value as independent
 
-        for f in every_word():
-            v = value_of_float(f)
-            ref = independent(RNF8, f.word)
+        for word in range(256):
+            v = value_of_float(RnFloat(RNF8, word))
+            ref = independent(RNF8, word)
             if isinstance(v, FloatClass):
                 assert ref is None
             else:
                 assert v.to_fraction() == ref
+
+
+class TestOneResultShape:
+    """Words in, ``(word, inexact)`` out: ``floatarith`` defines no ``RnFloat``
+    ops, and only its benchmark shims name the ``RnFloat``/``StickyTail``
+    shape, so no other module of the package builds or reads it."""
+
+    @staticmethod
+    def _tree(path):
+        return ast.parse(Path(path).read_text())
+
+    def test_no_rnfloat_ops(self):
+        defined = {node.name for node in ast.walk(self._tree(fa.__file__))
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert not defined & {"fadd", "fmul", "fdiv"}
+
+    def test_shims_named_only_in_floatarith(self):
+        def shim(name):
+            return name in ("StickyTail", "_wrap") or name.endswith("_with_sticky")
+
+        found = {}
+        for path in sorted(Path(fa.__file__).parent.glob("*.py")):
+            if path.name == "floatarith.py":
+                continue
+            for node in ast.walk(self._tree(path)):
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.alias):
+                    names = [node.name.rsplit(".", 1)[-1], node.asname or ""]
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names = [node.value]  # an ``__all__`` entry
+                else:
+                    continue
+                hits = [n for n in names if shim(n)]
+                if isinstance(node, ast.Attribute) and node.attr == "nonzero":
+                    hits.append(".nonzero")
+                found.setdefault(path.name, set()).update(hits)
+        assert {name: hits for name, hits in found.items() if hits} == {}

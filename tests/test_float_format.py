@@ -3,7 +3,15 @@ from fractions import Fraction
 import pytest
 
 from rnarith.core import RnFixed
-from rnarith.floatarith import RoundingMode, fadd_with_sticky, fdiv_with_sticky, fmul_with_sticky
+from rnarith.floatarith import (
+    RoundingMode,
+    fadd_with_sticky,
+    fadd_words,
+    fdiv_with_sticky,
+    fdiv_words,
+    fmul_with_sticky,
+    fmul_words,
+)
 from rnarith.floatfmt import (
     FORMATS,
     RNF8,
@@ -64,13 +72,11 @@ class TestFormatLayout:
     def test_equal_format_objects_give_the_same_results(self):
         twin = FloatFormat(3, 4, "rnf8")
         words = range(0, 256, 7)
-        for op in (fadd_with_sticky, fmul_with_sticky, fdiv_with_sticky):
+        for op in (fadd_words, fmul_words, fdiv_words):
             for mode in RoundingMode:
                 for wa in words:
                     for wb in words:
-                        out, sticky = op(RnFloat(twin, wa), RnFloat(twin, wb), mode)
-                        ref, ref_sticky = op(RnFloat(RNF8, wa), RnFloat(RNF8, wb), mode)
-                        assert (out.word, sticky.nonzero) == (ref.word, ref_sticky.nonzero)
+                        assert op(twin, wa, wb, mode) == op(RNF8, wa, wb, mode)
 
     @pytest.mark.parametrize("op", [fadd_with_sticky, fmul_with_sticky, fdiv_with_sticky])
     def test_different_formats_rejected(self, op):

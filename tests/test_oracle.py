@@ -11,7 +11,7 @@ import rnarith.oracle as oracle
 import rnarith.verify as verify
 from rnarith.core import DyadicInterval, DyadicRational, RnFixed
 from rnarith.floatarith import RoundingMode
-from rnarith.floatfmt import RNF8, RNF16, RNF32, RNF64, FloatClass, FloatFormat, RnFloat
+from rnarith.floatfmt import RNF8, RNF16, RNF32, RNF64, FloatClass, FloatFormat
 from rnarith.oracle import (
     ENUMERATION_LIMIT,
     VerifyReport,
@@ -170,7 +170,7 @@ class TestSweepsCatchFaults:
 
     def test_flipped_shortcut_round_bit(self, monkeypatch):
         good = fa.far_shortcut
-        monkeypatch.setattr(fa, "far_shortcut", lambda a, b: RnFloat(a.fmt, good(a, b).word ^ 1))
+        monkeypatch.setattr(fa, "far_shortcut", lambda fmt, a, b: good(fmt, a, b) ^ 1)
         rep = verify.far_shortcut_sweep(RNF8)
         assert (rep.cases, len(rep.failures)) == (1984, 992)
 
