@@ -66,7 +66,7 @@ def _operand_value(op) -> DyadicRational | Fraction:
     if isinstance(op, RnFixed):
         return value_of(op)
     if isinstance(op, RnFloat):
-        v = value_of_float(op)
+        v = value_of_float(op.fmt, op.word)
         if isinstance(v, FloatClass):
             raise CliError(f"{format_hex_literal(op)} has no finite value")
         return v
@@ -109,12 +109,9 @@ def _convert_to_fixed(value: DyadicRational | Fraction, spec: str, prefer_round_
         if n.bit_length() + value.exp - lsb > width:  # |word| >= 2**width
             raise CliError(f"value does not fit {width} bits at lsb exponent {lsb}")
         n <<= value.exp - lsb
-    try:
-        if prefer_round_bit:
-            return RnFixed(n - 1, width, 1, lsb)
-        return RnFixed(n, width, 0, lsb)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    if prefer_round_bit:
+        return RnFixed(n - 1, width, 1, lsb)
+    return RnFixed(n, width, 0, lsb)
 
 
 def cmd_convert(args) -> int:
@@ -134,9 +131,9 @@ def cmd_convert(args) -> int:
         if isinstance(operand, Fraction):
             print(_decimal_text(operand))
             return 0
-        v = value_of_float(operand) if isinstance(operand, RnFloat) else value_of(operand)
+        v = value_of_float(operand.fmt, operand.word) if isinstance(operand, RnFloat) else value_of(operand)
         if isinstance(v, FloatClass):
-            print("nan" if v is FloatClass.NAN else ("-inf" if operand.sign else "inf"))
+            print("nan" if v is FloatClass.NAN else ("-inf" if decode(operand.fmt, operand.word)[1] else "inf"))
         else:
             print(v)
         return 0
@@ -200,9 +197,8 @@ class _Evaluator:
         # the word ops compare no formats, so this is the only guard
         if a.fmt != b.fmt:
             raise CliError("operands use different formats")
-        if op == "-":
-            b = float_negate(b)
-        word, inexact = _FLOAT_OPS[op](a.fmt, a.word, b.word, self.mode)
+        wb = float_negate(b.fmt, b.word) if op == "-" else b.word
+        word, inexact = _FLOAT_OPS[op](a.fmt, a.word, wb, self.mode)
         self.inexact |= inexact
         return RnFloat(a.fmt, word)
 
@@ -233,7 +229,7 @@ def cmd_eval(args) -> int:
     if isinstance(result, RnFixed):
         print(f"{format_literal(result)} {tag} (= {value_of(result)})")
         return 0
-    v = value_of_float(result)
+    v = value_of_float(result.fmt, result.word)
     shown = v if isinstance(v, DyadicRational) else ("nan" if v is FloatClass.NAN else "inf")
     print(f"{format_hex_literal(result)} {tag} sticky={int(ev.inexact)} (= {shown})")
     return 0
@@ -245,17 +241,17 @@ def cmd_eval(args) -> int:
 
 def cmd_inspect(args) -> int:
     f = parse_float_literal(args.value)
-    u = unpack(f)
     fmt = f.fmt
+    u = unpack(fmt, f.word)
     scale = decode(fmt, f.word)[4]
-    pieces = [f"class={u.cls.value}", f"s={f.sign}", f"e={f.biased_exp}(bias {fmt.bias})"]
+    pieces = [f"class={u.cls.value}", f"s={u.sign}", f"e={u.biased_exp}(bias {fmt.bias})"]
     if u.cls is FloatClass.NORMAL:
-        pieces.append(f"hidden={1 - f.sign}")
-    pieces.append(f"f={f.frac:0{fmt.frac_bits}b}")
-    pieces.append(f"r={f.round}")
+        pieces.append(f"hidden={1 - u.sign}")
+    pieces.append(f"f={u.frac:0{fmt.frac_bits}b}")
+    pieces.append(f"r={u.significand.round}")
     if u.cls in (FloatClass.NORMAL, FloatClass.SUBNORMAL, FloatClass.ZERO):
         pieces.append(f"sig={format_literal(u.significand)}")
-        v = value_of_float(f)
+        v = value_of_float(fmt, f.word)
         pieces.append(f"value={v}")
         iv = interval_of(u.significand)
         lo = DyadicRational(iv.lo.mantissa, iv.lo.exp + scale)

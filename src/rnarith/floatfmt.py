@@ -5,6 +5,11 @@ round bit.  A normal significand is the two's complement string
 ``s s' . f1 .. f(p-1)`` with complementary top bits, so the second bit is
 implied by the sign and not stored.  Subnormals store ``s . f`` at the
 minimum exponent; negative subnormals naturally carry leading ones.
+
+A float is a format and an int word: ``decode``, ``unpack``,
+``value_of_float`` and ``float_negate`` take ``(fmt, word)``, and ``pack``
+returns a word.  ``RnFloat`` is only the literal: ``parse_float_literal``
+makes one, and ``format_hex_literal`` and ``format_fields`` print one.
 """
 
 from __future__ import annotations
@@ -52,21 +57,12 @@ class FloatFormat:
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
-    def zero(self) -> "RnFloat":
-        return RnFloat(self, 0)  # the canonical zero is the all-zeros word
-
     def inf_word(self, sign: int = 0) -> int:
         return (sign << (self.total_bits - 1)) | (self.exp_mask << self.precision)
 
     def nan_word(self) -> int:
         # don't-care bits are zero on output; the round bit marks it non-infinite
         return (self.exp_mask << self.precision) | 1
-
-    def inf(self, sign: int = 0) -> "RnFloat":
-        return RnFloat(self, self.inf_word(sign))
-
-    def nan(self) -> "RnFloat":
-        return RnFloat(self, self.nan_word())
 
 
 RNF8 = FloatFormat(3, 4, "rnf8")
@@ -79,28 +75,17 @@ FORMATS = {f.name: f for f in (RNF8, RNF16, RNF32, RNF64)}
 
 @dataclass(frozen=True)
 class RnFloat:
+    """A float literal: a word and its named format, as parsed and printed.
+
+    Below the literal parser and printer a float is ``(fmt, word)``; this
+    type only checks that a word read from outside fits its format."""
+
     fmt: FloatFormat
     word: int
 
     def __post_init__(self) -> None:
         if not 0 <= self.word < (1 << self.fmt.total_bits):
             raise ValueError("word does not fit the format")
-
-    @property
-    def sign(self) -> int:
-        return (self.word >> (self.fmt.total_bits - 1)) & 1
-
-    @property
-    def biased_exp(self) -> int:
-        return (self.word >> self.fmt.precision) & self.fmt.exp_mask
-
-    @property
-    def frac(self) -> int:
-        return (self.word >> 1) & ((1 << self.fmt.frac_bits) - 1)
-
-    @property
-    def round(self) -> int:
-        return self.word & 1
 
     def __str__(self) -> str:
         return format_hex_literal(self)
@@ -128,6 +113,11 @@ class UnpackedFloat:
     sign: int
     biased_exp: int
     significand: RnFixed
+
+    @property
+    def frac(self) -> int:
+        """The stored fraction field: the significand's low p-1 bits."""
+        return self.significand.bits & ((1 << self.fmt.frac_bits) - 1)
 
 
 # read once: a member read through its enum class is a slow lookup (about
@@ -174,53 +164,48 @@ def _assemble(fmt: FloatFormat, sign: int, biased_exp: int, frac: int, rbit: int
     )
 
 
-def unpack(f: RnFloat) -> UnpackedFloat:
-    cls, s, w, r, _ = decode(f.fmt, f.word)
-    p = f.fmt.precision
+def unpack(fmt: FloatFormat, word: int) -> UnpackedFloat:
+    cls, s, w, r, _ = decode(fmt, word)
+    p = fmt.precision
     width = p + 1 if cls is _NORMAL else p
-    return UnpackedFloat(f.fmt, cls, s, f.biased_exp, RnFixed(w, width, r, 1 - p))
+    return UnpackedFloat(fmt, cls, s, (word >> p) & fmt.exp_mask, RnFixed(w, width, r, 1 - p))
 
 
-def pack(u: UnpackedFloat) -> RnFloat:
+def pack(u: UnpackedFloat) -> int:
     """Inverse of :func:`unpack`; a view that no word has raises ``ValueError``.
 
     The layout is stated once, in :func:`decode`: the fields are assembled
     into a word, which must unpack back to ``u``."""
     sig = u.significand
-    f = RnFloat(u.fmt, _assemble(u.fmt, u.sign, u.biased_exp, sig.bits & ((1 << u.fmt.frac_bits) - 1), sig.round))
-    if unpack(f) != u:
+    word = _assemble(u.fmt, u.sign, u.biased_exp, u.frac, sig.round)
+    if unpack(u.fmt, word) != u:
         raise ValueError(f"no word unpacks to {u.cls.value} s={u.sign} e={u.biased_exp} {sig}")
-    return f
+    return word
 
 
-def value_of_float(f: RnFloat) -> DyadicRational | FloatClass:
+def value_of_float(fmt: FloatFormat, word: int) -> DyadicRational | FloatClass:
     """Exact value of a finite word; the class marker for infinities/NaNs."""
-    cls, _, w, r, scale = decode(f.fmt, f.word)
+    cls, _, w, r, scale = decode(fmt, word)
     if cls is _INFINITY or cls is _NAN:
         return cls
-    return DyadicRational(w + r, scale + 1 - f.fmt.precision)
+    return DyadicRational(w + r, scale + 1 - fmt.precision)
 
 
-def float_negate(f: RnFloat) -> RnFloat:
+def float_negate(fmt: FloatFormat, word: int) -> int:
     """Negate by complementing sign, fraction and round bit.
 
-    Zero-valued inputs come back as the canonical +0 word; NaNs are
-    canonicalized; infinities just flip sign.
+    Zero-valued inputs come back as the canonical +0 word (all zeros); NaNs
+    are canonicalized; infinities just flip sign.
     """
-    fmt = f.fmt
-    cls, s, w, r, _ = decode(fmt, f.word)
+    cls, s, w, r, _ = decode(fmt, word)
     if cls is _NAN:
-        return fmt.nan()
+        return fmt.nan_word()
     if cls is _INFINITY:
-        return fmt.inf(1 - s)
+        return fmt.inf_word(1 - s)
     if w + r == 0:
-        return fmt.zero()
-    flip = (
-        (1 << (fmt.total_bits - 1))
-        | (((1 << fmt.frac_bits) - 1) << 1)
-        | 1
-    )
-    return RnFloat(fmt, f.word ^ flip)
+        return 0
+    # sign bit, then the fraction and round bit: the low p bits
+    return word ^ ((1 << (fmt.total_bits - 1)) | ((1 << fmt.precision) - 1))
 
 
 def format_hex_literal(f: RnFloat) -> str:
@@ -229,10 +214,8 @@ def format_hex_literal(f: RnFloat) -> str:
 
 
 def format_fields(f: RnFloat) -> str:
-    return (
-        f"s={f.sign} e={f.biased_exp} "
-        f"f={f.frac:0{f.fmt.frac_bits}b} r={f.round}"
-    )
+    u = unpack(f.fmt, f.word)
+    return f"s={u.sign} e={u.biased_exp} f={u.frac:0{f.fmt.frac_bits}b} r={u.significand.round}"
 
 
 def parse_float_literal(text: str) -> RnFloat:

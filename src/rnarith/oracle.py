@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .core import DyadicInterval, RnFixed
-from .floatfmt import FloatFormat, RnFloat
+from .floatfmt import FloatFormat
 
 _LIMIT_BITS = 26
 ENUMERATION_LIMIT = 1 << _LIMIT_BITS
@@ -37,10 +37,10 @@ def enumerate_fixed(width: int) -> Iterator[RnFixed]:
     return (RnFixed(bits, width, r) for bits in range(-top, top) for r in (0, 1))
 
 
-def enumerate_format(fmt: FloatFormat) -> Iterator[RnFloat]:
+def enumerate_format(fmt: FloatFormat) -> Iterator[int]:
     """Every word of a packed format exactly once, ascending."""
     check_space(f"{fmt.name or 'format'} words", 1, fmt.total_bits)
-    return (RnFloat(fmt, word) for word in range(1 << fmt.total_bits))
+    return iter(range(1 << fmt.total_bits))
 
 
 def enumerate_div_operands(p: int) -> Iterator[tuple[RnFixed, RnFixed]]:

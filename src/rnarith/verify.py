@@ -34,7 +34,6 @@ from .floatfmt import (
     RNF16,
     FloatClass,
     FloatFormat,
-    RnFloat,
     float_negate,
     pack,
     unpack,
@@ -244,43 +243,25 @@ def fixed_mul_sign_sweep(width: int) -> VerifyReport:
 def fixed_div_sweep(p: int) -> VerifyReport:
     """Divider contract over every scaled operand pair.
 
-    Two clauses judge ``fixed.div``: the delivered word and round bit must
-    be the truncation of the exact quotient at the delivered grid
-    (``quot == expect``), and the exact flag must say whether the division
-    left a remainder.  The other clauses test the paper's claim about a
-    two-extra-bit approximation on the oracle's own approximation (nearest
-    value on the p+2-bit grid, so |error| <= u/8): it must lie strictly
-    inside the operand-interval quotient bounds and within u/4 of the exact
-    quotient.  Once ``quot == expect`` holds, the round-bit sign test
-    follows from it."""
+    The delivered word and round bit must be the truncation of the exact
+    quotient at the delivered grid (``quot == expect``), and the exact flag
+    must say whether the division left a remainder.  The paper's claim
+    about a two-extra-bit approximation judges no library result, so it is
+    tested on its own (acceptance criterion 3)."""
     rep = VerifyReport("div", f"p={p}")
     pairs = enumerate_div_operands(p)  # refuses an oversized p before 2**p is built
-    g = 1 << (p + 2)  # the approximation's grid: steps of 1/g = u/4, u = 2**-p
+    g = 1 << (p + 2)  # the quotient is floored to steps of 1/g = u/4, u = 2**-p
     for x, y in pairs:
         rep.cases += 1
         # operands are n and d half-ulps; their quotient is q = n/d
         n = 2 * x.bits + x.round
         d = 2 * y.bits + y.round
-        t_approx = (2 * n * g + d) // (2 * d)  # q_approx = t_approx / g
         t_ref, rem_ref = divmod(n * g, d)
         out = fixed.div(x, y, p)
-        quot = out.quotient
         s = int(n >= d)  # a quotient of at least one keeps one fractional bit fewer
         expect = RnFixed(t_ref >> (1 + s), p + 2, (t_ref >> s) & 1, s - p - 1)
-        # n/(d+1) < q_approx < (n+1)/d and |q_approx - q| < u/4, cross-multiplied
-        ok = (
-            quot == expect
-            and out.exact == (rem_ref == 0)
-            and n * g < t_approx * (d + 1)
-            and t_approx * d < (n + 1) * g
-            and abs(t_approx * d - n * g) < d
-        )
-        if ok:
-            # (value - q) * d * 2**-lsb_exp: >= 0 for round bit 1, <= 0 for 0
-            above = (quot.bits + quot.round) * d - (n << -quot.lsb_exp)
-            ok = above >= 0 if quot.round else above <= 0
-        if not ok:
-            rep.record(f"{x},{y}", "divider contract", str(quot))
+        if out.quotient != expect or out.exact != (rem_ref == 0):
+            rep.record(f"{x},{y}", "divider contract", str(out.quotient))
     return rep.done()
 
 
@@ -321,9 +302,9 @@ def roundtrip_sweep(width: int) -> VerifyReport:
     that converts back and carries its round bit.
 
     The digits sum to ``bits + round``; ``canonical_of_sd`` gives the
-    encoding back (the plain zero word for either spelling of zero), whose
-    recoding is the same digits; and a nonzero value's round bit is 1
-    exactly when its last nonzero digit is +1."""
+    encoding back (the plain zero word for either spelling of zero); and a
+    nonzero value's round bit is 1 exactly when its last nonzero digit is
+    +1."""
     rep = VerifyReport("roundtrip", f"width={width}")
     for x in enumerate_fixed(width):
         rep.cases += 1
@@ -332,8 +313,7 @@ def roundtrip_sweep(width: int) -> VerifyReport:
         ok = (
             validate_rn(sd)
             and sum(d << i for i, d in enumerate(reversed(sd.digits))) == value
-            and (back := canonical_of_sd(sd)) == (x if value else RnFixed(0, width))
-            and sd_of_canonical(back).digits == sd.digits
+            and canonical_of_sd(sd) == (x if value else RnFixed(0, width))
             and (value == 0 or x.round == (next(d for d in reversed(sd.digits) if d) == 1))
         )
         if not ok:
@@ -528,7 +508,7 @@ def float_sign_symmetry_sweep(fmt: FloatFormat, op: str,
     """
     func, name = _FLOAT_OPS[op]
     rep = VerifyReport(f"{name}-symmetry", f"format={fmt.name} mode={mode.value}")
-    neg = [float_negate(RnFloat(fmt, w)).word for w in range(1 << fmt.total_bits)]
+    neg = [float_negate(fmt, w) for w in range(1 << fmt.total_bits)]
     mirror = _MIRROR.get(mode, mode)  # fixed for the sweep; an enum-keyed lookup costs ~0.2 us
     for a, b, _, _ in _operand_pairs(fmt):
         rep.cases += 1
@@ -579,19 +559,19 @@ def float_negate_sweep(fmt: FloatFormat) -> VerifyReport:
     canonical zero."""
     rep = VerifyReport("float-negate", f"format={fmt.name}")
     flipped = {"nan": "nan", "+inf": "-inf", "-inf": "+inf"}
-    for f in enumerate_format(fmt):
+    for word in enumerate_format(fmt):
         rep.cases += 1
-        v = _units(fmt, f.word)
-        out = float_negate(f)
+        v = _units(fmt, word)
+        out = float_negate(fmt, word)
         if v is None:
-            ok = _value_class(fmt, out.word) == flipped[_value_class(fmt, f.word)]
+            ok = _value_class(fmt, out) == flipped[_value_class(fmt, word)]
         else:
-            ok = _units(fmt, out.word) == -v
+            ok = _units(fmt, out) == -v
             if ok:
-                back = float_negate(out)
-                ok = back == f if v != 0 else _units(fmt, back.word) == 0
+                back = float_negate(fmt, out)
+                ok = back == word if v != 0 else _units(fmt, back) == 0
         if not ok:
-            rep.record(f"{f.word:#x}", "negation", f"{out.word:#x}")
+            rep.record(f"{word:#x}", "negation", f"{out:#x}")
     return rep.done()
 
 
@@ -599,21 +579,21 @@ def pack_unpack_sweep(fmt: FloatFormat) -> VerifyReport:
     """Bit-exact pack/unpack round trip and value-formula agreement over the
     whole word space."""
     rep = VerifyReport("pack-unpack", f"format={fmt.name}")
-    for f in enumerate_format(fmt):
+    for word in enumerate_format(fmt):
         rep.cases += 1
-        u = unpack(f)
-        if pack(u).word != f.word:
-            rep.record(f"{f.word:#x}", "round trip", str(u))
+        u = unpack(fmt, word)
+        if pack(u) != word:
+            rep.record(f"{word:#x}", "round trip", str(u))
             continue
-        v = value_of_float(f)
-        units = _units(fmt, f.word)
+        v = value_of_float(fmt, word)
+        units = _units(fmt, word)
         e = fmt.e_min + 1 - fmt.precision  # units count 2**e; compare at the lower exponent
         if units is None:
-            want = FloatClass.NAN if _value_class(fmt, f.word) == "nan" else FloatClass.INFINITY
+            want = FloatClass.NAN if _value_class(fmt, word) == "nan" else FloatClass.INFINITY
             if v is not want:
-                rep.record(f"{f.word:#x}", str(want), str(v))
+                rep.record(f"{word:#x}", str(want), str(v))
         elif isinstance(v, FloatClass) or v.mantissa << max(v.exp - e, 0) != units << max(e - v.exp, 0):
-            rep.record(f"{f.word:#x}", str(float_value(fmt, f.word)), str(v))
+            rep.record(f"{word:#x}", str(float_value(fmt, word)), str(v))
     return rep.done()
 
 

@@ -8,7 +8,9 @@ runtime budget.
 import time
 
 import rnarith.verify as verify
+from rnarith.core import RnFixed
 from rnarith.floatfmt import RNF8, RNF16
+from rnarith.oracle import VerifyReport, enumerate_div_operands
 
 
 def _finish(name: str, reports, budget: float, started: float) -> None:
@@ -39,15 +41,48 @@ def test_criterion_2_fixed_exactness_exhaustive():
     _finish("2 fixed-exactness", reports, 10.0, t0)
 
 
+def _two_extra_bit_claim(p: int) -> VerifyReport:
+    """The paper's two-extra-bit claim, on integers alone (no library call).
+
+    Over every scaled operand pair, n and d half-ulps: the nearest value to
+    q = n/d on the grid of u/4 (u = 2**-p, so |error| <= u/8) lies strictly
+    inside the quotient bounds of the operand intervals, n/(d+1) and
+    (n+1)/d, and within u/4 of q; and q truncated to p+2 bits lies on the
+    side its round bit names (this holds for either round bit once the
+    word is the floor of q on its grid, so it checks the word)."""
+    rep = VerifyReport("div-approx", f"p={p}")
+    g = 1 << (p + 2)  # steps of 1/g = u/4
+    for x, y in enumerate_div_operands(p):
+        rep.cases += 1
+        n = 2 * x.bits + x.round
+        d = 2 * y.bits + y.round
+        t_approx = (2 * n * g + d) // (2 * d)  # q_approx = t_approx / g
+        t_ref = n * g // d
+        s = int(n >= d)  # a quotient of at least one keeps one fractional bit fewer
+        trunc = RnFixed(t_ref >> (1 + s), p + 2, (t_ref >> s) & 1, s - p - 1)
+        # (value - q) * d * 2**-lsb_exp: >= 0 for round bit 1, <= 0 for 0
+        above = (trunc.bits + trunc.round) * d - (n << -trunc.lsb_exp)
+        ok = (
+            n * g < t_approx * (d + 1)
+            and t_approx * d < (n + 1) * g
+            and abs(t_approx * d - n * g) < d
+            and (above >= 0 if trunc.round else above <= 0)
+        )
+        if not ok:
+            rep.record(f"{x},{y}", "two-extra-bit claim", f"{t_approx}/{g}")
+    return rep.done()
+
+
 def test_criterion_3_division_bounds():
     t0 = time.perf_counter()
-    reports = [verify.fixed_div_sweep(p) for p in (3, 4, 5)]
+    reports = [sweep(p) for sweep in (verify.fixed_div_sweep, _two_extra_bit_claim) for p in (3, 4, 5)]
     _finish("3 division-bounds", reports, 30.0, t0)
 
 
 def test_criterion_4_double_rounding():
     t0 = time.perf_counter()
     reports = [verify.double_rounding_sweep(12)]
+    assert reports[0].cases == 638976  # 2**13 encodings x 78 pairs of grids
     _finish("4 double-rounding", reports, 5.0, t0)
 
 

@@ -72,6 +72,12 @@ class TestConvert:
         code, _, err = run(capsys, "convert", "0.3", "--to", "rn@0,w=5")
         assert code == 2 and "error" in err
 
+    def test_value_too_wide_for_the_target_word(self, capsys):
+        # fits the width by bit length, but not as a 4-bit two's complement word
+        code, out, err = run(capsys, "convert", "12", "--to", "rn@0,w=4")
+        assert code == 2 and not out
+        assert err == "error: bits 12 does not fit 4-bit two's complement"
+
     def test_bad_literal_exit_code(self, capsys):
         code, _, err = run(capsys, "convert", "rn:0a:r0@0", "--to", "decimal")
         assert code == 2 and err
@@ -282,9 +288,10 @@ class TestVerify:
         (("float-roundtrip", "--format", "rnf8"), ["PASS 256 0"]),
         (("float-negate", "--format", "rnf8"), ["PASS 256 0"]),
         (("fixed-roundtrip", "--width", "10"), ["PASS 2048 0"]),  # encodings only
-        (("fixed-truncate", "--width", "12"), ["PASS 638976 0"]),
+        # width 12 (638,976 cases) is acceptance criterion 4
+        (("fixed-truncate", "--width", "8"), ["PASS 18432 0"]),
     ], ids=["fixed-mul-6", "fixed-div-5", "fixed-negate-12", "float-roundtrip-rnf8", "float-negate-rnf8",
-            "fixed-roundtrip-10", "fixed-truncate-12"])
+            "fixed-roundtrip-10", "fixed-truncate-8"])
     def test_suite_passes_its_case_count(self, capsys, argv, statuses):
         # a dropped case cannot pass as PASS: each report's status line pins
         # its case and failure counts (the elapsed time is left out)

@@ -41,19 +41,19 @@ INF, NEG_INF, NAN = RNF8.inf_word(0), RNF8.inf_word(1), RNF8.nan_word()
 
 
 def neg(word):
-    return float_negate(RnFloat(RNF8, word)).word
+    return float_negate(RNF8, word)
 
 
 NEG_ONE = neg(ONE)
 
 
 def finite_value(word):
-    v = value_of_float(RnFloat(RNF8, word))
+    v = value_of_float(RNF8, word)
     return None if isinstance(v, FloatClass) else v.to_fraction()
 
 
 def word_class(word):
-    return unpack(RnFloat(RNF8, word)).cls
+    return unpack(RNF8, word).cls
 
 
 # the word ops on rnf8 words
@@ -147,13 +147,13 @@ class TestNearFarPaths:
             va = finite_value(a)
             if va in (None, 0):
                 continue
-            ua = unpack(RnFloat(RNF8, a))
+            ua = unpack(RNF8, a)
             ea = (ua.biased_exp - RNF8.bias) if ua.cls is FloatClass.NORMAL else RNF8.e_min
             for b in range(256):
                 vb = finite_value(b)
                 if vb in (None, 0):
                     continue
-                ub = unpack(RnFloat(RNF8, b))
+                ub = unpack(RNF8, b)
                 if ua.sign == ub.sign:
                     continue
                 eb = (ub.biased_exp - RNF8.bias) if ub.cls is FloatClass.NORMAL else RNF8.e_min
@@ -241,7 +241,7 @@ class TestFdiv:
         # the all-ones boundary spelling is renormalized to the next power's
         # plain word before division, so only its value survives
         for f in range(256):
-            u = unpack(RnFloat(RNF8, f))
+            u = unpack(RNF8, f)
             if u.cls is not FloatClass.NORMAL:
                 continue
             sig = u.significand
@@ -471,7 +471,7 @@ class TestAgainstIndependentValues:
         from rnarith.verify import float_value as independent
 
         for word in range(256):
-            v = value_of_float(RnFloat(RNF8, word))
+            v = value_of_float(RNF8, word)
             ref = independent(RNF8, word)
             if isinstance(v, FloatClass):
                 assert ref is None

@@ -1,7 +1,12 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import rnarith.floatfmt as floatfmt
+import rnarith.oracle as oracle
+import rnarith.verify as verify
 from rnarith.core import RnFixed
 from rnarith.floatarith import (
     RoundingMode,
@@ -32,7 +37,7 @@ from rnarith.floatfmt import (
     value_of_float,
 )
 
-ONE = RnFloat(RNF8, 0x30)  # s=0 e=011 f=000 r=0
+ONE = 0x30  # rnf8: s=0 e=011 f=000 r=0
 
 
 class TestFormatLayout:
@@ -82,23 +87,23 @@ class TestFormatLayout:
     def test_different_formats_rejected(self, op):
         for other in (FloatFormat(3, 4), RNF16):
             with pytest.raises(ValueError, match="share a format"):
-                op(ONE, RnFloat(other, 0x30))
+                op(RnFloat(RNF8, ONE), RnFloat(other, 0x30))
 
 
 class TestUnpack:
     def test_one(self):
-        u = unpack(ONE)
+        u = unpack(RNF8, ONE)
         assert u.cls is FloatClass.NORMAL
         assert u.sign == 0 and u.biased_exp == 3
         assert u.significand == RnFixed(8, 5, 0, -3)
 
     def test_hidden_bit_is_complement_of_sign(self):
-        neg = unpack(RnFloat(RNF8, 0xB0))  # s=1 e=011 f=000 r=0
+        neg = unpack(RNF8, 0xB0)  # s=1 e=011 f=000 r=0
         assert neg.cls is FloatClass.NORMAL
         assert neg.significand == RnFixed(-16, 5, 0, -3)  # 10.000, value -2
 
     def test_zero_word(self):
-        assert unpack(RnFloat(RNF8, 0)).cls is FloatClass.ZERO
+        assert unpack(RNF8, 0).cls is FloatClass.ZERO
 
     def test_decode_scale(self):
         assert decode(RNF8, 0x30)[4] == 0  # normal: e - bias
@@ -115,24 +120,24 @@ class TestUnpack:
 
     def test_infinities(self):
         for sign, word in ((0, 0x70), (1, 0xF0)):
-            u = unpack(RnFloat(RNF8, word))
+            u = unpack(RNF8, word)
             assert u.cls is FloatClass.INFINITY and u.sign == sign
 
     def test_nan_patterns(self):
         for word in (0x71, 0x7E, 0xF7):
-            assert unpack(RnFloat(RNF8, word)).cls is FloatClass.NAN
+            assert unpack(RNF8, word).cls is FloatClass.NAN
 
     def test_subnormals(self):
-        u = unpack(RnFloat(RNF8, 0x01))  # s=0 e=0 f=000 r=1
+        u = unpack(RNF8, 0x01)  # s=0 e=0 f=000 r=1
         assert u.cls is FloatClass.SUBNORMAL
         assert u.significand == RnFixed(0, 4, 1, -3)
-        neg = unpack(RnFloat(RNF8, 0x80))  # s=1 e=0 f=000 r=0
+        neg = unpack(RNF8, 0x80)  # s=1 e=0 f=000 r=0
         assert neg.cls is FloatClass.SUBNORMAL
         assert neg.significand == RnFixed(-8, 4, 0, -3)
 
     def test_normal_significands_are_normalized(self):
         for word in range(1 << 8):
-            u = unpack(RnFloat(RNF8, word))
+            u = unpack(RNF8, word)
             if u.cls is not FloatClass.NORMAL:
                 continue
             sig = u.significand
@@ -146,8 +151,8 @@ class TestUnpack:
 class TestPack:
     def test_roundtrip_all_rnf8_words(self):
         for word in range(1 << 8):
-            f = RnFloat(RNF8, word)
-            assert pack(unpack(f)) == f
+            out = pack(unpack(RNF8, word))
+            assert type(out) is int and out == word
 
     @pytest.mark.parametrize(
         "cls,biased_exp,sig",
@@ -168,61 +173,59 @@ class TestPack:
 
 class TestValue:
     def test_one(self):
-        assert value_of_float(ONE).to_fraction() == 1
+        assert value_of_float(RNF8, ONE).to_fraction() == 1
 
     def test_negated_one(self):
-        assert value_of_float(float_negate(ONE)).to_fraction() == -1
+        assert value_of_float(RNF8, float_negate(RNF8, ONE)).to_fraction() == -1
 
     def test_boundary_value_two_spellings(self):
         # all-ones fraction with the round bit set reaches the next power
-        hi = RnFloat(RNF8, 0x3F)  # s=0 e=011 f=111 r=1
-        assert value_of_float(hi).to_fraction() == 2
-        lo = RnFloat(RNF8, 0x40)  # s=0 e=100 f=000 r=0
-        assert value_of_float(lo).to_fraction() == 2
+        hi = 0x3F  # s=0 e=011 f=111 r=1
+        assert value_of_float(RNF8, hi).to_fraction() == 2
+        lo = 0x40  # s=0 e=100 f=000 r=0
+        assert value_of_float(RNF8, lo).to_fraction() == 2
 
     def test_smallest_subnormal(self):
-        assert value_of_float(RnFloat(RNF8, 0x01)).to_fraction() == Fraction(1, 32)
+        assert value_of_float(RNF8, 0x01).to_fraction() == Fraction(1, 32)
 
     def test_negative_zero_spelling_has_value_zero(self):
-        weird = RnFloat(RNF8, 0x8F)  # s=1 e=0 f=111 r=1
-        assert unpack(weird).cls is FloatClass.SUBNORMAL
-        assert value_of_float(weird).to_fraction() == 0
+        weird = 0x8F  # s=1 e=0 f=111 r=1
+        assert unpack(RNF8, weird).cls is FloatClass.SUBNORMAL
+        assert value_of_float(RNF8, weird).to_fraction() == 0
 
     def test_specials_return_markers(self):
-        assert value_of_float(RnFloat(RNF8, 0x70)) is FloatClass.INFINITY
-        assert value_of_float(RnFloat(RNF8, 0x71)) is FloatClass.NAN
+        assert value_of_float(RNF8, 0x70) is FloatClass.INFINITY
+        assert value_of_float(RNF8, 0x71) is FloatClass.NAN
 
 
 class TestNegate:
     def test_one_to_minus_one_fields(self):
-        neg = float_negate(ONE)
+        neg = unpack(RNF8, float_negate(RNF8, ONE))
         assert neg.sign == 1
         assert neg.frac == 0b111
-        assert neg.round == 1
+        assert neg.significand.round == 1
 
     def test_involution_on_nonzero(self):
         for word in range(1 << 8):
-            f = RnFloat(RNF8, word)
-            v = value_of_float(f)
+            v = value_of_float(RNF8, word)
             if isinstance(v, FloatClass) or v.mantissa == 0:
                 continue
-            assert float_negate(float_negate(f)) == f
+            assert float_negate(RNF8, float_negate(RNF8, word)) == word
 
     def test_zero_canonicalization(self):
-        assert float_negate(RNF8.zero()) == RNF8.zero()
-        assert float_negate(RnFloat(RNF8, 0x8F)) == RNF8.zero()
+        assert float_negate(RNF8, 0) == 0  # the canonical zero is the all-zeros word
+        assert float_negate(RNF8, 0x8F) == 0
 
     def test_specials(self):
-        assert float_negate(RNF8.inf(0)) == RNF8.inf(1)
-        assert unpack(float_negate(RNF8.nan())).cls is FloatClass.NAN
+        assert float_negate(RNF8, RNF8.inf_word(0)) == RNF8.inf_word(1)
+        assert unpack(RNF8, float_negate(RNF8, RNF8.nan_word())).cls is FloatClass.NAN
 
     def test_value_antisymmetry_exhaustive(self):
         for word in range(1 << 8):
-            f = RnFloat(RNF8, word)
-            v = value_of_float(f)
+            v = value_of_float(RNF8, word)
             if isinstance(v, FloatClass):
                 continue
-            assert value_of_float(float_negate(f)).to_fraction() == -v.to_fraction()
+            assert value_of_float(RNF8, float_negate(RNF8, word)).to_fraction() == -v.to_fraction()
 
 
 class TestLiterals:
@@ -238,7 +241,7 @@ class TestLiterals:
             assert parse_float_literal(text) == f
 
     def test_known_hex(self):
-        assert format_hex_literal(ONE) == "rnf8:0x30"
+        assert format_hex_literal(RnFloat(RNF8, ONE)) == "rnf8:0x30"
         assert parse_float_literal("rnf16:0x3c00").fmt is RNF16
 
     @pytest.mark.parametrize("bad", ["rnf8:0x100", "rnf9:0x00", "rnf8:s=2 e=0 f=000 r=0", "0x30"])
@@ -248,3 +251,36 @@ class TestLiterals:
 
     def test_format_registry(self):
         assert set(FORMATS) == {"rnf8", "rnf16", "rnf32", "rnf64"}
+
+
+class TestWordsBelowTheCli:
+    """A float is ``(fmt, word)`` below the literal parser and printer:
+    ``RnFloat`` carries only a literal's format and word, and neither the
+    oracle nor the sweeps name it."""
+
+    @staticmethod
+    def _tree(module):
+        return ast.parse(Path(module.__file__).read_text())
+
+    def _methods(self, cls_name):
+        cls = next(node for node in ast.walk(self._tree(floatfmt))
+                   if isinstance(node, ast.ClassDef) and node.name == cls_name)
+        return {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+
+    def test_format_builds_no_rnfloat(self):
+        assert not self._methods("FloatFormat") & {"zero", "inf", "nan"}
+
+    def test_rnfloat_is_only_a_checked_literal(self):
+        assert self._methods("RnFloat") == {"__post_init__", "__str__"}
+
+    @pytest.mark.parametrize("module", [oracle, verify], ids=lambda m: m.__name__)
+    def test_oracle_and_sweeps_do_not_name_rnfloat(self, module):
+        names = set()
+        for node in ast.walk(self._tree(module)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        assert "RnFloat" not in names

@@ -177,8 +177,8 @@ class TestSweepsCatchFaults:
     def test_infinity_reported_as_nan(self, monkeypatch):
         good = verify.value_of_float
 
-        def faulty(f):
-            v = good(f)
+        def faulty(fmt, word):
+            v = good(fmt, word)
             return FloatClass.NAN if v is FloatClass.INFINITY else v
 
         monkeypatch.setattr(verify, "value_of_float", faulty)
