@@ -41,6 +41,7 @@ _DECIMAL_RE = re.compile(r"^[+-]?\d+(\.\d+)?$")
 _FLOAT_PREFIX_RE = re.compile(r"^rnf\d+:")
 _FIXED_TARGET_RE = re.compile(r"^rn@(-?\d+),w=(\d+)$")
 _MODES = {m.value: m for m in fa.RoundingMode}
+_FIXED_OPS = {"+": fixed.add, "-": fixed.sub, "*": fixed.mul, "/": fixed.div}
 _FLOAT_OPS = {"+": fa.fadd_words, "-": fa.fadd_words, "*": fa.fmul_words, "/": fa.fdiv_words}
 
 
@@ -156,82 +157,67 @@ def cmd_convert(args) -> int:
 # eval
 
 
-def _tokenize(expr: str) -> list[str]:
-    tokens = expr.split()
+def _operand(tokens: list[str], i: int) -> RnFixed | RnFloat:
+    if i >= len(tokens):
+        raise CliError("expression ends with an operator")
+    op = _parse_operand(tokens[i])
+    if isinstance(op, Fraction):
+        raise CliError("eval operands must be rn: or rnf literals")
+    return op
+
+
+def _apply(op: str, a, b, mode: fa.RoundingMode) -> tuple[RnFixed | RnFloat, bool]:
+    """``a op b`` and whether it is inexact."""
+    if isinstance(a, RnFixed) != isinstance(b, RnFixed):
+        raise CliError("cannot mix fixed-point and floating-point operands")
+    if isinstance(a, RnFixed):
+        out = _FIXED_OPS[op](a, b)
+        return out if op == "/" else (out, False)  # add, sub and mul are exact
+    # the word ops compare no formats, so this is the only guard
+    if a.fmt != b.fmt:
+        raise CliError("operands use different formats")
+    wb = float_negate(b.fmt, b.word) if op == "-" else b.word
+    word, inexact = _FLOAT_OPS[op](a.fmt, a.word, wb, mode)
+    return RnFloat(a.fmt, word), inexact
+
+
+def _evaluate(tokens: list[str], mode: fa.RoundingMode) -> tuple[RnFixed | RnFloat, bool]:
+    """Left-to-right evaluation with * and / binding tighter than + and -:
+    the value and whether any step was inexact.
+
+    ``term`` is the product being built.  A ``+``, a ``-``, any other token
+    or the end closes it into ``total`` under the pending ``+`` or ``-``,
+    before the next token is judged or the next operand read."""
     if not tokens:
         raise CliError("empty expression")
-    return tokens
-
-
-class _Evaluator:
-    """Left-to-right evaluation with * and / binding tighter than + and -."""
-
-    def __init__(self, tokens: list[str], mode: fa.RoundingMode):
-        self.tokens = tokens
-        self.pos = 0
-        self.mode = mode
-        self.inexact = False
-
-    def _operand(self):
-        if self.pos >= len(self.tokens):
-            raise CliError("expression ends with an operator")
-        op = _parse_operand(self.tokens[self.pos])
-        if isinstance(op, Fraction):
-            raise CliError("eval operands must be rn: or rnf literals")
-        self.pos += 1
-        return op
-
-    def _apply(self, op: str, a, b):
-        if isinstance(a, RnFixed) != isinstance(b, RnFixed):
-            raise CliError("cannot mix fixed-point and floating-point operands")
-        if isinstance(a, RnFixed):
-            if op == "+":
-                return fixed.add(a, b)
-            if op == "-":
-                return fixed.sub(a, b)
-            if op == "*":
-                return fixed.mul(a, b)
-            res = fixed.div(a, b, -a.lsb_exp)
-            self.inexact |= not res.exact
-            return res.quotient
-        # the word ops compare no formats, so this is the only guard
-        if a.fmt != b.fmt:
-            raise CliError("operands use different formats")
-        wb = float_negate(b.fmt, b.word) if op == "-" else b.word
-        word, inexact = _FLOAT_OPS[op](a.fmt, a.word, wb, self.mode)
-        self.inexact |= inexact
-        return RnFloat(a.fmt, word)
-
-    def _term(self):
-        acc = self._operand()
-        while self.pos < len(self.tokens) and self.tokens[self.pos] in ("*", "/"):
-            op = self.tokens[self.pos]
-            self.pos += 1
-            acc = self._apply(op, acc, self._operand())
-        return acc
-
-    def run(self):
-        acc = self._term()
-        while self.pos < len(self.tokens):
-            op = self.tokens[self.pos]
-            if op not in ("+", "-"):
-                raise CliError(f"expected an operator, got {op!r}")
-            self.pos += 1
-            acc = self._apply(op, acc, self._term())
-        return acc
+    total = pending = None
+    term, inexact = _operand(tokens, 0), False
+    for i in range(1, len(tokens) + 1, 2):  # operator positions, then the end
+        op = tokens[i] if i < len(tokens) else None
+        if op == "*" or op == "/":
+            term, step = _apply(op, term, _operand(tokens, i + 1), mode)
+            inexact |= step
+            continue
+        if pending:
+            term, step = _apply(pending, total, term, mode)
+            inexact |= step
+        if op is None:
+            break
+        if op not in ("+", "-"):
+            raise CliError(f"expected an operator, got {op!r}")
+        total, pending, term = term, op, _operand(tokens, i + 1)
+    return term, inexact
 
 
 def cmd_eval(args) -> int:
-    mode = _MODES[args.mode]
-    ev = _Evaluator(_tokenize(args.expr), mode)
-    result = ev.run()
-    tag = "inexact" if ev.inexact else "exact"
+    result, inexact = _evaluate(args.expr.split(), _MODES[args.mode])
+    tag = "inexact" if inexact else "exact"
     if isinstance(result, RnFixed):
         print(f"{format_literal(result)} {tag} (= {value_of(result)})")
         return 0
     v = value_of_float(result.fmt, result.word)
     shown = v if isinstance(v, DyadicRational) else ("nan" if v is FloatClass.NAN else "inf")
-    print(f"{format_hex_literal(result)} {tag} sticky={int(ev.inexact)} (= {shown})")
+    print(f"{format_hex_literal(result)} {tag} sticky={int(inexact)} (= {shown})")
     return 0
 
 
@@ -250,15 +236,14 @@ def cmd_inspect(args) -> int:
     pieces.append(f"f={u.frac:0{fmt.frac_bits}b}")
     pieces.append(f"r={u.significand.round}")
     if u.cls in (FloatClass.NORMAL, FloatClass.SUBNORMAL, FloatClass.ZERO):
-        pieces.append(f"sig={format_literal(u.significand)}")
-        v = value_of_float(fmt, f.word)
+        sig = u.significand
+        pieces.append(f"sig={format_literal(sig)}")
+        iv = interval_of(sig)
+        lo, v, hi = (DyadicRational(x.mantissa, x.exp + scale) for x in (iv.lo, value_of(sig), iv.hi))
         pieces.append(f"value={v}")
-        iv = interval_of(u.significand)
-        lo = DyadicRational(iv.lo.mantissa, iv.lo.exp + scale)
-        hi = DyadicRational(iv.hi.mantissa, iv.hi.exp + scale)
         pieces.append(f"interval=[{lo} ; {hi}]")
     print(" ".join(pieces))
-    print(f"fields: {format_fields(f)}")
+    print(f"fields: {format_fields(u)}")
     return 0
 
 

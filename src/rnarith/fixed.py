@@ -4,12 +4,10 @@ Addition, subtraction and multiplication are exact: they widen the result
 word instead of rounding, and any rounding is left to an explicit
 ``core.truncate_at``.  Division rounds once, to the same number of digits as
 its operands, by truncating the quotient of :func:`long_divide`, the
-library's one divider.
+library's one divider; like every float op it returns ``(result, inexact)``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .core import RnFixed, negate
 
@@ -113,32 +111,23 @@ def long_divide(n: int, d: int, bits: int) -> tuple[int, int]:
     return 2 * q + (rem != 0), k
 
 
-@dataclass(frozen=True)
-class DivResult:
-    """Quotient encoding plus a flag telling whether the quotient is exact:
-    the long division left no remainder below the round bit."""
+def div(x: RnFixed, y: RnFixed) -> tuple[RnFixed, bool]:
+    """Divide operands that share an lsb exponent ``-p`` (``p >= 1``) and
+    are nonnegative with word value in [1, 2): ``(quotient, inexact)``.
 
-    quotient: RnFixed
-    exact: bool
-
-
-def div(x: RnFixed, y: RnFixed, p: int) -> DivResult:
-    """Divide scaled operands, delivering a quotient of the operands' shape.
-
-    Operands must be nonnegative with word value in [1, 2) and ``p``
-    fractional bits (lsb exponent ``-p``).  The quotient of the extended
-    words (round bits appended) is cut to ``p + 2`` bits by
-    :func:`long_divide`: the word keeps ``p`` fractional bits, or ``p + 1``
-    when the quotient is below one, and the next bit becomes the round bit,
-    consistent with the sign of what was dropped (1: value rounded up, tail
-    nonpositive; 0: rounded down).
+    The quotient of the extended words (round bits appended) is cut to
+    ``p + 2`` bits by :func:`long_divide`: the word keeps ``p`` fractional
+    bits, or ``p + 1`` when the quotient is below one, and the next bit
+    becomes the round bit, consistent with the sign of what was dropped (1:
+    value rounded up, tail nonpositive; 0: rounded down).  It is inexact
+    when the division left a remainder below the round bit.
     """
+    _require_aligned(x, y)
+    p = -x.lsb_exp
     if p < 1:
         raise ValueError("need at least one fractional bit")
-    if x.lsb_exp != -p or y.lsb_exp != -p:
-        raise ValueError("operands must carry p fractional bits")
     for name, op in (("dividend", x), ("divisor", y)):
         if op.bits >> p != 1:
             raise ValueError(f"{name} word must lie in [1, 2)")
     q2, k = long_divide(2 * x.bits + x.round, 2 * y.bits + y.round, p + 2)
-    return DivResult(RnFixed(q2 >> 2, p + 2, (q2 >> 1) & 1, 1 - k), q2 & 1 == 0)
+    return RnFixed(q2 >> 2, p + 2, (q2 >> 1) & 1, 1 - k), q2 & 1 == 1

@@ -9,7 +9,8 @@ minimum exponent; negative subnormals naturally carry leading ones.
 A float is a format and an int word: ``decode``, ``unpack``,
 ``value_of_float`` and ``float_negate`` take ``(fmt, word)``, and ``pack``
 returns a word.  ``RnFloat`` is only the literal: ``parse_float_literal``
-makes one, and ``format_hex_literal`` and ``format_fields`` print one.
+makes one and ``format_hex_literal`` prints one; ``format_fields`` prints
+the fields of an ``unpack``ed word.
 """
 
 from __future__ import annotations
@@ -213,13 +214,13 @@ def format_hex_literal(f: RnFloat) -> str:
     return f"{f.fmt.name}:0x{f.word:0{digits}x}"
 
 
-def format_fields(f: RnFloat) -> str:
-    u = unpack(f.fmt, f.word)
-    return f"s={u.sign} e={u.biased_exp} f={u.frac:0{f.fmt.frac_bits}b} r={u.significand.round}"
+def format_fields(u: UnpackedFloat) -> str:
+    return f"s={u.sign} e={u.biased_exp} f={u.frac:0{u.fmt.frac_bits}b} r={u.significand.round}"
 
 
 def parse_float_literal(text: str) -> RnFloat:
-    """Parse ``rnf<bits>:0x<hex>`` or ``rnf<bits>:s=_ e=_ f=_ r=_`` forms."""
+    """Parse ``rnf<bits>:0x<hex>`` or ``rnf<bits>:s=_ e=_ f=_ r=_`` forms; the
+    second names each field once, in any order, and nothing else."""
     text = text.strip()
     head, sep, rest = text.partition(":")
     if not sep or head not in FORMATS:
@@ -229,15 +230,16 @@ def parse_float_literal(text: str) -> RnFloat:
     if rest.startswith("0x") or rest.startswith("0X"):
         word = int(rest, 16)
         return RnFloat(fmt, word)
-    fields = dict(
-        item.split("=", 1) for item in rest.replace(",", " ").split() if "=" in item
-    )
+    items = rest.replace(",", " ").split()
+    fields = dict(item.partition("=")[::2] for item in items)
     try:
+        if len(fields) != len(items) or fields.keys() != {"s", "e", "f", "r"}:
+            raise ValueError("need each of s, e, f and r exactly once")
         s = int(fields["s"])
         e = int(fields["e"])
         frac = int(fields["f"], 2)
         r = int(fields["r"])
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"bad float field literal: {text!r}") from exc
     if s not in (0, 1) or r not in (0, 1):
         raise ValueError(f"bad bit field in literal: {text!r}")

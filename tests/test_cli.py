@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from rnarith import cli, floatfmt
 from rnarith.cli import _build_parser, main
 from rnarith.core import DyadicRational
 from rnarith.floatarith import RoundingMode, round_to_format
@@ -81,6 +82,13 @@ class TestConvert:
     def test_bad_literal_exit_code(self, capsys):
         code, _, err = run(capsys, "convert", "rn:0a:r0@0", "--to", "decimal")
         assert code == 2 and err
+
+    @pytest.mark.parametrize("literal", [
+        "rnf8:s=0,e=3,f=000,r=0,s=1", "rnf8:s=0,e=3,f=000,r=0,x=9", "rnf8:s=0,e=3,f=000,r=0 junk",
+    ], ids=["repeated", "unknown", "stray"])
+    def test_field_literal_names_each_field_once(self, capsys, literal):
+        code, out, err = run(capsys, "convert", literal, "--to", "decimal")
+        assert (code, out, err) == (2, "", f"error: bad float field literal: {literal!r}")
 
     def test_long_decimal_still_printed(self, capsys):
         code, out, _ = run(capsys, "convert", "rn:01:r1@-5000", "--to", "decimal")
@@ -225,6 +233,20 @@ class TestEval:
         code, _, err = run(capsys, "eval", "rn:01000:r0@-3 / rn:00000:r0@-3")
         assert code == 2 and err == "error: divisor word must lie in [1, 2)"
 
+    @pytest.mark.parametrize("expr, err", [
+        ("", "empty expression"),
+        ("rnf8:0x30 +", "expression ends with an operator"),
+        ("rnf8:0x30 rnf8:0x30", "expected an operator, got 'rnf8:0x30'"),
+        ("rnf8:0x30 + + rnf8:0x30", "unrecognized operand '+'"),
+        ("1.5 + 2", "eval operands must be rn: or rnf literals"),
+        # a term is applied before the token after it is judged
+        ("rn:0100:r0@0 + rnf8:0x30 junk", "cannot mix fixed-point and floating-point operands"),
+        ("rnf8:0x30 * rnf16:0x3c00 junk", "operands use different formats"),
+        ("rn:0100:r0@0 / rn:0000:r0@0", "need at least one fractional bit"),
+    ])
+    def test_first_error_reported(self, capsys, expr, err):
+        assert run(capsys, "eval", expr) == (2, "", f"error: {err}")
+
     def test_mixed_kinds_rejected(self, capsys):
         code, _, err = run(capsys, "eval", "rn:0100:r0@0 + rnf8:0x30")
         assert code == 2 and err
@@ -258,6 +280,22 @@ class TestInspect:
     def test_zero_word(self, capsys):
         code, out, _ = run(capsys, "inspect", "rnf8:0x00")
         assert code == 0 and "class=zero" in out
+
+    def test_word_decoded_twice(self, capsys, monkeypatch):
+        # once by ``unpack`` and once for the scale; value, interval and
+        # fields all come from the one unpacked view
+        calls = []
+        good = floatfmt.decode
+
+        def counted(*args):
+            calls.append(args)
+            return good(*args)
+
+        monkeypatch.setattr(floatfmt, "decode", counted)
+        monkeypatch.setattr(cli, "decode", counted)
+        code, out, _ = run(capsys, "inspect", "rnf8:0x35")
+        assert code == 0 and out.startswith("class=normal")
+        assert calls == [(floatfmt.RNF8, 0x35)] * 2
 
     def test_nan(self, capsys):
         code, out, _ = run(capsys, "inspect", "rnf8:0x71")

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from rnarith import cli, core, fixed, floatarith, floatfmt
 from rnarith.core import RnFixed, interval_of, negate, value_of
-from rnarith.fixed import DivResult, add, add_alt, div, long_divide, mul, shift_left, sub
+from rnarith.fixed import add, add_alt, div, long_divide, mul, shift_left, sub
 
 
 def all_encodings(width, lsb_exp=0):
@@ -144,36 +144,38 @@ class TestShiftLeft:
 
 class TestDiv:
     def test_identity_divisor(self):
-        out = div(RnFixed(8, 5, 0, -3), RnFixed(8, 5, 0, -3), 3)
-        assert out == DivResult(RnFixed(8, 5, 0, -3), True)
-        assert val(out.quotient) == 1
+        out = div(RnFixed(8, 5, 0, -3), RnFixed(8, 5, 0, -3))
+        assert out == (RnFixed(8, 5, 0, -3), False)
+        assert val(out[0]) == 1
 
     def test_neutral_element_returns_operand(self):
         one = RnFixed(8, 5, 0, -3)
         for bits in range(8, 16):
             for r in (0, 1):
                 x = RnFixed(bits, 5, r, -3)
-                assert div(x, one, 3).quotient == x
+                assert div(x, one) == (x, False)
 
     def test_worked_quotient(self):
         # 1.100 with clear round bit over 1.000 with set round bit: 24/17
-        out = div(RnFixed(12, 5, 0, -3), RnFixed(8, 5, 1, -3), 3)
-        assert out.quotient == RnFixed(11, 5, 0, -3)
-        assert not out.exact
+        quot, inexact = div(RnFixed(12, 5, 0, -3), RnFixed(8, 5, 1, -3))
+        assert quot == RnFixed(11, 5, 0, -3)
+        assert inexact
         q = Fraction(24, 17)
-        assert abs(val(out.quotient) - q) <= Fraction(1, 16)
+        assert abs(val(quot) - q) <= Fraction(1, 16)
 
     def test_shifted_quotient(self):
         # 1.000 over 1.101 with set round bit: 16/27, below one
-        out = div(RnFixed(8, 5, 0, -3), RnFixed(13, 5, 1, -3), 3)
-        assert out.quotient.lsb_exp == -4
-        assert val(out.quotient) == Fraction(9, 16)
+        quot, _ = div(RnFixed(8, 5, 0, -3), RnFixed(13, 5, 1, -3))
+        assert quot.lsb_exp == -4
+        assert val(quot) == Fraction(9, 16)
 
     def test_bad_operands_rejected(self):
         with pytest.raises(ValueError):
-            div(RnFixed(7, 5, 1, -3), RnFixed(8, 5, 0, -3), 3)
-        with pytest.raises(ValueError):
-            div(RnFixed(8, 5, 0, -3), RnFixed(8, 5, 0, -3), 2)
+            div(RnFixed(7, 5, 1, -3), RnFixed(8, 5, 0, -3))
+
+    def test_mismatched_lsb_exponents_rejected(self):
+        with pytest.raises(ValueError, match="^operands must share an lsb exponent; align them first$"):
+            div(RnFixed(8, 5, 0, -3), RnFixed(16, 6, 0, -4))
 
     def test_round_bit_reports_remainder_sign(self):
         for p in (3, 4):
@@ -186,7 +188,7 @@ class TestDiv:
                 n = 2 * x.bits + x.round
                 for y in ops:
                     d = 2 * y.bits + y.round
-                    quot = div(x, y, p).quotient
+                    quot, _ = div(x, y)
                     q = Fraction(n, d)
                     if quot.round:
                         assert q <= val(quot)
@@ -260,3 +262,26 @@ class TestOneDivider:
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, (ast.FloorDiv, ast.Mod))
         ]
         assert ops == []
+
+
+class TestOneResultShape:
+    """Division returns ``(quotient, inexact)`` like every float op, reading
+    ``p`` from its operands; the CLI evaluates with functions, not state."""
+
+    @staticmethod
+    def _tree(module):
+        return ast.parse(Path(module.__file__).read_text())
+
+    def _defined(self, module, kind):
+        return {node.name: node for node in ast.walk(self._tree(module)) if isinstance(node, kind)}
+
+    def test_no_div_result_class(self):
+        assert "DivResult" not in self._defined(fixed, ast.ClassDef)
+
+    def test_div_takes_two_operands(self):
+        args = self._defined(fixed, ast.FunctionDef)["div"].args
+        assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["x", "y"]
+        assert args.vararg is None and args.kwarg is None
+
+    def test_cli_defines_only_its_error(self):
+        assert set(self._defined(cli, ast.ClassDef)) == {"CliError"}

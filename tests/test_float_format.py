@@ -236,15 +236,18 @@ class TestLiterals:
 
     def test_fields_roundtrip(self):
         for word in (0, 0x30, 0xB5, 0x7F):
-            f = RnFloat(RNF8, word)
-            text = f"rnf8:{format_fields(f)}"
-            assert parse_float_literal(text) == f
+            text = f"rnf8:{format_fields(unpack(RNF8, word))}"
+            assert parse_float_literal(text) == RnFloat(RNF8, word)
 
     def test_known_hex(self):
         assert format_hex_literal(RnFloat(RNF8, ONE)) == "rnf8:0x30"
         assert parse_float_literal("rnf16:0x3c00").fmt is RNF16
 
-    @pytest.mark.parametrize("bad", ["rnf8:0x100", "rnf9:0x00", "rnf8:s=2 e=0 f=000 r=0", "0x30"])
+    @pytest.mark.parametrize("bad", [
+        "rnf8:0x100", "rnf9:0x00", "rnf8:s=2 e=0 f=000 r=0", "0x30",
+        # a field named twice, an unknown field, a stray token
+        "rnf8:s=0,e=3,f=000,r=0,s=1", "rnf8:s=0,e=3,f=000,r=0,x=9", "rnf8:s=0 e=3 f=000 r=0 junk",
+    ])
     def test_bad_literals(self, bad):
         with pytest.raises(ValueError):
             parse_float_literal(bad)

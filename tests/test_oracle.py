@@ -258,9 +258,9 @@ class TestSweepsCatchFaults:
                      (16384, 16384), None, id="mul-round-bit"),
         pytest.param(fixed, "mul", lambda r, *_: _respelled(r), verify.fixed_mul_sweep, 6,
                      (16384, 2110), "interval inclusion", id="mul-respelled"),
-        pytest.param(fixed, "div", lambda r, *_: replace(r, quotient=_flipped(r.quotient)),
+        pytest.param(fixed, "div", lambda r, *_: (_flipped(r[0]), r[1]),
                      verify.fixed_div_sweep, 4, (1024, 1024), None, id="div-round-bit"),
-        pytest.param(fixed, "div", lambda r, *_: replace(r, exact=not r.exact),
+        pytest.param(fixed, "div", lambda r, *_: (r[0], not r[1]),
                      verify.fixed_div_sweep, 4, (1024, 1024), None, id="div-exact-flag"),
         # shifted up for a nonnegative word and back down for its negative
         # image, so the involution holds and only zero values still agree
