@@ -106,13 +106,17 @@ def _convert_to_fixed(value: DyadicRational | Fraction, spec: str, prefer_round_
     n = value.mantissa if isinstance(value, DyadicRational) else None
     if n is None or (n and value.exp < lsb):
         raise CliError(f"value is not representable at lsb exponent {lsb}")
+    misfit = f"value does not fit {width} bits at lsb exponent {lsb}"
     if n:
-        if n.bit_length() + value.exp - lsb > width:  # |word| >= 2**width
-            raise CliError(f"value does not fit {width} bits at lsb exponent {lsb}")
+        if n.bit_length() + value.exp - lsb > width:  # |value| >= 2**width ulps
+            raise CliError(misfit)
         n <<= value.exp - lsb
-    if prefer_round_bit:
-        return RnFixed(n - 1, width, 1, lsb)
-    return RnFixed(n, width, 0, lsb)
+    # the stored word, the value less its round bit, must be width-bit two's
+    # complement; RnFixed refuses a zero width
+    bits, r = (n - 1, 1) if prefer_round_bit else (n, 0)
+    if width and not -(1 << (width - 1)) <= bits < 1 << (width - 1):
+        raise CliError(misfit)
+    return RnFixed(bits, width, r, lsb)
 
 
 def cmd_convert(args) -> int:

@@ -14,7 +14,6 @@ tests and the ``verify`` command.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Iterator
 
 from . import fixed, floatarith as fa
@@ -96,25 +95,19 @@ def _value_class(fmt: FloatFormat, word: int) -> str:
     return "zero" if w + r == 0 else "finite"
 
 
-def _representable(fmt: FloatFormat, n: int, d: int, k: int) -> bool:
-    """Can the format hold ``n/d * 2**k`` (``d > 0``) exactly?"""
+def representable(x: Fraction, fmt: FloatFormat) -> bool:
+    """Can the format hold x exactly?"""
+    n, d = abs(x.numerator), x.denominator  # a Fraction is already reduced
     if n == 0:
         return True
-    g = gcd(n, d)
-    n, d = abs(n) // g, d // g
     if d & (d - 1):  # an odd factor is left in the denominator
         return False
     t = (n & -n).bit_length() - 1  # trailing zero bits of n
-    n, k = n >> t, k + t - (d.bit_length() - 1)  # now |x| = n * 2**k, n odd
+    n, k = n >> t, t - (d.bit_length() - 1)  # now |x| = n * 2**k, n odd
     e = n.bit_length() - 1 + k  # floor(log2(|x|))
     if e > fmt.e_max:
         return e == fmt.e_max + 1 and n == 1
     return k >= max(e, fmt.e_min) + 1 - fmt.precision
-
-
-def representable(x: Fraction, fmt: FloatFormat) -> bool:
-    """Can the format hold x exactly?"""
-    return _representable(fmt, x.numerator, x.denominator, 0)
 
 
 def _half_interval(fmt: FloatFormat, word: int) -> tuple[int, int]:
@@ -366,9 +359,12 @@ def rounding_fault(fmt: FloatFormat, exact: tuple[int, int, int], mode: fa.Round
 
     Overflow: only the infinity of exact's sign, flagged inexact, and only
     when ``|exact| >= 2**(e_max+1)``.  Sticky flag: ``value != exact``, in
-    every mode.  Nearest: within half an ulp, a representable ``exact``
-    returned exactly, and the round bit set exactly when the value lies
-    above ``exact``.  Directed: on the mode's side and less than an ulp away.
+    every mode.  Nearest: within half an ulp, and the round bit set exactly
+    when the value lies above ``exact``.  Directed: on the mode's side and
+    less than an ulp away.
+
+    The nearest clauses return a representable ``exact`` exactly
+    (``tests/test_oracle.py::TestImpliedClauses``).
     """
     n, d, k = exact
     w, r, scale = _sig(fmt, word)
@@ -387,8 +383,6 @@ def rounding_fault(fmt: FloatFormat, exact: tuple[int, int, int], mode: fa.Round
     if mode is _NEAREST:
         if 2 * abs(diff) > ulp:
             return "half ulp"
-        if _representable(fmt, n, d, k):
-            return "exact value"
         return "round-bit direction" if w + r != 0 and (r == 1) != (diff > 0) else None
     if (diff > 0) != _ROUNDS_UP[mode][n < 0]:  # n carries exact's sign
         return "directed side"
@@ -530,7 +524,8 @@ def far_shortcut_sweep(fmt: FloatFormat) -> VerifyReport:
     The result interval must stay inside the larger operand's interval plus
     the half-ulp bounding interval of the smaller side ([0, u/2] for a
     positive smaller operand, [-u/2, 0] for a negative one, u the larger
-    operand's ulp), and the value must be within one ulp of the exact sum.
+    operand's ulp).  Both bounds put the value within one ulp of the exact
+    sum (``tests/test_oracle.py::TestImpliedClauses``).
     """
     rep = VerifyReport("far-shortcut", f"format={fmt.name}")
     for a, b, va, vb in _operand_pairs(fmt):
@@ -540,16 +535,11 @@ def far_shortcut_sweep(fmt: FloatFormat) -> VerifyReport:
             continue
         rep.cases += 1
         out = fa.far_shortcut(fmt, a, b)
-        # half is u/2 in the intervals' units of 2**(e_min-p), and u in _units
+        # half is u/2 in the intervals' units of 2**(e_min-p)
         lo_r, width_r = _half_interval(fmt, out)
         lo_a, half = _half_interval(fmt, a)
         lo_b, hi_b = (0, half) if vb > 0 else (-half, 0)
-        ok = (
-            lo_a + lo_b <= lo_r
-            and lo_r + width_r <= lo_a + half + hi_b
-            and abs(_units(fmt, out) - va - vb) < half
-        )
-        if not ok:
+        if not (lo_a + lo_b <= lo_r and lo_r + width_r <= lo_a + half + hi_b):
             rep.record(f"{a:#x},{b:#x}", "shortcut soundness", f"{out:#x}")
     return rep.done()
 

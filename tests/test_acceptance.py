@@ -5,6 +5,7 @@ raw fields; a criterion passes only with zero failures inside its stated
 runtime budget.
 """
 
+import functools
 import time
 
 import rnarith.verify as verify
@@ -96,14 +97,16 @@ def test_criterion_5_negation():
     _finish("5 negation", reports, 5.0, t0)
 
 
+@functools.cache
+def _rnf8_nearest_reports() -> tuple[VerifyReport, ...]:
+    """The rnf8 nearest add, mul and div sweeps, run once for criteria 6
+    and 8."""
+    return tuple(verify.float_nearest_sweep(RNF8, op) for op in ("add", "mul", "div"))
+
+
 def test_criterion_6_float_correct_rounding():
     t0 = time.perf_counter()
-    reports = [
-        verify.float_nearest_sweep(RNF8, "add"),
-        verify.float_nearest_sweep(RNF8, "mul"),
-        verify.float_nearest_sweep(RNF8, "div"),
-        verify.far_shortcut_sweep(RNF8),
-    ]
+    reports = [*_rnf8_nearest_reports(), verify.far_shortcut_sweep(RNF8)]
     _finish("6 float-correct-rounding", reports, 60.0, t0)
 
 
@@ -116,22 +119,22 @@ def test_criterion_7_directed_roundings():
 def test_criterion_8_round_bit_direction():
     """Every inexact nearest-mode nonzero result reports its rounding
     direction in the round bit: set means the result is above the exact
-    value, clear means below."""
-    from rnarith.floatarith import RoundingMode
-    from rnarith.oracle import VerifyReport
+    value, clear means below.
 
+    Read from criterion 6's rnf8 nearest reports, whose sweeps judge every
+    pair with a finite exact value by ``rounding_fault``: each such case
+    that breaks the direction clause is one recorded
+    ``round-bit direction`` failure."""
     t0 = time.perf_counter()
     rep = VerifyReport("round-bit-direction", "format=rnf8")
-    for op, (func, _) in verify._FLOAT_OPS.items():
-        for a, b, va, vb in verify._operand_pairs(RNF8):
-            exact = verify._float_exact(RNF8, op, a, b, va, vb)
-            if exact is None:
-                continue
-            rep.cases += 1
-            out, inexact = func(RNF8, a, b)
-            fault = verify.rounding_fault(RNF8, exact, RoundingMode.NEAREST, out, inexact)
-            if fault == "round-bit direction":
-                rep.record(f"{op} {a:#x},{b:#x}", "direction", str(out & 1))
+    values = verify._operand_values(RNF8)
+    finite = sum(v is not None for v in values)
+    nonzero = sum(v not in (None, 0) for v in values)
+    rep.cases = 2 * finite * finite + finite * nonzero  # add and mul pairs, div by a nonzero
+    for nearest in _rnf8_nearest_reports():
+        for inputs, want, got in nearest.failures:
+            if want.split(" (")[0] == "round-bit direction":
+                rep.record(f"{nearest.op} {inputs}", want, got)
     rep.done()
     _finish("8 round-bit-direction", [rep], 120.0, t0)
 

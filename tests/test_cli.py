@@ -77,7 +77,24 @@ class TestConvert:
         # fits the width by bit length, but not as a 4-bit two's complement word
         code, out, err = run(capsys, "convert", "12", "--to", "rn@0,w=4")
         assert code == 2 and not out
-        assert err == "error: bits 12 does not fit 4-bit two's complement"
+        assert err == "error: value does not fit 4 bits at lsb exponent 0"
+
+    @pytest.mark.parametrize("value, flags, word", [
+        ("7", (), "rn:0111:r0@0"), ("8", (), None), ("-8", (), "rn:1000:r0@0"), ("-9", (), None),
+        ("15", (), None), ("16", (), None), ("-16", (), None), ("-17", (), None),
+        # the stored word is the value less its round bit: 8 fits as 7 + 1
+        ("8", ("--prefer-round-bit",), "rn:0111:r1@0"),
+        ("9", ("--prefer-round-bit",), None), ("-8", ("--prefer-round-bit",), None),
+    ])
+    def test_fit_boundaries_have_one_message(self, capsys, value, flags, word):
+        """A value fits exactly when its stored word is 4-bit two's
+        complement; every misfit, refused by bit length or by range, says
+        the same thing about the value the user wrote."""
+        code, out, err = run(capsys, "convert", value, "--to", "rn@0,w=4", *flags)
+        if word is None:
+            assert (code, out, err) == (2, "", "error: value does not fit 4 bits at lsb exponent 0")
+        else:
+            assert (code, out, err) == (0, word, "")
 
     def test_bad_literal_exit_code(self, capsys):
         code, _, err = run(capsys, "convert", "rn:0a:r0@0", "--to", "decimal")

@@ -21,16 +21,10 @@ from rnarith.core import (
     validate_rn,
     value_of,
 )
+from rnarith.oracle import enumerate_fixed
 
 EXAMPLE_WORD = -718  # 110100110010 as a 12-bit two's complement word
 EXAMPLE_DIGITS = (0, -1, 1, -1, 0, 1, 0, -1, 0, 1, -1, 0)
-
-
-def all_encodings(width, lsb_exp=0):
-    top = 1 << (width - 1)
-    for bits in range(-top, top):
-        for r in (0, 1):
-            yield RnFixed(bits, width, r, lsb_exp)
 
 
 class TestDyadicRational:
@@ -135,7 +129,7 @@ class TestSdOfCanonical:
         assert sd_of_canonical(RnFixed(0, 8, 0)).digits == (0,) * 8
 
     def test_exhaustive_string_roundtrip(self):
-        for x in all_encodings(8):
+        for x in enumerate_fixed(8):
             sd = sd_of_canonical(x)
             assert validate_rn(sd)
             back = canonical_of_sd(sd)
@@ -175,7 +169,7 @@ class TestTruncateAt:
             truncate_at(RnFixed(3, 4), -1)
 
     def test_half_ulp_bound_exhaustive(self):
-        for x in all_encodings(8):
+        for x in enumerate_fixed(8):
             v = value_of(x).to_fraction()
             for k in range(0, 8):
                 t = truncate_at(x, k)
@@ -183,7 +177,7 @@ class TestTruncateAt:
                 assert abs(err) <= Fraction(1 << k, 2)
 
     def test_double_rounding_exhaustive_width10(self):
-        for x in all_encodings(10):
+        for x in enumerate_fixed(10):
             for j in range(0, 10):
                 inner = truncate_at(x, j)
                 for k in range(j, 10):
@@ -208,7 +202,7 @@ class TestNegate:
         assert value_of(n).to_fraction() == 0
 
     def test_involution_and_value_exhaustive(self):
-        for x in all_encodings(8):
+        for x in enumerate_fixed(8):
             n = negate(x)
             assert negate(n) == x
             assert value_of(n).to_fraction() == -value_of(x).to_fraction()
@@ -249,9 +243,12 @@ class TestValidateRn:
             SignedDigitString((2, 0))
 
 
-class TestTailDigitSign:
+class TestRoundBitMatchesLastDigit:
+    """A nonzero value's round bit is 1 exactly when its last nonzero
+    signed digit is +1."""
+
     def test_matches_last_nonzero_digit_exhaustive(self):
-        for x in all_encodings(8):
+        for x in enumerate_fixed(8):
             if x.bits + x.round == 0:
                 continue
             last = next(d for d in reversed(sd_of_canonical(x).digits) if d != 0)

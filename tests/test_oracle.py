@@ -1,4 +1,7 @@
+import ast
+import inspect
 import random
+import textwrap
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -312,34 +315,39 @@ class TestSweepWork:
         assert work == {"add": (4096, 0, 4160), "mul": (4096, 0, 4160), "div": (3968, 0, 3968)}
 
 
-class TestRoundingFault:
-    """Each clause of the contract on rnf8 words: finite ones around 17/8
-    (ulp 1/4), +inf (0x70) and a NaN (0x71)."""
+# (exact, mode, word, inexact, clause): each clause of the contract on rnf8
+# words, finite ones around 17/8 (ulp 1/4), +inf (0x70) and a NaN (0x71)
+ROUNDING_FAULT_ROWS = [
+    ((2, 1, 0), RoundingMode.NEAREST, 0x40, False, None),         # 2, exact
+    ((2, 1, 0), RoundingMode.NEAREST, 0x40, True, "sticky flag"),
+    ((17, 8, 0), RoundingMode.NEAREST, 0x41, True, None),      # 9/4, r=1 above
+    ((17, 8, 0), RoundingMode.NEAREST, 0x40, True, None),      # 2, r=0 below
+    ((17, 8, 0), RoundingMode.NEAREST, 0x42, True, "round-bit direction"),  # 9/4, r=0
+    ((17, 8, 0), RoundingMode.NEAREST, 0x44, True, "half ulp"),  # 5/2
+    ((15, 8, 0), RoundingMode.NEAREST, 0x40, True, "round-bit direction"),  # 15/8 is 0x3e; 2 lies above it with r=0
+    ((17, 8, 0), RoundingMode.UPWARD, 0x41, True, None),
+    ((17, 8, 0), RoundingMode.DOWNWARD, 0x41, True, "directed side"),
+    ((17, 8, 0), RoundingMode.TOWARD_ZERO, 0x40, True, None),
+    ((17, 8, 0), RoundingMode.AWAY_FROM_ZERO, 0x40, True, "directed side"),
+    ((17, 8, 0), RoundingMode.UPWARD, 0x44, True, "one ulp"),
+    ((16, 1, 0), RoundingMode.NEAREST, 0x70, True, None),         # +inf from the edge 2**(e_max+1)
+    ((100, 1, 0), RoundingMode.TOWARD_ZERO, 0x70, True, None),
+    ((15, 1, 0), RoundingMode.NEAREST, 0x70, True, "overflow"),
+    ((-100, 1, 0), RoundingMode.NEAREST, 0x70, True, "overflow"),
+    ((100, 1, 0), RoundingMode.NEAREST, 0x70, False, "overflow"),
+    ((100, 1, 0), RoundingMode.NEAREST, 0x71, True, "overflow"),  # NaN
+    ((-17, 8, 0), RoundingMode.TOWARD_ZERO, 0xCF, True, None),  # -2
+    ((-17, 8, 0), RoundingMode.TOWARD_ZERO, 0xCE, True, "directed side"),  # -9/4
+    ((-17, 8, 0), RoundingMode.AWAY_FROM_ZERO, 0xCE, True, None),
+    ((-17, 8, 0), RoundingMode.AWAY_FROM_ZERO, 0xCF, True, "directed side"),
+]
 
-    @pytest.mark.parametrize("exact, mode, word, inexact, clause", [
-        ((2, 1, 0), RoundingMode.NEAREST, 0x40, False, None),         # 2, exact
-        ((2, 1, 0), RoundingMode.NEAREST, 0x40, True, "sticky flag"),
-        ((17, 8, 0), RoundingMode.NEAREST, 0x41, True, None),      # 9/4, r=1 above
-        ((17, 8, 0), RoundingMode.NEAREST, 0x40, True, None),      # 2, r=0 below
-        ((17, 8, 0), RoundingMode.NEAREST, 0x42, True, "round-bit direction"),  # 9/4, r=0
-        ((17, 8, 0), RoundingMode.NEAREST, 0x44, True, "half ulp"),  # 5/2
-        ((15, 8, 0), RoundingMode.NEAREST, 0x40, True, "exact value"),  # 15/8 is 0x3e
-        ((17, 8, 0), RoundingMode.UPWARD, 0x41, True, None),
-        ((17, 8, 0), RoundingMode.DOWNWARD, 0x41, True, "directed side"),
-        ((17, 8, 0), RoundingMode.TOWARD_ZERO, 0x40, True, None),
-        ((17, 8, 0), RoundingMode.AWAY_FROM_ZERO, 0x40, True, "directed side"),
-        ((17, 8, 0), RoundingMode.UPWARD, 0x44, True, "one ulp"),
-        ((16, 1, 0), RoundingMode.NEAREST, 0x70, True, None),         # +inf from the edge 2**(e_max+1)
-        ((100, 1, 0), RoundingMode.TOWARD_ZERO, 0x70, True, None),
-        ((15, 1, 0), RoundingMode.NEAREST, 0x70, True, "overflow"),
-        ((-100, 1, 0), RoundingMode.NEAREST, 0x70, True, "overflow"),
-        ((100, 1, 0), RoundingMode.NEAREST, 0x70, False, "overflow"),
-        ((100, 1, 0), RoundingMode.NEAREST, 0x71, True, "overflow"),  # NaN
-        ((-17, 8, 0), RoundingMode.TOWARD_ZERO, 0xCF, True, None),  # -2
-        ((-17, 8, 0), RoundingMode.TOWARD_ZERO, 0xCE, True, "directed side"),  # -9/4
-        ((-17, 8, 0), RoundingMode.AWAY_FROM_ZERO, 0xCE, True, None),
-        ((-17, 8, 0), RoundingMode.AWAY_FROM_ZERO, 0xCF, True, "directed side"),
-    ])
+
+class TestRoundingFault:
+    """Each clause of the contract, one row of ``ROUNDING_FAULT_ROWS`` or
+    more per clause."""
+
+    @pytest.mark.parametrize("exact, mode, word, inexact, clause", ROUNDING_FAULT_ROWS)
     def test_clause(self, exact, mode, word, inexact, clause):
         assert verify.rounding_fault(RNF8, exact, mode, word, inexact) == clause
         # the same value in other spellings of n/d * 2**k: a common odd
@@ -347,6 +355,17 @@ class TestRoundingFault:
         n, d, k = exact
         for spelling in ((3 * n, 3 * d, k), (n << 5, d, k - 5), (n, d << 4, k + 4), (n << 3, d << 1, k - 2)):
             assert verify.rounding_fault(RNF8, spelling, mode, word, inexact) == clause
+
+    def test_every_clause_has_a_row(self):
+        """The string labels ``rounding_fault`` can return are exactly the
+        clauses of the rows, so no clause is added or dropped without one."""
+        tree = ast.parse(textwrap.dedent(inspect.getsource(verify.rounding_fault)))
+        labels = {
+            node.value
+            for ret in ast.walk(tree) if isinstance(ret, ast.Return) and ret.value
+            for node in ast.walk(ret.value) if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+        assert labels == {row[-1] for row in ROUNDING_FAULT_ROWS} - {None}
 
     def test_failure_text_shows_the_exact_fraction(self, monkeypatch):
         _plant(monkeypatch, _flip_bit(lambda v, inexact, mode: inexact and mode is RoundingMode.NEAREST))
@@ -376,8 +395,8 @@ def _fraction_representable(x, fmt):
 
 def _check_exact_triples(fmt, pairs):
     """``_float_exact``'s ``(n, d, k)`` is the Fraction statement of the
-    exact value, and the integer ``representable`` agrees with its Fraction
-    restatement on it."""
+    exact value, and ``representable`` agrees with its Fraction restatement
+    on it."""
     for wa, wb in pairs:
         va, vb = verify.float_value(fmt, wa), verify.float_value(fmt, wb)
         ua, ub = verify._units(fmt, wa), verify._units(fmt, wb)
@@ -397,7 +416,6 @@ def _check_exact_triples(fmt, pairs):
             else:
                 assert x == verify._div_reference(fmt, wa, wb)
                 assert va != 0 or x == 0  # every spelling of a zero dividend
-            assert verify._representable(fmt, n, d, k) == _fraction_representable(x, fmt)
             assert verify.representable(x, fmt) == _fraction_representable(x, fmt)
 
 
@@ -458,6 +476,55 @@ class TestIntegerOracle:
         verify.float_value(SMALL, 0x10)  # the counters do see verify's Fractions
         verify.pinned_examples()  # and its value types
         assert set(used) == {"Fraction", "value_of", "interval_of", "check_inclusion", "to_fraction"}
+
+
+# rnf8 and three smaller shapes whose exponent range holds far pairs
+implied_shapes = pytest.mark.parametrize(
+    "fmt", [RNF8, FloatFormat(3, 2), FloatFormat(3, 3), FloatFormat(4, 2)],
+    ids=lambda f: f"e{f.exp_bits}p{f.precision}")
+
+
+class TestImpliedClauses:
+    """Claims the oracle's clauses imply, each tested exhaustively in place
+    of the clause that judged it case by case and could never fail alone."""
+
+    @implied_shapes
+    def test_representable_value_returned_exactly(self, fmt):
+        """Replaces ``rounding_fault``'s "exact value" clause: for every
+        representable value x and every finite word of another value,
+        "half ulp" or "round-bit direction" fails, so a nearest result that
+        passes both returns a representable x exactly."""
+        u = fmt.e_min + 1 - fmt.precision  # _units count 2**u
+        finite = [(w, v) for w in enumerate_format(fmt) if (v := verify._units(fmt, w)) is not None]
+        clauses = set()
+        for x in {v for _, v in finite}:  # every representable value
+            assert verify.representable(Fraction(x) * Fraction(2) ** u, fmt)
+            for w, v in finite:
+                if v != x:
+                    clauses.add(verify.rounding_fault(fmt, (x, 1, u), RoundingMode.NEAREST, w, True))
+        # the direction clause does the work: without it some word would pass
+        assert clauses == {"half ulp", "round-bit direction"}
+
+    @implied_shapes
+    def test_shortcut_bounds_imply_one_ulp(self, fmt):
+        """Replaces ``far_shortcut_sweep``'s one-ulp clause: over every pair
+        that sweep judges and every finite word, a word whose interval meets
+        both of the sweep's bounds lies within one ulp of the exact sum."""
+        words = [(verify._half_interval(fmt, w), v)
+                 for w in enumerate_format(fmt) if (v := verify._units(fmt, w)) is not None]
+        pairs = 0
+        for a, b, va, vb in verify._operand_pairs(fmt):
+            if va in (None, 0) or vb in (None, 0):
+                continue
+            if verify._sig(fmt, a)[2] <= verify._sig(fmt, b)[2] + fmt.precision:
+                continue
+            pairs += 1
+            # half is u/2 in the intervals' units of 2**(e_min-p), and u in _units
+            lo_a, half = verify._half_interval(fmt, a)
+            lo, hi = (lo_a, lo_a + 2 * half) if vb > 0 else (lo_a - half, lo_a + half)
+            inside = [v for (lo_r, width_r), v in words if lo <= lo_r and lo_r + width_r <= hi]
+            assert inside and all(abs(v - va - vb) < half for v in inside)
+        assert pairs
 
 
 class TestVerifyReport:
