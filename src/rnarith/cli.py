@@ -41,7 +41,6 @@ _DECIMAL_RE = re.compile(r"^[+-]?\d+(\.\d+)?$")
 _FLOAT_PREFIX_RE = re.compile(r"^rnf\d+:")
 _FIXED_TARGET_RE = re.compile(r"^rn@(-?\d+),w=(\d+)$")
 _MODES = {m.value: m for m in fa.RoundingMode}
-_FIXED_OPS = {"+": fixed.add, "-": fixed.sub, "*": fixed.mul, "/": fixed.div}
 _FLOAT_OPS = {"+": fa.fadd_words, "-": fa.fadd_words, "*": fa.fmul_words, "/": fa.fdiv_words}
 
 
@@ -97,6 +96,8 @@ def _convert_to_fixed(value: DyadicRational | Fraction, spec: str, prefer_round_
     if not m:
         raise CliError(f"bad fixed-point target {spec!r} (expected rn@<lsb>,w=<width>)")
     lsb, width = int(m.group(1)), int(m.group(2))
+    if width < 1:
+        raise CliError("width must be at least 1")
     # the literal has one digit per bit: a width past the interpreter's digit
     # limit is refused, as a decimal would be, before the word is built
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -112,9 +113,9 @@ def _convert_to_fixed(value: DyadicRational | Fraction, spec: str, prefer_round_
             raise CliError(misfit)
         n <<= value.exp - lsb
     # the stored word, the value less its round bit, must be width-bit two's
-    # complement; RnFixed refuses a zero width
+    # complement
     bits, r = (n - 1, 1) if prefer_round_bit else (n, 0)
-    if width and not -(1 << (width - 1)) <= bits < 1 << (width - 1):
+    if not -(1 << (width - 1)) <= bits < 1 << (width - 1):
         raise CliError(misfit)
     return RnFixed(bits, width, r, lsb)
 
@@ -175,8 +176,7 @@ def _apply(op: str, a, b, mode: fa.RoundingMode) -> tuple[RnFixed | RnFloat, boo
     if isinstance(a, RnFixed) != isinstance(b, RnFixed):
         raise CliError("cannot mix fixed-point and floating-point operands")
     if isinstance(a, RnFixed):
-        out = _FIXED_OPS[op](a, b)
-        return out if op == "/" else (out, False)  # add, sub and mul are exact
+        return fixed.apply(op, a, b)
     # the word ops compare no formats, so this is the only guard
     if a.fmt != b.fmt:
         raise CliError("operands use different formats")

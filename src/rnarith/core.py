@@ -3,10 +3,14 @@
 A value is stored as an ordinary two's complement word plus one appended
 round bit.  The encoded value is ``(bits + round) * 2**lsb_exp``: the round
 bit carries the weight of the word's least significant position, not half of
-it.  With this convention rounding to nearest is plain truncation (the first
-dropped bit becomes the new round bit), negation is bitwise complement of
-word and round bit, and the round bit of an inexact result records which way
-the rounding went.
+it.  Read as one two's complement integer, the encoding is
+``x = 2*bits + round``: its value is ``(x + 1) >> 1`` ulps and its half-ulp
+interval ``[x, x + 1]`` half-ulps.  On that integer, rounding to nearest is
+plain truncation ``x >> s`` (the first dropped bit becomes the new round
+bit), negation is the bitwise complement ``~x``, and the round bit of an
+inexact result records which way the rounding went.  ``truncate_at`` and
+``negate`` take and return such integers, which carry no width or lsb;
+``RnFixed`` is the parsed literal and the view the CLI prints.
 
 The equivalent signed-digit view uses digits in {-1, 0, 1} whose nonzero
 digits alternate in sign; ``booth_recode`` / ``sd_of_canonical`` /
@@ -191,28 +195,20 @@ def value_of(x: RnFixed) -> DyadicRational:
     return DyadicRational(x.bits + x.round, x.lsb_exp)
 
 
-def truncate_at(x: RnFixed, k: int) -> RnFixed:
-    """Round to the coarser grid ``2**k`` by truncation.
+def truncate_at(x: int, s: int) -> int:
+    """Round encoding ``x`` to a grid ``2**s`` times coarser by truncation.
 
     Dropped word bits vanish; the first dropped bit becomes the new round
     bit.  The result is always within half of the new ulp of the input, with
     equality only at ties.
     """
-    if k < x.lsb_exp:
-        raise ValueError("cannot truncate below the existing lsb")
-    if k > x.msb_exp:
-        raise ValueError("truncation would drop every word bit")
-    if k == x.lsb_exp:
-        return x
-    s = k - x.lsb_exp
-    new_bits = x.bits >> s
-    new_round = (x.bits >> (s - 1)) & 1
-    return RnFixed(new_bits, x.width - s, new_round, k)
+    return x >> s
 
 
-def negate(x: RnFixed) -> RnFixed:
-    """Exact negation: complement the word and the round bit."""
-    return RnFixed(~x.bits, x.width, 1 - x.round, x.lsb_exp)
+def negate(x: int) -> int:
+    """Exact negation of encoding ``x``: complement the word and the round
+    bit."""
+    return ~x
 
 
 def interval_of(x: RnFixed) -> DyadicInterval:

@@ -1,97 +1,66 @@
-"""Arithmetic on fixed-point values in the round-bit encoding.
+"""Arithmetic on fixed-point encodings, read as one integer
+``x = 2*bits + round`` (see ``core``) that carries no width or lsb.
 
-Addition, subtraction and multiplication are exact: they widen the result
-word instead of rounding, and any rounding is left to an explicit
-``core.truncate_at``.  Division rounds once, to the same number of digits as
-its operands, by truncating the quotient of :func:`long_divide`, the
-library's one divider; like every float op it returns ``(result, inexact)``.
+Addition, subtraction and multiplication are exact, and any rounding is
+left to an explicit ``core.truncate_at``.  Division rounds once, to the same
+number of digits as its operands, by truncating the quotient of
+:func:`long_divide`, the library's one divider; like every float op it
+returns ``(result, inexact)``.  :func:`apply` is the op on ``RnFixed``
+literals: their only guard, and what gives a result its width and lsb.
 """
 
 from __future__ import annotations
 
-from .core import RnFixed, negate
+from .core import RnFixed
 
 
-def _require_aligned(a: RnFixed, b: RnFixed) -> None:
-    if a.lsb_exp != b.lsb_exp:
-        raise ValueError("operands must share an lsb exponent; align them first")
-
-
-def add(a: RnFixed, b: RnFixed) -> RnFixed:
+def add(xa: int, xb: int) -> int:
     """Sum with the conjunction of round bits as carry-in.
 
-    Result is ``(a + b + (ra & rb)*u, ra | rb)`` one bit wider than the wider
-    operand, so it is always exact: the two round bits contribute
-    ``ra + rb = (ra & rb) + (ra | rb)`` ulps between carry-in and result
-    round bit.
+    The round bits contribute ``ra + rb = (ra & rb) + (ra | rb)`` ulps: the
+    conjunction is carried into the word and the disjunction is the result's
+    round bit, so the sum is exact.
     """
-    _require_aligned(a, b)
-    width = max(a.width, b.width) + 1
-    return RnFixed(
-        a.bits + b.bits + (a.round & b.round),
-        width,
-        a.round | b.round,
-        a.lsb_exp,
-    )
+    return xa + xb + (xa & xb & 1)
 
 
-def add_alt(a: RnFixed, b: RnFixed) -> RnFixed:
+def add_alt(xa: int, xb: int) -> int:
     """Variant summing with the disjunction as carry-in.
 
     Same value as :func:`add`, dual encoding: here ``x - x`` gives the
     all-zero word and the neutral element is ``(-u, 1)``.
     """
-    _require_aligned(a, b)
-    width = max(a.width, b.width) + 1
-    return RnFixed(
-        a.bits + b.bits + (a.round | b.round),
-        width,
-        a.round & b.round,
-        a.lsb_exp,
-    )
+    return xa + xb + ((xa | xb) & 1)
 
 
-def sub(a: RnFixed, b: RnFixed) -> RnFixed:
+def sub(xa: int, xb: int) -> int:
     """Subtraction as addition of the complemented operand."""
-    return add(a, negate(b))
+    return add(xa, ~xb)
 
 
-def shift_left(x: RnFixed, k: int) -> RnFixed:
+def shift_left(x: int, k: int) -> int:
     """Scale by ``2**k`` at an unchanged lsb weight.
 
     Copies of the round bit are shifted in at the low end; shifting by one
     reproduces ``add(x, x)``.
     """
-    if k < 0:
-        raise ValueError("shift count must be nonnegative")
-    if k == 0:
-        return x
-    return RnFixed(
-        (x.bits << k) | (x.round * ((1 << k) - 1)),
-        x.width + k,
-        x.round,
-        x.lsb_exp,
-    )
+    return (x << k) + (x & 1) * ((1 << k) - 1)
 
 
-def mul(a: RnFixed, b: RnFixed) -> RnFixed:
-    """Exact product at lsb exponent ``2*l``, round bit ``ra & rb``.
-
-    For nonnegative operands the word is ``a*b + a*rb + b*ra``; general
-    signs are handled sign-magnitude style, multiplying absolute values and
-    complementing the result, since complementing is exact.  Dispatching on
-    the word's sign bit makes ``mul(negate(a), b) == negate(mul(a, b))``
-    hold bit-for-bit, zero spellings included.
-    """
-    _require_aligned(a, b)
-    if a.lsb_exp > 0:
-        raise ValueError("multiplication requires an ulp of at most 1")
-    neg = (a.bits < 0) ^ (b.bits < 0)
-    pa = negate(a) if a.bits < 0 else a
-    pb = negate(b) if b.bits < 0 else b
-    word = pa.bits * pb.bits + pa.bits * pb.round + pb.bits * pa.round
-    out = RnFixed(word, a.width + b.width - 1, pa.round & pb.round, 2 * a.lsb_exp)
-    return negate(out) if neg else out
+def mul(xa: int, xb: int) -> int:
+    """Exact product at twice the operands' lsb exponent, round bit
+    ``ra & rb``: for nonnegative operands the word is the product of the
+    values less that round bit.  General signs are handled sign-magnitude
+    style, complementing the product of the absolute values, since
+    complementing is exact; so ``mul(~xa, xb) == ~mul(xa, xb)`` holds
+    bit-for-bit, zero spellings included."""
+    neg = (xa < 0) ^ (xb < 0)
+    if xa < 0:
+        xa = ~xa
+    if xb < 0:
+        xb = ~xb
+    x = 2 * ((xa + 1) >> 1) * ((xb + 1) >> 1) - (xa & xb & 1)
+    return ~x if neg else x
 
 
 def long_divide(n: int, d: int, bits: int) -> tuple[int, int]:
@@ -111,23 +80,47 @@ def long_divide(n: int, d: int, bits: int) -> tuple[int, int]:
     return 2 * q + (rem != 0), k
 
 
-def div(x: RnFixed, y: RnFixed) -> tuple[RnFixed, bool]:
-    """Divide operands that share an lsb exponent ``-p`` (``p >= 1``) and
-    are nonnegative with word value in [1, 2): ``(quotient, inexact)``.
+def div(x: int, y: int) -> tuple[int, bool]:
+    """Divide encodings whose words lie in [1, 2) at lsb exponent ``-p``,
+    ``p = x.bit_length() - 2 >= 1``: ``(quotient, inexact)``.
 
-    The quotient of the extended words (round bits appended) is cut to
-    ``p + 2`` bits by :func:`long_divide`: the word keeps ``p`` fractional
-    bits, or ``p + 1`` when the quotient is below one, and the next bit
-    becomes the round bit, consistent with the sign of what was dropped (1:
-    value rounded up, tail nonpositive; 0: rounded down).  It is inexact
-    when the division left a remainder below the round bit.
+    The quotient of the encodings (round bits appended) is cut to ``p + 2``
+    bits by :func:`long_divide`: the word keeps ``p`` fractional bits, or
+    ``p + 1`` when the quotient is below one, and the next bit becomes the
+    round bit, consistent with the sign of what was dropped (1: value
+    rounded up, tail nonpositive; 0: rounded down).  It is inexact when the
+    division left a remainder below the round bit.
     """
-    _require_aligned(x, y)
-    p = -x.lsb_exp
-    if p < 1:
-        raise ValueError("need at least one fractional bit")
-    for name, op in (("dividend", x), ("divisor", y)):
-        if op.bits >> p != 1:
-            raise ValueError(f"{name} word must lie in [1, 2)")
-    q2, k = long_divide(2 * x.bits + x.round, 2 * y.bits + y.round, p + 2)
-    return RnFixed(q2 >> 2, p + 2, (q2 >> 1) & 1, 1 - k), q2 & 1 == 1
+    q2, _ = long_divide(x, y, x.bit_length())
+    return q2 >> 1, q2 & 1 == 1
+
+
+def apply(op: str, a: RnFixed, b: RnFixed) -> tuple[RnFixed, bool]:
+    """``a op b`` for ``op`` in ``+ - * /``, and whether it is inexact.
+
+    The operands must share an lsb exponent; mul needs an ulp of at most 1,
+    and div at least one fractional bit and words in [1, 2).  A sum or
+    difference is one bit wider than the wider operand, a product has
+    ``wa + wb - 1`` bits at twice the lsb exponent, and a quotient ``p + 2``
+    bits at lsb exponent ``-p``, or ``-p - 1`` when it is below one.
+    """
+    lsb = a.lsb_exp
+    if lsb != b.lsb_exp:
+        raise ValueError("operands must share an lsb exponent; align them first")
+    xa, xb = 2 * a.bits + a.round, 2 * b.bits + b.round
+    inexact = False
+    if op == "/":
+        if lsb >= 0:
+            raise ValueError("need at least one fractional bit")
+        for name, w in (("dividend", a), ("divisor", b)):
+            if w.bits >> -lsb != 1:
+                raise ValueError(f"{name} word must lie in [1, 2)")
+        x, inexact = div(xa, xb)
+        width, lsb = 2 - lsb, lsb - (xa < xb)
+    elif op == "*":
+        if lsb > 0:
+            raise ValueError("multiplication requires an ulp of at most 1")
+        x, width, lsb = mul(xa, xb), a.width + b.width - 1, 2 * lsb
+    else:
+        x, width = {"+": add, "-": sub}[op](xa, xb), max(a.width, b.width) + 1
+    return RnFixed(x >> 1, width, x & 1, lsb), inexact

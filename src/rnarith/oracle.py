@@ -1,11 +1,12 @@
 """Shared scaffolding of the verification sweeps.
 
 The enumeration guard ``check_space`` and the enumerators of fixed
-encodings, float words and divider operands; ``VerifyReport``, the
-machine-readable outcome of one sweep; and ``check_inclusion``, the product
-interval check of the pinned examples.  Everything here is built on
-arbitrary-precision integers and ``fractions.Fraction`` only; no rounding or
-arithmetic routine from the library under test is called.
+encodings (as the integers ``x = 2*bits + round``), float words and divider
+operands; ``VerifyReport``, the machine-readable outcome of one sweep; and
+``check_inclusion``, a product interval check on ``DyadicInterval`` values.
+Everything here is built on arbitrary-precision integers and
+``fractions.Fraction`` only; no rounding or arithmetic routine from the
+library under test is called.
 """
 
 from __future__ import annotations
@@ -29,12 +30,11 @@ def check_space(what: str, count: int, shift: int = 0) -> None:
         raise ValueError(f"{what}: more cases than the enumeration limit of {ENUMERATION_LIMIT}")
 
 
-def enumerate_fixed(width: int) -> Iterator[RnFixed]:
-    """Every width-bit encoding exactly once, words ascending, round bit 0
-    before 1."""
+def enumerate_fixed(width: int) -> Iterator[int]:
+    """Every width-bit encoding ``x = 2*bits + round`` exactly once,
+    ascending: words ascending, round bit 0 before 1."""
     check_space(f"width={width} encodings", 1, width + 1)
-    top = 1 << (width - 1)
-    return (RnFixed(bits, width, r) for bits in range(-top, top) for r in (0, 1))
+    return iter(range(-(1 << width), 1 << width))
 
 
 def enumerate_format(fmt: FloatFormat) -> Iterator[int]:

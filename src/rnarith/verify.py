@@ -4,11 +4,14 @@ Each sweep runs an operation over an enumerated space, judges its contract
 in integer arithmetic on the raw fields (the float rounding contract is
 :func:`rounding_fault` on the exact ``(n, d, k)`` triple of
 :func:`_float_exact`), and returns a :class:`~rnarith.oracle.VerifyReport`.
-No sweep builds a Fraction except to print a failure.  The float sweeps
-call the word ops (``floatarith.fadd_words`` and its twins) on int words;
-the nearest add and mul sweeps call them once per ordered pair and judge
-commutativity from the two results of each unordered pair.  These back the
-tests and the ``verify`` command.
+No sweep builds a Fraction except to print a failure.  The fixed sweeps
+call the ``fixed`` and ``core`` ops on the encoding integers
+``x = 2*bits + round`` and build an ``RnFixed`` only to print a failure;
+the divider sweep calls ``fixed.apply`` on literals, which it judges whole.
+The float sweeps call the word ops (``floatarith.fadd_words`` and its
+twins) on int words; the nearest add and mul sweeps call them once per
+ordered pair and judge commutativity from the two results of each
+unordered pair.  These back the tests and the ``verify`` command.
 """
 
 from __future__ import annotations
@@ -21,12 +24,10 @@ from .core import (
     RnFixed,
     booth_recode,
     canonical_of_sd,
-    interval_of,
     negate,
     sd_of_canonical,
     truncate_at,
     validate_rn,
-    value_of,
 )
 from .floatfmt import (
     RNF8,
@@ -40,7 +41,6 @@ from .floatfmt import (
 )
 from .oracle import (
     VerifyReport,
-    check_inclusion,
     check_space,
     enumerate_div_operands,
     enumerate_fixed,
@@ -160,60 +160,64 @@ def _fraction(exact: tuple[int, int, int] | None) -> Fraction | None:
 # fixed-point sweeps
 
 
+def _text(x: int, width: int, lsb: int = 0) -> str:
+    """The literal of encoding ``x``, for a failure line: at ``width`` bits,
+    or wider when a faulty result does not fit them."""
+    return str(RnFixed(x >> 1, max(width, (x >> 1).bit_length() + 1), x & 1, lsb))
+
+
 def fixed_add_sweep(width: int, variant: str = "add") -> VerifyReport:
     """Value exactness and interval inclusion for add, add_alt and sub.
 
-    Checks run in integer arithmetic on the raw fields: values as
-    ``bits + round`` and half-ulp intervals as ``[2*bits + round,
-    2*bits + round + 1]`` in units of half an ulp.
+    Checks run on the encodings ``x = 2*bits + round``: values as
+    ``(x + 1) >> 1`` ulps and half-ulp intervals as ``[x, x + 1]`` half
+    ulps; ``-b``'s interval is ``[-b - 1, -b]``.
     """
     op = {"add": fixed.add, "add_alt": fixed.add_alt, "sub": fixed.sub}[variant]
     rep = VerifyReport(variant, f"width={width}")
     check_space(f"{rep.op} {rep.space}", 1, 2 * width + 2)
     encs = list(enumerate_fixed(width))
+    sub = variant == "sub"
     for a in encs:
-        va = a.bits + a.round
-        la = 2 * a.bits + a.round
+        va = (a + 1) >> 1
         for b in encs:
             rep.cases += 1
             out = op(a, b)
-            if variant == "sub":
-                want = va - (b.bits + b.round)
-                lb = 2 * (~b.bits) + (1 - b.round)
+            vb = (b + 1) >> 1
+            want = va - vb if sub else va + vb
+            lo = a + (-b - 1 if sub else b)  # the operands' intervals add up to [lo, lo + 2]
+            if (out + 1) >> 1 != want:
+                fault = str(want)
+            elif not lo <= out <= lo + 1:
+                fault = "interval inclusion"
             else:
-                want = va + b.bits + b.round
-                lb = 2 * b.bits + b.round
-            if out.bits + out.round != want:
-                rep.record(f"{a},{b}", str(want), str(out))
                 continue
-            lo = 2 * out.bits + out.round
-            if not (la + lb <= lo and lo + 1 <= la + lb + 2):
-                rep.record(f"{a},{b}", "interval inclusion", str(out))
+            rep.record(f"{_text(a, width)},{_text(b, width)}", fault, _text(out, width + 1))
     return rep.done()
 
 
 def fixed_mul_sweep(width: int) -> VerifyReport:
-    """Value exactness for all sign combinations; for nonnegative words, the
-    result's ``[2*l, 2*l + 2]`` inside ``[la*lb, (la+1)*(lb+1)]`` (quarter
-    ulps, ``l = 2*bits + round``), except for the all-zero pair: no zero
-    encoding's interval fits inside [0, u*u/4]."""
+    """Value exactness for all sign combinations; for nonnegative
+    encodings, the result's ``[2*x, 2*x + 2]`` inside ``[a*b, (a+1)*(b+1)]``
+    (quarter ulps), except for the all-zero pair: no zero encoding's
+    interval fits inside [0, u*u/4]."""
     rep = VerifyReport("mul", f"width={width}")
     check_space(f"{rep.op} {rep.space}", 1, 2 * width + 2)
     encs = list(enumerate_fixed(width))
     for a in encs:
-        va = a.bits + a.round
-        la = 2 * a.bits + a.round
+        va = (a + 1) >> 1
         for b in encs:
             rep.cases += 1
             out = fixed.mul(a, b)
-            want = va * (b.bits + b.round)
-            if out.bits + out.round != want or out.lsb_exp != a.lsb_exp + b.lsb_exp:
-                rep.record(f"{a},{b}", str(want), str(out))
+            want = va * ((b + 1) >> 1)
+            inside = a * b <= 2 * out and 2 * out + 2 <= (a + 1) * (b + 1)
+            if (out + 1) >> 1 != want:
+                fault = str(want)
+            elif a >= 0 and b >= 0 and (a or b) and not inside:
+                fault = "interval inclusion"
+            else:
                 continue
-            lb, lo = 2 * b.bits + b.round, 2 * out.bits + out.round
-            inside = la * lb <= 2 * lo and 2 * lo + 2 <= (la + 1) * (lb + 1)
-            if a.bits >= 0 and b.bits >= 0 and (la or lb) and not inside:
-                rep.record(f"{a},{b}", "interval inclusion", str(out))
+            rep.record(f"{_text(a, width)},{_text(b, width)}", fault, _text(out, 2 * width - 1))
     return rep.done()
 
 
@@ -229,18 +233,21 @@ def fixed_mul_sign_sweep(width: int) -> VerifyReport:
             lhs = fixed.mul(a, b)
             rhs = negate(fixed.mul(na, b))
             if lhs != rhs:
-                rep.record(f"{a},{b}", str(lhs), str(rhs))
+                rep.record(f"{_text(a, width)},{_text(b, width)}", _text(lhs, 2 * width - 1),
+                           _text(rhs, 2 * width - 1))
     return rep.done()
 
 
 def fixed_div_sweep(p: int) -> VerifyReport:
-    """Divider contract over every scaled operand pair.
+    """Divider contract over every scaled operand pair, through
+    ``fixed.apply``.
 
     The delivered word and round bit must be the truncation of the exact
-    quotient at the delivered grid (``quot == expect``), and the inexact
-    flag must say whether the division left a remainder.  The paper's claim
-    about a two-extra-bit approximation judges no library result, so it is
-    tested on its own (acceptance criterion 3)."""
+    quotient at the delivered grid, with the delivered width and lsb
+    exponent (``quot == expect``), and the inexact flag must say whether
+    the division left a remainder.  The paper's claim about a two-extra-bit
+    approximation judges no library result, so it is tested on its own
+    (acceptance criterion 3)."""
     rep = VerifyReport("div", f"p={p}")
     pairs = enumerate_div_operands(p)  # refuses an oversized p before 2**p is built
     g = 1 << (p + 2)  # the quotient is floored to steps of 1/g = u/4, u = 2**-p
@@ -250,7 +257,7 @@ def fixed_div_sweep(p: int) -> VerifyReport:
         n = 2 * x.bits + x.round
         d = 2 * y.bits + y.round
         t_ref, rem_ref = divmod(n * g, d)
-        quot, inexact = fixed.div(x, y)
+        quot, inexact = fixed.apply("/", x, y)
         s = int(n >= d)  # a quotient of at least one keeps one fractional bit fewer
         expect = RnFixed(t_ref >> (1 + s), p + 2, (t_ref >> s) & 1, s - p - 1)
         if quot != expect or inexact != (rem_ref != 0):
@@ -264,14 +271,14 @@ def double_rounding_sweep(width: int) -> VerifyReport:
     # each encoding has width * (width + 1) / 2 pairs of truncation points
     check_space(f"{rep.op} {rep.space}", width * (width + 1), width)
     for x in enumerate_fixed(width):
-        grids = range(x.lsb_exp, x.msb_exp + 1)
-        once = {k: truncate_at(x, k) for k in grids}  # each target, and each inner grid
-        for j in grids:
-            for k in range(j, x.msb_exp + 1):
+        once = [truncate_at(x, k) for k in range(width)]  # each target, and each inner grid
+        for j in range(width):
+            for k in range(j, width):
                 rep.cases += 1
-                twice = truncate_at(once[j], k)
+                twice = truncate_at(once[j], k - j)
                 if twice != once[k]:
-                    rep.record(f"{x},j={j},k={k}", str(once[k]), str(twice))
+                    rep.record(f"{_text(x, width)},j={j},k={k}", _text(once[k], width - k, k),
+                               _text(twice, width - k, k))
     return rep.done()
 
 
@@ -284,9 +291,8 @@ def negation_sweep(max_width: int) -> VerifyReport:
         for x in enumerate_fixed(width):
             rep.cases += 1
             nx = negate(x)
-            s = nx.lsb_exp - x.lsb_exp  # values compare at any lsb exponent
-            if negate(nx) != x or (nx.bits + nx.round) << max(s, 0) != -(x.bits + x.round) << max(-s, 0):
-                rep.record(str(x), "negation", str(nx))
+            if negate(nx) != x or (nx + 1) >> 1 != -((x + 1) >> 1):
+                rep.record(_text(x, width), "negation", _text(nx, width))
     return rep.done()
 
 
@@ -299,8 +305,9 @@ def roundtrip_sweep(width: int) -> VerifyReport:
     nonzero value's round bit is 1 exactly when its last nonzero digit is
     +1."""
     rep = VerifyReport("roundtrip", f"width={width}")
-    for x in enumerate_fixed(width):
+    for e in enumerate_fixed(width):
         rep.cases += 1
+        x = RnFixed(e >> 1, width, e & 1)
         sd = sd_of_canonical(x)
         value = x.bits + x.round
         ok = (
@@ -603,31 +610,23 @@ def pinned_examples() -> VerifyReport:
     sd = booth_recode(-718, 12)
     check("booth-recode", sd.digits == (0, -1, 1, -1, 0, 1, 0, -1, 0, 1, -1, 0), str(sd))
 
-    trunc = truncate_at(RnFixed(-718, 12), 2)
-    check("truncate", trunc == RnFixed(-180, 10, 1, 2), str(trunc))
-    check("truncate-value", value_of(trunc).to_fraction() == -716, str(value_of(trunc)))
+    # encodings x = 2*bits + round: value (x + 1) >> 1 ulps, interval [x, x + 1] half ulps
+    trunc = truncate_at(2 * -718, 2)
+    check("truncate", trunc == 2 * -180 + 1, _text(trunc, 10, 2))
+    check("truncate-value", ((trunc + 1) >> 1) << 2 == -716, _text(trunc, 10, 2))
 
-    a = RnFixed(11, 5, 1)
-    b = RnFixed(9, 5, 1)
+    a, b = 2 * 11 + 1, 2 * 9 + 1  # 12 and 10, each with its round bit set
     prod = fixed.mul(a, b)
-    check("product", prod == RnFixed(119, 9, 1, 0), str(prod))
-    iv = interval_of(prod)
-    check(
-        "product-interval",
-        iv.lo.to_fraction() == Fraction(239, 2) and iv.hi.to_fraction() == 120,
-        str(iv),
-    )
-    check(
-        "product-inclusion",
-        check_inclusion(iv, interval_of(a), interval_of(b)),
-    )
+    check("product", prod == 2 * 119 + 1, _text(prod, 9))
+    check("product-interval", (prod, prod + 1) == (239, 240), _text(prod, 9))
+    # quarter ulps: [2*prod, 2*prod + 2] inside [a*b, (a+1)*(b+1)]
+    check("product-inclusion", a * b <= 2 * prod and 2 * prod + 2 <= (a + 1) * (b + 1))
 
     for x in enumerate_fixed(8):
-        zero = RnFixed(0, 8, 0)
-        s = fixed.add(x, zero)
-        check("add-zero", s == RnFixed(x.bits, 9, x.round), str(s))
+        s = fixed.add(x, 0)
+        check("add-zero", s == x, _text(s, 9))
         d = fixed.sub(x, x)
-        check("sub-self", d == RnFixed(-1, 9, 1) and value_of(d).to_fraction() == 0, str(d))
+        check("sub-self", d == -1, _text(d, 9))
     return rep.done()
 
 

@@ -73,6 +73,11 @@ class TestConvert:
         code, _, err = run(capsys, "convert", "0.3", "--to", "rn@0,w=5")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("value", ["0", "1"])
+    def test_zero_width_has_one_message(self, capsys, value):
+        code, out, err = run(capsys, "convert", value, "--to", "rn@0,w=0")
+        assert (code, out, err) == (2, "", "error: width must be at least 1")
+
     def test_value_too_wide_for_the_target_word(self, capsys):
         # fits the width by bit length, but not as a 4-bit two's complement word
         code, out, err = run(capsys, "convert", "12", "--to", "rn@0,w=4")
@@ -442,14 +447,14 @@ class TestParserReuse:
 
 class TestLiteralRoundTrips:
     def test_printed_fixed_literals_reparse(self, capsys):
-        from rnarith import RnFixed, add, format_literal, parse_literal
+        from rnarith import RnFixed, apply, format_literal, parse_literal
 
         for text in ("rn:01011:r1@0", "rn:1101001100:r1@2", "rn:10:r0@-7"):
             x = parse_literal(text)
             assert format_literal(x) == text
             zero = RnFixed(0, x.width, 0, x.lsb_exp)
             _, out, _ = run(capsys, "eval", f"{text} + {format_literal(zero)}")
-            assert parse_literal(out.split()[0]) == add(x, zero)
+            assert (parse_literal(out.split()[0]), False) == apply("+", x, zero)
 
 
 def test_python_dash_m_runs_the_cli():

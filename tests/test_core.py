@@ -129,7 +129,8 @@ class TestSdOfCanonical:
         assert sd_of_canonical(RnFixed(0, 8, 0)).digits == (0,) * 8
 
     def test_exhaustive_string_roundtrip(self):
-        for x in enumerate_fixed(8):
+        for e in enumerate_fixed(8):
+            x = RnFixed(e >> 1, 8, e & 1)
             sd = sd_of_canonical(x)
             assert validate_rn(sd)
             back = canonical_of_sd(sd)
@@ -152,28 +153,31 @@ class TestValueOf:
             assert value_of(RnFixed(bits, 8, 1)) == value_of(RnFixed(bits + 1, 8, 0))
 
 
+def val(x, lsb=0):
+    """Value of encoding ``x = 2*bits + round`` with lsb exponent ``lsb``."""
+    return Fraction((x + 1) >> 1) * Fraction(2) ** lsb
+
+
 class TestTruncateAt:
     def test_worked_example_tie(self):
-        x = RnFixed(EXAMPLE_WORD, 12)
+        x = 2 * EXAMPLE_WORD
         t = truncate_at(x, 2)
-        assert t == RnFixed(-180, 10, 1, 2)
-        assert value_of(t).to_fraction() == -716
-        assert value_of(x).to_fraction() == -718
+        assert t == 2 * -180 + 1
+        assert val(t, 2) == -716
+        assert val(x) == -718
 
     def test_identity(self):
-        x = RnFixed(-37, 8, 1, -3)
-        assert truncate_at(x, -3) is x
+        x = 2 * -37 + 1
+        assert truncate_at(x, 0) == x
 
     def test_below_lsb_rejected(self):
         with pytest.raises(ValueError):
-            truncate_at(RnFixed(3, 4), -1)
+            truncate_at(2 * 3, -1)
 
     def test_half_ulp_bound_exhaustive(self):
         for x in enumerate_fixed(8):
-            v = value_of(x).to_fraction()
             for k in range(0, 8):
-                t = truncate_at(x, k)
-                err = value_of(t).to_fraction() - v
+                err = val(truncate_at(x, k), k) - val(x)
                 assert abs(err) <= Fraction(1 << k, 2)
 
     def test_double_rounding_exhaustive_width10(self):
@@ -181,31 +185,40 @@ class TestTruncateAt:
             for j in range(0, 10):
                 inner = truncate_at(x, j)
                 for k in range(j, 10):
-                    assert truncate_at(inner, k) == truncate_at(x, k)
+                    assert truncate_at(inner, k - j) == truncate_at(x, k)
 
     @given(st.integers(-(1 << 15), (1 << 15) - 1), st.integers(0, 1), st.integers(0, 15))
     def test_half_ulp_bound_property(self, bits, r, k):
-        x = RnFixed(bits, 16, r, 0)
-        err = value_of(truncate_at(x, k)).to_fraction() - value_of(x).to_fraction()
+        x = 2 * bits + r
+        err = val(truncate_at(x, k), k) - val(x)
         assert abs(err) <= Fraction(1 << k, 2)
+
+    def test_matches_the_word_and_round_bit_rule(self):
+        # the dropped word bits vanish and the first of them is the new round bit
+        for width in range(1, 11):
+            for x in enumerate_fixed(width):
+                bits = x >> 1
+                for s in range(1, width):
+                    assert truncate_at(x, s) == 2 * (bits >> s) + ((bits >> (s - 1)) & 1)
 
 
 class TestNegate:
     def test_worked_example(self):
-        n = negate(RnFixed(11, 5, 1))
-        assert n == RnFixed(-12, 5, 0)
-        assert value_of(n).to_fraction() == -12
+        n = negate(2 * 11 + 1)
+        assert n == 2 * -12
+        assert val(n) == -12
 
     def test_zero_spellings(self):
-        n = negate(RnFixed(0, 6, 0))
-        assert n == RnFixed(-1, 6, 1)
-        assert value_of(n).to_fraction() == 0
+        n = negate(0)
+        assert n == 2 * -1 + 1
+        assert val(n) == 0
 
     def test_involution_and_value_exhaustive(self):
         for x in enumerate_fixed(8):
             n = negate(x)
             assert negate(n) == x
-            assert value_of(n).to_fraction() == -value_of(x).to_fraction()
+            assert val(n) == -val(x)
+            assert n >> 1 == ~(x >> 1) and n & 1 == 1 - (x & 1)  # word and round bit complemented
 
 
 class TestIntervalOf:
@@ -248,7 +261,8 @@ class TestRoundBitMatchesLastDigit:
     signed digit is +1."""
 
     def test_matches_last_nonzero_digit_exhaustive(self):
-        for x in enumerate_fixed(8):
+        for e in enumerate_fixed(8):
+            x = RnFixed(e >> 1, 8, e & 1)
             if x.bits + x.round == 0:
                 continue
             last = next(d for d in reversed(sd_of_canonical(x).digits) if d != 0)

@@ -145,17 +145,10 @@ def _plant_ops(monkeypatch, fault):
         monkeypatch.setitem(verify._FLOAT_OPS, op, (faulty, name))
 
 
-def _flipped(x):
-    """A fixed-point encoding with its round bit flipped."""
-    return replace(x, round=1 - x.round)
-
-
-def _respelled(x):
-    """The other encoding of x's value, where the width holds it."""
-    try:
-        return RnFixed(x.bits + 2 * x.round - 1, x.width, 1 - x.round, x.lsb_exp)
-    except ValueError:
-        return x
+def _respelled(x, width):
+    """The other encoding of x's value, where ``width`` bits hold it."""
+    y = x + 2 * (x & 1) - 1
+    return y if -(1 << width) <= y < 1 << width else x
 
 
 def _float_sweep_failures(fmt):
@@ -257,19 +250,19 @@ class TestSweepsCatchFaults:
         assert _float_sweep_failures(SMALL) == [0, 0, 0, 360, 160, 408]
 
     @pytest.mark.parametrize("module, name, fault, sweep, arg, counts, clause", [
-        pytest.param(fixed, "mul", lambda r, *_: _flipped(r), verify.fixed_mul_sweep, 6,
+        pytest.param(fixed, "mul", lambda r, *_: r ^ 1, verify.fixed_mul_sweep, 6,
                      (16384, 16384), None, id="mul-round-bit"),
-        pytest.param(fixed, "mul", lambda r, *_: _respelled(r), verify.fixed_mul_sweep, 6,
+        pytest.param(fixed, "mul", lambda r, *_: _respelled(r, 11), verify.fixed_mul_sweep, 6,
                      (16384, 2110), "interval inclusion", id="mul-respelled"),
-        pytest.param(fixed, "div", lambda r, *_: (_flipped(r[0]), r[1]),
+        pytest.param(fixed, "div", lambda r, *_: (r[0] ^ 1, r[1]),
                      verify.fixed_div_sweep, 4, (1024, 1024), None, id="div-round-bit"),
         pytest.param(fixed, "div", lambda r, *_: (r[0], not r[1]),
                      verify.fixed_div_sweep, 4, (1024, 1024), None, id="div-exact-flag"),
-        # shifted up for a nonnegative word and back down for its negative
-        # image, so the involution holds and only zero values still agree
-        pytest.param(verify, "negate", lambda r, x: replace(r, lsb_exp=r.lsb_exp + (1 if x.bits >= 0 else -1)),
-                     verify.negation_sweep, 12, (16376, 16354), None, id="negate-lsb-shifted"),
-        pytest.param(verify, "truncate_at", lambda r, x, k: _flipped(r) if k - x.lsb_exp >= 2 else r,
+        # the negated value doubled, round bit kept: only the two zero
+        # spellings at each width still negate and involute
+        pytest.param(verify, "negate", lambda r, x: 2 * r + (r & 1),
+                     verify.negation_sweep, 12, (16376, 16354), None, id="negate-value-doubled"),
+        pytest.param(verify, "truncate_at", lambda r, x, s: r ^ 1 if s >= 2 else r,
                      verify.double_rounding_sweep, 8, (18432, 3072), None, id="truncate-round-bit"),
         pytest.param(verify, "sd_of_canonical", lambda r, x: replace(r, digits=tuple(-d for d in r.digits)),
                      verify.roundtrip_sweep, 8, (512, 510), "round trip", id="digits-negated"),
@@ -289,7 +282,7 @@ class TestSweepWork:
         # both target and inner result, then one for each pair j <= k
         calls = []
         good = verify.truncate_at
-        monkeypatch.setattr(verify, "truncate_at", lambda x, k: calls.append(k) or good(x, k))
+        monkeypatch.setattr(verify, "truncate_at", lambda x, s: calls.append(s) or good(x, s))
         rep = verify.double_rounding_sweep(6)
         assert (rep.cases, len(rep.failures), len(calls)) == (2688, 0, 3456)
 
@@ -445,7 +438,8 @@ class TestIntegerOracle:
         assert verify._div_reference(RNF8, 0x8f, 0x30) == 0
 
     def test_sweeps_build_no_fraction(self, monkeypatch):
-        """No sweep judges through a Fraction or the library's value types."""
+        """No sweep judges through a Fraction or the library's value types,
+        and the fixed sweeps on encoding integers build no ``RnFixed``."""
         used = []
 
         class Counting(Fraction):
@@ -460,22 +454,27 @@ class TestIntegerOracle:
             return call
 
         monkeypatch.setattr(verify, "Fraction", Counting)
-        for name in ("value_of", "interval_of", "check_inclusion"):
-            monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
         monkeypatch.setattr(DyadicRational, "to_fraction", counted("to_fraction", DyadicRational.to_fraction))
+        monkeypatch.setattr(RnFixed, "__post_init__", counted("RnFixed", RnFixed.__post_init__))
+        on_ints = [
+            verify.fixed_add_sweep(3, "add"), verify.fixed_mul_sweep(4), verify.fixed_mul_sign_sweep(4),
+            verify.double_rounding_sweep(4), verify.negation_sweep(6),
+        ]
+        assert all(rep.cases and rep.passed for rep in on_ints)
+        assert used == []
         reports = [
             *(sweep(SMALL, op)
               for sweep in (verify.float_nearest_sweep, verify.float_directed_sweep)
               for op in ("add", "mul", "div")),
-            verify.fixed_mul_sweep(4), verify.fixed_div_sweep(3), verify.negation_sweep(6),
-            verify.roundtrip_sweep(6), verify.pack_unpack_sweep(SMALL),
-            verify.double_rounding_sweep(4), verify.fixed_add_sweep(3, "add"),
+            verify.fixed_div_sweep(3), verify.roundtrip_sweep(6), verify.pack_unpack_sweep(SMALL),
         ]
         assert all(rep.cases and rep.passed for rep in reports)
-        assert used == []
+        assert set(used) == {"RnFixed"}  # literals of the divider, the digit views and unpack
+        used.clear()
         verify.float_value(SMALL, 0x10)  # the counters do see verify's Fractions
-        verify.pinned_examples()  # and its value types
-        assert set(used) == {"Fraction", "value_of", "interval_of", "check_inclusion", "to_fraction"}
+        assert set(used) == {"Fraction"}
+        for name in ("value_of", "interval_of", "check_inclusion"):  # nor can a sweep reach these
+            assert not hasattr(verify, name)
 
 
 # rnf8 and three smaller shapes whose exponent range holds far pairs
