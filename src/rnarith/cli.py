@@ -37,7 +37,7 @@ from .floatfmt import (
 )
 from .verify import SUITES
 
-_DECIMAL_RE = re.compile(r"^[+-]?\d+(\.\d+)?$")
+_DECIMAL_RE = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")
 _FLOAT_PREFIX_RE = re.compile(r"^rnf\d+:")
 _FIXED_TARGET_RE = re.compile(r"^rn@(-?\d+),w=(\d+)$")
 _MODES = {m.value: m for m in fa.RoundingMode}
@@ -54,7 +54,7 @@ def _parse_operand(text: str):
         return parse_literal(text)
     if _FLOAT_PREFIX_RE.match(text):
         return parse_float_literal(text)
-    if _DECIMAL_RE.match(text):
+    if _DECIMAL_RE.fullmatch(text):
         return Fraction(text)
     raise CliError(f"unrecognized operand {text!r}")
 
@@ -128,7 +128,7 @@ def cmd_convert(args) -> int:
     if target == "sd":
         if not isinstance(operand, RnFixed):
             raise CliError("signed-digit output needs a fixed-point literal")
-        digits = list(sd_of_canonical(operand).digits)
+        digits = list(sd_of_canonical(2 * operand.bits + operand.round, operand.width))
         while len(digits) > 1 and digits[0] == 0:
             digits.pop(0)
         print(" ".join(str(d) for d in digits))

@@ -10,16 +10,18 @@ plain truncation ``x >> s`` (the first dropped bit becomes the new round
 bit), negation is the bitwise complement ``~x``, and the round bit of an
 inexact result records which way the rounding went.  ``truncate_at`` and
 ``negate`` take and return such integers, which carry no width or lsb;
-``RnFixed`` is the parsed literal and the view the CLI prints.
+``RnFixed`` is only the parsed literal and the view the CLI prints.
 
-The equivalent signed-digit view uses digits in {-1, 0, 1} whose nonzero
-digits alternate in sign; ``booth_recode`` / ``sd_of_canonical`` /
-``canonical_of_sd`` convert between the two views.
+The equivalent signed-digit view is a tuple of digits in {-1, 0, 1} whose
+nonzero digits alternate in sign: the digit of weight ``2**i`` is bit ``i``
+of ``x`` less bit ``i+1``.  ``sd_of_canonical`` states that rule, and
+``canonical_of_sd`` and ``booth_recode`` follow from it.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,6 +87,17 @@ class DyadicInterval:
             raise ValueError("interval endpoints out of order")
 
 
+def _check_fields(bits: int, width: int, round_bit: int = 0) -> None:
+    """Refuse a width below 1, a round bit other than 0 or 1, or a word that
+    is not width-bit two's complement, in that order."""
+    if width < 1:
+        raise ValueError("width must be at least 1")
+    if round_bit not in (0, 1):
+        raise ValueError("round bit must be 0 or 1")
+    if not -(1 << (width - 1)) <= bits < 1 << (width - 1):
+        raise ValueError(f"bits {bits} does not fit {width}-bit two's complement")
+
+
 @dataclass(frozen=True)
 class RnFixed:
     """A two's complement word of ``width`` bits with an appended round bit.
@@ -98,96 +111,58 @@ class RnFixed:
     lsb_exp: int = 0
 
     def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ValueError("width must be at least 1")
-        if self.round not in (0, 1):
-            raise ValueError("round bit must be 0 or 1")
-        lo = -(1 << (self.width - 1))
-        hi = (1 << (self.width - 1)) - 1
-        if not lo <= self.bits <= hi:
-            raise ValueError(
-                f"bits {self.bits} does not fit {self.width}-bit two's complement"
-            )
-
-    @property
-    def msb_exp(self) -> int:
-        return self.lsb_exp + self.width - 1
-
-    def word_string(self) -> str:
-        return format(self.bits & ((1 << self.width) - 1), f"0{self.width}b")
+        _check_fields(self.bits, self.width, self.round)
 
     def __str__(self) -> str:
         return format_literal(self)
 
 
-@dataclass(frozen=True)
-class SignedDigitString:
-    """Digits over {-1, 0, 1}, most significant first; last digit has weight
-    ``2**lsb_exp``."""
+def sd_of_canonical(x: int, width: int) -> tuple[int, ...]:
+    """Signed-digit view of the width-bit encoding ``x = 2*bits + round``,
+    most significant digit first.
 
-    digits: tuple[int, ...]
-    lsb_exp: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.digits:
-            raise ValueError("digit string must be nonempty")
-        if any(d not in (-1, 0, 1) for d in self.digits):
-            raise ValueError("digits must lie in {-1, 0, 1}")
-
-    def __str__(self) -> str:
-        return " ".join(str(d) for d in self.digits)
-
-
-def booth_recode(word: int, width: int, lsb_exp: int = 0) -> SignedDigitString:
-    """Recode a two's complement word into alternating-sign digits.
-
-    Digit at position i is ``b[i-1] - b[i]`` with a zero appended below the
-    lsb, so the digit string represents exactly the same value: it is the
-    signed-digit view of the word with round bit 0.  A width below 1 or a
-    word that does not fit raises ``ValueError``.
+    The digit of weight ``2**i`` is bit ``i`` of ``x`` less bit ``i+1``: it
+    pairs adjacent word bits, and the last digit pairs the round bit with
+    the lsb of the word.  Consecutive nonzero digits alternate in sign, and
+    the digits sum to the value ``(x + 1) >> 1``.
     """
-    return sd_of_canonical(RnFixed(word, width, 0, lsb_exp))
+    return tuple(((x >> i) & 1) - ((x >> (i + 1)) & 1) for i in range(width - 1, -1, -1))
 
 
-def validate_rn(sd: SignedDigitString) -> bool:
-    """True iff consecutive nonzero digits alternate in sign."""
+def booth_recode(word: int, width: int) -> tuple[int, ...]:
+    """Recode a two's complement word into alternating-sign digits: the
+    signed-digit view of the word with round bit 0, so the digits represent
+    exactly the word's value.  A width below 1 or a word that does not fit
+    raises ``ValueError``.
+    """
+    _check_fields(word, width)
+    return sd_of_canonical(2 * word, width)
+
+
+def validate_rn(digits: tuple[int, ...]) -> bool:
+    """True iff every digit lies in {-1, 0, 1} and consecutive nonzero
+    digits alternate in sign."""
     prev = 0
-    for d in sd.digits:
-        if d != 0:
-            if d == prev:
+    for d in digits:
+        if d:
+            if d == prev or d not in (-1, 1):
                 return False
             prev = d
     return True
 
 
-def sd_of_canonical(x: RnFixed) -> SignedDigitString:
-    """Signed-digit view of an encoded value.
-
-    Interior digits pair adjacent word bits; the last digit pairs the round
-    bit with the lsb of the word: ``round - b[0]``.
-    """
-    w = x.width
-    digits = []
-    for i in range(w - 1, 0, -1):
-        digits.append(((x.bits >> (i - 1)) & 1) - ((x.bits >> i) & 1))
-    digits.append(x.round - (x.bits & 1))
-    return SignedDigitString(tuple(digits), x.lsb_exp)
-
-
-def canonical_of_sd(sd: SignedDigitString) -> RnFixed:
-    """Inverse of :func:`sd_of_canonical`.
+def canonical_of_sd(digits: tuple[int, ...]) -> int:
+    """Inverse of :func:`sd_of_canonical`: the encoding ``2*value - r``.
 
     Accepts either finite representation of a value (last nonzero digit +1
-    or -1).  The round bit is 1 exactly when that digit is +1, and the word
-    is the digits' value minus the round bit.
+    or -1).  The round bit ``r`` is 1 exactly when that digit is +1.  An
+    empty string, a digit outside {-1, 0, 1} or two same-sign neighbours
+    raise ``ValueError``.
     """
-    if not validate_rn(sd):
-        raise ValueError("nonzero digits must alternate in sign")
-    value = 0
-    for d in sd.digits:
-        value = 2 * value + d
-    r = 1 if next((d for d in reversed(sd.digits) if d != 0), 0) == 1 else 0
-    return RnFixed(value - r, len(sd.digits), r, sd.lsb_exp)
+    if not digits or not validate_rn(digits):
+        raise ValueError(f"not a nonempty alternating string of digits in {{-1, 0, 1}}: {digits!r}")
+    value = sum(d << i for i, d in enumerate(reversed(digits)))
+    return 2 * value - (next((d for d in reversed(digits) if d), 0) == 1)
 
 
 def value_of(x: RnFixed) -> DyadicRational:
@@ -224,7 +199,10 @@ def interval_of(x: RnFixed) -> DyadicInterval:
 
 def format_literal(x: RnFixed) -> str:
     """Textual form ``rn:<word bits>:r<round>@<lsb_exp>``."""
-    return f"rn:{x.word_string()}:r{x.round}@{x.lsb_exp}"
+    return f"rn:{x.bits & ((1 << x.width) - 1):0{x.width}b}:r{x.round}@{x.lsb_exp}"
+
+
+_EXPONENT_RE = re.compile(r"-?[0-9]+")
 
 
 def parse_literal(text: str) -> RnFixed:
@@ -244,4 +222,9 @@ def parse_literal(text: str) -> RnFixed:
     bits = int(word, 2)
     if word[0] == "1":
         bits -= 1 << len(word)
-    return RnFixed(bits, len(word), int(rtxt), int(etxt))
+    x = RnFixed(bits, len(word), int(rtxt), int(etxt))
+    # int() also takes blanks, underscores, a plus sign and non-ASCII
+    # digits; checked last, so what it refuses keeps int()'s message
+    if not _EXPONENT_RE.fullmatch(etxt):
+        raise ValueError(f"bad exponent in literal: {etxt!r}")
+    return x

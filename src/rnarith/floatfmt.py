@@ -15,6 +15,7 @@ the fields of an ``unpack``ed word.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -218,9 +219,18 @@ def format_fields(u: UnpackedFloat) -> str:
     return f"s={u.sign} e={u.biased_exp} f={u.frac:0{u.fmt.frac_bits}b} r={u.significand.round}"
 
 
+# the ASCII grammar of a hex word and of the fields, in a fixed order; int()
+# alone also takes blanks, underscores, signs, a base prefix and non-ASCII
+# digits
+_HEX_RE = re.compile(r"0[xX][0-9a-fA-F]+")
+_FIELDS_RE = re.compile(r"s=[01] e=[0-9]+ f=[01]+ r=[01]")
+
+
 def parse_float_literal(text: str) -> RnFloat:
     """Parse ``rnf<bits>:0x<hex>`` or ``rnf<bits>:s=_ e=_ f=_ r=_`` forms; the
-    second names each field once, in any order, and nothing else."""
+    second names each field once, in any order, and nothing else.  The
+    ASCII grammar is checked last, so what the older checks refuse keeps
+    its message."""
     text = text.strip()
     head, sep, rest = text.partition(":")
     if not sep or head not in FORMATS:
@@ -228,8 +238,10 @@ def parse_float_literal(text: str) -> RnFloat:
     fmt = FORMATS[head]
     rest = rest.strip()
     if rest.startswith("0x") or rest.startswith("0X"):
-        word = int(rest, 16)
-        return RnFloat(fmt, word)
+        f = RnFloat(fmt, int(rest, 16))
+        if not _HEX_RE.fullmatch(rest):
+            raise ValueError(f"bad float literal: {text!r}")
+        return f
     items = rest.replace(",", " ").split()
     fields = dict(item.partition("=")[::2] for item in items)
     try:
@@ -245,4 +257,6 @@ def parse_float_literal(text: str) -> RnFloat:
         raise ValueError(f"bad bit field in literal: {text!r}")
     if not 0 <= e <= fmt.exp_mask or not 0 <= frac < (1 << fmt.frac_bits):
         raise ValueError(f"field out of range in literal: {text!r}")
+    if not _FIELDS_RE.fullmatch("s={s} e={e} f={f} r={r}".format_map(fields)):
+        raise ValueError(f"bad float field literal: {text!r}")
     return RnFloat(fmt, _assemble(fmt, s, e, frac, r))

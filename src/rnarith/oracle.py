@@ -1,9 +1,10 @@
 """Shared scaffolding of the verification sweeps.
 
-The enumeration guard ``check_space`` and the enumerators of fixed
-encodings (as the integers ``x = 2*bits + round``), float words and divider
-operands; ``VerifyReport``, the machine-readable outcome of one sweep; and
-``check_inclusion``, a product interval check on ``DyadicInterval`` values.
+The enumeration guard ``check_space``; the enumerators of fixed encodings
+and of divider operands, both as the integers ``x = 2*bits + round``, and
+of float words; ``VerifyReport``, the machine-readable outcome of one
+sweep; and ``check_inclusion``, a product interval check on
+``DyadicInterval`` values.
 Everything here is built on arbitrary-precision integers and
 ``fractions.Fraction`` only; no rounding or arithmetic routine from the
 library under test is called.
@@ -15,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .core import DyadicInterval, RnFixed
+from .core import DyadicInterval
 from .floatfmt import FloatFormat
 
 _LIMIT_BITS = 26
@@ -43,13 +44,13 @@ def enumerate_format(fmt: FloatFormat) -> Iterator[int]:
     return iter(range(1 << fmt.total_bits))
 
 
-def enumerate_div_operands(p: int) -> Iterator[tuple[RnFixed, RnFixed]]:
-    """All pairs of scaled divider operands: word in [1, 2), p fractional
-    bits, both round bits free."""
+def enumerate_div_operands(p: int) -> Iterator[tuple[int, int]]:
+    """All pairs ``(n, d)`` of scaled divider operands as encodings
+    ``2*bits + round``: words in [1, 2) at p fractional bits, both round
+    bits free, so each lies in ``[2**(p+1), 2**(p+2))``; ascending."""
     check_space(f"p={p} divider operand pairs", 1, 2 * p + 2)
-    ops = [RnFixed(bits, p + 2, r, -p)
-           for bits in range(1 << p, 1 << (p + 1)) for r in (0, 1)]
-    return ((x, y) for x in ops for y in ops)
+    ops = range(1 << (p + 1), 1 << (p + 2))
+    return ((n, d) for n in ops for d in ops)
 
 
 def check_inclusion(result: DyadicInterval, a: DyadicInterval, b: DyadicInterval) -> bool:

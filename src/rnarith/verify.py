@@ -4,14 +4,14 @@ Each sweep runs an operation over an enumerated space, judges its contract
 in integer arithmetic on the raw fields (the float rounding contract is
 :func:`rounding_fault` on the exact ``(n, d, k)`` triple of
 :func:`_float_exact`), and returns a :class:`~rnarith.oracle.VerifyReport`.
-No sweep builds a Fraction except to print a failure.  The fixed sweeps
-call the ``fixed`` and ``core`` ops on the encoding integers
-``x = 2*bits + round`` and build an ``RnFixed`` only to print a failure;
-the divider sweep calls ``fixed.apply`` on literals, which it judges whole.
-The float sweeps call the word ops (``floatarith.fadd_words`` and its
-twins) on int words; the nearest add and mul sweeps call them once per
-ordered pair and judge commutativity from the two results of each
-unordered pair.  These back the tests and the ``verify`` command.
+No sweep builds a Fraction except to print a failure.  The fixed sweeps,
+the divider and the signed-digit views included, call the ``fixed`` and
+``core`` ops on the encoding integers ``x = 2*bits + round`` and build an
+``RnFixed`` only to print a failure.  The float sweeps call the word ops
+(``floatarith.fadd_words`` and its twins) on int words; the nearest add
+and mul sweeps call them once per ordered pair and judge commutativity
+from the two results of each unordered pair.  These back the tests and the
+``verify`` command.
 """
 
 from __future__ import annotations
@@ -239,29 +239,24 @@ def fixed_mul_sign_sweep(width: int) -> VerifyReport:
 
 
 def fixed_div_sweep(p: int) -> VerifyReport:
-    """Divider contract over every scaled operand pair, through
-    ``fixed.apply``.
+    """Divider contract over every scaled operand pair.
 
-    The delivered word and round bit must be the truncation of the exact
-    quotient at the delivered grid, with the delivered width and lsb
-    exponent (``quot == expect``), and the inexact flag must say whether
-    the division left a remainder.  The paper's claim about a two-extra-bit
-    approximation judges no library result, so it is tested on its own
-    (acceptance criterion 3)."""
+    The quotient encoding must be the truncation of the exact quotient at
+    its grid, lsb exponent ``-p``, or ``-p - 1`` when it is below one, and
+    the inexact flag must say whether the division left a remainder.  The
+    paper's claim about a two-extra-bit approximation judges no library
+    result, so it is tested on its own (acceptance criterion 3)."""
     rep = VerifyReport("div", f"p={p}")
     pairs = enumerate_div_operands(p)  # refuses an oversized p before 2**p is built
     g = 1 << (p + 2)  # the quotient is floored to steps of 1/g = u/4, u = 2**-p
-    for x, y in pairs:
+    for n, d in pairs:  # operands of n and d half-ulps; their quotient is q = n/d
         rep.cases += 1
-        # operands are n and d half-ulps; their quotient is q = n/d
-        n = 2 * x.bits + x.round
-        d = 2 * y.bits + y.round
         t_ref, rem_ref = divmod(n * g, d)
-        quot, inexact = fixed.apply("/", x, y)
+        quot, inexact = fixed.div(n, d)
         s = int(n >= d)  # a quotient of at least one keeps one fractional bit fewer
-        expect = RnFixed(t_ref >> (1 + s), p + 2, (t_ref >> s) & 1, s - p - 1)
-        if quot != expect or inexact != (rem_ref != 0):
-            rep.record(f"{x},{y}", "divider contract", str(quot))
+        if quot != t_ref >> s or inexact != (rem_ref != 0):
+            rep.record(f"{_text(n, p + 2, -p)},{_text(d, p + 2, -p)}", "divider contract",
+                       _text(quot, p + 2, s - p - 1))
     return rep.done()
 
 
@@ -300,24 +295,23 @@ def roundtrip_sweep(width: int) -> VerifyReport:
     """Every encoding's signed-digit view is a valid recoding of its value
     that converts back and carries its round bit.
 
-    The digits sum to ``bits + round``; ``canonical_of_sd`` gives the
-    encoding back (the plain zero word for either spelling of zero); and a
-    nonzero value's round bit is 1 exactly when its last nonzero digit is
+    The digits sum to the value ``(x + 1) >> 1``; ``canonical_of_sd`` gives
+    the encoding back (the plain zero word for either spelling of zero); and
+    a nonzero value's round bit is 1 exactly when its last nonzero digit is
     +1."""
     rep = VerifyReport("roundtrip", f"width={width}")
-    for e in enumerate_fixed(width):
+    for x in enumerate_fixed(width):
         rep.cases += 1
-        x = RnFixed(e >> 1, width, e & 1)
-        sd = sd_of_canonical(x)
-        value = x.bits + x.round
+        sd = sd_of_canonical(x, width)
+        value = (x + 1) >> 1
         ok = (
             validate_rn(sd)
-            and sum(d << i for i, d in enumerate(reversed(sd.digits))) == value
-            and canonical_of_sd(sd) == (x if value else RnFixed(0, width))
-            and (value == 0 or x.round == (next(d for d in reversed(sd.digits) if d) == 1))
+            and sum(d << i for i, d in enumerate(reversed(sd))) == value
+            and canonical_of_sd(sd) == (x if value else 0)
+            and (value == 0 or x & 1 == (next(d for d in reversed(sd) if d) == 1))
         )
         if not ok:
-            rep.record(str(x), "round trip", str(sd))
+            rep.record(_text(x, width), "round trip", " ".join(map(str, sd)))
     return rep.done()
 
 
@@ -365,7 +359,7 @@ def rounding_fault(fmt: FloatFormat, exact: tuple[int, int, int], mode: fa.Round
     the first clause it breaks.  Every clause compares integers.
 
     Overflow: only the infinity of exact's sign, flagged inexact, and only
-    when ``|exact| >= 2**(e_max+1)``.  Sticky flag: ``value != exact``, in
+    when ``|exact| > 2**(e_max+1)``: the edge itself has a finite word.  Sticky flag: ``value != exact``, in
     every mode.  Nearest: within half an ulp, and the round bit set exactly
     when the value lies above ``exact``.  Directed: on the mode's side and
     less than an ulp away.
@@ -377,8 +371,8 @@ def rounding_fault(fmt: FloatFormat, exact: tuple[int, int, int], mode: fa.Round
     w, r, scale = _sig(fmt, word)
     if scale > fmt.e_max:  # all-ones exponent field
         ok = _value_class(fmt, word) == ("-inf" if n < 0 else "+inf") and inexact
-        t = k - fmt.e_max - 1  # |exact| >= 2**(e_max+1) as |n| * 2**t >= d
-        return None if ok and abs(n) << max(t, 0) >= d << max(-t, 0) else "overflow"
+        t = k - fmt.e_max - 1  # |exact| > 2**(e_max+1) as |n| * 2**t > d
+        return None if ok and abs(n) << max(t, 0) > d << max(-t, 0) else "overflow"
     # value - exact and the word's ulp 2**(k + s), as integers over d * 2**min(k, k + s)
     s = scale + 1 - fmt.precision - k
     ulp = d << s if s >= 0 else d
@@ -608,7 +602,7 @@ def pinned_examples() -> VerifyReport:
             rep.record(name, "pinned vector", got)
 
     sd = booth_recode(-718, 12)
-    check("booth-recode", sd.digits == (0, -1, 1, -1, 0, 1, 0, -1, 0, 1, -1, 0), str(sd))
+    check("booth-recode", sd == (0, -1, 1, -1, 0, 1, 0, -1, 0, 1, -1, 0), " ".join(map(str, sd)))
 
     # encodings x = 2*bits + round: value (x + 1) >> 1 ulps, interval [x, x + 1] half ulps
     trunc = truncate_at(2 * -718, 2)

@@ -52,10 +52,8 @@ def _two_extra_bit_claim(p: int) -> VerifyReport:
     word is the floor of q on its grid, so it checks the word)."""
     rep = VerifyReport("div-approx", f"p={p}")
     g = 1 << (p + 2)  # steps of 1/g = u/4
-    for x, y in enumerate_div_operands(p):
+    for n, d in enumerate_div_operands(p):
         rep.cases += 1
-        n = 2 * x.bits + x.round
-        d = 2 * y.bits + y.round
         t_approx = (2 * n * g + d) // (2 * d)  # q_approx = t_approx / g
         t_ref = n * g // d
         s = int(n >= d)  # a quotient of at least one keeps one fractional bit fewer
@@ -70,7 +68,7 @@ def _two_extra_bit_claim(p: int) -> VerifyReport:
             and (above >= 0 if trunc & 1 else above <= 0)
         )
         if not ok:
-            rep.record(f"{x},{y}", "two-extra-bit claim", f"{t_approx}/{g}")
+            rep.record(f"n={n},d={d}", "two-extra-bit claim", f"{t_approx}/{g}")
     return rep.done()
 
 

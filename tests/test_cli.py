@@ -105,6 +105,34 @@ class TestConvert:
         code, _, err = run(capsys, "convert", "rn:0a:r0@0", "--to", "decimal")
         assert code == 2 and err
 
+    @pytest.mark.parametrize("argv, err", [
+        (("convert", "\u0663.\u0665", "--to", "float:rnf8"), "unrecognized operand '\u0663.\u0665'"),
+        (("convert", "rn:01:r1@1_0", "--to", "decimal"), "bad exponent in literal: '1_0'"),
+        (("convert", "rn:01:r1@ 2", "--to", "decimal"), "bad exponent in literal: ' 2'"),
+        (("convert", "rnf8:0x_30", "--to", "decimal"), "bad float literal: 'rnf8:0x_30'"),
+        (("inspect", "rnf8:0X3_0"), "bad float literal: 'rnf8:0X3_0'"),
+        (("convert", "rnf8:s=0,e=0_1,f=0_00,r=0", "--to", "decimal"),
+         "bad float field literal: 'rnf8:s=0,e=0_1,f=0_00,r=0'"),
+        (("convert", "rnf8:s=+0,e=3,f=000,r=0", "--to", "decimal"),
+         "bad float field literal: 'rnf8:s=+0,e=3,f=000,r=0'"),
+    ], ids=["unicode-decimal", "exponent-underscore", "exponent-blank", "hex-underscore", "inspect-hex",
+            "field-underscores", "field-plus-sign"])
+    def test_lax_literal_forms_refused(self, capsys, argv, err):
+        """Literals are ASCII digits without ``_``, blanks or signs inside a
+        field, though ``int`` and ``Fraction`` take each of these."""
+        assert run(capsys, *argv) == (2, "", f"error: {err}")
+
+    @pytest.mark.parametrize("literal, err", [
+        ("rnf8:0x", "invalid literal for int() with base 16: '0x'"),
+        ("rnf8:0x_1ff", "word does not fit the format"),
+        ("rnf8:s=2,e=3,f=000,r=0", "bad bit field in literal: 'rnf8:s=2,e=3,f=000,r=0'"),
+        ("rnf8:s=0,e=0_9,f=000,r=0", "field out of range in literal: 'rnf8:s=0,e=0_9,f=000,r=0'"),
+        ("rn:01:r1@x", "invalid literal for int() with base 10: 'x'"),
+    ])
+    def test_grammar_checked_after_the_older_refusals(self, capsys, literal, err):
+        # an input refused before the ASCII grammar was checked keeps its message
+        assert run(capsys, "convert", literal, "--to", "decimal") == (2, "", f"error: {err}")
+
     @pytest.mark.parametrize("literal", [
         "rnf8:s=0,e=3,f=000,r=0,s=1", "rnf8:s=0,e=3,f=000,r=0,x=9", "rnf8:s=0,e=3,f=000,r=0 junk",
     ], ids=["repeated", "unknown", "stray"])

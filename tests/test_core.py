@@ -9,7 +9,6 @@ from rnarith.core import (
     DyadicInterval,
     DyadicRational,
     RnFixed,
-    SignedDigitString,
     booth_recode,
     canonical_of_sd,
     format_literal,
@@ -25,6 +24,11 @@ from rnarith.oracle import enumerate_fixed
 
 EXAMPLE_WORD = -718  # 110100110010 as a 12-bit two's complement word
 EXAMPLE_DIGITS = (0, -1, 1, -1, 0, 1, 0, -1, 0, 1, -1, 0)
+
+
+def val(x, lsb=0):
+    """Value of encoding ``x = 2*bits + round`` with lsb exponent ``lsb``."""
+    return Fraction((x + 1) >> 1) * Fraction(2) ** lsb
 
 
 class TestDyadicRational:
@@ -54,91 +58,104 @@ class TestDyadicRational:
         assert str(DyadicRational(m, e)) == text
 
 
+def sd_value(digits):
+    acc = 0
+    for d in digits:
+        acc = 2 * acc + d
+    return acc
+
+
 class TestBoothRecode:
     def test_worked_example(self):
         sd = booth_recode(EXAMPLE_WORD, 12)
-        assert sd.digits == EXAMPLE_DIGITS
-        acc = 0
-        for d in sd.digits:
-            acc = 2 * acc + d
-        assert acc == EXAMPLE_WORD
+        assert sd == EXAMPLE_DIGITS
+        assert sd_value(sd) == EXAMPLE_WORD
 
     def test_zero_word(self):
-        assert booth_recode(0, 12).digits == (0,) * 12
+        assert booth_recode(0, 12) == (0,) * 12
 
     def test_exhaustive_value_match(self):
         for word in range(-128, 128):
-            sd = booth_recode(word, 8)
-            acc = 0
-            for d in sd.digits:
-                acc = 2 * acc + d
-            assert acc == word
+            assert sd_value(booth_recode(word, 8)) == word
 
     def test_exhaustive_validity(self):
         for word in range(-512, 512):
             assert validate_rn(booth_recode(word, 10))
 
+    @pytest.mark.parametrize("word, width, message", [
+        (0, 0, "width must be at least 1"),
+        (8, 4, "bits 8 does not fit 4-bit two's complement"),
+        (-9, 4, "bits -9 does not fit 4-bit two's complement"),
+    ])
+    def test_bad_width_or_word_rejected(self, word, width, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            booth_recode(word, width)
+
 
 class TestCanonicalOfSd:
     def test_worked_truncation_example(self):
-        sd = SignedDigitString(EXAMPLE_DIGITS[:10], 2)
-        assert canonical_of_sd(sd) == RnFixed(-180, 10, 1, 2)
+        assert canonical_of_sd(EXAMPLE_DIGITS[:10]) == 2 * -180 + 1
 
     def test_all_zero(self):
-        assert canonical_of_sd(SignedDigitString((0,) * 6)) == RnFixed(0, 6, 0, 0)
+        assert canonical_of_sd((0,) * 6) == 0
 
     def test_rejects_same_sign_neighbors(self):
         # every string of length 1-8 (9,840): raises exactly on the ones
         # validate_rn refuses, and sd_of_canonical inverts it on the rest
         for n in range(1, 9):
             for digits in itertools.product((-1, 0, 1), repeat=n):
-                sd = SignedDigitString(digits, -n)
-                if not validate_rn(sd):
+                if not validate_rn(digits):
                     with pytest.raises(ValueError):
-                        canonical_of_sd(sd)
+                        canonical_of_sd(digits)
                     continue
-                x = canonical_of_sd(sd)
-                assert (x.width, x.lsb_exp) == (n, -n)
-                assert sd_of_canonical(x).digits == digits
+                x = canonical_of_sd(digits)
+                assert -(1 << n) <= x < 1 << n  # an n-bit encoding
+                assert sd_of_canonical(x, n) == digits
+
+    @pytest.mark.parametrize("digits", [(), (2, 0), (0, -2), (1, 0, 1)], ids=["empty", "two", "minus-two", "same-sign"])
+    def test_rejects_bad_strings(self, digits):
+        with pytest.raises(ValueError):
+            canonical_of_sd(digits)
 
     def test_accepts_both_tail_spellings(self):
-        minus_tail = SignedDigitString((1, 0, -1))      # 3 ending in -1
-        plus_tail = SignedDigitString((0, 1, -1, 1))    # 3 ending in +1
-        assert value_of(canonical_of_sd(minus_tail)).to_fraction() == 3
-        assert value_of(canonical_of_sd(plus_tail)).to_fraction() == 3
+        minus_tail = (1, 0, -1)      # 3 ending in -1
+        plus_tail = (0, 1, -1, 1)    # 3 ending in +1
+        assert canonical_of_sd(minus_tail) == 2 * 3
+        assert canonical_of_sd(plus_tail) == 2 * 2 + 1
+        assert val(canonical_of_sd(minus_tail)) == val(canonical_of_sd(plus_tail)) == 3
 
     def test_random_width10_value(self):
         import random
 
         rng = random.Random(7)
         for _ in range(200):
-            word = rng.randrange(-512, 512)
-            r = rng.randrange(2)
-            x = RnFixed(word, 10, r, 0)
-            sd = sd_of_canonical(x)
-            assert canonical_of_sd(sd) == x or x.bits + x.round == 0
+            x = 2 * rng.randrange(-512, 512) + rng.randrange(2)
+            assert canonical_of_sd(sd_of_canonical(x, 10)) == x or val(x) == 0
 
 
 class TestSdOfCanonical:
     def test_worked_example(self):
-        sd = sd_of_canonical(RnFixed(-180, 10, 1, 2))
-        assert sd.digits == (0, -1, 1, -1, 0, 1, 0, -1, 0, 1)
-        assert sd.lsb_exp == 2
+        assert sd_of_canonical(2 * -180 + 1, 10) == (0, -1, 1, -1, 0, 1, 0, -1, 0, 1)
 
     def test_zero(self):
-        assert sd_of_canonical(RnFixed(0, 8, 0)).digits == (0,) * 8
+        assert sd_of_canonical(0, 8) == (0,) * 8
+
+    def test_matches_the_word_and_round_bit_rule(self):
+        # interior digits pair adjacent word bits; the last pairs the round
+        # bit with the lsb of the word
+        for width in range(1, 11):
+            for x in enumerate_fixed(width):
+                bits, r = x >> 1, x & 1
+                want = [((bits >> (i - 1)) & 1) - ((bits >> i) & 1) for i in range(width - 1, 0, -1)]
+                assert sd_of_canonical(x, width) == (*want, r - (bits & 1))
 
     def test_exhaustive_string_roundtrip(self):
-        for e in enumerate_fixed(8):
-            x = RnFixed(e >> 1, 8, e & 1)
-            sd = sd_of_canonical(x)
+        for x in enumerate_fixed(8):
+            sd = sd_of_canonical(x, 8)
             assert validate_rn(sd)
             back = canonical_of_sd(sd)
-            if x.bits + x.round == 0:
-                assert back == RnFixed(0, 8, 0, 0)
-            else:
-                assert back == x
-            assert sd_of_canonical(back).digits == sd.digits
+            assert back == (x if val(x) else 0)
+            assert sd_of_canonical(back, 8) == sd
 
 
 class TestValueOf:
@@ -151,11 +168,6 @@ class TestValueOf:
     def test_spelling_equivalence_exhaustive(self):
         for bits in range(-128, 127):
             assert value_of(RnFixed(bits, 8, 1)) == value_of(RnFixed(bits + 1, 8, 0))
-
-
-def val(x, lsb=0):
-    """Value of encoding ``x = 2*bits + round`` with lsb exponent ``lsb``."""
-    return Fraction((x + 1) >> 1) * Fraction(2) ** lsb
 
 
 class TestTruncateAt:
@@ -246,14 +258,14 @@ class TestIntervalOf:
 
 class TestValidateRn:
     def test_alternating(self):
-        assert validate_rn(SignedDigitString((1, -1, 0, 1, 0, -1)))
+        assert validate_rn((1, -1, 0, 1, 0, -1))
 
     def test_same_sign_adjacent(self):
-        assert not validate_rn(SignedDigitString((1, 1)))
+        assert not validate_rn((1, 1))
 
-    def test_bad_digit_rejected_at_construction(self):
-        with pytest.raises(ValueError):
-            SignedDigitString((2, 0))
+    def test_digit_outside_the_set_refused(self):
+        for digits in ((2, 0), (0, -2), (1, 0, -1, 3)):
+            assert not validate_rn(digits)
 
 
 class TestRoundBitMatchesLastDigit:
@@ -261,12 +273,11 @@ class TestRoundBitMatchesLastDigit:
     signed digit is +1."""
 
     def test_matches_last_nonzero_digit_exhaustive(self):
-        for e in enumerate_fixed(8):
-            x = RnFixed(e >> 1, 8, e & 1)
-            if x.bits + x.round == 0:
+        for x in enumerate_fixed(8):
+            if val(x) == 0:
                 continue
-            last = next(d for d in reversed(sd_of_canonical(x).digits) if d != 0)
-            assert x.round == (last == 1)
+            last = next(d for d in reversed(sd_of_canonical(x, 8)) if d != 0)
+            assert x & 1 == (last == 1)
 
 
 class TestLiterals:
@@ -279,7 +290,11 @@ class TestLiterals:
         x = parse_literal("rn:1101001100:r1@2")
         assert x == RnFixed(-180, 10, 1, 2)
 
-    @pytest.mark.parametrize("bad", ["rn:01011:r2@0", "rn:01a11:r1@0", "01011", "rn::r1@0"])
+    @pytest.mark.parametrize("bad", [
+        "rn:01011:r2@0", "rn:01a11:r1@0", "01011", "rn::r1@0",
+        # the exponent is ASCII -?[0-9]+, though int() takes each of these
+        "rn:01:r1@1_0", "rn:01:r1@ 2", "rn:01:r1@+2", "rn:01:r1@\u0663",
+    ])
     def test_bad_literals(self, bad):
         with pytest.raises(ValueError):
             parse_literal(bad)

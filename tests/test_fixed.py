@@ -7,10 +7,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from rnarith import cli, core, fixed, floatarith, floatfmt
+import rnarith
+from rnarith import cli, core, fixed, floatarith, floatfmt, oracle, verify
 from rnarith.core import RnFixed, negate, value_of
 from rnarith.fixed import add, add_alt, apply, div, long_divide, mul, shift_left, sub
-from rnarith.oracle import enumerate_div_operands, enumerate_fixed
+from rnarith.oracle import enumerate_fixed
 
 
 def val(x):
@@ -22,6 +23,11 @@ def lits(width, lsb=0):
     """Every width-bit literal at one lsb exponent."""
     top = 1 << (width - 1)
     return [RnFixed(bits, width, r, lsb) for bits in range(-top, top) for r in (0, 1)]
+
+
+def div_lits(p):
+    """Every divider operand literal: a word in [1, 2) at p fractional bits."""
+    return [RnFixed(bits, p + 2, r, -p) for bits in range(1 << p, 1 << (p + 1)) for r in (0, 1)]
 
 
 @functools.cache
@@ -254,7 +260,7 @@ class TestApply:
 
     def test_shapes_and_refusals_exhaustive(self):
         # every pair of widths 1-4 at lsb exponents -2 to 1, all four ops,
-        # then every divider pair for p = 1-3
+        # then every divider pair for p = 1-5
         by_lsb = {l: [x for w in range(1, 5) for x in lits(w, l)] for l in range(-2, 2)}
         refused = set()
         for la, lb in product(by_lsb, repeat=2):
@@ -263,8 +269,9 @@ class TestApply:
                     for op in "+-*/":
                         want = self._check(op, a, b)
                         refused.add(want if la == lb else "misaligned")
-        for p in (1, 2, 3):
-            for a, b in enumerate_div_operands(p):
+        for p in range(1, 6):
+            ops = div_lits(p)
+            for a, b in product(ops, repeat=2):
                 self._check("/", a, b)
         assert {r for r in refused if isinstance(r, str)} == {
             "misaligned", "multiplication requires an ulp of at most 1", "need at least one fractional bit",
@@ -294,8 +301,8 @@ class TestLongDivide:
         _check_long_divide(n, d, bits)
 
 
-def _divmod_owners(tree):
-    """Name of the function around each ``divmod`` call (None at module
+def _call_owners(tree, name):
+    """Name of the function around each call of ``name`` (None at module
     level)."""
     owners = []
 
@@ -304,12 +311,16 @@ def _divmod_owners(tree):
             if isinstance(child, ast.FunctionDef):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "divmod":
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == name:
                 owners.append(owner)
             visit(child, owner)
 
     visit(tree, None)
     return owners
+
+
+def _tree(module):
+    return ast.parse(Path(module.__file__).read_text())
 
 
 class TestOneDivider:
@@ -318,13 +329,9 @@ class TestOneDivider:
     ``%``; ``verify``'s reference division stays independent of the
     library, so it is not walked."""
 
-    @staticmethod
-    def _tree(module):
-        return ast.parse(Path(module.__file__).read_text())
-
     def test_divmod_only_in_long_divide(self):
         owners = {
-            m.__name__: _divmod_owners(self._tree(m)) for m in (core, fixed, floatfmt, floatarith, cli)
+            m.__name__: _call_owners(_tree(m), "divmod") for m in (core, fixed, floatfmt, floatarith, cli)
         }
         assert owners == {
             "rnarith.core": [], "rnarith.fixed": ["long_divide"], "rnarith.floatfmt": [],
@@ -334,7 +341,7 @@ class TestOneDivider:
     @pytest.mark.parametrize("module", [fixed, floatarith])
     def test_no_floor_division_or_modulo(self, module):
         ops = [
-            node.op for node in ast.walk(self._tree(module))
+            node.op for node in ast.walk(_tree(module))
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, (ast.FloorDiv, ast.Mod))
         ]
         assert ops == []
@@ -344,12 +351,8 @@ class TestOneResultShape:
     """Division returns ``(quotient, inexact)`` like every float op, reading
     ``p`` from its operands; the CLI evaluates with functions, not state."""
 
-    @staticmethod
-    def _tree(module):
-        return ast.parse(Path(module.__file__).read_text())
-
     def _defined(self, module, kind):
-        return {node.name: node for node in ast.walk(self._tree(module)) if isinstance(node, kind)}
+        return {node.name: node for node in ast.walk(_tree(module)) if isinstance(node, kind)}
 
     def test_no_div_result_class(self):
         assert "DivResult" not in self._defined(fixed, ast.ClassDef)
@@ -361,3 +364,73 @@ class TestOneResultShape:
 
     def test_cli_defines_only_its_error(self):
         assert set(self._defined(cli, ast.ClassDef)) == {"CliError"}
+
+
+class TestRnFixedIsTheLiteral:
+    """Below the literal parser and printer a fixed value is the integer
+    ``x = 2*bits + round``: ``RnFixed`` is built only where a literal is
+    parsed, checked, converted to, unpacked for ``inspect`` or printed for a
+    failure."""
+
+    def test_built_only_at_the_literal_sites(self):
+        modules = (core, fixed, floatfmt, floatarith, oracle, verify, cli)
+        owners = sorted(
+            f"{m.__name__.split('.')[-1]}.{owner}" for m in modules for owner in _call_owners(_tree(m), "RnFixed")
+        )
+        assert owners == [
+            "cli._convert_to_fixed", "core.parse_literal", "fixed.apply", "floatfmt.unpack", "verify._text",
+        ]
+
+    def test_no_signed_digit_type(self):
+        assert not hasattr(core, "SignedDigitString")
+        assert "SignedDigitString" not in rnarith.__all__
+
+
+# widths above the exhaustive sweeps
+wide = st.integers(13, 64).flatmap(
+    lambda w: st.tuples(st.just(w), st.integers(-(1 << w), (1 << w) - 1), st.integers(-(1 << w), (1 << w) - 1))
+)
+
+
+class TestWideWidths:
+    """The exhaustive properties, sampled on encodings of widths 13-64."""
+
+    @pytest.mark.parametrize("op", ["add", "add_alt", "sub"])
+    @given(wide)
+    def test_sum_exact_and_inside(self, op, case):
+        _, a, b = case
+        out = {"add": add, "add_alt": add_alt, "sub": sub}[op](a, b)
+        if op == "sub":
+            b = ~b  # -b's interval is [-b - 1, -b], that of ~b
+        assert val(out) == val(a) + val(b)
+        assert a + b <= out and out + 1 <= a + b + 2
+
+    @given(wide)
+    def test_mul_exact_symmetric_and_inside(self, case):
+        _, a, b = case
+        out = mul(a, b)
+        assert val(out) == val(a) * val(b)
+        assert out == negate(mul(negate(a), b))
+        if a >= 0 and b >= 0 and (a or b):
+            # quarter ulps: [2*out, 2*out + 2] inside [a*b, (a+1)*(b+1)]
+            assert a * b <= 2 * out and 2 * out + 2 <= (a + 1) * (b + 1)
+
+    @given(wide, st.data())
+    def test_truncating_twice_is_truncating_once(self, case, data):
+        w, x, _ = case
+        j = data.draw(st.integers(0, w - 1))
+        k = data.draw(st.integers(j, w - 1))
+        assert core.truncate_at(core.truncate_at(x, j), k - j) == core.truncate_at(x, k)
+
+    @given(wide)
+    def test_negation_involutes_and_negates(self, case):
+        _, x, _ = case
+        assert negate(negate(x)) == x
+        assert val(negate(x)) == -val(x)
+
+    @given(wide)
+    def test_signed_digit_round_trip(self, case):
+        w, x, _ = case
+        sd = core.sd_of_canonical(x, w)
+        assert core.validate_rn(sd) and len(sd) == w
+        assert core.canonical_of_sd(sd) == (x if val(x) else 0)

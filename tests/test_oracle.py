@@ -3,7 +3,6 @@ import inspect
 import random
 import textwrap
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -193,6 +192,16 @@ class TestSweepsCatchFaults:
         _plant(monkeypatch, lambda w, s, fmt, mode: (w, False if _is_inf(fmt, w) else s))
         assert _float_sweep_failures(SMALL) == [354, 548, 204, 1416, 2192, 816]
 
+    def test_exact_edge_returned_as_infinity(self, monkeypatch):
+        # the edge 2**(e_max+1) is exactly representable, so an exact result
+        # there must be its finite word, not +inf flagged inexact
+        def fault(w, s, fmt, mode):
+            edge = not s and verify.float_value(fmt, w) == 2 ** (fmt.e_max + 1)
+            return (fmt.inf_word(0), True) if edge else (w, s)
+
+        _plant(monkeypatch, fault)
+        assert _float_sweep_failures(SMALL) == [28, 16, 24, 112, 64, 96]
+
     def test_directed_sticky_flag_flipped(self, monkeypatch):
         def flip(w, s, fmt, mode):
             return w, s if mode is RoundingMode.NEAREST else not s
@@ -264,7 +273,7 @@ class TestSweepsCatchFaults:
                      verify.negation_sweep, 12, (16376, 16354), None, id="negate-value-doubled"),
         pytest.param(verify, "truncate_at", lambda r, x, s: r ^ 1 if s >= 2 else r,
                      verify.double_rounding_sweep, 8, (18432, 3072), None, id="truncate-round-bit"),
-        pytest.param(verify, "sd_of_canonical", lambda r, x: replace(r, digits=tuple(-d for d in r.digits)),
+        pytest.param(verify, "sd_of_canonical", lambda r, *_: tuple(-d for d in r),
                      verify.roundtrip_sweep, 8, (512, 510), "round trip", id="digits-negated"),
     ])
     def test_fixed_fault(self, monkeypatch, module, name, fault, sweep, arg, counts, clause):
@@ -323,7 +332,7 @@ ROUNDING_FAULT_ROWS = [
     ((17, 8, 0), RoundingMode.TOWARD_ZERO, 0x40, True, None),
     ((17, 8, 0), RoundingMode.AWAY_FROM_ZERO, 0x40, True, "directed side"),
     ((17, 8, 0), RoundingMode.UPWARD, 0x44, True, "one ulp"),
-    ((16, 1, 0), RoundingMode.NEAREST, 0x70, True, None),         # +inf from the edge 2**(e_max+1)
+    ((16, 1, 0), RoundingMode.NEAREST, 0x70, True, "overflow"),   # the edge 2**(e_max+1) is finite
     ((100, 1, 0), RoundingMode.TOWARD_ZERO, 0x70, True, None),
     ((15, 1, 0), RoundingMode.NEAREST, 0x70, True, "overflow"),
     ((-100, 1, 0), RoundingMode.NEAREST, 0x70, True, "overflow"),
@@ -333,6 +342,8 @@ ROUNDING_FAULT_ROWS = [
     ((-17, 8, 0), RoundingMode.TOWARD_ZERO, 0xCE, True, "directed side"),  # -9/4
     ((-17, 8, 0), RoundingMode.AWAY_FROM_ZERO, 0xCE, True, None),
     ((-17, 8, 0), RoundingMode.AWAY_FROM_ZERO, 0xCF, True, "directed side"),
+    ((16, 1, 0), RoundingMode.NEAREST, 0x6f, False, None),        # the edge word: 15 + r=1 at e_max
+    ((33, 2, 0), RoundingMode.NEAREST, 0x70, True, None),         # just above the edge
 ]
 
 
@@ -458,7 +469,8 @@ class TestIntegerOracle:
         monkeypatch.setattr(RnFixed, "__post_init__", counted("RnFixed", RnFixed.__post_init__))
         on_ints = [
             verify.fixed_add_sweep(3, "add"), verify.fixed_mul_sweep(4), verify.fixed_mul_sign_sweep(4),
-            verify.double_rounding_sweep(4), verify.negation_sweep(6),
+            verify.fixed_div_sweep(3), verify.double_rounding_sweep(4), verify.negation_sweep(6),
+            verify.roundtrip_sweep(6),
         ]
         assert all(rep.cases and rep.passed for rep in on_ints)
         assert used == []
@@ -466,10 +478,10 @@ class TestIntegerOracle:
             *(sweep(SMALL, op)
               for sweep in (verify.float_nearest_sweep, verify.float_directed_sweep)
               for op in ("add", "mul", "div")),
-            verify.fixed_div_sweep(3), verify.roundtrip_sweep(6), verify.pack_unpack_sweep(SMALL),
+            verify.pack_unpack_sweep(SMALL),
         ]
         assert all(rep.cases and rep.passed for rep in reports)
-        assert set(used) == {"RnFixed"}  # literals of the divider, the digit views and unpack
+        assert set(used) == {"RnFixed"}  # unpack's significand
         used.clear()
         verify.float_value(SMALL, 0x10)  # the counters do see verify's Fractions
         assert set(used) == {"Fraction"}
