@@ -40,6 +40,9 @@ from .verify import SUITES
 _DECIMAL_RE = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")
 _FLOAT_PREFIX_RE = re.compile(r"^rnf\d+:")
 _FIXED_TARGET_RE = re.compile(r"^rn@(-?\d+),w=(\d+)$")
+# the target's ASCII grammar, checked last: \d also takes non-ASCII digits,
+# and $ a trailing newline
+_FIXED_TARGET_ASCII_RE = re.compile(r"rn@-?[0-9]+,w=[0-9]+")
 _MODES = {m.value: m for m in fa.RoundingMode}
 _FLOAT_OPS = {"+": fa.fadd_words, "-": fa.fadd_words, "*": fa.fmul_words, "/": fa.fdiv_words}
 
@@ -117,6 +120,8 @@ def _convert_to_fixed(value: DyadicRational | Fraction, spec: str, prefer_round_
     bits, r = (n - 1, 1) if prefer_round_bit else (n, 0)
     if not -(1 << (width - 1)) <= bits < 1 << (width - 1):
         raise CliError(misfit)
+    if not _FIXED_TARGET_ASCII_RE.fullmatch(spec):
+        raise CliError(f"bad fixed-point target {spec!r} (expected rn@<lsb>,w=<width>)")
     return RnFixed(bits, width, r, lsb)
 
 

@@ -7,10 +7,12 @@ exact rational into the same shape, and ``far_shortcut`` maps two words to
 one.  Callers holding ``RnFloat``s pass ``.word`` and wrap the result only
 to print it.
 
-Every op forms its exact result and rounds it once, in ``_deliver``: the
-magnitude is truncated (so results are within half an ulp of the exact
-value and the round bit reports the rounding direction), and a negative
-result is the complement of the positive one, word and round bit.
+Every op forms its exact result and rounds it once, in ``_deliver``, on
+the encoding integer ``x = 2*w + r`` of word and round bit: the magnitude
+is truncated by one shift (so results are within half an ulp of the exact
+value and the round bit reports the rounding direction), a negative result
+is the complement ``~x`` of the positive one, and the result word's low p
+bits are those of ``x``.
 
 Each operand is read once, from its raw fields (``floatfmt.decode``): a
 finite one is the integer ``w + r`` of its significand word and round bit
@@ -21,8 +23,8 @@ value is the quotient of the operands' round-bit-extended words (the
 midpoints of their half-ulp intervals), cut by ``fixed.long_divide``, the
 library's one divider, to ``p + 3`` bits and a sticky bit.
 
-Directed roundings never increment: when the truncated tail was nonzero the
-round bit is simply replaced according to the mode.
+Directed roundings never increment: when the truncated tail was nonzero
+bit 0 of ``x``, the round bit, is simply replaced according to the mode.
 
 The ``RnFloat`` shims at the end of the module serve only the benchmark.
 """
@@ -44,6 +46,10 @@ class RoundingMode(Enum):
     DOWNWARD = "rd"         # toward -inf
     TOWARD_ZERO = "rz"
     AWAY_FROM_ZERO = "ra"
+
+    # hashed by identity, as members compare: a mode-keyed lookup then skips
+    # Enum.__hash__, which hashes the member's name on every call
+    __hash__ = object.__hash__
 
 
 def directed_round_bit(rbit: int, sign_bit: int, mode: RoundingMode) -> int:
@@ -70,13 +76,14 @@ def _deliver(num: int, g: int, fmt: FloatFormat, mode: RoundingMode) -> tuple[in
     """Round the value ``num * 2**g`` into the format: the result word and
     whether it differs from the value.
 
-    One truncation, a shift, puts the magnitude onto the target grid, giving
-    word and round bit (a quotient's lowest bit, its sticky bit, always
-    drops).  A negative result is then the complement of both, as negation
-    is in the encoding: nearest ties round away from zero and exact negative
-    results carry the round bit.  Overflow saturates to
-    infinity, except that the exactly representable edge magnitude
-    2**(e_max+1) is the all-ones word with the round bit set at e_max.
+    One truncation, a shift, puts the magnitude onto the target grid as the
+    encoding integer ``x = 2*w + r``, word and round bit in one (a
+    quotient's lowest bit, its sticky bit, always drops).  A negative result
+    is then ``~x``, as negation is in the encoding: nearest ties round away
+    from zero and exact negative results carry the round bit.  A directed
+    mode replaces bit 0 of ``x``.  Overflow saturates to infinity, except
+    that the exactly representable edge magnitude 2**(e_max+1) is the
+    all-ones word with the round bit set at e_max.
     """
     if num == 0:
         return 0, False
@@ -86,7 +93,7 @@ def _deliver(num: int, g: int, fmt: FloatFormat, mode: RoundingMode) -> tuple[in
     e_val = mag.bit_length() - 1 + g
     e_max = fmt.e_max
     if e_val > e_max + 1:
-        return fmt.inf_word(sign), True
+        return fmt.inf_words[sign], True
     if e_val < fmt.e_min:
         e_tgt = fmt.e_min
     elif e_val > e_max:
@@ -95,25 +102,24 @@ def _deliver(num: int, g: int, fmt: FloatFormat, mode: RoundingMode) -> tuple[in
         e_tgt = e_val
     s = g + p - e_tgt  # the round bit's source position weighs 2**(e_tgt - p)
     if s >= 0:
-        t2, rem = mag << s, 0
+        x, rem = mag << s, 0
     else:
-        t2 = mag >> -s
-        rem = mag - (t2 << -s)  # t2 is 0 whenever -s is past the top bit
-    inexact = t2 & 1 == 1 or rem != 0
+        x = mag >> -s
+        rem = mag - (x << -s)  # x is 0 whenever -s is past the top bit
+    inexact = x & 1 == 1 or rem != 0
     if e_val > e_max:
         # beyond e_max only the exact edge is finite: all-ones word, r=1
-        if t2 != 1 << (p + 1) or inexact:
-            return fmt.inf_word(sign), True
-        t2 -= 1
-    w, r = t2 >> 1, t2 & 1
+        if x != 1 << (p + 1) or inexact:
+            return fmt.inf_words[sign], True
+        x -= 1
     if sign:
-        w, r = ~w, 1 - r
+        x = ~x
     if inexact and mode is not _NEAREST:
-        r = directed_round_bit(r, sign, mode)
-    if w + r == 0:  # only a subnormal result can truncate to zero
+        x = (x & ~1) | directed_round_bit(x & 1, sign, mode)
+    if x in (0, -1):  # w + r == 0: only a subnormal result can truncate to zero
         return 0, inexact
     biased_exp = 0 if e_val < fmt.e_min else e_tgt + fmt.bias
-    return _assemble(fmt, sign, biased_exp, w & ((1 << (p - 1)) - 1), r), inexact
+    return _assemble(fmt, sign, biased_exp, x & fmt.low_mask), inexact
 
 
 def round_to_format(value: Fraction | DyadicRational, fmt: FloatFormat, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[int, bool]:
@@ -138,11 +144,11 @@ def fadd_words(fmt: FloatFormat, a: int, b: int, mode: RoundingMode = RoundingMo
     if ca is _INFINITY and cb is _INFINITY:
         if sa != sb:
             return fmt.nan_word(), False
-        return fmt.inf_word(sa), False
+        return fmt.inf_words[sa], False
     if ca is _INFINITY:
-        return fmt.inf_word(sa), False
+        return fmt.inf_words[sa], False
     if cb is _INFINITY:
-        return fmt.inf_word(sb), False
+        return fmt.inf_words[sb], False
     ma, mb = wa + ra, wb + rb
     if ma == 0 and mb == 0:
         return 0, False
@@ -186,7 +192,7 @@ def fmul_words(fmt: FloatFormat, a: int, b: int, mode: RoundingMode = RoundingMo
         other_cls, other_m = (cb, mb) if ca is _INFINITY else (ca, ma)
         if other_cls is not _INFINITY and other_m == 0:
             return fmt.nan_word(), False
-        return fmt.inf_word(sign), False
+        return fmt.inf_words[sign], False
     if ma == 0 or mb == 0:
         return 0, False
     return _deliver(ma * mb, ea + eb + 2 - 2 * fmt.precision, fmt, mode)
@@ -226,14 +232,14 @@ def fdiv_words(fmt: FloatFormat, a: int, b: int, mode: RoundingMode = RoundingMo
     if ca is _INFINITY:
         if cb is _INFINITY:
             return fmt.nan_word(), False
-        return fmt.inf_word(sign), False
+        return fmt.inf_words[sign], False
     if cb is _INFINITY:
         return 0, False
     a_zero, b_zero = wa + ra == 0, wb + rb == 0
     if a_zero and b_zero:
         return fmt.nan_word(), False
     if b_zero:
-        return fmt.inf_word(sign), False
+        return fmt.inf_words[sign], False
     if a_zero:
         return 0, False
     p = fmt.precision

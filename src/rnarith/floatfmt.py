@@ -27,10 +27,16 @@ class FloatFormat:
     """A packed format: ``exp_bits`` exponent bits and ``precision`` (p)
     significand digits, the hidden bit plus p-1 stored fraction bits.
 
-    The derived constants ``total_bits``, ``bias``, ``e_min``, ``e_max``,
-    ``exp_mask`` and ``frac_bits`` are computed once, when the format is
-    built, and read as plain attributes.  They follow from the two sizes, so
-    they are not part of equality, hashing, the repr or the constructor.
+    The derived constants are computed once, when the format is built, and
+    read as plain attributes: ``total_bits``, ``bias``, ``e_min``,
+    ``e_max``, ``exp_mask`` and ``frac_bits``; the sign bit's position
+    ``sign_shift``; ``frac_mask`` and ``low_mask``, the fraction field's
+    mask and the word's low p bits (fraction and round bit); the offsets
+    ``hidden_pos`` and ``hidden_neg`` that restore a normal significand's
+    hidden bit for either sign; ``word_end``, one past the widest word; and
+    ``inf_words``, the infinity of each sign.  They follow from the two
+    sizes, so they are not part of equality, hashing, the repr or the
+    constructor.
     """
 
     exp_bits: int
@@ -42,22 +48,39 @@ class FloatFormat:
     e_max: int = field(init=False, compare=False, repr=False)
     exp_mask: int = field(init=False, compare=False, repr=False)
     frac_bits: int = field(init=False, compare=False, repr=False)
+    sign_shift: int = field(init=False, compare=False, repr=False)
+    frac_mask: int = field(init=False, compare=False, repr=False)
+    low_mask: int = field(init=False, compare=False, repr=False)
+    hidden_pos: int = field(init=False, compare=False, repr=False)
+    hidden_neg: int = field(init=False, compare=False, repr=False)
+    word_end: int = field(init=False, compare=False, repr=False)
+    inf_words: tuple[int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.exp_bits < 2 or self.precision < 2:
             raise ValueError("format too small")
+        p = self.precision
         bias = (1 << (self.exp_bits - 1)) - 1
+        total_bits = 1 + self.exp_bits + (p - 1) + 1  # sign + exponent + fraction + round bit
         derived = {
-            # sign + exponent + fraction + round bit
-            "total_bits": 1 + self.exp_bits + (self.precision - 1) + 1,
+            "total_bits": total_bits,
             "bias": bias,
             "e_min": 1 - bias,
             "e_max": (1 << self.exp_bits) - 2 - bias,
             "exp_mask": (1 << self.exp_bits) - 1,
-            "frac_bits": self.precision - 1,
+            "frac_bits": p - 1,
+            "sign_shift": total_bits - 1,
+            "frac_mask": (1 << (p - 1)) - 1,
+            "low_mask": (1 << p) - 1,
+            # a normal significand word is the fraction plus the hidden bit
+            # 2**(p-1), or, with the sign, less 2**p
+            "hidden_pos": 1 << (p - 1),
+            "hidden_neg": -(1 << p),
+            "word_end": 1 << total_bits,
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "inf_words", (self.inf_word(0), self.inf_word(1)))
 
     def inf_word(self, sign: int = 0) -> int:
         return (sign << (self.total_bits - 1)) | (self.exp_mask << self.precision)
@@ -86,7 +109,7 @@ class RnFloat:
     word: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.word < (1 << self.fmt.total_bits):
+        if not 0 <= self.word < self.fmt.word_end:
             raise ValueError("word does not fit the format")
 
     def __str__(self) -> str:
@@ -119,7 +142,7 @@ class UnpackedFloat:
     @property
     def frac(self) -> int:
         """The stored fraction field: the significand's low p-1 bits."""
-        return self.significand.bits & ((1 << self.fmt.frac_bits) - 1)
+        return self.significand.bits & self.fmt.frac_mask
 
 
 # read once: a member read through its enum class is a slow lookup (about
@@ -139,31 +162,25 @@ def decode(fmt: FloatFormat, word: int) -> tuple[FloatClass, int, int, int, int]
     string at scale ``e_min``.  A negative word, or one wider than the
     format, raises ``ValueError``.
     """
-    p = fmt.precision
-    s = word >> (fmt.total_bits - 1)
+    s = word >> fmt.sign_shift
     if s >> 1:  # negative or too wide
         raise ValueError("word does not fit the format")
-    e = (word >> p) & fmt.exp_mask
-    f = (word >> 1) & ((1 << (p - 1)) - 1)
+    e = (word >> fmt.precision) & fmt.exp_mask
+    f = (word >> 1) & fmt.frac_mask
     r = word & 1
     if e == 0:
         cls = _ZERO if word == 0 else _SUBNORMAL
     elif e == fmt.exp_mask:
         cls = _INFINITY if f == 0 and r == 0 else _NAN
     else:
-        w = f + ((1 << (p - 1)) if s == 0 else -(1 << p))
-        return _NORMAL, s, w, r, e - fmt.bias
-    return cls, s, f - (s << (p - 1)), r, fmt.e_min
+        return _NORMAL, s, f + (fmt.hidden_neg if s else fmt.hidden_pos), r, e - fmt.bias
+    return cls, s, (f - fmt.hidden_pos) if s else f, r, fmt.e_min
 
 
-def _assemble(fmt: FloatFormat, sign: int, biased_exp: int, frac: int, rbit: int) -> int:
-    """The word with these fields."""
-    return (
-        (sign << (fmt.total_bits - 1))
-        | (biased_exp << fmt.precision)
-        | (frac << 1)
-        | rbit
-    )
+def _assemble(fmt: FloatFormat, sign: int, biased_exp: int, low: int) -> int:
+    """The word with these fields; ``low`` is its low p bits, the fraction
+    field above the round bit."""
+    return (sign << fmt.sign_shift) | (biased_exp << fmt.precision) | low
 
 
 def unpack(fmt: FloatFormat, word: int) -> UnpackedFloat:
@@ -179,7 +196,7 @@ def pack(u: UnpackedFloat) -> int:
     The layout is stated once, in :func:`decode`: the fields are assembled
     into a word, which must unpack back to ``u``."""
     sig = u.significand
-    word = _assemble(u.fmt, u.sign, u.biased_exp, u.frac, sig.round)
+    word = _assemble(u.fmt, u.sign, u.biased_exp, (u.frac << 1) | sig.round)
     if unpack(u.fmt, word) != u:
         raise ValueError(f"no word unpacks to {u.cls.value} s={u.sign} e={u.biased_exp} {sig}")
     return word
@@ -203,11 +220,11 @@ def float_negate(fmt: FloatFormat, word: int) -> int:
     if cls is _NAN:
         return fmt.nan_word()
     if cls is _INFINITY:
-        return fmt.inf_word(1 - s)
+        return fmt.inf_words[1 - s]
     if w + r == 0:
         return 0
     # sign bit, then the fraction and round bit: the low p bits
-    return word ^ ((1 << (fmt.total_bits - 1)) | ((1 << fmt.precision) - 1))
+    return word ^ ((1 << fmt.sign_shift) | fmt.low_mask)
 
 
 def format_hex_literal(f: RnFloat) -> str:
@@ -255,8 +272,8 @@ def parse_float_literal(text: str) -> RnFloat:
         raise ValueError(f"bad float field literal: {text!r}") from exc
     if s not in (0, 1) or r not in (0, 1):
         raise ValueError(f"bad bit field in literal: {text!r}")
-    if not 0 <= e <= fmt.exp_mask or not 0 <= frac < (1 << fmt.frac_bits):
+    if not 0 <= e <= fmt.exp_mask or not 0 <= frac <= fmt.frac_mask:
         raise ValueError(f"field out of range in literal: {text!r}")
     if not _FIELDS_RE.fullmatch("s={s} e={e} f={f} r={r}".format_map(fields)):
         raise ValueError(f"bad float field literal: {text!r}")
-    return RnFloat(fmt, _assemble(fmt, s, e, frac, r))
+    return RnFloat(fmt, _assemble(fmt, s, e, (frac << 1) | r))

@@ -10,14 +10,16 @@ the divider and the signed-digit views included, call the ``fixed`` and
 ``RnFixed`` only to print a failure.  The float sweeps call the word ops
 (``floatarith.fadd_words`` and its twins) on int words; the nearest add
 and mul sweeps call them once per ordered pair and judge commutativity
-from the two results of each unordered pair.  These back the tests and the
-``verify`` command.
+from the two results of each unordered pair.  Each float sweep reads each
+word once: it builds per-word tables when it starts (``_operand_values``
+and ``_word_table``: value, ``_sig`` triple and divider operand), judges
+each result through ``_judge`` on its table entry, and forms a quotient
+from two table entries.  These back the tests and the ``verify`` command.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
 
 from . import fixed, floatarith as fa
 from .core import (
@@ -110,40 +112,47 @@ def representable(x: Fraction, fmt: FloatFormat) -> bool:
     return k >= max(e, fmt.e_min) + 1 - fmt.precision
 
 
-def _half_interval(fmt: FloatFormat, word: int) -> tuple[int, int]:
-    """Low end and width (half the word's ulp) of a finite word's half-ulp
-    interval, in units of ``2**(e_min-p)``."""
-    w, r, scale = _sig(fmt, word)
+def _half_interval(fmt: FloatFormat, sig: tuple[int, int, int]) -> tuple[int, int]:
+    """Low end and width (half the word's ulp) of the half-ulp interval of a
+    finite word whose ``_sig`` triple is ``sig``, in units of
+    ``2**(e_min-p)``."""
+    w, r, scale = sig
     return (2 * w + r) << (scale - fmt.e_min), 1 << (scale - fmt.e_min)
+
+
+def _div_operand(fmt: FloatFormat, sig: tuple[int, int, int]) -> tuple[int, int]:
+    """The divider's operand for a word whose ``_sig`` triple is ``sig``: its
+    signed round-bit-extended word, normalized, and its scale."""
+    p = fmt.precision
+    w, r, scale = sig
+    if w + r == 0:  # either spelling of zero, all ones included
+        return 0, scale
+    sign = 1
+    if w + r < 0:
+        w, r, sign = -w - 1, 1 - r, -1
+    v = w + r
+    if v == 1 << p:
+        return sign * (1 << p), scale + 1  # extended word of the plain power
+    k = p - v.bit_length()
+    if k > 0:
+        w = (w << k) | (r * ((1 << k) - 1))
+        scale -= k
+    if w == (1 << (p - 1)) - 1:
+        w, r = 1 << (p - 1), 0
+    return sign * (2 * w + r), scale
+
+
+def _div_quotient(da: tuple[int, int], db: tuple[int, int]) -> tuple[int, int, int]:
+    """``(n, d, k)`` with ``d > 0``: the quotient ``n/d * 2**k`` of two
+    ``_div_operand``s, the second nonzero."""
+    (na, ea), (nb, eb) = da, db
+    return (na, nb, ea - eb) if nb > 0 else (-na, -nb, ea - eb)
 
 
 def _div_exact(fmt: FloatFormat, word_a: int, word_b: int) -> tuple[int, int, int]:
     """``(n, d, k)`` with ``d > 0``: the quotient ``n/d * 2**k`` of the
     round-bit-extended, divider-normalized operands."""
-    p = fmt.precision
-
-    def prep(word: int) -> tuple[int, int]:
-        """Signed extended word of the operand, normalized, and its scale."""
-        w, r, scale = _sig(fmt, word)
-        if w + r == 0:  # either spelling of zero, all ones included
-            return 0, scale
-        sign = 1
-        if w + r < 0:
-            w, r, sign = -w - 1, 1 - r, -1
-        v = w + r
-        if v == 1 << p:
-            return sign * (1 << p), scale + 1  # extended word of the plain power
-        k = p - v.bit_length()
-        if k > 0:
-            w = (w << k) | (r * ((1 << k) - 1))
-            scale -= k
-        if w == (1 << (p - 1)) - 1:
-            w, r = 1 << (p - 1), 0
-        return sign * (2 * w + r), scale
-
-    na, ea = prep(word_a)
-    nb, eb = prep(word_b)
-    return (na, nb, ea - eb) if nb > 0 else (-na, -nb, ea - eb)
+    return _div_quotient(_div_operand(fmt, _sig(fmt, word_a)), _div_operand(fmt, _sig(fmt, word_b)))
 
 
 def _div_reference(fmt: FloatFormat, word_a: int, word_b: int) -> Fraction:
@@ -325,10 +334,12 @@ _FLOAT_OPS = {
 }
 
 
-def _float_exact(fmt: FloatFormat, op: str, wa: int, wb: int,
-                 va: int | None, vb: int | None) -> tuple[int, int, int] | None:
+def _float_exact(fmt: FloatFormat, op: str, wa: int, wb: int, va: int | None, vb: int | None,
+                 divs: list[tuple[int, int]] | None = None) -> tuple[int, int, int] | None:
     """Exact ``a op b`` from the operands' ``_units`` as ``(n, d, k)``, meaning
-    ``n/d * 2**k`` with ``d > 0``; None if not finite or divided by zero."""
+    ``n/d * 2**k`` with ``d > 0``; None if not finite or divided by zero.
+    A quotient composes the operands' ``divs`` entries, a sweep's
+    ``_word_table``, when given, and decodes both words when not."""
     if va is None or vb is None:
         return None
     u = fmt.e_min + 1 - fmt.precision
@@ -336,7 +347,9 @@ def _float_exact(fmt: FloatFormat, op: str, wa: int, wb: int,
         return va + vb, 1, u
     if op == "mul":
         return va * vb, 1, 2 * u
-    return None if vb == 0 else _div_exact(fmt, wa, wb)
+    if vb == 0:
+        return None
+    return _div_exact(fmt, wa, wb) if divs is None else _div_quotient(divs[wa], divs[wb])
 
 
 _NEAREST = fa.RoundingMode.NEAREST  # read once, as in floatarith
@@ -365,10 +378,18 @@ def rounding_fault(fmt: FloatFormat, exact: tuple[int, int, int], mode: fa.Round
     less than an ulp away.
 
     The nearest clauses return a representable ``exact`` exactly
-    (``tests/test_oracle.py::TestImpliedClauses``).
+    (``tests/test_oracle.py::TestImpliedClauses``).  The clauses are
+    ``_judge``'s, on the decoded word; the sweeps call it with the triple
+    from their per-word table.
     """
+    return _judge(fmt, exact, mode, word, _sig(fmt, word), inexact)
+
+
+def _judge(fmt: FloatFormat, exact: tuple[int, int, int], mode: fa.RoundingMode,
+           word: int, sig: tuple[int, int, int], inexact: bool) -> str | None:
+    """``rounding_fault``'s clauses, on ``word`` and its ``_sig`` triple ``sig``."""
     n, d, k = exact
-    w, r, scale = _sig(fmt, word)
+    w, r, scale = sig
     if scale > fmt.e_max:  # all-ones exponent field
         ok = _value_class(fmt, word) == ("-inf" if n < 0 else "+inf") and inexact
         t = k - fmt.e_max - 1  # |exact| > 2**(e_max+1) as |n| * 2**t > d
@@ -397,15 +418,12 @@ def _operand_values(fmt: FloatFormat) -> list[int | None]:
     return [_units(fmt, w) for w in range(1 << fmt.total_bits)]
 
 
-def _operand_pairs(fmt: FloatFormat) -> Iterator[tuple[int, int, int | None, int | None]]:
-    """Every pair of operand words with both ``_units`` values (None when
-    not finite)."""
-    values = _operand_values(fmt)
-    return (
-        (wa, wb, va, vb)
-        for wa, va in enumerate(values)
-        for wb, vb in enumerate(values)
-    )
+def _word_table(fmt: FloatFormat) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]]]:
+    """Each word's ``_sig`` triple and divider operand (``_div_operand``),
+    indexed by the word: a sweep decodes each word once, here, and reads
+    operands and results from these lists."""
+    sigs = [_sig(fmt, w) for w in range(1 << fmt.total_bits)]
+    return sigs, [_div_operand(fmt, sig) for sig in sigs]
 
 
 def float_nearest_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
@@ -420,17 +438,19 @@ def float_nearest_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
     in either order, so two equal results share one verdict."""
     func, name = _FLOAT_OPS[op]
     rep = VerifyReport(name, f"format={fmt.name}")
-    if op == "div":
-        for a, b, va, vb in _operand_pairs(fmt):
-            if vb == 0:
-                continue
-            rep.cases += 1
-            out, inexact = func(fmt, a, b)
-            exact = _float_exact(fmt, op, a, b, va, vb)
-            if exact is not None and (fault := rounding_fault(fmt, exact, _NEAREST, out, inexact)):
-                rep.record(f"{a:#x},{b:#x}", f"{fault} ({_fraction(exact)})", f"{out:#x}")
-        return rep.done()
     values = _operand_values(fmt)
+    sigs, divs = _word_table(fmt)
+    if op == "div":
+        for a, va in enumerate(values):
+            for b, vb in enumerate(values):
+                if vb == 0:
+                    continue
+                rep.cases += 1
+                out, inexact = func(fmt, a, b)
+                exact = _float_exact(fmt, op, a, b, va, vb, divs)
+                if exact is not None and (fault := _judge(fmt, exact, _NEAREST, out, sigs[out], inexact)):
+                    rep.record(f"{a:#x},{b:#x}", f"{fault} ({_fraction(exact)})", f"{out:#x}")
+        return rep.done()
     for a, va in enumerate(values):
         for b in range(a, len(values)):
             ab, ba = func(fmt, a, b), func(fmt, b, a)
@@ -440,8 +460,9 @@ def float_nearest_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
             elif exact is None:
                 fault = fault_ba = None
             else:
-                fault = rounding_fault(fmt, exact, _NEAREST, *ab)
-                fault_ba = fault if ba == ab else rounding_fault(fmt, exact, _NEAREST, *ba)
+                out, inexact = ab
+                fault = _judge(fmt, exact, _NEAREST, out, sigs[out], inexact)
+                fault_ba = fault if ba == ab else _judge(fmt, exact, _NEAREST, out, sigs[out], ba[1])
             rep.cases += 1
             if fault:
                 rep.record(f"{a:#x},{b:#x}", f"{fault} ({_fraction(exact)})", f"{ab[0]:#x}")
@@ -462,27 +483,31 @@ def float_directed_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
     spelling of value 0 is the canonical zero."""
     func, name = _FLOAT_OPS[op]
     rep = VerifyReport(f"{name}-directed", f"format={fmt.name}")
+    values = _operand_values(fmt)
+    sigs, divs = _word_table(fmt)
     ones = (1 << (fmt.total_bits - 1)) | ((1 << fmt.precision) - 1)  # zero: all ones but the exponent
-    # bit 0 of the substituted word in each directed mode, indexed by whether
-    # the exact value is negative
-    ups = [[_ROUNDS_UP[mode][negative] for mode in _DIRECTED_MODES] for negative in (False, True)]
-    for a, b, va, vb in _operand_pairs(fmt):
-        exact = _float_exact(fmt, op, a, b, va, vb)
-        if exact is None:
-            continue
-        near, inexact = func(fmt, a, b)
-        wants = (near,) * 4
-        if inexact and (near >> fmt.precision) & fmt.exp_mask != fmt.exp_mask:
-            base = ones - 1 if exact[0] < 0 and near in (0, ones) else near & ~1
-            words = (base | up for up in ups[exact[0] < 0])
-            wants = tuple(0 if word == ones else word for word in words)
-        for mode, want in zip(_DIRECTED_MODES, wants):
-            rep.cases += 1
-            out, out_inexact = func(fmt, a, b, mode)
-            fault = ("substitution" if out != want
-                     else rounding_fault(fmt, exact, mode, out, out_inexact))
-            if fault:
-                rep.record(f"{a:#x},{b:#x},{mode.value}", f"{fault} ({_fraction(exact)})", f"{out:#x}")
+    # each directed mode and whether it sets bit 0 of the substituted word,
+    # indexed by whether the exact value is negative
+    ups = [[(mode, _ROUNDS_UP[mode][negative]) for mode in _DIRECTED_MODES] for negative in (False, True)]
+    for a, va in enumerate(values):
+        for b, vb in enumerate(values):
+            exact = _float_exact(fmt, op, a, b, va, vb, divs)
+            if exact is None:
+                continue
+            near, inexact = func(fmt, a, b)
+            down = up = near  # the wanted word in a mode that rounds down, and up
+            if inexact and sigs[near][2] <= fmt.e_max:  # finite: overflow saturates
+                down = ones - 1 if exact[0] < 0 and near in (0, ones) else near & ~1
+                up = 0 if down | 1 == ones else down | 1
+            for mode, rounds_up in ups[exact[0] < 0]:
+                rep.cases += 1
+                out, out_inexact = func(fmt, a, b, mode)
+                if out != (up if rounds_up else down):
+                    fault = "substitution"
+                else:
+                    fault = _judge(fmt, exact, mode, out, sigs[out], out_inexact)
+                if fault:
+                    rep.record(f"{a:#x},{b:#x},{mode.value}", f"{fault} ({_fraction(exact)})", f"{out:#x}")
     return rep.done()
 
 
@@ -503,19 +528,21 @@ def float_sign_symmetry_sweep(fmt: FloatFormat, op: str,
     """
     func, name = _FLOAT_OPS[op]
     rep = VerifyReport(f"{name}-symmetry", f"format={fmt.name} mode={mode.value}")
-    neg = [float_negate(fmt, w) for w in range(1 << fmt.total_bits)]
-    mirror = _MIRROR.get(mode, mode)  # fixed for the sweep; an enum-keyed lookup costs ~0.2 us
-    for a, b, _, _ in _operand_pairs(fmt):
-        rep.cases += 1
-        out, inexact = func(fmt, neg[a], neg[b] if op == "add" else b, mode)
-        ref, ref_inexact = func(fmt, a, b, mirror)
-        want = neg[ref]
-        if _units(fmt, ref) in (None, 0):
-            ok = _value_class(fmt, out) == _value_class(fmt, want)
-        else:
-            ok = out == want
-        if not ok or inexact != ref_inexact:
-            rep.record(f"{a:#x},{b:#x}", f"{want:#x}", f"{out:#x}")
+    values = _operand_values(fmt)
+    neg = [float_negate(fmt, w) for w in range(len(values))]
+    mirror = _MIRROR.get(mode, mode)  # fixed for the sweep
+    for a in range(len(values)):
+        for b in range(len(values)):
+            rep.cases += 1
+            out, inexact = func(fmt, neg[a], neg[b] if op == "add" else b, mode)
+            ref, ref_inexact = func(fmt, a, b, mirror)
+            want = neg[ref]
+            if values[ref] in (None, 0):
+                ok = _value_class(fmt, out) == _value_class(fmt, want)
+            else:
+                ok = out == want
+            if not ok or inexact != ref_inexact:
+                rep.record(f"{a:#x},{b:#x}", f"{want:#x}", f"{out:#x}")
     return rep.done()
 
 
@@ -529,19 +556,22 @@ def far_shortcut_sweep(fmt: FloatFormat) -> VerifyReport:
     sum (``tests/test_oracle.py::TestImpliedClauses``).
     """
     rep = VerifyReport("far-shortcut", f"format={fmt.name}")
-    for a, b, va, vb in _operand_pairs(fmt):
-        if va in (None, 0) or vb in (None, 0):
+    values = _operand_values(fmt)
+    sigs, _ = _word_table(fmt)
+    for a, va in enumerate(values):
+        if va in (None, 0):
             continue
-        if _sig(fmt, a)[2] <= _sig(fmt, b)[2] + fmt.precision:
-            continue
-        rep.cases += 1
-        out = fa.far_shortcut(fmt, a, b)
-        # half is u/2 in the intervals' units of 2**(e_min-p)
-        lo_r, width_r = _half_interval(fmt, out)
-        lo_a, half = _half_interval(fmt, a)
-        lo_b, hi_b = (0, half) if vb > 0 else (-half, 0)
-        if not (lo_a + lo_b <= lo_r and lo_r + width_r <= lo_a + half + hi_b):
-            rep.record(f"{a:#x},{b:#x}", "shortcut soundness", f"{out:#x}")
+        for b, vb in enumerate(values):
+            if vb in (None, 0) or sigs[a][2] <= sigs[b][2] + fmt.precision:
+                continue
+            rep.cases += 1
+            out = fa.far_shortcut(fmt, a, b)
+            # half is u/2 in the intervals' units of 2**(e_min-p)
+            lo_r, width_r = _half_interval(fmt, sigs[out])
+            lo_a, half = _half_interval(fmt, sigs[a])
+            lo_b, hi_b = (0, half) if vb > 0 else (-half, 0)
+            if not (lo_a + lo_b <= lo_r and lo_r + width_r <= lo_a + half + hi_b):
+                rep.record(f"{a:#x},{b:#x}", "shortcut soundness", f"{out:#x}")
     return rep.done()
 
 

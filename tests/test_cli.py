@@ -78,6 +78,17 @@ class TestConvert:
         code, out, err = run(capsys, "convert", value, "--to", "rn@0,w=0")
         assert (code, out, err) == (2, "", "error: width must be at least 1")
 
+    @pytest.mark.parametrize("target", ["rn@\u0663,w=\u0665", "rn@0,w=5\n"], ids=["non-ascii-digits", "newline"])
+    def test_lax_fixed_target_refused(self, capsys, target):
+        """The target is ASCII with nothing after the width, though ``\\d``
+        takes other digits and ``$`` a trailing newline."""
+        want = f"error: bad fixed-point target {target!r} (expected rn@<lsb>,w=<width>)"
+        assert run(capsys, "convert", "8", "--to", target) == (2, "", want)
+
+    def test_non_ascii_zero_width_keeps_its_message(self, capsys):
+        code, out, err = run(capsys, "convert", "8", "--to", "rn@0,w=\u0660")
+        assert (code, out, err) == (2, "", "error: width must be at least 1")
+
     def test_value_too_wide_for_the_target_word(self, capsys):
         # fits the width by bit length, but not as a 4-bit two's complement word
         code, out, err = run(capsys, "convert", "12", "--to", "rn@0,w=4")

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+import rnarith.cli as cli
 import rnarith.floatarith as fa
+import rnarith.verify as verify
 from rnarith.floatarith import (
     RoundingMode,
     directed_round_bit,
@@ -292,6 +294,16 @@ class TestDirectedRounding:
             for (rbit, sign_bit), r in table.items():
                 assert directed_round_bit(rbit, sign_bit, mode) == r
 
+    def test_modes_hash_by_identity_and_key_every_table(self):
+        for mode in RoundingMode:
+            assert hash(mode) == object.__hash__(mode)
+            assert cli._MODES[mode.value] is mode
+            assert verify._MIRROR.get(mode, mode) in RoundingMode
+            if mode is not RoundingMode.NEAREST:
+                assert mode in verify._ROUNDS_UP
+        assert {verify._MIRROR[m] for m in verify._MIRROR} == {RoundingMode.UPWARD, RoundingMode.DOWNWARD}
+        assert set(verify._ROUNDS_UP) == set(RoundingMode) - {RoundingMode.NEAREST}
+
     def test_exact_results_identical_across_modes(self):
         for mode in RoundingMode:
             assert fadd(ONE, ONE, mode)[0] == TWO
@@ -308,8 +320,6 @@ class TestDirectedRounding:
 class TestSignSymmetry:
     @pytest.mark.parametrize("mode", list(RoundingMode))
     def test_negated_operands_give_complemented_results(self, mode):
-        import rnarith.verify as verify
-
         fmt = FloatFormat(2, 3, "rnf6")
         for op in ("add", "mul", "div"):
             rep = verify.float_sign_symmetry_sweep(fmt, op, mode)

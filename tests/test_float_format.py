@@ -67,6 +67,25 @@ class TestFormatLayout:
         assert fmt.exp_mask == 2 ** e - 1
         assert fmt.frac_bits == p - 1
 
+    @pytest.mark.parametrize("e", range(2, 7))
+    def test_word_constants_closed_forms(self, e):
+        """The constants the decoder and the sink read, against their
+        formulas, for every shape with 2-6 exponent bits and precision 2-8."""
+        for p in range(2, 9):
+            fmt = FloatFormat(e, p)
+            total = e + p + 1
+            assert fmt.sign_shift == total - 1
+            assert fmt.frac_mask == 2 ** (p - 1) - 1
+            assert fmt.low_mask == 2 ** p - 1
+            assert (fmt.hidden_pos, fmt.hidden_neg) == (2 ** (p - 1), -(2 ** p))
+            assert fmt.word_end == 1 << fmt.total_bits == 2 ** total
+            inf = (2 ** e - 1) * 2 ** p
+            assert fmt.inf_words == (fmt.inf_word(0), fmt.inf_word(1)) == (inf, 2 ** (total - 1) + inf)
+            for word in (-1, fmt.word_end):
+                with pytest.raises(ValueError, match="word does not fit the format"):
+                    decode(fmt, word)
+            decode(fmt, fmt.word_end - 1)
+
     def test_equality_ignores_derived_constants(self):
         twin = FloatFormat(3, 4, "rnf8")
         assert twin == RNF8 and twin is not RNF8

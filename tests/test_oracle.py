@@ -1,5 +1,6 @@
 import ast
 import inspect
+import itertools
 import random
 import textwrap
 from collections import Counter
@@ -362,8 +363,9 @@ class TestRoundingFault:
 
     def test_every_clause_has_a_row(self):
         """The string labels ``rounding_fault`` can return are exactly the
-        clauses of the rows, so no clause is added or dropped without one."""
-        tree = ast.parse(textwrap.dedent(inspect.getsource(verify.rounding_fault)))
+        clauses of the rows, so no clause is added or dropped without one.
+        They are read from ``_judge``, which holds the clauses."""
+        tree = ast.parse(textwrap.dedent(inspect.getsource(verify._judge)))
         labels = {
             node.value
             for ret in ast.walk(tree) if isinstance(ret, ast.Return) and ret.value
@@ -521,17 +523,18 @@ class TestImpliedClauses:
         """Replaces ``far_shortcut_sweep``'s one-ulp clause: over every pair
         that sweep judges and every finite word, a word whose interval meets
         both of the sweep's bounds lies within one ulp of the exact sum."""
-        words = [(verify._half_interval(fmt, w), v)
+        words = [(verify._half_interval(fmt, verify._sig(fmt, w)), v)
                  for w in enumerate_format(fmt) if (v := verify._units(fmt, w)) is not None]
         pairs = 0
-        for a, b, va, vb in verify._operand_pairs(fmt):
+        values = verify._operand_values(fmt)
+        for (a, va), (b, vb) in itertools.product(enumerate(values), repeat=2):
             if va in (None, 0) or vb in (None, 0):
                 continue
             if verify._sig(fmt, a)[2] <= verify._sig(fmt, b)[2] + fmt.precision:
                 continue
             pairs += 1
             # half is u/2 in the intervals' units of 2**(e_min-p), and u in _units
-            lo_a, half = verify._half_interval(fmt, a)
+            lo_a, half = verify._half_interval(fmt, verify._sig(fmt, a))
             lo, hi = (lo_a, lo_a + 2 * half) if vb > 0 else (lo_a - half, lo_a + half)
             inside = [v for (lo_r, width_r), v in words if lo <= lo_r and lo_r + width_r <= hi]
             assert inside and all(abs(v - va - vb) < half for v in inside)
