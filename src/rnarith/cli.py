@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import re
 import sys
 from fractions import Fraction
@@ -264,7 +263,8 @@ def cmd_verify(args) -> int:
     run = SUITES.get(args.suite)
     if run is None:
         raise CliError(f"unknown suite {args.suite!r}")
-    takes = inspect.signature(run).parameters
+    code = run.__code__  # each suite is a lambda; its parameters are the options it takes
+    takes = code.co_varnames[:code.co_argcount]
     kwargs = {}
     if args.width is not None:
         if "width" not in takes:

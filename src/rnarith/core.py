@@ -16,6 +16,11 @@ The equivalent signed-digit view is a tuple of digits in {-1, 0, 1} whose
 nonzero digits alternate in sign: the digit of weight ``2**i`` is bit ``i``
 of ``x`` less bit ``i+1``.  ``sd_of_canonical`` states that rule, and
 ``canonical_of_sd`` and ``booth_recode`` follow from it.
+
+The value types here and in ``floatfmt`` are immutable slotted classes on
+one private base, ``_Value``, which gives them equality, hashing, a
+``repr``, copying and pickling from the tuple of fields that makes up each
+value.
 """
 
 from __future__ import annotations
@@ -23,31 +28,73 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
+
+# writes a field of a _Value in its __init__, past the base's refusal
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class DyadicRational:
+class _Value:
+    """Base of the immutable value types.
+
+    A subclass names every attribute in ``__slots__`` and, in ``_fields``,
+    the ones that make up its value, in constructor order.  Equality (with
+    the same class only), hashing, the ``repr``, copying and pickling read
+    ``_fields``; pickling and copying call the constructor again.  The
+    subclass's ``__init__`` checks its arguments and writes each slot with
+    ``_set``; any later assignment or deletion raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # the fields compared and hashed, read in C: a tuple of them, or
+        # the one field itself
+        cls._key = attrgetter(*cls._fields)  # not a descriptor: read unbound
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class DyadicRational(_Value):
     """Exact value ``mantissa * 2**exp``, normalized to an odd mantissa.
 
     Zero is canonically ``DyadicRational(0, 0)``, so equal values compare
     equal regardless of how they were produced.
     """
 
-    mantissa: int
-    exp: int = 0
+    __slots__ = _fields = ("mantissa", "exp")
 
-    def __post_init__(self) -> None:
-        m, e = self.mantissa, self.exp
-        if m == 0:
-            e = 0
+    def __init__(self, mantissa: int, exp: int = 0) -> None:
+        if mantissa == 0:
+            exp = 0
         else:
-            k = (m & -m).bit_length() - 1  # trailing zero bits
-            m >>= k
-            e += k
-        object.__setattr__(self, "mantissa", m)
-        object.__setattr__(self, "exp", e)
+            k = (mantissa & -mantissa).bit_length() - 1  # trailing zero bits
+            mantissa >>= k
+            exp += k
+        _set(self, "mantissa", mantissa)
+        _set(self, "exp", exp)
 
     def __lt__(self, other: "DyadicRational") -> bool:
         e = min(self.exp, other.exp)
@@ -75,16 +122,16 @@ class DyadicRational:
         return f"{sign}{text[:e]}.{text[e:]}"
 
 
-@dataclass(frozen=True)
-class DyadicInterval:
+class DyadicInterval(_Value):
     """Closed interval of dyadic rationals, lo <= hi."""
 
-    lo: DyadicRational
-    hi: DyadicRational
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        if self.hi < self.lo:
+    def __init__(self, lo: DyadicRational, hi: DyadicRational) -> None:
+        if hi < lo:
             raise ValueError("interval endpoints out of order")
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
 
 
 def _check_fields(bits: int, width: int, round_bit: int = 0) -> None:
@@ -98,20 +145,20 @@ def _check_fields(bits: int, width: int, round_bit: int = 0) -> None:
         raise ValueError(f"bits {bits} does not fit {width}-bit two's complement")
 
 
-@dataclass(frozen=True)
-class RnFixed:
+class RnFixed(_Value):
     """A two's complement word of ``width`` bits with an appended round bit.
 
     The represented value is ``(bits + round) * 2**lsb_exp``.
     """
 
-    bits: int
-    width: int
-    round: int = 0
-    lsb_exp: int = 0
+    __slots__ = _fields = ("bits", "width", "round", "lsb_exp")
 
-    def __post_init__(self) -> None:
-        _check_fields(self.bits, self.width, self.round)
+    def __init__(self, bits: int, width: int, round: int = 0, lsb_exp: int = 0) -> None:
+        _check_fields(bits, width, round)
+        _set(self, "bits", bits)
+        _set(self, "width", width)
+        _set(self, "round", round)
+        _set(self, "lsb_exp", lsb_exp)
 
     def __str__(self) -> str:
         return format_literal(self)

@@ -31,11 +31,10 @@ The ``RnFloat`` shims at the end of the module serve only the benchmark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .core import DyadicRational
+from .core import DyadicRational, _set, _Value
 from .fixed import long_divide
 from .floatfmt import _INFINITY, _NAN, FloatFormat, RnFloat, _assemble, decode
 
@@ -256,17 +255,19 @@ def fdiv_words(fmt: FloatFormat, a: int, b: int, mode: RoundingMode = RoundingMo
 # benchmark calls the word ops (ROADMAP item 3, step 1), this block goes.
 
 
-@dataclass(frozen=True)
-class StickyTail:
+class StickyTail(_Value):
     """Whether anything nonzero was discarded by the final truncation.
 
     ``nonzero`` False means the delivered value equals the exact result.
     """
 
-    nonzero: bool
+    __slots__ = _fields = ("nonzero",)
+
+    def __init__(self, nonzero: bool) -> None:
+        _set(self, "nonzero", nonzero)
 
 
-# every result shares one of these two; StickyTail is frozen
+# every result shares one of these two; StickyTail is immutable
 _EXACT = StickyTail(False)
 _INEXACT = StickyTail(True)
 

@@ -11,19 +11,21 @@ A float is a format and an int word: ``decode``, ``unpack``,
 returns a word.  ``RnFloat`` is only the literal: ``parse_float_literal``
 makes one and ``format_hex_literal`` prints one; ``format_fields`` prints
 the fields of an ``unpack``ed word.
+
+``FloatFormat``, ``RnFloat`` and ``UnpackedFloat`` are immutable slotted
+classes on ``core``'s value base: compared, hashed and printed by their
+constructor fields, and refusing assignment.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 
-from .core import DyadicRational, RnFixed
+from .core import DyadicRational, RnFixed, _set, _Value
 
 
-@dataclass(frozen=True)
-class FloatFormat:
+class FloatFormat(_Value):
     """A packed format: ``exp_bits`` exponent bits and ``precision`` (p)
     significand digits, the hidden bit plus p-1 stored fraction bits.
 
@@ -39,48 +41,38 @@ class FloatFormat:
     constructor.
     """
 
-    exp_bits: int
-    precision: int  # significand digits p: hidden bit + (p-1) fraction bits
-    name: str = ""
-    total_bits: int = field(init=False, compare=False, repr=False)
-    bias: int = field(init=False, compare=False, repr=False)
-    e_min: int = field(init=False, compare=False, repr=False)
-    e_max: int = field(init=False, compare=False, repr=False)
-    exp_mask: int = field(init=False, compare=False, repr=False)
-    frac_bits: int = field(init=False, compare=False, repr=False)
-    sign_shift: int = field(init=False, compare=False, repr=False)
-    frac_mask: int = field(init=False, compare=False, repr=False)
-    low_mask: int = field(init=False, compare=False, repr=False)
-    hidden_pos: int = field(init=False, compare=False, repr=False)
-    hidden_neg: int = field(init=False, compare=False, repr=False)
-    word_end: int = field(init=False, compare=False, repr=False)
-    inf_words: tuple[int, int] = field(init=False, compare=False, repr=False)
+    _fields = ("exp_bits", "precision", "name")
+    __slots__ = _fields + (
+        "total_bits", "bias", "e_min", "e_max", "exp_mask", "frac_bits", "sign_shift",
+        "frac_mask", "low_mask", "hidden_pos", "hidden_neg", "word_end", "inf_words",
+    )
 
-    def __post_init__(self) -> None:
-        if self.exp_bits < 2 or self.precision < 2:
+    def __init__(self, exp_bits: int, precision: int, name: str = "") -> None:
+        # precision is the significand digit count p: hidden bit + (p-1) fraction bits
+        if exp_bits < 2 or precision < 2:
             raise ValueError("format too small")
-        p = self.precision
-        bias = (1 << (self.exp_bits - 1)) - 1
-        total_bits = 1 + self.exp_bits + (p - 1) + 1  # sign + exponent + fraction + round bit
-        derived = {
-            "total_bits": total_bits,
-            "bias": bias,
-            "e_min": 1 - bias,
-            "e_max": (1 << self.exp_bits) - 2 - bias,
-            "exp_mask": (1 << self.exp_bits) - 1,
-            "frac_bits": p - 1,
-            "sign_shift": total_bits - 1,
-            "frac_mask": (1 << (p - 1)) - 1,
-            "low_mask": (1 << p) - 1,
-            # a normal significand word is the fraction plus the hidden bit
-            # 2**(p-1), or, with the sign, less 2**p
-            "hidden_pos": 1 << (p - 1),
-            "hidden_neg": -(1 << p),
-            "word_end": 1 << total_bits,
-        }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "inf_words", (self.inf_word(0), self.inf_word(1)))
+        p = precision
+        bias = (1 << (exp_bits - 1)) - 1
+        exp_mask = (1 << exp_bits) - 1
+        total_bits = 1 + exp_bits + (p - 1) + 1  # sign + exponent + fraction + round bit
+        _set(self, "exp_bits", exp_bits)
+        _set(self, "precision", p)
+        _set(self, "name", name)
+        _set(self, "total_bits", total_bits)
+        _set(self, "bias", bias)
+        _set(self, "e_min", 1 - bias)
+        _set(self, "e_max", exp_mask - 1 - bias)
+        _set(self, "exp_mask", exp_mask)
+        _set(self, "frac_bits", p - 1)
+        _set(self, "sign_shift", total_bits - 1)
+        _set(self, "frac_mask", (1 << (p - 1)) - 1)
+        _set(self, "low_mask", (1 << p) - 1)
+        # a normal significand word is the fraction plus the hidden bit
+        # 2**(p-1), or, with the sign, less 2**p
+        _set(self, "hidden_pos", 1 << (p - 1))
+        _set(self, "hidden_neg", -(1 << p))
+        _set(self, "word_end", 1 << total_bits)
+        _set(self, "inf_words", (self.inf_word(0), self.inf_word(1)))
 
     def inf_word(self, sign: int = 0) -> int:
         return (sign << (self.total_bits - 1)) | (self.exp_mask << self.precision)
@@ -98,19 +90,19 @@ RNF64 = FloatFormat(11, 52, "rnf64")
 FORMATS = {f.name: f for f in (RNF8, RNF16, RNF32, RNF64)}
 
 
-@dataclass(frozen=True)
-class RnFloat:
+class RnFloat(_Value):
     """A float literal: a word and its named format, as parsed and printed.
 
     Below the literal parser and printer a float is ``(fmt, word)``; this
     type only checks that a word read from outside fits its format."""
 
-    fmt: FloatFormat
-    word: int
+    __slots__ = _fields = ("fmt", "word")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.word < self.fmt.word_end:
+    def __init__(self, fmt: FloatFormat, word: int) -> None:
+        if not 0 <= word < fmt.word_end:
             raise ValueError("word does not fit the format")
+        _set(self, "fmt", fmt)
+        _set(self, "word", word)
 
     def __str__(self) -> str:
         return format_hex_literal(self)
@@ -124,8 +116,7 @@ class FloatClass(Enum):
     NAN = "nan"
 
 
-@dataclass(frozen=True)
-class UnpackedFloat:
+class UnpackedFloat(_Value):
     """Classified view of a word; packing it restores the word bit-exactly.
 
     For normals the significand is the full p+1-bit word with the hidden bit
@@ -133,11 +124,15 @@ class UnpackedFloat:
     The round bit always rides on the significand.
     """
 
-    fmt: FloatFormat
-    cls: FloatClass
-    sign: int
-    biased_exp: int
-    significand: RnFixed
+    __slots__ = _fields = ("fmt", "cls", "sign", "biased_exp", "significand")
+
+    def __init__(self, fmt: FloatFormat, cls: FloatClass, sign: int, biased_exp: int,
+                 significand: RnFixed) -> None:
+        _set(self, "fmt", fmt)
+        _set(self, "cls", cls)
+        _set(self, "sign", sign)
+        _set(self, "biased_exp", biased_exp)
+        _set(self, "significand", significand)
 
     @property
     def frac(self) -> int:

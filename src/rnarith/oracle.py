@@ -13,8 +13,7 @@ library under test is called.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Iterator
+from collections.abc import Iterator
 
 from .core import DyadicInterval
 from .floatfmt import FloatFormat
@@ -63,16 +62,21 @@ def check_inclusion(result: DyadicInterval, a: DyadicInterval, b: DyadicInterval
     return lo <= result.lo.to_fraction() and result.hi.to_fraction() <= hi
 
 
-@dataclass
 class VerifyReport:
-    """Machine-readable outcome of one verification sweep."""
+    """Machine-readable outcome of one verification sweep.
 
-    op: str
-    space: str
-    cases: int = 0
-    failures: list[tuple[str, str, str]] = field(default_factory=list)
-    elapsed: float = 0.0
-    _start: float = field(default_factory=time.perf_counter, repr=False)
+    A sweep counts its ``cases`` and records its ``failures``; ``done``
+    sets ``elapsed``.  Reports are compared by identity."""
+
+    __slots__ = ("op", "space", "cases", "failures", "elapsed", "_start")
+
+    def __init__(self, op: str, space: str) -> None:
+        self.op = op
+        self.space = space
+        self.cases = 0
+        self.failures: list[tuple[str, str, str]] = []
+        self.elapsed = 0.0
+        self._start = time.perf_counter()
 
     def record(self, inputs: str, want: str, got: str) -> None:
         self.failures.append((inputs, want, got))

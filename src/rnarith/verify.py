@@ -382,16 +382,19 @@ def rounding_fault(fmt: FloatFormat, exact: tuple[int, int, int], mode: fa.Round
     ``_judge``'s, on the decoded word; the sweeps call it with the triple
     from their per-word table.
     """
-    return _judge(fmt, exact, mode, word, _sig(fmt, word), inexact)
+    return _judge(fmt, exact, mode, _sig(fmt, word), inexact)
 
 
 def _judge(fmt: FloatFormat, exact: tuple[int, int, int], mode: fa.RoundingMode,
-           word: int, sig: tuple[int, int, int], inexact: bool) -> str | None:
-    """``rounding_fault``'s clauses, on ``word`` and its ``_sig`` triple ``sig``."""
+           sig: tuple[int, int, int], inexact: bool) -> str | None:
+    """``rounding_fault``'s clauses, on the word's ``_sig`` triple ``sig``."""
     n, d, k = exact
     w, r, scale = sig
     if scale > fmt.e_max:  # all-ones exponent field
-        ok = _value_class(fmt, word) == ("-inf" if n < 0 else "+inf") and inexact
+        # the infinity of exact's sign: fraction and round bit zero, so w is
+        # the hidden bit alone, 2**(p-1), or with the sign, -2**p
+        p = fmt.precision
+        ok = inexact and r == 0 and w == (-(1 << p) if n < 0 else 1 << (p - 1))
         t = k - fmt.e_max - 1  # |exact| > 2**(e_max+1) as |n| * 2**t > d
         return None if ok and abs(n) << max(t, 0) > d << max(-t, 0) else "overflow"
     # value - exact and the word's ulp 2**(k + s), as integers over d * 2**min(k, k + s)
@@ -448,7 +451,7 @@ def float_nearest_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
                 rep.cases += 1
                 out, inexact = func(fmt, a, b)
                 exact = _float_exact(fmt, op, a, b, va, vb, divs)
-                if exact is not None and (fault := _judge(fmt, exact, _NEAREST, out, sigs[out], inexact)):
+                if exact is not None and (fault := _judge(fmt, exact, _NEAREST, sigs[out], inexact)):
                     rep.record(f"{a:#x},{b:#x}", f"{fault} ({_fraction(exact)})", f"{out:#x}")
         return rep.done()
     for a, va in enumerate(values):
@@ -461,8 +464,8 @@ def float_nearest_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
                 fault = fault_ba = None
             else:
                 out, inexact = ab
-                fault = _judge(fmt, exact, _NEAREST, out, sigs[out], inexact)
-                fault_ba = fault if ba == ab else _judge(fmt, exact, _NEAREST, out, sigs[out], ba[1])
+                fault = _judge(fmt, exact, _NEAREST, sigs[out], inexact)
+                fault_ba = fault if ba == ab else _judge(fmt, exact, _NEAREST, sigs[out], ba[1])
             rep.cases += 1
             if fault:
                 rep.record(f"{a:#x},{b:#x}", f"{fault} ({_fraction(exact)})", f"{ab[0]:#x}")
@@ -505,7 +508,7 @@ def float_directed_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
                 if out != (up if rounds_up else down):
                     fault = "substitution"
                 else:
-                    fault = _judge(fmt, exact, mode, out, sigs[out], out_inexact)
+                    fault = _judge(fmt, exact, mode, sigs[out], out_inexact)
                 if fault:
                     rep.record(f"{a:#x},{b:#x},{mode.value}", f"{fault} ({_fraction(exact)})", f"{out:#x}")
     return rep.done()

@@ -502,3 +502,16 @@ def test_python_dash_m_runs_the_cli():
     proc = subprocess.run([sys.executable, "-m", "rnarith", "convert", "1", "--to", "decimal"],
                           capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+
+
+def test_import_loads_no_introspection_modules():
+    """Import time is the CLI's latency: every ``rnarith`` process pays it
+    before its first operation, and ``dataclasses``, ``inspect`` and
+    ``typing`` (with the ``ast``, ``dis`` and ``tokenize`` modules they
+    bring in) once made up most of it.  Neither the package nor the CLI may
+    load them."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import rnarith, rnarith.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

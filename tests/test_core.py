@@ -1,5 +1,8 @@
+import copy
 import itertools
+import pickle
 import time
+from types import SimpleNamespace
 from fractions import Fraction
 
 import pytest
@@ -20,6 +23,8 @@ from rnarith.core import (
     validate_rn,
     value_of,
 )
+from rnarith.floatarith import StickyTail
+from rnarith.floatfmt import RNF8, FloatFormat, RnFloat, unpack
 from rnarith.oracle import enumerate_fixed
 
 EXAMPLE_WORD = -718  # 110100110010 as a 12-bit two's complement word
@@ -327,3 +332,58 @@ class TestIntervalType:
     def test_reversed_endpoints_rejected(self):
         with pytest.raises(ValueError):
             DyadicInterval(DyadicRational(1), DyadicRational(0))
+
+
+# (build, repr, fields) for each immutable value type: ``build`` makes a
+# fresh instance on each call, and the repr is pinned as it has always read
+VALUE_TYPES = [
+    (lambda: DyadicRational(12, -3), "DyadicRational(mantissa=3, exp=-1)", ("mantissa", "exp")),
+    (lambda: DyadicInterval(DyadicRational(1, -1), DyadicRational(3, -2)),
+     "DyadicInterval(lo=DyadicRational(mantissa=1, exp=-1), hi=DyadicRational(mantissa=3, exp=-2))",
+     ("lo", "hi")),
+    (lambda: RnFixed(-5, 4, 1, -2), "RnFixed(bits=-5, width=4, round=1, lsb_exp=-2)",
+     ("bits", "width", "round", "lsb_exp")),
+    (lambda: FloatFormat(3, 4, "rnf8"), "FloatFormat(exp_bits=3, precision=4, name='rnf8')",
+     ("exp_bits", "precision", "name")),
+    (lambda: RnFloat(FloatFormat(3, 4, "rnf8"), 0x30),
+     "RnFloat(fmt=FloatFormat(exp_bits=3, precision=4, name='rnf8'), word=48)", ("fmt", "word")),
+    (lambda: unpack(RNF8, 0xb5),
+     "UnpackedFloat(fmt=FloatFormat(exp_bits=3, precision=4, name='rnf8'), "
+     "cls=<FloatClass.NORMAL: 'normal'>, sign=1, biased_exp=3, "
+     "significand=RnFixed(bits=-14, width=5, round=1, lsb_exp=-3))",
+     ("fmt", "cls", "sign", "biased_exp", "significand")),
+    (lambda: StickyTail(True), "StickyTail(nonzero=True)", ("nonzero",)),
+]
+
+
+@pytest.mark.parametrize("build, text, fields", VALUE_TYPES,
+                         ids=[text.partition("(")[0] for _, text, _ in VALUE_TYPES])
+class TestValueTypes:
+    """The contract every immutable value type keeps: fields cannot be
+    assigned or deleted, copies and pickles are equal, equal values hash
+    alike, only the same class compares equal, and the repr names each
+    field."""
+
+    def test_fields_refuse_assignment_and_deletion(self, build, text, fields):
+        x = build()
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(x, name, getattr(x, name))
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        assert repr(x) == text
+
+    def test_copies_and_pickles_are_equal(self, build, text, fields):
+        x = build()
+        for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(twin) is type(x) and twin == x and repr(twin) == text
+
+    def test_equal_values_hash_alike(self, build, text, fields):
+        a, b = build(), build()
+        assert a is not b and a == b and not a != b and hash(a) == hash(b)
+
+    def test_other_class_with_the_same_fields_is_unequal(self, build, text, fields):
+        x = build()
+        values = {name: getattr(x, name) for name in fields}
+        for other in (SimpleNamespace(**values), tuple(values.values())):
+            assert x != other and not x == other and other != x

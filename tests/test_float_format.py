@@ -293,7 +293,7 @@ class TestWordsBelowTheCli:
         assert not self._methods("FloatFormat") & {"zero", "inf", "nan"}
 
     def test_rnfloat_is_only_a_checked_literal(self):
-        assert self._methods("RnFloat") == {"__post_init__", "__str__"}
+        assert self._methods("RnFloat") == {"__init__", "__str__"}
 
     @pytest.mark.parametrize("module", [oracle, verify], ids=lambda m: m.__name__)
     def test_oracle_and_sweeps_do_not_name_rnfloat(self, module):

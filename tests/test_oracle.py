@@ -319,7 +319,7 @@ class TestSweepWork:
 
 
 # (exact, mode, word, inexact, clause): each clause of the contract on rnf8
-# words, finite ones around 17/8 (ulp 1/4), +inf (0x70) and a NaN (0x71)
+# words, finite ones around 17/8 (ulp 1/4), +inf (0x70), -inf (0xf0) and NaNs (0x71, 0xf1)
 ROUNDING_FAULT_ROWS = [
     ((2, 1, 0), RoundingMode.NEAREST, 0x40, False, None),         # 2, exact
     ((2, 1, 0), RoundingMode.NEAREST, 0x40, True, "sticky flag"),
@@ -345,6 +345,8 @@ ROUNDING_FAULT_ROWS = [
     ((-17, 8, 0), RoundingMode.AWAY_FROM_ZERO, 0xCF, True, "directed side"),
     ((16, 1, 0), RoundingMode.NEAREST, 0x6f, False, None),        # the edge word: 15 + r=1 at e_max
     ((33, 2, 0), RoundingMode.NEAREST, 0x70, True, None),         # just above the edge
+    ((-100, 1, 0), RoundingMode.NEAREST, 0xf0, True, None),       # -inf
+    ((-100, 1, 0), RoundingMode.NEAREST, 0xf1, True, "overflow"),  # a negative NaN
 ]
 
 
@@ -468,7 +470,7 @@ class TestIntegerOracle:
 
         monkeypatch.setattr(verify, "Fraction", Counting)
         monkeypatch.setattr(DyadicRational, "to_fraction", counted("to_fraction", DyadicRational.to_fraction))
-        monkeypatch.setattr(RnFixed, "__post_init__", counted("RnFixed", RnFixed.__post_init__))
+        monkeypatch.setattr(RnFixed, "__init__", counted("RnFixed", RnFixed.__init__))
         on_ints = [
             verify.fixed_add_sweep(3, "add"), verify.fixed_mul_sweep(4), verify.fixed_mul_sign_sweep(4),
             verify.fixed_div_sweep(3), verify.double_rounding_sweep(4), verify.negation_sweep(6),
