@@ -237,7 +237,7 @@ def cmd_inspect(args) -> int:
     f = parse_float_literal(args.value)
     fmt = f.fmt
     u = unpack(fmt, f.word)
-    scale = decode(fmt, f.word)[4]
+    scale = decode(fmt, f.word)[3]
     pieces = [f"class={u.cls.value}", f"s={u.sign}", f"e={u.biased_exp}(bias {fmt.bias})"]
     if u.cls is FloatClass.NORMAL:
         pieces.append(f"hidden={1 - u.sign}")

@@ -14,13 +14,14 @@ value and the round bit reports the rounding direction), a negative result
 is the complement ``~x`` of the positive one, and the result word's low p
 bits are those of ``x``.
 
-Each operand is read once, from its raw fields (``floatfmt.decode``): a
-finite one is the integer ``w + r`` of its significand word and round bit
-times a power of two, and the result word is written directly from its
-fields.  Add and multiply are exact on these integer significands: add
-aligns them by shifting, multiply multiplies them.  Division's reference
-value is the quotient of the operands' round-bit-extended words (the
-midpoints of their half-ulp intervals), cut by ``fixed.long_divide``, the
+Each operand is read once, from its raw fields (``floatfmt.decode``), as
+the same encoding integer ``x``: a finite operand's value is ``(x + 1) >>
+1`` times a power of two, and the result word is written directly from its
+fields.  Add and multiply are exact on these integer values: add aligns
+them by shifting, multiply multiplies them.  Division's reference value is
+the quotient of the operands' ``x`` themselves (the midpoints of their
+half-ulp intervals), each complemented when negative and scaled by
+``fixed.shift_left`` into one binade, and cut by ``fixed.long_divide``, the
 library's one divider, to ``p + 3`` bits and a sticky bit.
 
 Directed roundings never increment: when the truncated tail was nonzero
@@ -35,7 +36,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .core import DyadicRational, _set, _Value
-from .fixed import long_divide
+from .fixed import long_divide, shift_left
 from .floatfmt import _INFINITY, _NAN, FloatFormat, RnFloat, _assemble, decode
 
 
@@ -136,8 +137,8 @@ def round_to_format(value: Fraction | DyadicRational, fmt: FloatFormat, mode: Ro
 
 def fadd_words(fmt: FloatFormat, a: int, b: int, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[int, bool]:
     """Sum of two words of ``fmt``: the result word and whether it is inexact."""
-    ca, sa, wa, ra, ea = decode(fmt, a)
-    cb, sb, wb, rb, eb = decode(fmt, b)
+    ca, sa, xa, ea = decode(fmt, a)
+    cb, sb, xb, eb = decode(fmt, b)
     if ca is _NAN or cb is _NAN:
         return fmt.nan_word(), False
     if ca is _INFINITY and cb is _INFINITY:
@@ -148,7 +149,7 @@ def fadd_words(fmt: FloatFormat, a: int, b: int, mode: RoundingMode = RoundingMo
         return fmt.inf_words[sa], False
     if cb is _INFINITY:
         return fmt.inf_words[sb], False
-    ma, mb = wa + ra, wb + rb
+    ma, mb = (xa + 1) >> 1, (xb + 1) >> 1
     if ma == 0 and mb == 0:
         return 0, False
     if ma == 0:
@@ -168,11 +169,11 @@ def far_shortcut(fmt: FloatFormat, a: int, b: int) -> int:
     the sum of the operand intervals.  Requires the gap to exceed the
     significand digit count, with the smaller operand finite and nonzero.
     """
-    ca, _, _, _, ea = decode(fmt, a)
-    cb, sb, wb, rb, eb = decode(fmt, b)
+    ca, _, _, ea = decode(fmt, a)
+    cb, sb, xb, eb = decode(fmt, b)
     if _NAN in (ca, cb) or _INFINITY in (ca, cb):
         raise ValueError("shortcut expects finite operands")
-    if wb + rb == 0:
+    if xb in (0, -1):
         raise ValueError("shortcut expects a nonzero smaller operand")
     if ea <= eb + fmt.precision:
         raise ValueError("shortcut requires the gap to exceed the precision")
@@ -181,50 +182,45 @@ def far_shortcut(fmt: FloatFormat, a: int, b: int) -> int:
 
 def fmul_words(fmt: FloatFormat, a: int, b: int, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[int, bool]:
     """Product of two words of ``fmt``: the result word and whether it is inexact."""
-    ca, sa, wa, ra, ea = decode(fmt, a)
-    cb, sb, wb, rb, eb = decode(fmt, b)
+    ca, sa, xa, ea = decode(fmt, a)
+    cb, sb, xb, eb = decode(fmt, b)
     if ca is _NAN or cb is _NAN:
         return fmt.nan_word(), False
-    sign = sa ^ sb
-    ma, mb = wa + ra, wb + rb
+    ma, mb = (xa + 1) >> 1, (xb + 1) >> 1
     if ca is _INFINITY or cb is _INFINITY:
         other_cls, other_m = (cb, mb) if ca is _INFINITY else (ca, ma)
         if other_cls is not _INFINITY and other_m == 0:
             return fmt.nan_word(), False
-        return fmt.inf_words[sign], False
-    if ma == 0 or mb == 0:
-        return 0, False
+        return fmt.inf_words[sa ^ sb], False
     return _deliver(ma * mb, ea + eb + 2 - 2 * fmt.precision, fmt, mode)
 
 
-def _divider_word(w: int, r: int, e: int, p: int) -> tuple[int, int]:
-    """Round-bit-extended word ``2*w + r`` of a nonzero finite operand's
-    absolute value, rescaled so the word ``w`` lies in [1, 2), and its scale.
+def _divider_word(x: int, e: int, p: int) -> tuple[int, int]:
+    """The significand integer of a nonzero finite operand's absolute value
+    in ``[2**p, 2**(p+1))``, and its scale, from ``x`` and ``e`` as
+    ``decode`` gives them and the precision ``p``.
 
-    ``w``, ``r`` and ``e`` are the operand's significand word, round bit and
-    scale as ``decode`` gives them, ``p`` the precision.  Value-preserving:
-    negation complements word and round bit, shifts append round-bit
-    copies, and the two boundary spellings of an exact power (all-ones word
-    with round bit set) become the power's plain word.
+    Value-preserving: a negative ``x`` is complemented, a subnormal one
+    scaled up by ``fixed.shift_left``, and one whose successor is a power of
+    two (all ones: the boundary spelling of an exact power) becomes that
+    power, halved at the next scale when it reaches ``2**(p+1)``.
     """
-    if w + r < 0:
-        w, r = ~w, 1 - r
-    v = w + r
-    if v == 1 << p:
-        return 1 << p, e + 1
-    k = p - v.bit_length()
+    if x < 0:
+        x = ~x
+    k = p + 1 - (x + 1).bit_length()
     if k > 0:
-        e -= k
-        w = (w << k) | (r * ((1 << k) - 1))
-    if w == (1 << (p - 1)) - 1:
-        w, r = 1 << (p - 1), 0
-    return 2 * w + r, e
+        x, e = shift_left(x, k), e - k
+    if x & (x + 1) == 0:
+        x += 1
+        if x >> (p + 1):
+            return x >> 1, e + 1
+    return x, e
 
 
 def fdiv_words(fmt: FloatFormat, a: int, b: int, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[int, bool]:
     """Quotient of two words of ``fmt``: the result word and whether it is inexact."""
-    ca, sa, wa, ra, ea = decode(fmt, a)
-    cb, sb, wb, rb, eb = decode(fmt, b)
+    ca, sa, xa, ea = decode(fmt, a)
+    cb, sb, xb, eb = decode(fmt, b)
     if ca is _NAN or cb is _NAN:
         return fmt.nan_word(), False
     sign = sa ^ sb
@@ -234,7 +230,7 @@ def fdiv_words(fmt: FloatFormat, a: int, b: int, mode: RoundingMode = RoundingMo
         return fmt.inf_words[sign], False
     if cb is _INFINITY:
         return 0, False
-    a_zero, b_zero = wa + ra == 0, wb + rb == 0
+    a_zero, b_zero = xa in (0, -1), xb in (0, -1)
     if a_zero and b_zero:
         return fmt.nan_word(), False
     if b_zero:
@@ -242,9 +238,9 @@ def fdiv_words(fmt: FloatFormat, a: int, b: int, mode: RoundingMode = RoundingMo
     if a_zero:
         return 0, False
     p = fmt.precision
-    na, ea = _divider_word(wa, ra, ea, p)
-    nb, eb = _divider_word(wb, rb, eb, p)
-    # reference value: quotient of the round-bit-extended operand words
+    na, ea = _divider_word(xa, ea, p)
+    nb, eb = _divider_word(xb, eb, p)
+    # reference value: quotient of the operands' encoding integers
     q2, k = long_divide(na, nb, p + 3)
     return _deliver(-q2 if sign else q2, ea - eb - k - 1, fmt, mode)
 

@@ -34,8 +34,8 @@ class FloatFormat(_Value):
     ``e_max``, ``exp_mask`` and ``frac_bits``; the sign bit's position
     ``sign_shift``; ``frac_mask`` and ``low_mask``, the fraction field's
     mask and the word's low p bits (fraction and round bit); the offsets
-    ``hidden_pos`` and ``hidden_neg`` that restore a normal significand's
-    hidden bit for either sign; ``word_end``, one past the widest word; and
+    ``hidden_pos`` and ``hidden_neg`` that add a normal word's hidden bit
+    for either sign; ``word_end``, one past the widest word; and
     ``inf_words``, the infinity of each sign.  They follow from the two
     sizes, so they are not part of equality, hashing, the repr or the
     constructor.
@@ -67,10 +67,10 @@ class FloatFormat(_Value):
         _set(self, "sign_shift", total_bits - 1)
         _set(self, "frac_mask", (1 << (p - 1)) - 1)
         _set(self, "low_mask", (1 << p) - 1)
-        # a normal significand word is the fraction plus the hidden bit
-        # 2**(p-1), or, with the sign, less 2**p
-        _set(self, "hidden_pos", 1 << (p - 1))
-        _set(self, "hidden_neg", -(1 << p))
+        # a normal word's significand integer x = 2*w + r is its low p bits
+        # plus the hidden bit 2**p, or, with the sign, less 2**(p+1)
+        _set(self, "hidden_pos", 1 << p)
+        _set(self, "hidden_neg", -(2 << p))
         _set(self, "word_end", 1 << total_bits)
         _set(self, "inf_words", (self.inf_word(0), self.inf_word(1)))
 
@@ -146,30 +146,29 @@ _NORMAL, _SUBNORMAL, _ZERO = FloatClass.NORMAL, FloatClass.SUBNORMAL, FloatClass
 _INFINITY, _NAN = FloatClass.INFINITY, FloatClass.NAN
 
 
-def decode(fmt: FloatFormat, word: int) -> tuple[FloatClass, int, int, int, int]:
-    """Raw fields of a word: class, sign, significand word ``w``, round bit
-    ``r`` and scale.
+def decode(fmt: FloatFormat, word: int) -> tuple[FloatClass, int, int, int]:
+    """Raw fields of a word: class, sign, significand integer ``x`` and scale.
 
-    ``w`` is two's complement with its lsb weighing ``2**(1 - p)`` at the
-    scale, so a finite word's value is ``(w + r) * 2**(scale + 1 - p)``.  A
-    normal word has its hidden second bit (the complement of the sign)
-    restored and scale ``e - bias``; every other class keeps the raw ``s.f``
-    string at scale ``e_min``.  A negative word, or one wider than the
-    format, raises ``ValueError``.
+    ``x = 2*w + r`` reads the two's complement significand word ``w`` and
+    round bit ``r`` as one integer, as ``fixed`` does, so a finite word's
+    value is ``((x + 1) >> 1) * 2**(scale + 1 - p)``.  ``x`` is the word's
+    low p bits plus one offset: a normal word's hidden second bit (the
+    complement of the sign), ``hidden_pos`` or ``hidden_neg``, at scale
+    ``e - bias``; for every other class ``-2**p`` when negative, at scale
+    ``e_min``.  A negative or too wide word raises ``ValueError``.
     """
     s = word >> fmt.sign_shift
     if s >> 1:  # negative or too wide
         raise ValueError("word does not fit the format")
     e = (word >> fmt.precision) & fmt.exp_mask
-    f = (word >> 1) & fmt.frac_mask
-    r = word & 1
+    low = word & fmt.low_mask
     if e == 0:
         cls = _ZERO if word == 0 else _SUBNORMAL
     elif e == fmt.exp_mask:
-        cls = _INFINITY if f == 0 and r == 0 else _NAN
+        cls = _INFINITY if low == 0 else _NAN
     else:
-        return _NORMAL, s, f + (fmt.hidden_neg if s else fmt.hidden_pos), r, e - fmt.bias
-    return cls, s, (f - fmt.hidden_pos) if s else f, r, fmt.e_min
+        return _NORMAL, s, low + (fmt.hidden_neg if s else fmt.hidden_pos), e - fmt.bias
+    return cls, s, (low - fmt.hidden_pos) if s else low, fmt.e_min
 
 
 def _assemble(fmt: FloatFormat, sign: int, biased_exp: int, low: int) -> int:
@@ -179,10 +178,10 @@ def _assemble(fmt: FloatFormat, sign: int, biased_exp: int, low: int) -> int:
 
 
 def unpack(fmt: FloatFormat, word: int) -> UnpackedFloat:
-    cls, s, w, r, _ = decode(fmt, word)
+    cls, s, x, _ = decode(fmt, word)
     p = fmt.precision
     width = p + 1 if cls is _NORMAL else p
-    return UnpackedFloat(fmt, cls, s, (word >> p) & fmt.exp_mask, RnFixed(w, width, r, 1 - p))
+    return UnpackedFloat(fmt, cls, s, (word >> p) & fmt.exp_mask, RnFixed(x >> 1, width, x & 1, 1 - p))
 
 
 def pack(u: UnpackedFloat) -> int:
@@ -199,10 +198,10 @@ def pack(u: UnpackedFloat) -> int:
 
 def value_of_float(fmt: FloatFormat, word: int) -> DyadicRational | FloatClass:
     """Exact value of a finite word; the class marker for infinities/NaNs."""
-    cls, _, w, r, scale = decode(fmt, word)
+    cls, _, x, scale = decode(fmt, word)
     if cls is _INFINITY or cls is _NAN:
         return cls
-    return DyadicRational(w + r, scale + 1 - fmt.precision)
+    return DyadicRational((x + 1) >> 1, scale + 1 - fmt.precision)
 
 
 def float_negate(fmt: FloatFormat, word: int) -> int:
@@ -211,12 +210,12 @@ def float_negate(fmt: FloatFormat, word: int) -> int:
     Zero-valued inputs come back as the canonical +0 word (all zeros); NaNs
     are canonicalized; infinities just flip sign.
     """
-    cls, s, w, r, _ = decode(fmt, word)
+    cls, s, x, _ = decode(fmt, word)
     if cls is _NAN:
         return fmt.nan_word()
     if cls is _INFINITY:
         return fmt.inf_words[1 - s]
-    if w + r == 0:
+    if x in (0, -1):  # either spelling of zero
         return 0
     # sign bit, then the fraction and round bit: the low p bits
     return word ^ ((1 << fmt.sign_shift) | fmt.low_mask)

@@ -10,11 +10,12 @@ the divider and the signed-digit views included, call the ``fixed`` and
 ``RnFixed`` only to print a failure.  The float sweeps call the word ops
 (``floatarith.fadd_words`` and its twins) on int words; the nearest add
 and mul sweeps call them once per ordered pair and judge commutativity
-from the two results of each unordered pair.  Each float sweep reads each
-word once: it builds per-word tables when it starts (``_operand_values``
-and ``_word_table``: value, ``_sig`` triple and divider operand), judges
-each result through ``_judge`` on its table entry, and forms a quotient
-from two table entries.  These back the tests and the ``verify`` command.
+from the two results of each unordered pair.  Each float sweep decodes
+each word once, by its own field reading, into the same kind of integer
+``x = 2*w + r`` (``_sig``): it builds ``_word_table`` (value, ``_sig``
+pair, divider operand) when it starts, judges each result through
+``_judge`` on its entry, and forms a quotient from two entries.  These
+back the tests and the ``verify`` command.
 """
 
 from __future__ import annotations
@@ -53,20 +54,20 @@ from .oracle import (
 # independent float helpers (integers from raw fields; Fractions only for callers)
 
 
-def _sig(fmt: FloatFormat, word: int) -> tuple[int, int, int]:
-    """Two's complement significand word, round bit and scale of a word.
+def _sig(fmt: FloatFormat, word: int) -> tuple[int, int]:
+    """Significand integer ``x = 2*w + r`` (word and round bit) and scale.
 
-    The word's value is ``(w + r) * 2**(scale + 1 - p)``.  A normal word has
-    its hidden bit (the complement of the sign) restored and scale
+    The word's value is ``((x + 1) >> 1) * 2**(scale + 1 - p)``.  A normal
+    word has its hidden bit (the complement of the sign) restored and scale
     ``e - bias``; a word with a zero exponent field has scale ``e_min``.
     """
     p = fmt.precision
     s = (word >> (fmt.total_bits - 1)) & 1
     e = (word >> p) & fmt.exp_mask
-    f = (word >> 1) & ((1 << fmt.frac_bits) - 1)
+    low = word & ((1 << p) - 1)  # fraction and round bit
     if e == 0:
-        return f - (s << (p - 1)), word & 1, fmt.e_min
-    return f + ((1 << (p - 1)) if s == 0 else -(1 << p)), word & 1, e - fmt.bias
+        return low - (s << p), fmt.e_min
+    return low + ((1 << p) if s == 0 else -(2 << p)), e - fmt.bias
 
 
 def float_value(fmt: FloatFormat, word: int) -> Fraction | None:
@@ -79,22 +80,27 @@ def float_value(fmt: FloatFormat, word: int) -> Fraction | None:
 def _units(fmt: FloatFormat, word: int) -> int | None:
     """A finite word's value as an integer in units of ``2**(e_min+1-p)``;
     None for infinities and NaNs."""
-    w, r, scale = _sig(fmt, word)
-    return None if scale > fmt.e_max else (w + r) << (scale - fmt.e_min)
+    return _sig_units(fmt, _sig(fmt, word))
+
+
+def _sig_units(fmt: FloatFormat, sig: tuple[int, int]) -> int | None:
+    """``_units`` of the word whose ``_sig`` pair is ``sig``."""
+    x, scale = sig
+    return None if scale > fmt.e_max else ((x + 1) >> 1) << (scale - fmt.e_min)
 
 
 def float_ulp(fmt: FloatFormat, word: int) -> Fraction:
-    return Fraction(2) ** (_sig(fmt, word)[2] + 1 - fmt.precision)
+    return Fraction(2) ** (_sig(fmt, word)[1] + 1 - fmt.precision)
 
 
 def _value_class(fmt: FloatFormat, word: int) -> str:
     """nan, +inf, -inf, zero (any zero-valued spelling) or finite."""
-    w, r, scale = _sig(fmt, word)
+    x, scale = _sig(fmt, word)
     if scale > fmt.e_max:  # all-ones exponent field: fraction and round bit tell NaN
         if word & ((1 << fmt.precision) - 1):
             return "nan"
         return "-inf" if (word >> (fmt.total_bits - 1)) & 1 else "+inf"
-    return "zero" if w + r == 0 else "finite"
+    return "zero" if (x + 1) >> 1 == 0 else "finite"
 
 
 def representable(x: Fraction, fmt: FloatFormat) -> bool:
@@ -112,34 +118,34 @@ def representable(x: Fraction, fmt: FloatFormat) -> bool:
     return k >= max(e, fmt.e_min) + 1 - fmt.precision
 
 
-def _half_interval(fmt: FloatFormat, sig: tuple[int, int, int]) -> tuple[int, int]:
+def _half_interval(fmt: FloatFormat, sig: tuple[int, int]) -> tuple[int, int]:
     """Low end and width (half the word's ulp) of the half-ulp interval of a
-    finite word whose ``_sig`` triple is ``sig``, in units of
+    finite word whose ``_sig`` pair is ``sig``, in units of
     ``2**(e_min-p)``."""
-    w, r, scale = sig
-    return (2 * w + r) << (scale - fmt.e_min), 1 << (scale - fmt.e_min)
+    x, scale = sig
+    return x << (scale - fmt.e_min), 1 << (scale - fmt.e_min)
 
 
-def _div_operand(fmt: FloatFormat, sig: tuple[int, int, int]) -> tuple[int, int]:
-    """The divider's operand for a word whose ``_sig`` triple is ``sig``: its
-    signed round-bit-extended word, normalized, and its scale."""
+def _div_operand(fmt: FloatFormat, sig: tuple[int, int]) -> tuple[int, int]:
+    """The divider's operand for a word whose ``_sig`` pair is ``sig``: its
+    signed significand integer, normalized, and its scale."""
     p = fmt.precision
-    w, r, scale = sig
-    if w + r == 0:  # either spelling of zero, all ones included
+    x, scale = sig
+    v = (x + 1) >> 1
+    if v == 0:  # either spelling of zero, all ones included
         return 0, scale
     sign = 1
-    if w + r < 0:
-        w, r, sign = -w - 1, 1 - r, -1
-    v = w + r
+    if v < 0:
+        x, v, sign = -x - 1, -v, -1
     if v == 1 << p:
-        return sign * (1 << p), scale + 1  # extended word of the plain power
+        return sign * (1 << p), scale + 1  # the plain power's integer
     k = p - v.bit_length()
-    if k > 0:
-        w = (w << k) | (r * ((1 << k) - 1))
+    if k > 0:  # the word moves up k bits, copies of the round bit fill in
+        x = ((x >> 1) << (k + 1)) | ((x & 1) * ((2 << k) - 1))
         scale -= k
-    if w == (1 << (p - 1)) - 1:
-        w, r = 1 << (p - 1), 0
-    return sign * (2 * w + r), scale
+    if x == (1 << p) - 1:
+        x = 1 << p
+    return sign * x, scale
 
 
 def _div_quotient(da: tuple[int, int], db: tuple[int, int]) -> tuple[int, int, int]:
@@ -379,28 +385,29 @@ def rounding_fault(fmt: FloatFormat, exact: tuple[int, int, int], mode: fa.Round
 
     The nearest clauses return a representable ``exact`` exactly
     (``tests/test_oracle.py::TestImpliedClauses``).  The clauses are
-    ``_judge``'s, on the decoded word; the sweeps call it with the triple
-    from their per-word table.
+    ``_judge``'s, on the decoded word; the sweeps call it with the ``_sig``
+    pair from their per-word table.
     """
     return _judge(fmt, exact, mode, _sig(fmt, word), inexact)
 
 
 def _judge(fmt: FloatFormat, exact: tuple[int, int, int], mode: fa.RoundingMode,
-           sig: tuple[int, int, int], inexact: bool) -> str | None:
-    """``rounding_fault``'s clauses, on the word's ``_sig`` triple ``sig``."""
+           sig: tuple[int, int], inexact: bool) -> str | None:
+    """``rounding_fault``'s clauses, on the word's ``_sig`` pair ``sig``."""
     n, d, k = exact
-    w, r, scale = sig
+    x, scale = sig
     if scale > fmt.e_max:  # all-ones exponent field
-        # the infinity of exact's sign: fraction and round bit zero, so w is
-        # the hidden bit alone, 2**(p-1), or with the sign, -2**p
+        # the infinity of exact's sign: fraction and round bit zero, so x is
+        # the hidden bit alone, 2**p, or with the sign, -2**(p+1)
         p = fmt.precision
-        ok = inexact and r == 0 and w == (-(1 << p) if n < 0 else 1 << (p - 1))
+        ok = inexact and x == (-(2 << p) if n < 0 else 1 << p)
         t = k - fmt.e_max - 1  # |exact| > 2**(e_max+1) as |n| * 2**t > d
         return None if ok and abs(n) << max(t, 0) > d << max(-t, 0) else "overflow"
     # value - exact and the word's ulp 2**(k + s), as integers over d * 2**min(k, k + s)
     s = scale + 1 - fmt.precision - k
     ulp = d << s if s >= 0 else d
-    diff = (w + r) * ulp - (n if s >= 0 else n << -s)
+    v = (x + 1) >> 1
+    diff = v * ulp - (n if s >= 0 else n << -s)
     if inexact != (diff != 0):
         return "sticky flag"
     if diff == 0:
@@ -408,25 +415,21 @@ def _judge(fmt: FloatFormat, exact: tuple[int, int, int], mode: fa.RoundingMode,
     if mode is _NEAREST:
         if 2 * abs(diff) > ulp:
             return "half ulp"
-        return "round-bit direction" if w + r != 0 and (r == 1) != (diff > 0) else None
+        return "round-bit direction" if v != 0 and (x & 1 == 1) != (diff > 0) else None
     if (diff > 0) != _ROUNDS_UP[mode][n < 0]:  # n carries exact's sign
         return "directed side"
     return "one ulp" if abs(diff) >= ulp else None
 
 
-def _operand_values(fmt: FloatFormat) -> list[int | None]:
-    """Every operand word's ``_units`` value (None when not finite), indexed
-    by the word; refuses a format whose operand pairs cannot be enumerated."""
+def _word_table(fmt: FloatFormat) -> tuple[list[int | None], list[tuple[int, int]], list[tuple[int, int]]]:
+    """Each word's ``_units`` value (None when not finite), ``_sig`` pair and
+    divider operand (``_div_operand``), indexed by the word: a sweep decodes
+    each word once, here, and reads operands and results from these lists.
+    Refuses a format whose operand pairs cannot be enumerated."""
     check_space(f"{fmt.name or 'format'} operand pairs", 1, 2 * fmt.total_bits)
-    return [_units(fmt, w) for w in range(1 << fmt.total_bits)]
-
-
-def _word_table(fmt: FloatFormat) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]]]:
-    """Each word's ``_sig`` triple and divider operand (``_div_operand``),
-    indexed by the word: a sweep decodes each word once, here, and reads
-    operands and results from these lists."""
     sigs = [_sig(fmt, w) for w in range(1 << fmt.total_bits)]
-    return sigs, [_div_operand(fmt, sig) for sig in sigs]
+    values = [_sig_units(fmt, sig) for sig in sigs]
+    return values, sigs, [_div_operand(fmt, sig) for sig in sigs]
 
 
 def float_nearest_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
@@ -441,8 +444,7 @@ def float_nearest_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
     in either order, so two equal results share one verdict."""
     func, name = _FLOAT_OPS[op]
     rep = VerifyReport(name, f"format={fmt.name}")
-    values = _operand_values(fmt)
-    sigs, divs = _word_table(fmt)
+    values, sigs, divs = _word_table(fmt)
     if op == "div":
         for a, va in enumerate(values):
             for b, vb in enumerate(values):
@@ -486,8 +488,7 @@ def float_directed_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
     spelling of value 0 is the canonical zero."""
     func, name = _FLOAT_OPS[op]
     rep = VerifyReport(f"{name}-directed", f"format={fmt.name}")
-    values = _operand_values(fmt)
-    sigs, divs = _word_table(fmt)
+    values, sigs, divs = _word_table(fmt)
     ones = (1 << (fmt.total_bits - 1)) | ((1 << fmt.precision) - 1)  # zero: all ones but the exponent
     # each directed mode and whether it sets bit 0 of the substituted word,
     # indexed by whether the exact value is negative
@@ -499,7 +500,7 @@ def float_directed_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
                 continue
             near, inexact = func(fmt, a, b)
             down = up = near  # the wanted word in a mode that rounds down, and up
-            if inexact and sigs[near][2] <= fmt.e_max:  # finite: overflow saturates
+            if inexact and sigs[near][1] <= fmt.e_max:  # finite: overflow saturates
                 down = ones - 1 if exact[0] < 0 and near in (0, ones) else near & ~1
                 up = 0 if down | 1 == ones else down | 1
             for mode, rounds_up in ups[exact[0] < 0]:
@@ -531,17 +532,19 @@ def float_sign_symmetry_sweep(fmt: FloatFormat, op: str,
     """
     func, name = _FLOAT_OPS[op]
     rep = VerifyReport(f"{name}-symmetry", f"format={fmt.name} mode={mode.value}")
-    values = _operand_values(fmt)
-    neg = [float_negate(fmt, w) for w in range(len(values))]
+    values, _, _ = _word_table(fmt)
+    words = range(len(values))
+    neg = [float_negate(fmt, w) for w in words]
+    classes = [_value_class(fmt, w) for w in words]
     mirror = _MIRROR.get(mode, mode)  # fixed for the sweep
-    for a in range(len(values)):
-        for b in range(len(values)):
+    for a in words:
+        for b in words:
             rep.cases += 1
             out, inexact = func(fmt, neg[a], neg[b] if op == "add" else b, mode)
             ref, ref_inexact = func(fmt, a, b, mirror)
             want = neg[ref]
             if values[ref] in (None, 0):
-                ok = _value_class(fmt, out) == _value_class(fmt, want)
+                ok = classes[out] == classes[want]
             else:
                 ok = out == want
             if not ok or inexact != ref_inexact:
@@ -559,13 +562,12 @@ def far_shortcut_sweep(fmt: FloatFormat) -> VerifyReport:
     sum (``tests/test_oracle.py::TestImpliedClauses``).
     """
     rep = VerifyReport("far-shortcut", f"format={fmt.name}")
-    values = _operand_values(fmt)
-    sigs, _ = _word_table(fmt)
+    values, sigs, _ = _word_table(fmt)
     for a, va in enumerate(values):
         if va in (None, 0):
             continue
         for b, vb in enumerate(values):
-            if vb in (None, 0) or sigs[a][2] <= sigs[b][2] + fmt.precision:
+            if vb in (None, 0) or sigs[a][1] <= sigs[b][1] + fmt.precision:
                 continue
             rep.cases += 1
             out = fa.far_shortcut(fmt, a, b)

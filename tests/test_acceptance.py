@@ -125,7 +125,7 @@ def test_criterion_8_round_bit_direction():
     ``round-bit direction`` failure."""
     t0 = time.perf_counter()
     rep = VerifyReport("round-bit-direction", "format=rnf8")
-    values = verify._operand_values(RNF8)
+    values, _, _ = verify._word_table(RNF8)
     finite = sum(v is not None for v in values)
     nonzero = sum(v not in (None, 0) for v in values)
     rep.cases = 2 * finite * finite + finite * nonzero  # add and mul pairs, div by a nonzero

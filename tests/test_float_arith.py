@@ -5,6 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import rnarith.cli as cli
 import rnarith.floatarith as fa
@@ -28,6 +29,7 @@ from rnarith.floatfmt import (
     FloatClass,
     FloatFormat,
     RnFloat,
+    decode,
     float_negate,
     unpack,
     value_of_float,
@@ -487,6 +489,49 @@ class TestAgainstIndependentValues:
                 assert ref is None
             else:
                 assert v.to_fraction() == ref
+
+
+def _finite_nonzero_word(fmt):
+    """Hypothesis words of ``fmt`` with a finite nonzero value, about half of
+    them with a zero exponent field, where the divider shifts."""
+    exp = st.one_of(st.just(0), st.integers(1, fmt.exp_mask - 1))
+    fields = st.tuples(st.integers(0, 1), exp, st.integers(0, fmt.low_mask))
+    word = fields.map(lambda f: (f[0] << fmt.sign_shift) | (f[1] << fmt.precision) | f[2])
+    return word.filter(lambda w: verify._units(fmt, w) != 0)
+
+
+class TestEncodingInteger:
+    """``decode`` reads a significand as the fixed encoding ``x = 2*w + r``,
+    and the divider's operand, normalized from it, agrees with the oracle's
+    twin (``verify._div_operand``) on every word it reads."""
+
+    @staticmethod
+    def _check_divider_word(fmt, word):
+        _, _, x, scale = decode(fmt, word)
+        n, k = verify._div_operand(fmt, verify._sig(fmt, word))
+        assert fa._divider_word(x, scale, fmt.precision) == (abs(n), k)
+
+    @pytest.mark.parametrize("fmt", [RNF8, RNF16, FloatFormat(2, 3)], ids=lambda f: f.name or "e2p3")
+    def test_divider_word_matches_oracle_exhaustive(self, fmt):
+        for word in range(fmt.word_end):
+            if verify._units(fmt, word) not in (None, 0):
+                self._check_divider_word(fmt, word)
+
+    @given(st.sampled_from([RNF32, RNF64]).flatmap(lambda f: st.tuples(st.just(f), _finite_nonzero_word(f))))
+    def test_divider_word_matches_oracle_wide(self, fmt_word):
+        self._check_divider_word(*fmt_word)
+
+    @pytest.mark.parametrize("fmt", [RNF8, RNF16], ids=lambda f: f.name)
+    def test_decode_reads_the_encoding_integer(self, fmt):
+        p = fmt.precision
+        for word in range(fmt.word_end):
+            cls, _, x, scale = decode(fmt, word)
+            assert x & fmt.low_mask == word & fmt.low_mask
+            want = verify.float_value(fmt, word)
+            if cls in (FloatClass.INFINITY, FloatClass.NAN):
+                assert want is None
+            else:
+                assert Fraction((x + 1) >> 1) * Fraction(2) ** (scale + 1 - p) == want
 
 
 class TestOneResultShape:

@@ -77,7 +77,7 @@ class TestFormatLayout:
             assert fmt.sign_shift == total - 1
             assert fmt.frac_mask == 2 ** (p - 1) - 1
             assert fmt.low_mask == 2 ** p - 1
-            assert (fmt.hidden_pos, fmt.hidden_neg) == (2 ** (p - 1), -(2 ** p))
+            assert (fmt.hidden_pos, fmt.hidden_neg) == (2 ** p, -(2 ** (p + 1)))
             assert fmt.word_end == 1 << fmt.total_bits == 2 ** total
             inf = (2 ** e - 1) * 2 ** p
             assert fmt.inf_words == (fmt.inf_word(0), fmt.inf_word(1)) == (inf, 2 ** (total - 1) + inf)
@@ -125,10 +125,10 @@ class TestUnpack:
         assert unpack(RNF8, 0).cls is FloatClass.ZERO
 
     def test_decode_scale(self):
-        assert decode(RNF8, 0x30)[4] == 0  # normal: e - bias
-        assert decode(RNF8, 0x6F)[4] == RNF8.e_max
+        assert decode(RNF8, 0x30)[3] == 0  # normal: e - bias
+        assert decode(RNF8, 0x6F)[3] == RNF8.e_max
         for word in (0x00, 0x01, 0x8F, 0x70, 0x71):  # every other class
-            assert decode(RNF8, word)[4] == RNF8.e_min
+            assert decode(RNF8, word)[3] == RNF8.e_min
 
     @pytest.mark.parametrize("fmt", [RNF8, FloatFormat(2, 3)], ids=lambda f: f.name or "e2p3")
     def test_decode_refuses_words_outside_the_format(self, fmt):

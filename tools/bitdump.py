@@ -1,0 +1,71 @@
+"""Bit-identity dump of the float layer of one checkout.
+
+    python3 tools/bitdump.py <checkout>
+
+Imports ``rnarith`` from ``<checkout>/src`` and the benchmark's operand
+generator ``gen_pair`` from ``<checkout>/perfbench/workloads.py`` (read as
+it is), then prints the number of op results and one sha256 over:
+
+- the word and inexact flag of ``fadd_words``, ``fmul_words`` and
+  ``fdiv_words`` in all five rounding modes, on every rnf8 pair and on
+  20,000 seed-1 ``gen_pair`` pairs per rnf16, rnf32 and rnf64;
+- ``unpack``, ``value_of_float`` and ``float_negate`` of every rnf8 and
+  rnf16 word.
+
+A change that keeps behaviour prints the same two lines on its parent's
+checkout and on its own.  Stdlib only; nothing in the checkout is written.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+import sys
+from pathlib import Path
+
+PAIRS_PER_FORMAT = 20_000
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python3 tools/bitdump.py <checkout>", file=sys.stderr)
+        return 2
+    root = Path(argv[0]).resolve()
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import workloads
+    from rnarith import floatarith as fa
+    from rnarith.floatfmt import RNF8, RNF16, RNF32, RNF64, float_negate, unpack, value_of_float
+
+    ops = (fa.fadd_words, fa.fmul_words, fa.fdiv_words)
+    modes = tuple(fa.RoundingMode)
+    digest = hashlib.sha256()
+    results = 0
+
+    def dump(fmt, pairs):
+        nonlocal results
+        lines = []
+        for a, b in pairs:
+            for op in ops:
+                for mode in modes:
+                    word, inexact = op(fmt, a, b, mode)
+                    lines.append(f"{word:x} {inexact:d}\n")
+        results += len(lines)
+        digest.update("".join(lines).encode())
+
+    n8 = 1 << RNF8.total_bits
+    dump(RNF8, ((a, b) for a in range(n8) for b in range(n8)))
+    for fmt in (RNF16, RNF32, RNF64):
+        rng = random.Random(1)
+        dump(fmt, [workloads.gen_pair(rng, fmt) for _ in range(PAIRS_PER_FORMAT)])
+    for fmt in (RNF8, RNF16):
+        for w in range(1 << fmt.total_bits):
+            line = f"{unpack(fmt, w)!r} {value_of_float(fmt, w)!r} {float_negate(fmt, w):x}\n"
+            digest.update(line.encode())
+    print(f"results {results}")
+    print(f"sha256 {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
