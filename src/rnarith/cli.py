@@ -6,11 +6,11 @@ parse errors.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import fixed, floatarith as fa
 from .core import (
@@ -289,10 +289,49 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# argparse's own negative-number pattern (CPython 3.11 Lib/argparse.py,
+# ArgumentParser._negative_number_matcher): no option here looks like one, so
+# argparse reads a token starting with "-" as a positional only if it matches
+_NEGATIVE_NUMBER = re.compile(r'^-\d+$|^-\d*\.\d+$').match
+
+
+def _positional(token: str) -> bool:
+    """Whether argparse reads a nonempty ``token`` as a positional."""
+    return token != "" and (token[0] != "-" or _NEGATIVE_NUMBER(token) is not None)
+
+
+def _fast_args(argv) -> SimpleNamespace | None:
+    """The namespace argparse gives an argv of one of the exact shapes the
+    commands take, read without it; None for any other argv (help,
+    ``verify``, ``--opt=value``, abbreviations, ``--``, any error)."""
+    n = len(argv)
+    command = argv[0] if n else None
+    if command == "eval":
+        if n == 2:
+            expr, mode = argv[1], "rn"
+        elif n == 4 and argv[2] == "--mode":
+            expr, mode = argv[1], argv[3]
+        elif n == 4 and argv[1] == "--mode":
+            expr, mode = argv[3], argv[2]
+        else:
+            return None
+        if mode in _MODES and _positional(expr):
+            return SimpleNamespace(func=cmd_eval, expr=expr, mode=mode)
+    elif command == "convert":
+        if ((n == 4 or n == 5 and argv[4] == "--prefer-round-bit") and argv[2] == "--to"
+                and _positional(argv[1]) and _positional(argv[3])):
+            return SimpleNamespace(func=cmd_convert, value=argv[1], to=argv[3], prefer_round_bit=n == 5)
+    elif command == "inspect" and n == 2 and _positional(argv[1]):
+        return SimpleNamespace(func=cmd_inspect, value=argv[1])
+    return None
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """Built on the first ``main`` call, not at import, and shared by every
-    later call: ``parse_args`` writes only to a fresh namespace."""
+    """Built on the first argv that ``_fast_args`` declines, not at import,
+    and shared by every later one: ``parse_args`` writes only to a fresh
+    namespace."""
+    import argparse  # so an argv on the fast path never loads it
     parser = argparse.ArgumentParser(
         prog="rnarith",
         description="Round-to-nearest-by-truncation arithmetic toolbox.",
@@ -328,8 +367,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _fast_args(argv) or _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (CliError, ValueError, ZeroDivisionError) as exc:

@@ -188,10 +188,14 @@ def pack(u: UnpackedFloat) -> int:
     """Inverse of :func:`unpack`; a view that no word has raises ``ValueError``.
 
     The layout is stated once, in :func:`decode`: the fields are assembled
-    into a word, which must unpack back to ``u``."""
-    sig = u.significand
-    word = _assemble(u.fmt, u.sign, u.biased_exp, (u.frac << 1) | sig.round)
-    if unpack(u.fmt, word) != u:
+    into a word, and the fields ``unpack`` would read from it must be ``u``'s."""
+    fmt, sig = u.fmt, u.significand
+    word = _assemble(fmt, u.sign, u.biased_exp, (u.frac << 1) | sig.round)
+    cls, s, x, _ = decode(fmt, word)
+    p = fmt.precision
+    width = p + 1 if cls is _NORMAL else p
+    if ((UnpackedFloat, cls, s, (word >> p) & fmt.exp_mask, RnFixed, x >> 1, width, x & 1, 1 - p)
+            != (u.__class__, u.cls, u.sign, u.biased_exp, sig.__class__, sig.bits, sig.width, sig.round, sig.lsb_exp)):
         raise ValueError(f"no word unpacks to {u.cls.value} s={u.sign} e={u.biased_exp} {sig}")
     return word
 

@@ -1,3 +1,6 @@
+import contextlib
+import importlib.util
+import io
 import os
 import subprocess
 import sys
@@ -482,6 +485,183 @@ class TestParserReuse:
         assert exc.value.code == 2
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
         assert run(capsys, "eval", expr) == (0, "rnf8:0x30 inexact sticky=1 (= 1)", "")
+        # main reads the common shapes itself and leaves the rest to argparse:
+        # alternate the two, asserting which one reads each argv
+        ru = (0, "rnf8:0x31 inexact sticky=1 (= 1.125)", "")
+        rn = (0, "rnf8:0x30 inexact sticky=1 (= 1)", "")
+        target_eq = ("convert", "12", "--to=rn@0,w=5")
+        calls = [
+            (("eval", expr, "--mode", "ru"), True, ru),
+            (("eval", expr, "--mode=ru"), False, ru),
+            (("eval", expr), True, rn),
+            (("eval", "--mo", "ru", expr), False, ru),
+            (("eval", "--", expr), False, rn),
+            (("eval", "--mode", "ru", expr), True, ru),
+            ((*target, "--prefer-round-bit"), True, (0, "rn:01011:r1@0", "")),
+            (target_eq, False, (0, "rn:01100:r0@0", "")),
+            ((*target_eq, "--prefer-round-bit"), False, (0, "rn:01011:r1@0", "")),
+            (target, True, (0, "rn:01100:r0@0", "")),
+            (("eval", "rnf8:0x30 +"), True, (2, "", "error: expression ends with an operator")),
+            (("convert", "0.3", "--to", "rn@0,w=5"), True,
+             (2, "", "error: value is not representable at lsb exponent 0")),
+            (("eval", "--mode=ru", expr), False, ru),
+        ]
+        for _ in range(2):
+            for argv, fast, want in calls:
+                assert (cli._fast_args(argv) is not None) == fast, argv
+                assert run(capsys, *argv) == want, argv
+            with pytest.raises(SystemExit) as exc:
+                main(["eval", expr, "--mode", "ru", "--mode", "bogus"])
+            assert exc.value.code == 2
+            assert "invalid choice: 'bogus'" in capsys.readouterr().err
+            assert run(capsys, "eval", expr) == rn
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _cli_eval_argvs(monkeypatch, seeds):
+    """The argv lists of the benchmark's cli-eval workload, its modules
+    loaded from their files: nothing under ``perfbench/`` is changed or put
+    on the import path."""
+    modules = {}
+    for name in ("checks", "workloads"):
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+        modules[name] = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, modules[name])  # workloads does ``import checks``
+        spec.loader.exec_module(modules[name])
+    return [argv for seed in seeds for argv, _ in modules["workloads"].CliEval(seed).items]
+
+
+def _through_argparse(argv):
+    """``main`` with every argv read by argparse: the fast path's reference."""
+    args = _build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (cli.CliError, ValueError, ZeroDivisionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _outcome(call, argv):
+    """Exit code, stdout and stderr of one call, as a user sees them."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+EXPR = "rnf8:0x30 + rnf8:0x01"
+# argv forms whose reading is argparse's alone, or close to the fast path's
+# edges: each must give what argparse gives
+HAND_ARGV = [
+    [],
+    ["-h"],
+    ["eval", "-h"],
+    ["convert", "--help"],
+    ["inspect", "rnf8:0x30", "-h"],
+    ["eval", EXPR, "--mode=ru"],
+    ["eval", "--mode=ru", EXPR],
+    ["eval", EXPR, "--mo", "ru"],
+    ["eval", "--mo", "ru", EXPR],
+    ["convert", "1.5", "--t", "decimal"],
+    ["convert", "1.5", "--to=decimal"],
+    ["convert", "1.5", "--to", "rn@-1,w=4", "--prefer"],
+    ["convert", "1.5", "--to", "decimal", "--to", "sd"],
+    ["convert", "1.5", "--to", "rn@-1,w=4", "--prefer-round-bit", "--prefer-round-bit"],
+    ["eval", EXPR, "--mode", "ru", "--mode", "rd"],
+    ["eval", "--mode", "ru", "--mode", "rd", EXPR],
+    ["eval", "--mode", "ru", EXPR, "--mode", "rd"],
+    ["eval", "--mode", "rx", EXPR],
+    ["eval", EXPR, "--mode", "rx"],
+    ["eval", EXPR, "--mode", "RU"],
+    ["eval", EXPR, "--mode", ""],
+    ["eval", EXPR, "--mode"],
+    ["eval", "--mode", EXPR],
+    ["eval", "--mode", "--mode", "ru"],
+    ["eval", "--mode", "ru", "--mode"],
+    ["eval", "--", EXPR],
+    ["eval", EXPR, "--"],
+    ["convert", "-1.5", "--to", "float:rnf8"],
+    ["convert", "-.5", "--to", "decimal"],
+    ["convert", "-1e5", "--to", "decimal"],
+    ["convert", "-1", "--to", "rn@0,w=4", "--prefer-round-bit"],
+    ["convert", "-0", "--to", "decimal"],
+    ["convert", "-1\n", "--to", "decimal"],
+    ["convert", "-\u0661", "--to", "decimal"],
+    ["convert", "1", "--to", "-1"],
+    ["convert", "1", "--to", "-x"],
+    ["convert", "--to", "decimal", "1.5"],
+    ["convert", "1.5", "--prefer-round-bit", "--to", "rn@-1,w=4"],
+    ["convert", "1.5", "--to", "decimal", "--prefer-round-bit"],
+    ["convert", "1.5", "--to", "decimal", "extra"],
+    ["convert", "1.5", "--to"],
+    ["convert", "1.5"],
+    ["convert", "1.5", "--to", ""],
+    ["convert", "", "--to", "decimal"],
+    ["eval", ""],
+    ["inspect", ""],
+    ["eval", "-1 + 2"],
+    ["eval", "-"],
+    ["eval", "-1"],
+    ["eval", EXPR, "extra"],
+    ["eval", EXPR, "--to", "decimal"],
+    ["eval", "rnf8:0x30 / rnf8:0x00", "--mode", "rz"],
+    ["eval"],
+    ["inspect"],
+    ["convert"],
+    ["inspect", "-1"],
+    ["inspect", "rnf8:0x30", "rnf8:0x31"],
+    ["inspect", "rnf8:0x30", "--to", "decimal", "--prefer-round-bit"],
+    ["inspect", "rnf8:0x30", "--to", "decimal"],
+    ["convert", "1.5", "--mode", "ru"],
+    ["EVAL", EXPR],
+    ["frobnicate", "rnf8:0x30"],
+    ["verify"],
+    ["verify", "no-such-suite", "--width", "x"],
+]
+
+
+class TestFastPath:
+    """``main`` reads the six argv shapes the commands take itself; every
+    argv must give the exit code, stdout and stderr argparse gives it."""
+
+    def test_cli_eval_argvs_match_argparse(self, monkeypatch):
+        argvs = _cli_eval_argvs(monkeypatch, (1, 2, 3))
+        differ = [argv for argv in argvs if _outcome(main, argv) != _outcome(_through_argparse, argv)]
+        assert differ == []
+        # the check means something only if most of the workload takes the fast path
+        assert sum(cli._fast_args(argv) is not None for argv in argvs) > 0.9 * len(argvs)
+
+    @pytest.mark.parametrize("argv", HAND_ARGV, ids=repr)
+    def test_hand_argvs_match_argparse(self, argv):
+        assert _outcome(main, argv) == _outcome(_through_argparse, argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["convert", "-1e5", "--to", "decimal"],
+        ["inspect", "rnf8:0x30", "--to", "decimal", "--prefer-round-bit"],
+        ["convert", "1", "--to", "-x"],
+        ["eval", "-1 + 2"],
+        ["eval", ""],
+        ["eval", "--", EXPR],
+        ["verify", "paper-examples"],
+    ], ids=repr)
+    def test_argparse_reads_what_the_shapes_do_not_cover(self, argv):
+        assert cli._fast_args(argv) is None
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", EXPR],
+        ["eval", EXPR, "--mode", "rd"],
+        ["eval", "--mode", "rz", EXPR],
+        ["convert", "-1.5", "--to", "float:rnf8"],
+        ["convert", "-.5", "--to", "rn@-1,w=4", "--prefer-round-bit"],
+        ["inspect", "rnf8:0x30"],
+    ], ids=repr)
+    def test_shapes_taken_without_argparse(self, argv):
+        assert cli._fast_args(argv) is not None
 
 
 class TestLiteralRoundTrips:
@@ -508,10 +688,20 @@ def test_import_loads_no_introspection_modules():
     """Import time is the CLI's latency: every ``rnarith`` process pays it
     before its first operation, and ``dataclasses``, ``inspect`` and
     ``typing`` (with the ``ast``, ``dis`` and ``tokenize`` modules they
-    bring in) once made up most of it.  Neither the package nor the CLI may
-    load them."""
+    bring in) once made up most of it, and ``argparse`` most of the rest.
+    Neither the package nor the CLI may load them."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = (f"import sys; sys.path.insert(0, {src!r}); import rnarith, rnarith.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+            "print(sorted({'argparse', 'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_fast_path_call_loads_no_argparse():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); from rnarith.cli import main; "
+            "main(['eval', 'rnf8:0x30 + rnf8:0x01', '--mode', 'ru']); print('argparse' in sys.modules); "
+            "main(['eval', 'rnf8:0x30 + rnf8:0x01', '--mode=ru']); print('argparse' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    line = "rnf8:0x31 inexact sticky=1 (= 1.125)\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{line}False\n{line}True\n", "")

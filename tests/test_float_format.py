@@ -189,6 +189,55 @@ class TestPack:
         with pytest.raises(ValueError):
             pack(UnpackedFloat(RNF8, cls, 0, biased_exp, sig))
 
+    @pytest.mark.parametrize("fmt", [RNF8, FloatFormat(2, 3)], ids=["rnf8", "2-3"])
+    def test_rejects_exactly_the_views_that_unpack_elsewhere(self, fmt):
+        """``pack`` compares fields instead of building a second view; it
+        still refuses a view iff ``unpack`` of the assembled word differs."""
+
+        class Sig(RnFixed):
+            __slots__ = ()
+
+        class View(UnpackedFloat):
+            __slots__ = ()
+
+        def built_view_differs(u):
+            word = floatfmt._assemble(u.fmt, u.sign, u.biased_exp, (u.frac << 1) | u.significand.round)
+            try:
+                return unpack(u.fmt, word) != u
+            except ValueError:
+                return True
+
+        def views(u):
+            f, s = u.fmt, u.significand
+            yield u
+            yield View(f, u.cls, u.sign, u.biased_exp, s)
+            yield UnpackedFloat(f, u.cls, u.sign, u.biased_exp, Sig(s.bits, s.width, s.round, s.lsb_exp))
+            for cls in FloatClass:
+                yield UnpackedFloat(f, cls, u.sign, u.biased_exp, s)
+            yield UnpackedFloat(f, u.cls, 1 - u.sign, u.biased_exp, s)
+            for d in (-1, 1):
+                yield UnpackedFloat(f, u.cls, u.sign, u.biased_exp + d, s)
+                for fields in ((s.bits + d, s.width, s.round, s.lsb_exp), (s.bits, s.width + d, s.round, s.lsb_exp),
+                               (s.bits, s.width, s.round, s.lsb_exp + d), (s.bits, s.width, 1 - s.round, s.lsb_exp)):
+                    try:
+                        sig = RnFixed(*fields)
+                    except ValueError:
+                        continue
+                    yield UnpackedFloat(f, u.cls, u.sign, u.biased_exp, sig)
+
+        rejected = 0
+        for word in range(fmt.word_end):
+            for v in views(unpack(fmt, word)):
+                try:
+                    pack(v)
+                except ValueError:
+                    refused = True
+                else:
+                    refused = False
+                assert refused == built_view_differs(v), (word, v)
+                rejected += refused
+        assert rejected > fmt.word_end  # most perturbed views have no word
+
 
 class TestValue:
     def test_one(self):
