@@ -301,33 +301,25 @@ def _positional(token: str) -> bool:
 
 
 def _fast_args(argv) -> SimpleNamespace | None:
-    """The namespace argparse gives an argv of one of the exact shapes the
-    commands take, read without it; None for any other argv (help,
+    """The namespace argparse gives an argv of one of the common shapes,
+    ``eval EXPR``, ``eval EXPR --mode M``, ``convert V --to T`` and
+    ``inspect V``, read without it; None for any other argv (help,
     ``verify``, ``--opt=value``, abbreviations, ``--``, any error)."""
     n = len(argv)
     command = argv[0] if n else None
-    if command == "eval":
-        if n == 2:
-            expr, mode = argv[1], "rn"
-        elif n == 4 and argv[2] == "--mode":
-            expr, mode = argv[1], argv[3]
-        elif n == 4 and argv[1] == "--mode":
-            expr, mode = argv[3], argv[2]
-        else:
-            return None
-        if mode in _MODES and _positional(expr):
-            return SimpleNamespace(func=cmd_eval, expr=expr, mode=mode)
-    elif command == "convert":
-        if ((n == 4 or n == 5 and argv[4] == "--prefer-round-bit") and argv[2] == "--to"
-                and _positional(argv[1]) and _positional(argv[3])):
-            return SimpleNamespace(func=cmd_convert, value=argv[1], to=argv[3], prefer_round_bit=n == 5)
+    if command == "eval" and (n == 2 or n == 4 and argv[2] == "--mode"):
+        mode = argv[3] if n == 4 else "rn"
+        if mode in _MODES and _positional(argv[1]):
+            return SimpleNamespace(func=cmd_eval, expr=argv[1], mode=mode)
+    elif command == "convert" and n == 4 and argv[2] == "--to" and _positional(argv[1]) and _positional(argv[3]):
+        return SimpleNamespace(func=cmd_convert, value=argv[1], to=argv[3], prefer_round_bit=False)
     elif command == "inspect" and n == 2 and _positional(argv[1]):
         return SimpleNamespace(func=cmd_inspect, value=argv[1])
     return None
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
     """Built on the first argv that ``_fast_args`` declines, not at import,
     and shared by every later one: ``parse_args`` writes only to a fresh
     namespace."""

@@ -177,11 +177,17 @@ def _assemble(fmt: FloatFormat, sign: int, biased_exp: int, low: int) -> int:
     return (sign << fmt.sign_shift) | (biased_exp << fmt.precision) | low
 
 
-def unpack(fmt: FloatFormat, word: int) -> UnpackedFloat:
+def _view_fields(fmt: FloatFormat, word: int) -> tuple:
+    """The fields of ``unpack(fmt, word)``: class, sign, biased exponent and
+    the significand's ``(bits, width, round, lsb_exp)``."""
     cls, s, x, _ = decode(fmt, word)
     p = fmt.precision
-    width = p + 1 if cls is _NORMAL else p
-    return UnpackedFloat(fmt, cls, s, (word >> p) & fmt.exp_mask, RnFixed(x >> 1, width, x & 1, 1 - p))
+    return cls, s, (word >> p) & fmt.exp_mask, (x >> 1, p + 1 if cls is _NORMAL else p, x & 1, 1 - p)
+
+
+def unpack(fmt: FloatFormat, word: int) -> UnpackedFloat:
+    cls, s, e, sig = _view_fields(fmt, word)
+    return UnpackedFloat(fmt, cls, s, e, RnFixed(*sig))
 
 
 def pack(u: UnpackedFloat) -> int:
@@ -189,13 +195,10 @@ def pack(u: UnpackedFloat) -> int:
 
     The layout is stated once, in :func:`decode`: the fields are assembled
     into a word, and the fields ``unpack`` would read from it must be ``u``'s."""
-    fmt, sig = u.fmt, u.significand
-    word = _assemble(fmt, u.sign, u.biased_exp, (u.frac << 1) | sig.round)
-    cls, s, x, _ = decode(fmt, word)
-    p = fmt.precision
-    width = p + 1 if cls is _NORMAL else p
-    if ((UnpackedFloat, cls, s, (word >> p) & fmt.exp_mask, RnFixed, x >> 1, width, x & 1, 1 - p)
-            != (u.__class__, u.cls, u.sign, u.biased_exp, sig.__class__, sig.bits, sig.width, sig.round, sig.lsb_exp)):
+    sig = u.significand
+    word = _assemble(u.fmt, u.sign, u.biased_exp, (u.frac << 1) | sig.round)
+    if (u.__class__ is not UnpackedFloat or sig.__class__ is not RnFixed
+            or _view_fields(u.fmt, word) != (u.cls, u.sign, u.biased_exp, (sig.bits, sig.width, sig.round, sig.lsb_exp))):
         raise ValueError(f"no word unpacks to {u.cls.value} s={u.sign} e={u.biased_exp} {sig}")
     return word
 

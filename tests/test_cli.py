@@ -496,20 +496,37 @@ class TestParserReuse:
             (("eval", expr), True, rn),
             (("eval", "--mo", "ru", expr), False, ru),
             (("eval", "--", expr), False, rn),
-            (("eval", "--mode", "ru", expr), True, ru),
-            ((*target, "--prefer-round-bit"), True, (0, "rn:01011:r1@0", "")),
+            (("eval", "--mode", "ru", expr), False, ru),
+            (("eval", expr, "--mode", "rd"), True, rn),
+            ((*target, "--prefer-round-bit"), False, (0, "rn:01011:r1@0", "")),
             (target_eq, False, (0, "rn:01100:r0@0", "")),
             ((*target_eq, "--prefer-round-bit"), False, (0, "rn:01011:r1@0", "")),
             (target, True, (0, "rn:01100:r0@0", "")),
+            (("convert", "-1.5", "--to", "float:rnf8"), True, (0, "rnf8:0xb7 exact", "")),
+            (("convert", "-1e5", "--to", "decimal"), False,
+             (2, "", "rnarith convert: error: the following arguments are required: value")),
+            (("convert", "1", "--to", "-x"), False, (2, "", "rnarith convert: error: argument --to: expected one argument")),
             (("eval", "rnf8:0x30 +"), True, (2, "", "error: expression ends with an operator")),
+            (("eval", "-1 + 2"), False, (2, "", "error: eval operands must be rn: or rnf literals")),
+            (("eval", ""), False, (2, "", "error: empty expression")),
             (("convert", "0.3", "--to", "rn@0,w=5"), True,
              (2, "", "error: value is not representable at lsb exponent 0")),
+            (("inspect", "rnf8:0x30", "--to", "decimal", "--prefer-round-bit"), False,
+             (2, "", "rnarith: error: unrecognized arguments: --to decimal --prefer-round-bit")),
+            (("inspect", "rnf8:0x30"), True, (0, "fields: s=0 e=3 f=000 r=0", "")),
+            (("verify", "no-such-suite"), False, (2, "", "error: unknown suite 'no-such-suite'")),
             (("eval", "--mode=ru", expr), False, ru),
         ]
+
+        def call(argv):
+            """Exit code, stdout's last line and stderr's last line."""
+            code, out, err = _outcome(main, argv)
+            return code, out.strip().rpartition("\n")[2], err.strip().rpartition("\n")[2]
+
         for _ in range(2):
             for argv, fast, want in calls:
                 assert (cli._fast_args(argv) is not None) == fast, argv
-                assert run(capsys, *argv) == want, argv
+                assert call(argv) == want, argv
             with pytest.raises(SystemExit) as exc:
                 main(["eval", expr, "--mode", "ru", "--mode", "bogus"])
             assert exc.value.code == 2
@@ -626,8 +643,8 @@ HAND_ARGV = [
 
 
 class TestFastPath:
-    """``main`` reads the six argv shapes the commands take itself; every
-    argv must give the exit code, stdout and stderr argparse gives it."""
+    """``main`` reads the common argv shapes itself; every argv must give the
+    exit code, stdout and stderr argparse gives it."""
 
     def test_cli_eval_argvs_match_argparse(self, monkeypatch):
         argvs = _cli_eval_argvs(monkeypatch, (1, 2, 3))
@@ -639,29 +656,6 @@ class TestFastPath:
     @pytest.mark.parametrize("argv", HAND_ARGV, ids=repr)
     def test_hand_argvs_match_argparse(self, argv):
         assert _outcome(main, argv) == _outcome(_through_argparse, argv)
-
-    @pytest.mark.parametrize("argv", [
-        ["convert", "-1e5", "--to", "decimal"],
-        ["inspect", "rnf8:0x30", "--to", "decimal", "--prefer-round-bit"],
-        ["convert", "1", "--to", "-x"],
-        ["eval", "-1 + 2"],
-        ["eval", ""],
-        ["eval", "--", EXPR],
-        ["verify", "paper-examples"],
-    ], ids=repr)
-    def test_argparse_reads_what_the_shapes_do_not_cover(self, argv):
-        assert cli._fast_args(argv) is None
-
-    @pytest.mark.parametrize("argv", [
-        ["eval", EXPR],
-        ["eval", EXPR, "--mode", "rd"],
-        ["eval", "--mode", "rz", EXPR],
-        ["convert", "-1.5", "--to", "float:rnf8"],
-        ["convert", "-.5", "--to", "rn@-1,w=4", "--prefer-round-bit"],
-        ["inspect", "rnf8:0x30"],
-    ], ids=repr)
-    def test_shapes_taken_without_argparse(self, argv):
-        assert cli._fast_args(argv) is not None
 
 
 class TestLiteralRoundTrips:
