@@ -17,7 +17,6 @@ from .core import (
     DyadicRational,
     RnFixed,
     format_literal,
-    interval_of,
     parse_literal,
     sd_of_canonical,
     value_of,
@@ -181,8 +180,9 @@ def _apply(op: str, a, b, mode: fa.RoundingMode) -> tuple[RnFixed | RnFloat, boo
         raise CliError("cannot mix fixed-point and floating-point operands")
     if isinstance(a, RnFixed):
         return fixed.apply(op, a, b)
-    # the word ops compare no formats, so this is the only guard
-    if a.fmt != b.fmt:
+    # the word ops compare no formats, so this is the only guard; literals
+    # carry the FORMATS singletons, so identity decides
+    if a.fmt is not b.fmt:
         raise CliError("operands use different formats")
     wb = float_negate(b.fmt, b.word) if op == "-" else b.word
     word, inexact = _FLOAT_OPS[op](a.fmt, a.word, wb, mode)
@@ -237,19 +237,17 @@ def cmd_inspect(args) -> int:
     f = parse_float_literal(args.value)
     fmt = f.fmt
     u = unpack(fmt, f.word)
-    scale = decode(fmt, f.word)[3]
+    _, _, x, scale = decode(fmt, f.word)
     pieces = [f"class={u.cls.value}", f"s={u.sign}", f"e={u.biased_exp}(bias {fmt.bias})"]
     if u.cls is FloatClass.NORMAL:
         pieces.append(f"hidden={1 - u.sign}")
     pieces.append(f"f={u.frac:0{fmt.frac_bits}b}")
     pieces.append(f"r={u.significand.round}")
     if u.cls in (FloatClass.NORMAL, FloatClass.SUBNORMAL, FloatClass.ZERO):
-        sig = u.significand
-        pieces.append(f"sig={format_literal(sig)}")
-        iv = interval_of(sig)
-        lo, v, hi = (DyadicRational(x.mantissa, x.exp + scale) for x in (iv.lo, value_of(sig), iv.hi))
-        pieces.append(f"value={v}")
-        pieces.append(f"interval=[{lo} ; {hi}]")
+        pieces.append(f"sig={format_literal(u.significand)}")
+        h = scale - fmt.precision  # the exponent of half the word's ulp
+        pieces.append(f"value={DyadicRational((x + 1) >> 1, h + 1)}")
+        pieces.append(f"interval=[{DyadicRational(x, h)} ; {DyadicRational(x + 1, h)}]")
     print(" ".join(pieces))
     print(f"fields: {format_fields(u)}")
     return 0

@@ -5,7 +5,8 @@ round bit.  The encoded value is ``(bits + round) * 2**lsb_exp``: the round
 bit carries the weight of the word's least significant position, not half of
 it.  Read as one two's complement integer, the encoding is
 ``x = 2*bits + round``: its value is ``(x + 1) >> 1`` ulps and its half-ulp
-interval ``[x, x + 1]`` half-ulps.  On that integer, rounding to nearest is
+interval ``[x, x + 1]`` half-ulps, so adjacent encodings tile the line,
+meeting only at their ends.  On that integer, rounding to nearest is
 plain truncation ``x >> s`` (the first dropped bit becomes the new round
 bit), negation is the bitwise complement ``~x``, and the round bit of an
 inexact result records which way the rounding went.  ``truncate_at`` and
@@ -96,10 +97,6 @@ class DyadicRational(_Value):
         _set(self, "mantissa", mantissa)
         _set(self, "exp", exp)
 
-    def __lt__(self, other: "DyadicRational") -> bool:
-        e = min(self.exp, other.exp)
-        return self.mantissa << (self.exp - e) < other.mantissa << (other.exp - e)
-
     def to_fraction(self) -> Fraction:
         if self.exp >= 0:
             return Fraction(self.mantissa << self.exp)
@@ -120,18 +117,6 @@ class DyadicRational(_Value):
         sign = "-" if digits < 0 else ""
         text = str(abs(digits)).rjust(-e + 1, "0")
         return f"{sign}{text[:e]}.{text[e:]}"
-
-
-class DyadicInterval(_Value):
-    """Closed interval of dyadic rationals, lo <= hi."""
-
-    __slots__ = _fields = ("lo", "hi")
-
-    def __init__(self, lo: DyadicRational, hi: DyadicRational) -> None:
-        if hi < lo:
-            raise ValueError("interval endpoints out of order")
-        _set(self, "lo", lo)
-        _set(self, "hi", hi)
 
 
 def _check_fields(bits: int, width: int, round_bit: int = 0) -> None:
@@ -231,17 +216,6 @@ def negate(x: int) -> int:
     """Exact negation of encoding ``x``: complement the word and the round
     bit."""
     return ~x
-
-
-def interval_of(x: RnFixed) -> DyadicInterval:
-    """The half-ulp interval of values the encoding may stand for.
-
-    ``(a, r)`` covers ``[a + r*u/2, a + (1+r)*u/2]`` where ``a`` is the word
-    value and ``u`` its ulp; adjacent encodings tile the line, overlapping
-    only at endpoints.
-    """
-    n = 2 * x.bits + x.round  # the lower end in half-ulps
-    return DyadicInterval(DyadicRational(n, x.lsb_exp - 1), DyadicRational(n + 1, x.lsb_exp - 1))
 
 
 def format_literal(x: RnFixed) -> str:

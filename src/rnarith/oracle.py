@@ -3,8 +3,8 @@
 The enumeration guard ``check_space``; the enumerators of fixed encodings
 and of divider operands, both as the integers ``x = 2*bits + round``, and
 of float words; ``VerifyReport``, the machine-readable outcome of one
-sweep; and ``check_inclusion``, a product interval check on
-``DyadicInterval`` values.
+sweep; and ``check_inclusion``, the product-inclusion rule on encoding
+integers.
 Everything here is built on arbitrary-precision integers and
 ``fractions.Fraction`` only; no rounding or arithmetic routine from the
 library under test is called.
@@ -15,7 +15,6 @@ from __future__ import annotations
 import time
 from collections.abc import Iterator
 
-from .core import DyadicInterval
 from .floatfmt import FloatFormat
 
 _LIMIT_BITS = 26
@@ -52,14 +51,17 @@ def enumerate_div_operands(p: int) -> Iterator[tuple[int, int]]:
     return ((n, d) for n in ops for d in ops)
 
 
-def check_inclusion(result: DyadicInterval, a: DyadicInterval, b: DyadicInterval) -> bool:
-    """Is the result interval inside the exact product image of two
-    nonnegative operand intervals?"""
-    if a.lo.mantissa < 0 or b.lo.mantissa < 0:
+def check_inclusion(out: int, a: int, b: int) -> bool:
+    """Does product encoding ``out`` stand for an interval inside the exact
+    product of the intervals of the nonnegative encodings ``a`` and ``b``?
+
+    An encoding ``x`` stands for ``[x, x + 1]`` half ulps, and the product's
+    ulp is the product of the operands' ulps, so in quarter ulps of the
+    product ``[2*out, 2*out + 2]`` must lie inside ``[a*b, (a+1)*(b+1)]``.
+    """
+    if a < 0 or b < 0:
         raise ValueError("mul inclusion is defined for nonnegative intervals")
-    lo = a.lo.to_fraction() * b.lo.to_fraction()
-    hi = a.hi.to_fraction() * b.hi.to_fraction()
-    return lo <= result.lo.to_fraction() and result.hi.to_fraction() <= hi
+    return a * b <= 2 * out and 2 * out + 2 <= (a + 1) * (b + 1)
 
 
 class VerifyReport:

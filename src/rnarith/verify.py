@@ -44,6 +44,7 @@ from .floatfmt import (
 )
 from .oracle import (
     VerifyReport,
+    check_inclusion,
     check_space,
     enumerate_div_operands,
     enumerate_fixed,
@@ -213,8 +214,8 @@ def fixed_add_sweep(width: int, variant: str = "add") -> VerifyReport:
 
 def fixed_mul_sweep(width: int) -> VerifyReport:
     """Value exactness for all sign combinations; for nonnegative
-    encodings, the result's ``[2*x, 2*x + 2]`` inside ``[a*b, (a+1)*(b+1)]``
-    (quarter ulps), except for the all-zero pair: no zero encoding's
+    encodings, the result's interval inside the operands' product
+    (``check_inclusion``), except for the all-zero pair: no zero encoding's
     interval fits inside [0, u*u/4]."""
     rep = VerifyReport("mul", f"width={width}")
     check_space(f"{rep.op} {rep.space}", 1, 2 * width + 2)
@@ -225,10 +226,9 @@ def fixed_mul_sweep(width: int) -> VerifyReport:
             rep.cases += 1
             out = fixed.mul(a, b)
             want = va * ((b + 1) >> 1)
-            inside = a * b <= 2 * out and 2 * out + 2 <= (a + 1) * (b + 1)
             if (out + 1) >> 1 != want:
                 fault = str(want)
-            elif a >= 0 and b >= 0 and (a or b) and not inside:
+            elif a >= 0 and b >= 0 and (a or b) and not check_inclusion(out, a, b):
                 fault = "interval inclusion"
             else:
                 continue
@@ -648,8 +648,7 @@ def pinned_examples() -> VerifyReport:
     prod = fixed.mul(a, b)
     check("product", prod == 2 * 119 + 1, _text(prod, 9))
     check("product-interval", (prod, prod + 1) == (239, 240), _text(prod, 9))
-    # quarter ulps: [2*prod, 2*prod + 2] inside [a*b, (a+1)*(b+1)]
-    check("product-inclusion", a * b <= 2 * prod and 2 * prod + 2 <= (a + 1) * (b + 1))
+    check("product-inclusion", check_inclusion(prod, a, b))
 
     for x in enumerate_fixed(8):
         s = fixed.add(x, 0)

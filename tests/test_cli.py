@@ -341,6 +341,21 @@ class TestInspect:
         assert "value=1" in first
         assert "interval=[1 ; 1.0625]" in first
 
+    @pytest.mark.parametrize("word, first", [
+        ("0xb5", "class=normal s=1 e=3(bias 3) hidden=0 f=010 r=1 sig=rn:10010:r1@-3 "
+                 "value=-1.625 interval=[-1.6875 ; -1.625]"),
+        ("0x01", "class=subnormal s=0 e=0(bias 3) f=000 r=1 sig=rn:0000:r1@-3 "
+                 "value=0.03125 interval=[0.015625 ; 0.03125]"),
+        ("0x8f", "class=subnormal s=1 e=0(bias 3) f=111 r=1 sig=rn:1111:r1@-3 "
+                 "value=0 interval=[-0.015625 ; 0]"),
+        ("0x6f", "class=normal s=0 e=6(bias 3) hidden=1 f=111 r=1 sig=rn:01111:r1@-3 "
+                 "value=16 interval=[15.5 ; 16]"),
+    ])
+    def test_value_and_interval_pinned(self, capsys, word, first):
+        # negative, subnormal, negative zero value and largest finite words
+        code, out, _ = run(capsys, "inspect", f"rnf8:{word}")
+        assert code == 0 and out.splitlines()[0] == first
+
     def test_zero_word(self, capsys):
         code, out, _ = run(capsys, "inspect", "rnf8:0x00")
         assert code == 0 and "class=zero" in out

@@ -12,7 +12,7 @@ import rnarith.fixed as fixed
 import rnarith.floatarith as fa
 import rnarith.oracle as oracle
 import rnarith.verify as verify
-from rnarith.core import DyadicInterval, DyadicRational, RnFixed
+from rnarith.core import DyadicRational, RnFixed
 from rnarith.floatarith import RoundingMode
 from rnarith.floatfmt import RNF8, RNF16, RNF32, RNF64, FloatClass, FloatFormat
 from rnarith.oracle import (
@@ -24,10 +24,6 @@ from rnarith.oracle import (
     enumerate_fixed,
     enumerate_format,
 )
-
-
-def iv(lo, hi):
-    return DyadicInterval(DyadicRational(*lo), DyadicRational(*hi))
 
 
 class TestEnumerators:
@@ -86,24 +82,32 @@ class TestEnumerationGuard:
 
 
 class TestCheckInclusion:
+    # encodings x = 2*bits + round stand for [x, x + 1] half ulps
     def test_worked_product_interval(self):
-        result = iv((239, -1), (120, 0))  # [119.5, 120]
-        a = iv((23, -1), (12, 0))         # [11.5, 12]
-        b = iv((19, -1), (10, 0))         # [9.5, 10]
-        assert check_inclusion(result, a, b)
+        assert check_inclusion(239, 23, 19)  # [119.5, 120] inside [11.5, 12] * [9.5, 10]
 
     def test_outside_product_image_rejected(self):
-        a = iv((1, 0), (2, 0))
-        b = iv((3, 0), (4, 0))            # image [3, 8]
-        assert check_inclusion(iv((3, 0), (8, 0)), a, b)
-        assert not check_inclusion(iv((5, -1), (4, 0)), a, b)  # dips below 3
-        assert not check_inclusion(iv((4, 0), (9, 0)), a, b)   # reaches past 8
+        a, b = 2, 6                       # [1, 1.5] and [3, 3.5]: image [3, 5.25]
+        assert check_inclusion(6, a, b)   # [3, 3.5]
+        assert check_inclusion(9, a, b)   # [4.5, 5]
+        assert not check_inclusion(5, a, b)   # [2.5, 3] dips below 3
+        assert not check_inclusion(10, a, b)  # [5, 5.5] reaches past 5.25
 
     def test_negative_operand_rejected(self):
         with pytest.raises(ValueError):
-            check_inclusion(iv((0, 0), (1, 0)), iv((-1, 0), (1, 0)), iv((1, 0), (2, 0)))
+            check_inclusion(0, -1, 2)
         with pytest.raises(ValueError):
-            check_inclusion(iv((0, 0), (1, 0)), iv((1, 0), (2, 0)), iv((-1, -1), (1, 0)))
+            check_inclusion(0, 2, -1)
+
+    def test_matches_the_interval_product_exhaustive(self):
+        # in Fractions, at lsb 2**0 for the width-4 operands and so for
+        # their product: every candidate product encoding of every pair
+        interval = {x: (Fraction(x, 2), Fraction(x + 1, 2)) for x in enumerate_fixed(2 * 4 - 1)}
+        encs = [x for x in enumerate_fixed(4) if x >= 0]
+        for a, b in itertools.product(encs, encs):
+            lo, hi = interval[a][0] * interval[b][0], interval[a][1] * interval[b][1]
+            for out, (olo, ohi) in interval.items():
+                assert check_inclusion(out, a, b) == (lo <= olo and ohi <= hi), (out, a, b)
 
 
 SMALL = FloatFormat(2, 3)
@@ -510,8 +514,7 @@ class TestIntegerOracle:
         used.clear()
         verify.float_value(SMALL, 0x10)  # the counters do see verify's Fractions
         assert set(used) == {"Fraction"}
-        for name in ("value_of", "interval_of", "check_inclusion"):  # nor can a sweep reach these
-            assert not hasattr(verify, name)
+        assert not hasattr(verify, "value_of")  # nor can a sweep reach it
 
 
 # rnf8 and three smaller shapes whose exponent range holds far pairs

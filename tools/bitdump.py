@@ -4,7 +4,8 @@
 
 Imports ``rnarith`` from ``<checkout>/src`` and the benchmark's operand
 generator ``gen_pair`` from ``<checkout>/perfbench/workloads.py`` (read as
-it is), then prints the number of op results and one sha256 over:
+it is), then prints two pairs of lines, a count of results and a sha256 over
+them.  The float layer (``results``, ``sha256``):
 
 - the word and inexact flag of ``fadd_words``, ``fmul_words`` and
   ``fdiv_words`` in all five rounding modes, on every rnf8 pair and on
@@ -12,13 +13,22 @@ it is), then prints the number of op results and one sha256 over:
 - ``unpack``, ``value_of_float`` and ``float_negate`` of every rnf8 and
   rnf16 word.
 
-A change that keeps behaviour prints the same two lines on its parent's
+The printers and the narrowing (``printed``, ``sha256``):
+
+- the exit code, stdout and stderr of ``rnarith inspect`` on every rnf8
+  and rnf16 word;
+- the word and inexact flag of ``round_to_format`` of every finite rnf16
+  value into rnf8, in all five rounding modes.
+
+A change that keeps behaviour prints the same four lines on its parent's
 checkout and on its own.  Stdlib only; nothing in the checkout is written.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import random
 import sys
 from pathlib import Path
@@ -35,7 +45,8 @@ def main(argv: list[str]) -> int:
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
     from rnarith import floatarith as fa
-    from rnarith.floatfmt import RNF8, RNF16, RNF32, RNF64, float_negate, unpack, value_of_float
+    from rnarith.cli import main as cli_main
+    from rnarith.floatfmt import RNF8, RNF16, RNF32, RNF64, FloatClass, float_negate, unpack, value_of_float
 
     ops = (fa.fadd_words, fa.fmul_words, fa.fdiv_words)
     modes = tuple(fa.RoundingMode)
@@ -63,6 +74,26 @@ def main(argv: list[str]) -> int:
             line = f"{unpack(fmt, w)!r} {value_of_float(fmt, w)!r} {float_negate(fmt, w):x}\n"
             digest.update(line.encode())
     print(f"results {results}")
+    print(f"sha256 {digest.hexdigest()}")
+
+    digest = hashlib.sha256()
+    printed = 0
+    for fmt in (RNF8, RNF16):
+        for w in range(1 << fmt.total_bits):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli_main(["inspect", f"{fmt.name}:{w:#x}"])
+            digest.update(f"{code}\n{out.getvalue()}{err.getvalue()}\0".encode())
+            printed += 1
+    for w in range(1 << RNF16.total_bits):
+        v = value_of_float(RNF16, w)
+        if isinstance(v, FloatClass):
+            continue
+        for mode in modes:
+            word, inexact = fa.round_to_format(v, RNF8, mode)
+            digest.update(f"{word:x} {inexact:d}\n".encode())
+            printed += 1
+    print(f"printed {printed}")
     print(f"sha256 {digest.hexdigest()}")
     return 0
 
