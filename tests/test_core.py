@@ -231,6 +231,49 @@ class TestNegate:
             assert n >> 1 == ~(x >> 1) and n & 1 == 1 - (x & 1)  # word and round bit complemented
 
 
+class TestIntervalOf:
+    """The encoding ``x = 2*bits + round`` stands for the half-ulp interval
+    ``[x, x + 1]``, stated on the integer: no function builds it, so these
+    check the library pieces that read it."""
+
+    def test_worked_example(self):
+        # 239 = RnFixed(119, 9, 1) stands for [119.5, 120]: every finer
+        # encoding inside that interval, and no other, truncates to it
+        r = RnFixed(119, 9, 1)
+        assert 2 * r.bits + r.round == 239
+        assert value_of(r).to_fraction() == 120  # the end the round bit points at
+        inside = [x for x in range(1900, 1940)  # 16ths: [x, x + 1] / 16
+                  if Fraction(239, 2) <= Fraction(x, 16) and Fraction(x + 1, 16) <= 120]
+        assert inside == list(range(1912, 1920))
+        assert [x for x in range(1900, 1940) if truncate_at(x, 3) == 239] == inside
+
+    def test_round_bit_clear_formula(self):
+        # RnFixed(6, 5, 0, -1) is x = 12 at half-ulp 2**-2: [3, 3.25], and
+        # its value is the low end; with the round bit set, the high end
+        assert value_of(RnFixed(6, 5, 0, -1)).to_fraction() == 3 == Fraction(12, 4)
+        for bits, rnd in itertools.product(range(-16, 16), (0, 1)):
+            x = 2 * bits + rnd
+            lo, hi = Fraction(x, 4), Fraction(x + 1, 4)
+            assert value_of(RnFixed(bits, 5, rnd, -1)).to_fraction() == (hi if rnd else lo)
+
+    def test_adjacent_encodings_tile(self, capsys):
+        # the intervals ``inspect`` prints for the finite rnf8 words, in
+        # order, meet end to end and cover [-16, 16] half an ulp at a time
+        from rnarith.cli import main
+        tiles = []
+        for word in range(256):
+            assert main(["inspect", f"rnf8:{word:#04x}"]) == 0
+            first = capsys.readouterr().out.splitlines()[0]
+            if "interval=" in first:
+                lo, hi = first.split("interval=[")[1].rstrip("]").split(" ; ")
+                tiles.append((Fraction(lo), Fraction(hi)))
+        tiles.sort()
+        assert len(tiles) == 224  # all but the 2 infinities and 30 NaNs
+        for (_, hi), (lo, _) in zip(tiles, tiles[1:]):
+            assert hi == lo
+        assert (tiles[0][0], tiles[-1][1]) == (-16, 16)
+
+
 def fan_in(f, in_bits, out_bits):
     """For each output bit, least significant first, how many input bits
     change it when flipped alone, for some input: inputs and outputs are
