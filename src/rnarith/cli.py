@@ -9,7 +9,6 @@ from __future__ import annotations
 import functools
 import re
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
 from . import fixed, floatarith as fa
@@ -33,7 +32,6 @@ from .floatfmt import (
     unpack,
     value_of_float,
 )
-from .verify import SUITES
 
 _DECIMAL_RE = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")
 _FLOAT_PREFIX_RE = re.compile(r"^rnf\d+:")
@@ -56,6 +54,7 @@ def _parse_operand(text: str):
     if _FLOAT_PREFIX_RE.match(text):
         return parse_float_literal(text)
     if _DECIMAL_RE.fullmatch(text):
+        from fractions import Fraction  # only a decimal operand loads it
         return Fraction(text)
     raise CliError(f"unrecognized operand {text!r}")
 
@@ -137,7 +136,7 @@ def cmd_convert(args) -> int:
         print(" ".join(str(d) for d in digits))
         return 0
     if target == "decimal":
-        if isinstance(operand, Fraction):
+        if not isinstance(operand, (RnFixed, RnFloat)):  # a decimal
             print(_decimal_text(operand))
             return 0
         v = value_of_float(operand.fmt, operand.word) if isinstance(operand, RnFloat) else value_of(operand)
@@ -169,7 +168,7 @@ def _operand(tokens: list[str], i: int) -> RnFixed | RnFloat:
     if i >= len(tokens):
         raise CliError("expression ends with an operator")
     op = _parse_operand(tokens[i])
-    if isinstance(op, Fraction):
+    if not isinstance(op, (RnFixed, RnFloat)):
         raise CliError("eval operands must be rn: or rnf literals")
     return op
 
@@ -258,6 +257,7 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import SUITES  # loaded by the command, not by importing the CLI
     run = SUITES.get(args.suite)
     if run is None:
         raise CliError(f"unknown suite {args.suite!r}")
@@ -322,6 +322,7 @@ def _build_parser():
     and shared by every later one: ``parse_args`` writes only to a fresh
     namespace."""
     import argparse  # so an argv on the fast path never loads it
+    from .verify import SUITES  # for the verify help, which lists the suites
     parser = argparse.ArgumentParser(
         prog="rnarith",
         description="Round-to-nearest-by-truncation arithmetic toolbox.",

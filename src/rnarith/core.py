@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from fractions import Fraction
 from operator import attrgetter
 
 # writes a field of a _Value in its __init__, past the base's refusal
@@ -98,6 +97,7 @@ class DyadicRational(_Value):
         _set(self, "exp", exp)
 
     def to_fraction(self) -> Fraction:
+        from fractions import Fraction  # only here: importing rnarith loads no fractions
         if self.exp >= 0:
             return Fraction(self.mantissa << self.exp)
         return Fraction(self.mantissa, 1 << -self.exp)

@@ -33,7 +33,6 @@ The ``RnFloat`` shims at the end of the module serve only the benchmark.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 
 from .core import DyadicRational, _set, _Value
 from .fixed import long_divide, shift_left

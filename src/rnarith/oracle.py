@@ -5,9 +5,8 @@ and of divider operands, both as the integers ``x = 2*bits + round``, and
 of float words; ``VerifyReport``, the machine-readable outcome of one
 sweep; and ``check_inclusion``, the product-inclusion rule on encoding
 integers.
-Everything here is built on arbitrary-precision integers and
-``fractions.Fraction`` only; no rounding or arithmetic routine from the
-library under test is called.
+Everything here is built on arbitrary-precision integers only; no
+rounding or arithmetic routine from the library under test is called.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import contextlib
 import importlib.util
 import io
 import os
+import re
 import subprocess
 import sys
 import time
@@ -697,13 +698,49 @@ def test_import_loads_no_introspection_modules():
     """Import time is the CLI's latency: every ``rnarith`` process pays it
     before its first operation, and ``dataclasses``, ``inspect`` and
     ``typing`` (with the ``ast``, ``dis`` and ``tokenize`` modules they
-    bring in) once made up most of it, and ``argparse`` most of the rest.
+    bring in) once made up most of it, ``argparse`` most of the rest, and
+    then ``fractions`` (with ``decimal`` and ``numbers``) and the verifier.
     Neither the package nor the CLI may load them."""
     src = str(Path(__file__).resolve().parent.parent / "src")
+    heavy = {"argparse", "dataclasses", "inspect", "typing", "fractions", "decimal", "numbers",
+             "rnarith.verify", "rnarith.oracle"}
     code = (f"import sys; sys.path.insert(0, {src!r}); import rnarith, rnarith.cli; "
-            "print(sorted({'argparse', 'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+            f"print(sorted({heavy!r} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+INSPECT_0X35 = ("class=normal s=0 e=3(bias 3) hidden=1 f=010 r=1 sig=rn:01010:r1@-3 value=1.375 "
+                "interval=[1.3125 ; 1.375]\nfields: s=0 e=3 f=010 r=1\n")
+
+
+@pytest.mark.parametrize("argv, out, loads", [
+    (["eval", EXPR, "--mode", "ru"], "rnf8:0x31 inexact sticky=1 (= 1.125)\n", []),
+    (["inspect", "rnf8:0x35"], INSPECT_0X35, []),
+    (["convert", "0.3", "--to", "float:rnf8"], "rnf8:0x13 inexact\n", ["fractions"]),
+    (["verify", "paper-examples"], "verify examples pinned\nPASS 1030 0 <s>\n", ["fractions", "rnarith.verify"]),
+    (["eval", EXPR, "--mode=ru"], "rnf8:0x31 inexact sticky=1 (= 1.125)\n", ["fractions", "rnarith.verify"]),
+], ids=["eval", "inspect", "convert-decimal", "verify", "argparse-fallback"])
+def test_each_command_loads_only_what_it_needs(argv, out, loads):
+    """``fractions`` comes with a decimal operand, and the verifier (which
+    imports ``fractions`` itself) with ``verify`` and with any argv that
+    reaches argparse, whose help lists the suites; literals load neither."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); from rnarith.cli import main; code = main({argv!r}); "
+            "print(code, sorted({'fractions', 'rnarith.verify'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    stdout = re.sub(r"^(PASS \d+ \d+) \d+\.\d{3}$", r"\1 <s>", proc.stdout, flags=re.M)
+    assert (proc.returncode, stdout, proc.stderr) == (0, f"{out}0 {loads}\n", "")
+
+
+def test_verify_help_names_every_suite(capsys, monkeypatch):
+    from rnarith.verify import SUITES
+
+    monkeypatch.setenv("COLUMNS", "1000")  # one line, no hyphen breaks
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "-h"])
+    listed = re.search(r"one of: (.*)", capsys.readouterr().out).group(1)
+    assert (exc.value.code, listed) == (0, ", ".join(sorted(SUITES)))
 
 
 def test_fast_path_call_loads_no_argparse():
