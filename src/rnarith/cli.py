@@ -35,10 +35,7 @@ from .floatfmt import (
 
 _DECIMAL_RE = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")
 _FLOAT_PREFIX_RE = re.compile(r"^rnf\d+:")
-_FIXED_TARGET_RE = re.compile(r"^rn@(-?\d+),w=(\d+)$")
-# the target's ASCII grammar, checked last: \d also takes non-ASCII digits,
-# and $ a trailing newline
-_FIXED_TARGET_ASCII_RE = re.compile(r"rn@-?[0-9]+,w=[0-9]+")
+_FIXED_TARGET_RE = re.compile(r"rn@(-?[0-9]+),w=([0-9]+)")
 _MODES = {m.value: m for m in fa.RoundingMode}
 _FLOAT_OPS = {"+": fa.fadd_words, "-": fa.fadd_words, "*": fa.fmul_words, "/": fa.fdiv_words}
 
@@ -92,8 +89,8 @@ def _decimal_text(v: Fraction) -> str:
 
 
 def _convert_to_fixed(value: DyadicRational | Fraction, spec: str, prefer_round_bit: bool) -> RnFixed:
-    m = _FIXED_TARGET_RE.match(spec)
-    if not m:
+    m = _FIXED_TARGET_RE.fullmatch(spec)
+    if m is None:
         raise CliError(f"bad fixed-point target {spec!r} (expected rn@<lsb>,w=<width>)")
     lsb, width = int(m.group(1)), int(m.group(2))
     if width < 1:
@@ -117,8 +114,6 @@ def _convert_to_fixed(value: DyadicRational | Fraction, spec: str, prefer_round_
     bits, r = (n - 1, 1) if prefer_round_bit else (n, 0)
     if not -(1 << (width - 1)) <= bits < 1 << (width - 1):
         raise CliError(misfit)
-    if not _FIXED_TARGET_ASCII_RE.fullmatch(spec):
-        raise CliError(f"bad fixed-point target {spec!r} (expected rn@<lsb>,w=<width>)")
     return RnFixed(bits, width, r, lsb)
 
 
@@ -167,10 +162,9 @@ def cmd_convert(args) -> int:
 def _operand(tokens: list[str], i: int) -> RnFixed | RnFloat:
     if i >= len(tokens):
         raise CliError("expression ends with an operator")
-    op = _parse_operand(tokens[i])
-    if not isinstance(op, (RnFixed, RnFloat)):
+    if _DECIMAL_RE.fullmatch(tokens[i]):  # refused before a Fraction is built
         raise CliError("eval operands must be rn: or rnf literals")
-    return op
+    return _parse_operand(tokens[i])
 
 
 def _apply(op: str, a, b, mode: fa.RoundingMode) -> tuple[RnFixed | RnFloat, bool]:

@@ -223,29 +223,19 @@ def format_literal(x: RnFixed) -> str:
     return f"rn:{x.bits & ((1 << x.width) - 1):0{x.width}b}:r{x.round}@{x.lsb_exp}"
 
 
-_EXPONENT_RE = re.compile(r"-?[0-9]+")
+# the literal's ASCII grammar; int() alone also takes blanks, underscores,
+# a plus sign and non-ASCII digits
+_LITERAL_RE = re.compile(r"rn:([01]+):r([01])@(-?[0-9]+)")
 
 
 def parse_literal(text: str) -> RnFixed:
     """Parse the output of :func:`format_literal`, bit-exactly."""
-    parts = text.strip().split(":")
-    if len(parts) != 3 or parts[0] != "rn":
+    text = text.strip()
+    m = _LITERAL_RE.fullmatch(text)
+    if m is None:
         raise ValueError(f"bad fixed-point literal: {text!r}")
-    word = parts[1]
-    if not word or any(c not in "01" for c in word):
-        raise ValueError(f"bad word field in literal: {word!r}")
-    tail = parts[2]
-    if not tail.startswith("r") or "@" not in tail:
-        raise ValueError(f"bad round/exponent field in literal: {tail!r}")
-    rtxt, etxt = tail[1:].split("@", 1)
-    if rtxt not in ("0", "1"):
-        raise ValueError(f"bad round bit in literal: {rtxt!r}")
+    word, rtxt, etxt = m.groups()
     bits = int(word, 2)
     if word[0] == "1":
         bits -= 1 << len(word)
-    x = RnFixed(bits, len(word), int(rtxt), int(etxt))
-    # int() also takes blanks, underscores, a plus sign and non-ASCII
-    # digits; checked last, so what it refuses keeps int()'s message
-    if not _EXPONENT_RE.fullmatch(etxt):
-        raise ValueError(f"bad exponent in literal: {etxt!r}")
-    return x
+    return RnFixed(bits, len(word), int(rtxt), int(etxt))

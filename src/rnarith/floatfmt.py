@@ -177,28 +177,21 @@ def _assemble(fmt: FloatFormat, sign: int, biased_exp: int, low: int) -> int:
     return (sign << fmt.sign_shift) | (biased_exp << fmt.precision) | low
 
 
-def _view_fields(fmt: FloatFormat, word: int) -> tuple:
-    """The fields of ``unpack(fmt, word)``: class, sign, biased exponent and
-    the significand's ``(bits, width, round, lsb_exp)``."""
+def unpack(fmt: FloatFormat, word: int) -> UnpackedFloat:
     cls, s, x, _ = decode(fmt, word)
     p = fmt.precision
-    return cls, s, (word >> p) & fmt.exp_mask, (x >> 1, p + 1 if cls is _NORMAL else p, x & 1, 1 - p)
-
-
-def unpack(fmt: FloatFormat, word: int) -> UnpackedFloat:
-    cls, s, e, sig = _view_fields(fmt, word)
-    return UnpackedFloat(fmt, cls, s, e, RnFixed(*sig))
+    sig = RnFixed(x >> 1, p + 1 if cls is _NORMAL else p, x & 1, 1 - p)
+    return UnpackedFloat(fmt, cls, s, (word >> p) & fmt.exp_mask, sig)
 
 
 def pack(u: UnpackedFloat) -> int:
     """Inverse of :func:`unpack`; a view that no word has raises ``ValueError``.
 
     The layout is stated once, in :func:`decode`: the fields are assembled
-    into a word, and the fields ``unpack`` would read from it must be ``u``'s."""
+    into a word, and ``unpack`` of that word must be ``u``."""
     sig = u.significand
     word = _assemble(u.fmt, u.sign, u.biased_exp, (u.frac << 1) | sig.round)
-    if (u.__class__ is not UnpackedFloat or sig.__class__ is not RnFixed
-            or _view_fields(u.fmt, word) != (u.cls, u.sign, u.biased_exp, (sig.bits, sig.width, sig.round, sig.lsb_exp))):
+    if unpack(u.fmt, word) != u:
         raise ValueError(f"no word unpacks to {u.cls.value} s={u.sign} e={u.biased_exp} {sig}")
     return word
 
@@ -241,14 +234,14 @@ def format_fields(u: UnpackedFloat) -> str:
 # alone also takes blanks, underscores, signs, a base prefix and non-ASCII
 # digits
 _HEX_RE = re.compile(r"0[xX][0-9a-fA-F]+")
-_FIELDS_RE = re.compile(r"s=[01] e=[0-9]+ f=[01]+ r=[01]")
+_FIELDS_RE = re.compile(r"s=[0-9]+ e=[0-9]+ f=[01]+ r=[0-9]+")
 
 
 def parse_float_literal(text: str) -> RnFloat:
     """Parse ``rnf<bits>:0x<hex>`` or ``rnf<bits>:s=_ e=_ f=_ r=_`` forms; the
     second names each field once, in any order, and nothing else.  The
-    ASCII grammar is checked last, so what the older checks refuse keeps
-    its message."""
+    ASCII grammar is checked first; the word's fit and the fields' ranges
+    after it."""
     text = text.strip()
     head, sep, rest = text.partition(":")
     if not sep or head not in FORMATS:
@@ -256,25 +249,18 @@ def parse_float_literal(text: str) -> RnFloat:
     fmt = FORMATS[head]
     rest = rest.strip()
     if rest.startswith("0x") or rest.startswith("0X"):
-        f = RnFloat(fmt, int(rest, 16))
         if not _HEX_RE.fullmatch(rest):
             raise ValueError(f"bad float literal: {text!r}")
-        return f
+        return RnFloat(fmt, int(rest, 16))
     items = rest.replace(",", " ").split()
     fields = dict(item.partition("=")[::2] for item in items)
-    try:
-        if len(fields) != len(items) or fields.keys() != {"s", "e", "f", "r"}:
-            raise ValueError("need each of s, e, f and r exactly once")
-        s = int(fields["s"])
-        e = int(fields["e"])
-        frac = int(fields["f"], 2)
-        r = int(fields["r"])
-    except ValueError as exc:
-        raise ValueError(f"bad float field literal: {text!r}") from exc
-    if s not in (0, 1) or r not in (0, 1):
+    if (len(fields) != len(items) or fields.keys() != {"s", "e", "f", "r"}
+            or not _FIELDS_RE.fullmatch("s={s} e={e} f={f} r={r}".format_map(fields))):
+        raise ValueError(f"bad float field literal: {text!r}")
+    s, r = fields["s"], fields["r"]
+    if s not in ("0", "1") or r not in ("0", "1"):
         raise ValueError(f"bad bit field in literal: {text!r}")
+    e, frac = int(fields["e"]), int(fields["f"], 2)
     if not 0 <= e <= fmt.exp_mask or not 0 <= frac <= fmt.frac_mask:
         raise ValueError(f"field out of range in literal: {text!r}")
-    if not _FIELDS_RE.fullmatch("s={s} e={e} f={f} r={r}".format_map(fields)):
-        raise ValueError(f"bad float field literal: {text!r}")
-    return RnFloat(fmt, _assemble(fmt, s, e, (frac << 1) | r))
+    return RnFloat(fmt, _assemble(fmt, int(s), e, (frac << 1) | int(r)))

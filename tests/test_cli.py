@@ -89,9 +89,11 @@ class TestConvert:
         want = f"error: bad fixed-point target {target!r} (expected rn@<lsb>,w=<width>)"
         assert run(capsys, "convert", "8", "--to", target) == (2, "", want)
 
-    def test_non_ascii_zero_width_keeps_its_message(self, capsys):
-        code, out, err = run(capsys, "convert", "8", "--to", "rn@0,w=\u0660")
-        assert (code, out, err) == (2, "", "error: width must be at least 1")
+    def test_non_ascii_zero_width_is_a_bad_target(self, capsys):
+        # the grammar is checked before the width is read
+        target = "rn@0,w=\u0660"
+        code, out, err = run(capsys, "convert", "8", "--to", target)
+        assert (code, out, err) == (2, "", f"error: bad fixed-point target {target!r} (expected rn@<lsb>,w=<width>)")
 
     def test_value_too_wide_for_the_target_word(self, capsys):
         # fits the width by bit length, but not as a 4-bit two's complement word
@@ -122,8 +124,8 @@ class TestConvert:
 
     @pytest.mark.parametrize("argv, err", [
         (("convert", "\u0663.\u0665", "--to", "float:rnf8"), "unrecognized operand '\u0663.\u0665'"),
-        (("convert", "rn:01:r1@1_0", "--to", "decimal"), "bad exponent in literal: '1_0'"),
-        (("convert", "rn:01:r1@ 2", "--to", "decimal"), "bad exponent in literal: ' 2'"),
+        (("convert", "rn:01:r1@1_0", "--to", "decimal"), "bad fixed-point literal: 'rn:01:r1@1_0'"),
+        (("convert", "rn:01:r1@ 2", "--to", "decimal"), "bad fixed-point literal: 'rn:01:r1@ 2'"),
         (("convert", "rnf8:0x_30", "--to", "decimal"), "bad float literal: 'rnf8:0x_30'"),
         (("inspect", "rnf8:0X3_0"), "bad float literal: 'rnf8:0X3_0'"),
         (("convert", "rnf8:s=0,e=0_1,f=0_00,r=0", "--to", "decimal"),
@@ -138,15 +140,36 @@ class TestConvert:
         assert run(capsys, *argv) == (2, "", f"error: {err}")
 
     @pytest.mark.parametrize("literal, err", [
-        ("rnf8:0x", "invalid literal for int() with base 16: '0x'"),
-        ("rnf8:0x_1ff", "word does not fit the format"),
+        ("rnf8:0x", "bad float literal: 'rnf8:0x'"),
+        ("rnf8:0xg", "bad float literal: 'rnf8:0xg'"),
+        ("rnf8:0x_1ff", "bad float literal: 'rnf8:0x_1ff'"),
+        ("rnf8:0x1ff", "word does not fit the format"),
         ("rnf8:s=2,e=3,f=000,r=0", "bad bit field in literal: 'rnf8:s=2,e=3,f=000,r=0'"),
-        ("rnf8:s=0,e=0_9,f=000,r=0", "field out of range in literal: 'rnf8:s=0,e=0_9,f=000,r=0'"),
-        ("rn:01:r1@x", "invalid literal for int() with base 10: 'x'"),
+        ("rnf8:s=00,e=3,f=000,r=0", "bad bit field in literal: 'rnf8:s=00,e=3,f=000,r=0'"),
+        ("rnf8:s=0,e=0_9,f=000,r=0", "bad float field literal: 'rnf8:s=0,e=0_9,f=000,r=0'"),
+        ("rnf8:s=0,e=9,f=000,r=0", "field out of range in literal: 'rnf8:s=0,e=9,f=000,r=0'"),
+        ("rn:01:r1@x", "bad fixed-point literal: 'rn:01:r1@x'"),
+        ("rn:01011:r2@0", "bad fixed-point literal: 'rn:01011:r2@0'"),
     ])
-    def test_grammar_checked_after_the_older_refusals(self, capsys, literal, err):
-        # an input refused before the ASCII grammar was checked keeps its message
+    def test_grammar_checked_before_the_value(self, capsys, literal, err):
+        # the ASCII grammar comes first; the fit and range checks after it
+        # keep their messages
         assert run(capsys, "convert", literal, "--to", "decimal") == (2, "", f"error: {err}")
+
+    def test_no_refusal_shows_int_text(self, capsys):
+        """Each refused literal gets its reader's message on one line, never
+        the text of Python's ``int()``."""
+        literals = [
+            "rn:01a1:r0@0", "rn:01011:r2@0", "rn::r1@0", "rn:01:1@0", "rn:01:r1", "rn:01:r1@x", "rn:01:r1@1_0",
+            "rn:01:r1@+2", "rn:01:r1@ 2", "rn:01:r1@\u0663",
+            "rnf8:0x", "rnf8:0xg", "rnf8:0x_1ff", "rnf8:s=0,e=0_9,f=000,r=0",
+        ]
+        argvs = [("convert", "8", "--to", "rn@0,w=\u0660")]
+        argvs += [argv for lit in literals for argv in (("convert", lit, "--to", "decimal"), ("eval", lit))]
+        for argv in argvs:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: bad ") and "\n" not in err and "int()" not in err, argv
 
     @pytest.mark.parametrize("literal", [
         "rnf8:s=0,e=3,f=000,r=0,s=1", "rnf8:s=0,e=3,f=000,r=0,x=9", "rnf8:s=0,e=3,f=000,r=0 junk",
@@ -731,6 +754,17 @@ def test_each_command_loads_only_what_it_needs(argv, out, loads):
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
     stdout = re.sub(r"^(PASS \d+ \d+) \d+\.\d{3}$", r"\1 <s>", proc.stdout, flags=re.M)
     assert (proc.returncode, stdout, proc.stderr) == (0, f"{out}0 {loads}\n", "")
+
+
+def test_decimal_eval_operand_refused_without_fractions():
+    """A decimal ``eval`` operand is refused on its spelling, before any
+    ``Fraction`` of it is built."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); from rnarith.cli import main; "
+            "code = main(['eval', '1.5 + 2']); print(code, 'fractions' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "2 False\n", "error: eval operands must be rn: or rnf literals\n")
 
 
 def test_verify_help_names_every_suite(capsys, monkeypatch):

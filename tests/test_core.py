@@ -345,7 +345,7 @@ class TestLiterals:
         "rn:01:r1@1_0", "rn:01:r1@ 2", "rn:01:r1@+2", "rn:01:r1@\u0663",
     ])
     def test_bad_literals(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^bad fixed-point literal: "):
             parse_literal(bad)
 
     @given(

@@ -191,8 +191,8 @@ class TestPack:
 
     @pytest.mark.parametrize("fmt", [RNF8, FloatFormat(2, 3)], ids=["rnf8", "2-3"])
     def test_rejects_exactly_the_views_that_unpack_elsewhere(self, fmt):
-        """``pack`` compares fields instead of building a second view; it
-        still refuses a view iff ``unpack`` of the assembled word differs."""
+        """``pack`` refuses a view iff ``unpack`` of the assembled word
+        differs, so a subclassed view or significand is refused too."""
 
         class Sig(RnFixed):
             __slots__ = ()

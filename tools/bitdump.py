@@ -3,9 +3,9 @@
     python3 tools/bitdump.py <checkout>
 
 Imports ``rnarith`` from ``<checkout>/src`` and the benchmark's operand
-generator ``gen_pair`` from ``<checkout>/perfbench/workloads.py`` (read as
-it is), then prints two pairs of lines, a count of results and a sha256 over
-them.  The float layer (``results``, ``sha256``):
+generator ``gen_pair`` and ``cli-eval`` workload ``CliEval`` from
+``<checkout>/perfbench/workloads.py`` (read as it is), then prints three pairs of lines, a count of results and a sha256
+over them.  The float layer (``results``, ``sha256``):
 
 - the word and inexact flag of ``fadd_words``, ``fmul_words`` and
   ``fdiv_words`` in all five rounding modes, on every rnf8 pair and on
@@ -20,7 +20,11 @@ The printers and the narrowing (``printed``, ``sha256``):
 - the word and inexact flag of ``round_to_format`` of every finite rnf16
   value into rnf8, in all five rounding modes.
 
-A change that keeps behaviour prints the same four lines on its parent's
+The command line (``cli``, ``sha256``): the exit code, stdout and stderr of
+``rnarith.cli.main`` on every argv of the benchmark's ``cli-eval`` workload,
+``workloads.CliEval(seed).items`` for seeds 1-3.
+
+A change that keeps behaviour prints the same six lines on its parent's
 checkout and on its own.  Stdlib only; nothing in the checkout is written.
 """
 
@@ -94,6 +98,19 @@ def main(argv: list[str]) -> int:
             digest.update(f"{word:x} {inexact:d}\n".encode())
             printed += 1
     print(f"printed {printed}")
+    print(f"sha256 {digest.hexdigest()}")
+
+    digest = hashlib.sha256()
+    argvs = [argv for seed in (1, 2, 3) for argv, _ in workloads.CliEval(seed).items]
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli_main(list(argv))
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        digest.update(f"{code}\n{out.getvalue()}{err.getvalue()}\0".encode())
+    print(f"cli {len(argvs)}")
     print(f"sha256 {digest.hexdigest()}")
     return 0
 
