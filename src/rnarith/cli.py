@@ -89,10 +89,14 @@ def _decimal_text(v: Fraction) -> str:
 
 
 def _convert_to_fixed(value: DyadicRational | Fraction, spec: str, prefer_round_bit: bool) -> RnFixed:
+    bad = f"bad fixed-point target {spec!r} (expected rn@<lsb>,w=<width>)"
     m = _FIXED_TARGET_RE.fullmatch(spec)
     if m is None:
-        raise CliError(f"bad fixed-point target {spec!r} (expected rn@<lsb>,w=<width>)")
-    lsb, width = int(m.group(1)), int(m.group(2))
+        raise CliError(bad)
+    try:
+        lsb, width = int(m.group(1)), int(m.group(2))
+    except ValueError:  # more digits than the interpreter's int() limit
+        raise CliError(bad) from None
     if width < 1:
         raise CliError("width must be at least 1")
     # the literal has one digit per bit: a width past the interpreter's digit
@@ -316,8 +320,22 @@ def _build_parser():
     and shared by every later one: ``parse_args`` writes only to a fresh
     namespace."""
     import argparse  # so an argv on the fast path never loads it
+    import shutil
     from .verify import SUITES  # for the verify help, which lists the suites
-    parser = argparse.ArgumentParser(
+
+    class Parser(argparse.ArgumentParser):
+        """Formats each usage line once per terminal width, the one input of
+        argparse's ``HelpFormatter`` that can change after a parser is built;
+        ``add_subparsers`` gives the subparsers this class too."""
+
+        @functools.cache
+        def _usage(self, columns):  # columns only keys the cache
+            return super().format_usage()
+
+        def format_usage(self):
+            return self._usage(shutil.get_terminal_size().columns)
+
+    parser = Parser(
         prog="rnarith",
         description="Round-to-nearest-by-truncation arithmetic toolbox.",
     )

@@ -235,7 +235,11 @@ def parse_literal(text: str) -> RnFixed:
     if m is None:
         raise ValueError(f"bad fixed-point literal: {text!r}")
     word, rtxt, etxt = m.groups()
+    try:
+        exp = int(etxt)
+    except ValueError:  # more digits than the interpreter's int() limit
+        raise ValueError(f"bad fixed-point literal: {text!r}") from None
     bits = int(word, 2)
     if word[0] == "1":
         bits -= 1 << len(word)
-    return RnFixed(bits, len(word), int(rtxt), int(etxt))
+    return RnFixed(bits, len(word), int(rtxt), exp)

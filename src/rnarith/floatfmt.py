@@ -260,7 +260,11 @@ def parse_float_literal(text: str) -> RnFloat:
     s, r = fields["s"], fields["r"]
     if s not in ("0", "1") or r not in ("0", "1"):
         raise ValueError(f"bad bit field in literal: {text!r}")
-    e, frac = int(fields["e"]), int(fields["f"], 2)
+    try:
+        e = int(fields["e"])
+    except ValueError:  # more digits than the interpreter's int() limit
+        raise ValueError(f"field out of range in literal: {text!r}") from None
+    frac = int(fields["f"], 2)
     if not 0 <= e <= fmt.exp_mask or not 0 <= frac <= fmt.frac_mask:
         raise ValueError(f"field out of range in literal: {text!r}")
     return RnFloat(fmt, _assemble(fmt, int(s), e, (frac << 1) | int(r)))

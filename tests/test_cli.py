@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib.util
 import io
@@ -170,6 +171,19 @@ class TestConvert:
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, ""), argv
             assert err.startswith("error: bad ") and "\n" not in err and "int()" not in err, argv
+
+    @pytest.mark.parametrize("argv, err", [
+        (("convert", "rn:01:r1@" + "9" * 5000, "--to", "decimal"), "bad fixed-point literal: "),
+        (("convert", "1", "--to", "rn@0,w=" + "9" * 5000), "bad fixed-point target "),
+        (("inspect", "rnf8:s=0,e=" + "0" * 5000 + ",f=000,r=0"), "field out of range in literal: "),
+    ], ids=["exponent", "target-width", "exponent-field"])
+    def test_digits_past_the_int_limit_get_the_literal_message(self, capsys, argv, err):
+        """A decimal field longer than ``int()`` takes (4,300 digits by
+        default) is refused with its literal kind's message, not with
+        Python's text naming ``sys.set_int_max_str_digits``."""
+        code, out, got = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert got.startswith(f"error: {err}") and "\n" not in got and "set_int_max_str_digits" not in got
 
     @pytest.mark.parametrize("literal", [
         "rnf8:s=0,e=3,f=000,r=0,s=1", "rnf8:s=0,e=3,f=000,r=0,x=9", "rnf8:s=0,e=3,f=000,r=0 junk",
@@ -697,6 +711,60 @@ class TestFastPath:
         assert _outcome(main, argv) == _outcome(_through_argparse, argv)
 
 
+USAGE_ERROR_ARGV = [
+    ["eval", "rnf16:0x3c00 + rnf16:0x3c00", "--mode", "rx"],
+    ["convert", "1.5"],
+    ["frobnicate", "rnf8:0x30"],
+    ["convert"],
+    ["verify"],
+    ["eval", EXPR, "--mode=rx"],
+    ["inspect"],
+]
+
+
+def _fresh_parser():
+    """A parser built anew, not the one ``main`` shares."""
+    return _build_parser.__wrapped__()
+
+
+class TestUsageErrors:
+    """The shared parser formats each usage line once per terminal width;
+    every usage error must still print what argparse itself prints."""
+
+    def test_usage_errors_match_a_fresh_parser(self, monkeypatch):
+        seen = {}
+        for columns in ("1000", "30", "1000"):  # 30 wraps every usage line
+            monkeypatch.setenv("COLUMNS", columns)
+            for argv in USAGE_ERROR_ARGV:
+                fresh = _fresh_parser()
+                # argparse's own format_usage, on this parser and its subparsers
+                monkeypatch.setattr(type(fresh), "format_usage", argparse.ArgumentParser.format_usage)
+                want = _outcome(fresh.parse_args, argv)
+                assert want[0] == 2 and want[2].count("error:") == 1, argv
+                outcomes = [_outcome(main, argv) for _ in range(3)]
+                assert outcomes[0] == want and outcomes[2] == want, (columns, argv)
+                seen.setdefault(tuple(argv), set()).add(want[2])
+        # the narrow width changed every message, so a stale line would show
+        assert all(len(errs) == 2 for errs in seen.values())
+
+    def test_usage_formatted_once_per_width(self, monkeypatch):
+        calls = []
+        format_usage = argparse.HelpFormatter._format_usage
+
+        def counting(self, *args):
+            calls.append(self._width)
+            return format_usage(self, *args)
+
+        parser = _fresh_parser()
+        monkeypatch.setattr(argparse.HelpFormatter, "_format_usage", counting)
+        argv = ["eval", EXPR, "--mode", "rx"]
+        for columns, formats in (("80", 1), ("80", 1), ("60", 2), ("80", 2)):
+            monkeypatch.setenv("COLUMNS", columns)
+            assert _outcome(parser.parse_args, argv)[0] == 2
+            assert len(calls) == formats, columns
+        assert calls == [78, 58]  # HelpFormatter's width is the terminal's less 2
+
+
 class TestLiteralRoundTrips:
     def test_printed_fixed_literals_reparse(self, capsys):
         from rnarith import RnFixed, apply, format_literal, parse_literal
@@ -723,9 +791,10 @@ def test_import_loads_no_introspection_modules():
     ``typing`` (with the ``ast``, ``dis`` and ``tokenize`` modules they
     bring in) once made up most of it, ``argparse`` most of the rest, and
     then ``fractions`` (with ``decimal`` and ``numbers``) and the verifier.
-    Neither the package nor the CLI may load them."""
+    Neither the package nor the CLI may load them, nor ``shutil``, which
+    only the argparse parser's usage lines need."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    heavy = {"argparse", "dataclasses", "inspect", "typing", "fractions", "decimal", "numbers",
+    heavy = {"argparse", "shutil", "dataclasses", "inspect", "typing", "fractions", "decimal", "numbers",
              "rnarith.verify", "rnarith.oracle"}
     code = (f"import sys; sys.path.insert(0, {src!r}); import rnarith, rnarith.cli; "
             f"print(sorted({heavy!r} & set(sys.modules)))")
