@@ -52,8 +52,19 @@ def _parse_operand(text: str):
         return parse_float_literal(text)
     if _DECIMAL_RE.fullmatch(text):
         from fractions import Fraction  # only a decimal operand loads it
-        return Fraction(text)
+        whole, _, frac = text.lstrip("+-").partition(".")
+        n = _int_of_digits(whole + frac)
+        return Fraction(-n if text[0] == "-" else n, 10 ** len(frac))
     raise CliError(f"unrecognized operand {text!r}")
+
+
+def _int_of_digits(digits: str) -> int:
+    """The integer of ASCII digits of any length, read by ``int()`` in parts
+    no longer than 640 digits, the lowest limit it can be given."""
+    if len(digits) <= 640:
+        return int(digits)
+    half = len(digits) // 2
+    return _int_of_digits(digits[:half]) * 10 ** (len(digits) - half) + _int_of_digits(digits[half:])
 
 
 def _operand_value(op) -> DyadicRational | Fraction:
@@ -73,15 +84,13 @@ def _operand_value(op) -> DyadicRational | Fraction:
     return DyadicRational(op.numerator, 1 - den.bit_length())
 
 
-def _decimal_text(v: Fraction) -> str:
-    """Exact decimal of a decimal operand (its denominator divides a power
-    of ten), spelled as ``DyadicRational`` prints: no exponent, no trailing
-    zeros."""
-    k, scale = 0, 1
-    while scale % v.denominator:
-        k, scale = k + 1, scale * 10
-    text = str(abs(v.numerator) * scale // v.denominator).rjust(k + 1, "0")
-    return ("-" if v < 0 else "") + (f"{text[:-k]}.{text[-k:]}" if k else text)
+def _decimal_text(text: str) -> str:
+    """A decimal operand's token spelled as ``DyadicRational`` prints: no
+    exponent, no needless zeros and no sign on zero, at any length."""
+    whole, _, frac = text.lstrip("+-").partition(".")
+    whole, frac = whole.lstrip("0") or "0", frac.rstrip("0")
+    sign = "-" if text[0] == "-" and (whole != "0" or frac) else ""
+    return sign + whole + ("." + frac if frac else "")
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +145,7 @@ def cmd_convert(args) -> int:
         return 0
     if target == "decimal":
         if not isinstance(operand, (RnFixed, RnFloat)):  # a decimal
-            print(_decimal_text(operand))
+            print(_decimal_text(args.value))
             return 0
         v = value_of_float(operand.fmt, operand.word) if isinstance(operand, RnFloat) else value_of(operand)
         if isinstance(v, FloatClass):

@@ -80,9 +80,11 @@ def _deliver(num: int, g: int, fmt: FloatFormat, mode: RoundingMode) -> tuple[in
     quotient's lowest bit, its sticky bit, always drops).  A negative result
     is then ``~x``, as negation is in the encoding: nearest ties round away
     from zero and exact negative results carry the round bit.  A directed
-    mode replaces bit 0 of ``x``.  Overflow saturates to infinity, except
-    that the exactly representable edge magnitude 2**(e_max+1) is the
-    all-ones word with the round bit set at e_max.
+    mode replaces bit 0 of ``x``.  A zero keeps this spelling too, the
+    all-ones zero ``~0`` when negative; only an exact zero is the word 0.
+    Overflow saturates to infinity, except that the exactly representable
+    edge magnitude 2**(e_max+1) is the all-ones word with the round bit set
+    at e_max.
     """
     if num == 0:
         return 0, False
@@ -115,8 +117,6 @@ def _deliver(num: int, g: int, fmt: FloatFormat, mode: RoundingMode) -> tuple[in
         x = ~x
     if inexact and mode is not _NEAREST:
         x = (x & ~1) | directed_round_bit(x & 1, sign, mode)
-    if x in (0, -1):  # w + r == 0: only a subnormal result can truncate to zero
-        return 0, inexact
     biased_exp = 0 if e_val < fmt.e_min else e_tgt + fmt.bias
     return _assemble(fmt, sign, biased_exp, x & fmt.low_mask), inexact
 

@@ -207,16 +207,15 @@ def value_of_float(fmt: FloatFormat, word: int) -> DyadicRational | FloatClass:
 def float_negate(fmt: FloatFormat, word: int) -> int:
     """Negate by complementing sign, fraction and round bit.
 
-    Zero-valued inputs come back as the canonical +0 word (all zeros); NaNs
-    are canonicalized; infinities just flip sign.
+    Every finite word is complemented, so the two spellings of zero, the
+    word 0 and the all-ones zero, swap; NaNs are canonicalized; infinities
+    just flip sign.
     """
-    cls, s, x, _ = decode(fmt, word)
+    cls, s, _, _ = decode(fmt, word)
     if cls is _NAN:
         return fmt.nan_word()
     if cls is _INFINITY:
         return fmt.inf_words[1 - s]
-    if x in (0, -1):  # either spelling of zero
-        return 0
     # sign bit, then the fraction and round bit: the low p bits
     return word ^ ((1 << fmt.sign_shift) | fmt.low_mask)
 

@@ -380,8 +380,8 @@ def rounding_fault(fmt: FloatFormat, exact: tuple[int, int, int], mode: fa.Round
     Overflow: only the infinity of exact's sign, flagged inexact, and only
     when ``|exact| > 2**(e_max+1)``: the edge itself has a finite word.  Sticky flag: ``value != exact``, in
     every mode.  Nearest: within half an ulp, and the round bit set exactly
-    when the value lies above ``exact``.  Directed: on the mode's side and
-    less than an ulp away.
+    when the value lies above ``exact``, at zero too.  Directed: on the
+    mode's side and less than an ulp away.
 
     The nearest clauses return a representable ``exact`` exactly
     (``tests/test_oracle.py::TestImpliedClauses``).  The clauses are
@@ -415,7 +415,7 @@ def _judge(fmt: FloatFormat, exact: tuple[int, int, int], mode: fa.RoundingMode,
     if mode is _NEAREST:
         if 2 * abs(diff) > ulp:
             return "half ulp"
-        return "round-bit direction" if v != 0 and (x & 1 == 1) != (diff > 0) else None
+        return "round-bit direction" if (x & 1 == 1) != (diff > 0) else None
     if (diff > 0) != _ROUNDS_UP[mode][n < 0]:  # n carries exact's sign
         return "directed side"
     return "one ulp" if abs(diff) >= ulp else None
@@ -483,13 +483,11 @@ def float_directed_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
     rounding contract (``rounding_fault``) in each mode, and round-bit
     substitution.  The directed word is the nearest word when that is exact
     or not finite (overflow saturates in every mode); else the nearest word
-    with bit 0 set when the mode rounds up (``_ROUNDS_UP``), starting from
-    the all-ones zero for a nearest zero of a negative exact value, and a
-    spelling of value 0 is the canonical zero."""
+    with bit 0 set when the mode rounds up (``_ROUNDS_UP``) and cleared when
+    it rounds down, either spelling of zero included."""
     func, name = _FLOAT_OPS[op]
     rep = VerifyReport(f"{name}-directed", f"format={fmt.name}")
     values, sigs, divs = _word_table(fmt)
-    ones = (1 << (fmt.total_bits - 1)) | ((1 << fmt.precision) - 1)  # zero: all ones but the exponent
     # each directed mode and whether it sets bit 0 of the substituted word,
     # indexed by whether the exact value is negative
     ups = [[(mode, _ROUNDS_UP[mode][negative]) for mode in _DIRECTED_MODES] for negative in (False, True)]
@@ -499,14 +497,11 @@ def float_directed_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
             if exact is None:
                 continue
             near, inexact = func(fmt, a, b)
-            down = up = near  # the wanted word in a mode that rounds down, and up
-            if inexact and sigs[near][1] <= fmt.e_max:  # finite: overflow saturates
-                down = ones - 1 if exact[0] < 0 and near in (0, ones) else near & ~1
-                up = 0 if down | 1 == ones else down | 1
+            substituted = inexact and sigs[near][1] <= fmt.e_max  # finite: overflow saturates
             for mode, rounds_up in ups[exact[0] < 0]:
                 rep.cases += 1
                 out, out_inexact = func(fmt, a, b, mode)
-                if out != (up if rounds_up else down):
+                if out != ((near & ~1) | rounds_up if substituted else near):
                     fault = "substitution"
                 else:
                     fault = _judge(fmt, exact, mode, sigs[out], out_inexact)
@@ -581,21 +576,21 @@ def far_shortcut_sweep(fmt: FloatFormat) -> VerifyReport:
 
 
 def float_negate_sweep(fmt: FloatFormat) -> VerifyReport:
-    """Negation by bit inversion: value antisymmetry, involution up to the
-    canonical zero."""
+    """Negation by bit inversion: a finite word's result has the mirror image
+    of its half-ulp interval (so it is finite, has the negated value, and
+    negates back, zero's two spellings included); a NaN stays a NaN and an
+    infinity flips its sign."""
     rep = VerifyReport("float-negate", f"format={fmt.name}")
     flipped = {"nan": "nan", "+inf": "-inf", "-inf": "+inf"}
     for word in enumerate_format(fmt):
         rep.cases += 1
-        v = _units(fmt, word)
+        sig = _sig(fmt, word)
         out = float_negate(fmt, word)
-        if v is None:
+        if sig[1] > fmt.e_max:  # all-ones exponent field
             ok = _value_class(fmt, out) == flipped[_value_class(fmt, word)]
         else:
-            ok = _units(fmt, out) == -v
-            if ok:
-                back = float_negate(fmt, out)
-                ok = back == word if v != 0 else _units(fmt, back) == 0
+            lo, width = _half_interval(fmt, sig)  # a non-finite word's width is wider
+            ok = _half_interval(fmt, _sig(fmt, out)) == (-lo - width, width)
         if not ok:
             rep.record(f"{word:#x}", "negation", f"{out:#x}")
     return rep.done()

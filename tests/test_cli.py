@@ -197,6 +197,24 @@ class TestConvert:
         assert code == 0
         assert out.startswith("0.") and len(out) == 2 + 4999 and out[2:].isdigit()
 
+    @pytest.mark.parametrize("value, target, want", [
+        ("9" * 5000, "decimal", "9" * 5000),
+        ("9" * 5000, "float:rnf8", "rnf8:0x70 inexact"),
+        ("0." + "9" * 5000, "float:rnf8", "rnf8:0x2f inexact"),
+    ], ids=["nines-decimal", "nines-rnf8", "fraction-nines-rnf8"])
+    def test_decimal_operand_past_the_int_limit_gets_its_value(self, capsys, value, target, want):
+        """A decimal operand longer than ``int()`` reads at once (4,300
+        digits by default) is read in chunks and printed from its digits."""
+        assert run(capsys, "convert", value, "--to", target) == (0, want, "")
+
+    def test_longest_argument_decimal_read_quickly(self, capsys):
+        # 131,071 characters: Linux passes no longer argument (MAX_ARG_STRLEN
+        # is 131,072 bytes with the terminating NUL)
+        t0 = time.perf_counter()
+        got = run(capsys, "convert", "0." + "9" * 131069, "--to", "float:rnf64")
+        assert time.perf_counter() - t0 < 0.5
+        assert got == (0, "rnf64:0x3fefffffffffffff inexact", "")
+
     def test_decimal_beyond_digit_limit_refused_quickly(self, capsys):
         for argv in (("convert", "rn:01:r1@-100000000", "--to", "decimal"),
                      ("convert", "rn:01:r1@-10000000000", "--to", "decimal"),
@@ -251,7 +269,8 @@ class TestConvert:
         (-3, 10 ** 9, ("fff0000000000000",) * 5),
         (3, 10 ** 9, ("7ff0000000000000",) * 5),
         (1, -10 ** 9, ("0", "1", "0", "0", "1")),
-        (-3, -10 ** 9, ("0", "0", "800ffffffffffffe", "0", "800ffffffffffffe")),
+        (-3, -10 ** 9, ("800fffffffffffff", "800fffffffffffff", "800ffffffffffffe", "800fffffffffffff",
+                        "800ffffffffffffe")),
         (3, -10 ** 9, ("0", "1", "0", "0", "1")),
     ])
     def test_huge_exponent_reaches_the_sink_as_a_shift(self, mantissa, exp, words):

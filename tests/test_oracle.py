@@ -217,8 +217,10 @@ class TestSweepsCatchFaults:
         assert _float_sweep_failures(SMALL) == [0, 0, 0, 8464, 9216, 8464]
 
     def test_inexact_nearest_round_bit_flipped(self, monkeypatch):
+        # the directed sweep reads only the bits above bit 0 of the nearest
+        # word, so the flipped bit does not reach it
         _plant(monkeypatch, _flip_bit(lambda v, inexact, mode: inexact and mode is RoundingMode.NEAREST))
-        assert _float_sweep_failures(SMALL) == [0, 352, 1188, 0, 32, 112]
+        assert _float_sweep_failures(SMALL) == [0, 352, 1188, 0, 0, 0]
 
     def test_inexact_directed_round_bit_flipped(self, monkeypatch):
         _plant(monkeypatch, _flip_bit(lambda v, inexact, mode: inexact and mode is not RoundingMode.NEAREST))
@@ -255,16 +257,45 @@ class TestSweepsCatchFaults:
             failed = {tuple(inputs.split(",")) for inputs, _, _ in rep.failures}
             assert failed == {(b, a) for a, b in failed}
 
-    def test_directed_zero_spelled_all_ones(self, monkeypatch):
-        # the same value, so only round-bit substitution (canonical zero) sees
-        # it; mul's count includes its 188 zero-product pairs in 4 modes
+    def test_zero_result_spelled_as_word_0(self, monkeypatch):
+        # the same value, but for a negative result rounded up to zero the
+        # word 0's r=0 says that it went down: the round-bit direction clause
+        # and round-bit substitution see it (rnf8 gives [0, 360, 556, 0,
+        # 2272, 3660])
         def fault(w, s, fmt, mode):
-            if mode is not RoundingMode.NEAREST and verify._units(fmt, w) == 0:
-                w = (1 << (fmt.total_bits - 1)) | ((1 << fmt.precision) - 1)
-            return w, s
+            return (0 if verify._units(fmt, w) == 0 else w), s
 
         _plant(monkeypatch, fault)
-        assert _float_sweep_failures(SMALL) == [0, 0, 0, 360, 912, 408]
+        assert _float_sweep_failures(SMALL) == [0, 8, 28, 0, 96, 260]
+
+    @pytest.mark.parametrize("fmt", [RNF8, SMALL], ids=["rnf8", "small"])
+    def test_negated_zero_spelled_as_word_0(self, monkeypatch, fmt):
+        good = verify.float_negate
+        monkeypatch.setattr(verify, "float_negate",
+                            lambda fmt, w: 0 if verify._units(fmt, w) == 0 else good(fmt, w))
+        rep = verify.float_negate_sweep(fmt)
+        assert (len(rep.failures), rep.failures[0][0]) == (1, "0x0")
+
+    @pytest.mark.parametrize("fmt, counts", [(RNF8, (256, 202)), (SMALL, (64, 42))], ids=["rnf8", "small"])
+    def test_negation_respelled(self, monkeypatch, fmt, counts):
+        # the complement's other encoding integer at the same scale, x + 1
+        # or x - 1 where a word has it: the same value, and still an
+        # involution, so only the mirrored half-ulp interval tells it apart
+        good = verify.float_negate
+        finite = [w for w in range(fmt.word_end) if verify._units(fmt, w) is not None]
+        word_of = {verify._sig(fmt, w): w for w in finite}
+
+        def respelled(fmt, w):
+            out = good(fmt, w)
+            x, scale = verify._sig(fmt, out)
+            return word_of.get((x + 2 * (x & 1) - 1, scale), out)  # NaN, infinity: out
+
+        for w in finite:
+            out = respelled(fmt, w)
+            assert verify._units(fmt, out) == -verify._units(fmt, w) and respelled(fmt, out) == w
+        monkeypatch.setattr(verify, "float_negate", respelled)
+        rep = verify.float_negate_sweep(fmt)
+        assert (rep.cases, len(rep.failures)) == counts
 
     @pytest.mark.parametrize("module, name, fault, sweep, arg, counts, clause", [
         pytest.param(fixed, "mul", lambda r, *_: r ^ 1, verify.fixed_mul_sweep, 6,
