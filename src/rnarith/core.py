@@ -107,9 +107,10 @@ class DyadicRational(_Value):
         m, e = self.mantissa, self.exp
         # str() enforces the interpreter's digit limit only after the number
         # is built (5**-e in superlinear time, m << e in memory); refuse when
-        # 2**e or 5**-e alone exceeds it
+        # 2**e or 5**-e alone exceeds it.  Both logs exceed 1/4, so an
+        # exponent of 4 * limit or more is refused before it meets a float
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and abs(e) * math.log10(2 if e >= 0 else 5) >= limit:
+        if limit and (abs(e) >= 4 * limit or abs(e) * math.log10(2 if e >= 0 else 5) >= limit):
             raise ValueError(f"exact decimal of 2**{e} has more than {limit} digits")
         if e >= 0:
             return str(m << e)

@@ -10,17 +10,16 @@ the divider and the signed-digit views included, call the ``fixed`` and
 ``RnFixed`` only to print a failure.  The float sweeps call the word ops
 (``floatarith.fadd_words`` and its twins) on int words; the nearest add
 and mul sweeps call them once per ordered pair and judge commutativity
-from the two results of each unordered pair.  Each float sweep decodes
-each word once, by its own field reading, into the same kind of integer
-``x = 2*w + r`` (``_sig``): it builds ``_word_table`` (value, ``_sig``
-pair, divider operand) when it starts, judges each result through
-``_judge`` on its entry, and forms a quotient from two entries.  These
-back the tests and the ``verify`` command.
+from the two results of each unordered pair.  Each float sweep that
+judges values decodes each word once, by its own field reading, into the
+same kind of integer ``x = 2*w + r`` (``_sig``): it builds ``_word_table``
+(value, ``_sig`` pair, divider operand) when it starts, judges each result
+through ``_judge`` on its entry, and forms a quotient from two entries;
+the symmetry sweep compares words and decodes none.  These back the tests
+and the ``verify`` command.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from . import fixed, floatarith as fa
 from .core import (
@@ -91,6 +90,7 @@ def _sig_units(fmt: FloatFormat, sig: tuple[int, int]) -> int | None:
 
 
 def float_ulp(fmt: FloatFormat, word: int) -> Fraction:
+    from fractions import Fraction  # here and in _fraction only: importing the verifier loads no fractions
     return Fraction(2) ** (_sig(fmt, word)[1] + 1 - fmt.precision)
 
 
@@ -169,6 +169,7 @@ def _div_reference(fmt: FloatFormat, word_a: int, word_b: int) -> Fraction:
 
 def _fraction(exact: tuple[int, int, int] | None) -> Fraction | None:
     """The value of an exact ``(n, d, k)`` triple; None stays None."""
+    from fractions import Fraction
     return None if exact is None else Fraction(*exact[:2]) * Fraction(2) ** exact[2]
 
 
@@ -515,35 +516,32 @@ _MIRROR = {fa.RoundingMode.UPWARD: fa.RoundingMode.DOWNWARD,
            fa.RoundingMode.DOWNWARD: fa.RoundingMode.UPWARD}
 
 
-def float_sign_symmetry_sweep(fmt: FloatFormat, op: str,
-                              mode: fa.RoundingMode = fa.RoundingMode.NEAREST) -> VerifyReport:
-    """Negating the result is negating an operand, over every pair.
+def float_sign_symmetry_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
+    """Negating the result is negating an operand, over every pair in
+    every mode.
 
-    ``add(-a, -b, m)`` and ``mul/div(-a, b, m)`` are compared with
-    ``op(a, b, mirror(m))``, where the mirror swaps ru and rd.  A nonzero
-    finite result must be the complement (``float_negate``) of the other bit
-    for bit; a zero stays zero, an infinity flips its sign, a NaN stays a
-    NaN, and the sticky flags agree.
+    ``add(-a, -b, m)`` and ``mul/div(-a, b, m)`` must give the complement
+    (``float_negate``) of ``op(a, b, mirror(m))`` word for word, where the
+    mirror swaps ru and rd, with the same sticky flag: a NaN is the
+    canonical NaN word.  The one exception is a reference that is exactly
+    the word 0, which stays the word 0.
     """
     func, name = _FLOAT_OPS[op]
-    rep = VerifyReport(f"{name}-symmetry", f"format={fmt.name} mode={mode.value}")
-    values, _, _ = _word_table(fmt)
-    words = range(len(values))
+    rep = VerifyReport(f"{name}-symmetry", f"format={fmt.name}")
+    check_space(f"{rep.op} {rep.space}", len(fa.RoundingMode), 2 * fmt.total_bits)
+    words = range(fmt.word_end)
     neg = [float_negate(fmt, w) for w in words]
-    classes = [_value_class(fmt, w) for w in words]
-    mirror = _MIRROR.get(mode, mode)  # fixed for the sweep
-    for a in words:
-        for b in words:
-            rep.cases += 1
-            out, inexact = func(fmt, neg[a], neg[b] if op == "add" else b, mode)
-            ref, ref_inexact = func(fmt, a, b, mirror)
-            want = neg[ref]
-            if values[ref] in (None, 0):
-                ok = classes[out] == classes[want]
-            else:
-                ok = out == want
-            if not ok or inexact != ref_inexact:
-                rep.record(f"{a:#x},{b:#x}", f"{want:#x}", f"{out:#x}")
+    for mode in fa.RoundingMode:
+        mirror = _MIRROR.get(mode, mode)
+        for a in words:
+            for b in words:
+                rep.cases += 1
+                out = func(fmt, neg[a], neg[b] if op == "add" else b, mode)
+                ref, inexact = func(fmt, a, b, mirror)
+                want = (neg[ref] if ref or inexact else 0), inexact
+                if out != want:
+                    rep.record(f"{a:#x},{b:#x},{mode.value}", f"{want[0]:#x} sticky={want[1]:d}",
+                               f"{out[0]:#x} sticky={out[1]:d}")
     return rep.done()
 
 

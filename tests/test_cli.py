@@ -3,6 +3,7 @@ import contextlib
 import importlib.util
 import io
 import os
+import random
 import re
 import subprocess
 import sys
@@ -224,6 +225,14 @@ class TestConvert:
             assert time.perf_counter() - t0 < 0.5
             assert code == 2 and not out
             assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("k", [308, 309])
+    def test_exponent_past_a_float_gets_the_digit_message(self, capsys, k):
+        # from k = 309 the exponent has no float: the guard decides in ints
+        e, limit = 10 ** k, sys.get_int_max_str_digits()
+        lit = f"rn:01:r1@{e}"  # the value 2**(e + 1)
+        for argv, exp in ((("convert", lit, "--to", "decimal"), e + 1), (("eval", f"{lit} + {lit}"), e + 2)):
+            assert run(capsys, *argv) == (2, "", f"error: exact decimal of 2**{exp} has more than {limit} digits")
 
     def test_fixed_width_beyond_digit_limit_refused_quickly(self, capsys):
         tracemalloc.start()
@@ -796,6 +805,61 @@ class TestLiteralRoundTrips:
             assert (parse_literal(out.split()[0]), False) == apply("+", x, zero)
 
 
+# exponents and lsbs of +-10**k: past a float's range from k = 309, and past
+# the interpreter's 4,300-digit str() limit as printed decimals at k = 4000
+_HUGE = [s * 10 ** k for k in (0, 300, 309, 4000) for s in (1, -1)]
+
+
+def _extreme_tokens():
+    """Fixed and float literals, decimals and convert targets at the edges
+    of what each reader takes."""
+    fixed = [f"rn:{word}:r{r}@{e}" for word in ("0", "1", "01", "0110") for r in (0, 1) for e in _HUGE]
+    floats = []
+    for name, fmt in floatfmt.FORMATS.items():
+        ones = fmt.low_mask  # fraction and round bit all ones
+        sign = 1 << (fmt.total_bits - 1)
+        words = (0, sign | ones, 1, sign | 1, fmt.inf_word(0) - 1, fmt.inf_word(1) - 1, *fmt.inf_words,
+                 fmt.nan_word(), sign | fmt.inf_word(0) | ones)
+        floats += [f"{name}:{w:#x}" for w in words]
+        floats += [f"{name}:s={s},e={e},f={'1' * fmt.frac_bits},r=1"
+                   for s in (0, 1) for e in (0, fmt.exp_mask, 10 ** 309)]
+    decimals = ["9" * 700, "-0." + "0" * 699 + "1", "1." + "5" * 700, "0", "-0", *map(str, _HUGE)]
+    lsbs = [0, -3, *_HUGE]
+    widths = [1, 8, 4000, 10 ** 300, 10 ** 309]
+    return fixed, floats, decimals, [f"rn@{lsb},w={w}" for lsb in lsbs for w in widths]
+
+
+class TestNoTraceback:
+    def test_extreme_tokens_exit_cleanly(self):
+        """Every ``eval`` (each op and mode), ``convert`` (each target kind)
+        and ``inspect`` of extreme tokens exits 0, 1 or 2, as a usage error
+        from argparse does; none ends in a traceback."""
+        rng = random.Random(32)
+        fixed, floats, decimals, fixed_targets = _extreme_tokens()
+        argvs = []
+        for _ in range(600):
+            kind = rng.choice((fixed, floats))
+            a, b = rng.choice(kind), rng.choice(kind)
+            if kind is floats and rng.random() < 0.8:  # mostly one format
+                b = rng.choice([t for t in floats if t.split(":")[0] == a.split(":")[0]])
+            argvs.append(["eval", f"{a} {rng.choice('+-*/')} {b}", "--mode", rng.choice(list(cli._MODES))])
+        for value in fixed + floats + decimals:
+            for target in ("sd", "decimal", f"float:{rng.choice(list(floatfmt.FORMATS))}",
+                           rng.choice(fixed_targets)):
+                argvs.append(["convert", value, "--to", target])
+            argvs.append(["convert", value, "--to", rng.choice(fixed_targets), "--prefer-round-bit"])
+            argvs.append(["inspect", value])
+        unclean = []
+        for argv in argvs:
+            try:
+                code = _outcome(main, argv)[0]
+            except Exception as exc:  # what would reach the user as a traceback
+                code = type(exc).__name__
+            if code not in (0, 1, 2):
+                unclean.append((" ".join(argv)[:80], code))
+        assert unclean == []
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -829,13 +893,14 @@ INSPECT_0X35 = ("class=normal s=0 e=3(bias 3) hidden=1 f=010 r=1 sig=rn:01010:r1
     (["eval", EXPR, "--mode", "ru"], "rnf8:0x31 inexact sticky=1 (= 1.125)\n", []),
     (["inspect", "rnf8:0x35"], INSPECT_0X35, []),
     (["convert", "0.3", "--to", "float:rnf8"], "rnf8:0x13 inexact\n", ["fractions"]),
-    (["verify", "paper-examples"], "verify examples pinned\nPASS 1030 0 <s>\n", ["fractions", "rnarith.verify"]),
-    (["eval", EXPR, "--mode=ru"], "rnf8:0x31 inexact sticky=1 (= 1.125)\n", ["fractions", "rnarith.verify"]),
+    (["verify", "paper-examples"], "verify examples pinned\nPASS 1030 0 <s>\n", ["rnarith.verify"]),
+    (["eval", EXPR, "--mode=ru"], "rnf8:0x31 inexact sticky=1 (= 1.125)\n", ["rnarith.verify"]),
 ], ids=["eval", "inspect", "convert-decimal", "verify", "argparse-fallback"])
 def test_each_command_loads_only_what_it_needs(argv, out, loads):
-    """``fractions`` comes with a decimal operand, and the verifier (which
-    imports ``fractions`` itself) with ``verify`` and with any argv that
-    reaches argparse, whose help lists the suites; literals load neither."""
+    """``fractions`` comes with a decimal operand, and the verifier with
+    ``verify`` and with any argv that reaches argparse, whose help lists the
+    suites; literals load neither, and the verifier loads ``fractions`` only
+    to build a value."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = (f"import sys; sys.path.insert(0, {src!r}); from rnarith.cli import main; code = main({argv!r}); "
             "print(code, sorted({'fractions', 'rnarith.verify'} & set(sys.modules)))")

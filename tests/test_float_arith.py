@@ -320,12 +320,12 @@ class TestDirectedRounding:
 
 
 class TestSignSymmetry:
-    @pytest.mark.parametrize("mode", list(RoundingMode))
-    def test_negated_operands_give_complemented_results(self, mode):
+    def test_negated_operands_give_complemented_results(self):
+        # every pair in each of the five modes
         fmt = FloatFormat(2, 3, "rnf6")
         for op in ("add", "mul", "div"):
-            rep = verify.float_sign_symmetry_sweep(fmt, op, mode)
-            assert rep.cases == 64 * 64
+            rep = verify.float_sign_symmetry_sweep(fmt, op)
+            assert rep.cases == 5 * 64 * 64
             assert rep.passed, rep.failures[:5]
 
     def test_negative_tie_rounds_away_from_zero(self):
@@ -340,7 +340,7 @@ class TestSignSymmetry:
         reports = SUITES["float-all"](fmt=FloatFormat(2, 2, "rnf5"))
         symmetry = [r for r in reports if r.op.endswith("-symmetry")]
         assert sorted(r.op for r in symmetry) == ["fadd-symmetry", "fdiv-symmetry", "fmul-symmetry"]
-        assert all(r.cases == 32 * 32 and r.passed for r in symmetry)
+        assert all(r.cases == 5 * 32 * 32 and r.passed for r in symmetry)
 
     def test_exact_negative_result_carries_round_bit(self):
         three, _ = fadd(ONE, TWO)
@@ -352,8 +352,8 @@ class TestSignSymmetry:
 
 class TestSmallFormats:
     @pytest.mark.parametrize("shape, cases", [
-        ((2, 2), 12_864), ((2, 3), 51_840), ((3, 2), 62_288),
-        ((2, 4), 208_128), ((3, 3), 249_152), ((4, 2), 274_896),
+        ((2, 2), 25_152), ((2, 3), 100_992), ((3, 2), 111_440),
+        ((2, 4), 404_736), ((3, 3), 445_760), ((4, 2), 471_504),
     ])
     def test_float_all_passes_on_every_5_to_7_bit_shape(self, shape, cases):
         from rnarith.verify import SUITES
