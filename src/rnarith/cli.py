@@ -6,10 +6,8 @@ parse errors.
 
 from __future__ import annotations
 
-import functools
 import re
 import sys
-from types import SimpleNamespace
 
 from . import fixed, floatarith as fa
 from .core import (
@@ -130,10 +128,12 @@ def _convert_to_fixed(value: DyadicRational | Fraction, spec: str, prefer_round_
     return RnFixed(bits, width, r, lsb)
 
 
-def cmd_convert(args) -> int:
-    operand = _parse_operand(args.value)
-    target = args.to
-    if args.prefer_round_bit and not target.startswith("rn@"):
+def cmd_convert(value: str, options: dict) -> int:
+    target, prefer_round_bit = options["to"], options["prefer-round-bit"]
+    if target is None:
+        raise CliError("convert needs --to TARGET")
+    operand = _parse_operand(value)
+    if prefer_round_bit and not target.startswith("rn@"):
         raise CliError("--prefer-round-bit applies only to an rn@<lsb>,w=<width> target")
     if target == "sd":
         if not isinstance(operand, RnFixed):
@@ -145,7 +145,7 @@ def cmd_convert(args) -> int:
         return 0
     if target == "decimal":
         if not isinstance(operand, (RnFixed, RnFloat)):  # a decimal
-            print(_decimal_text(args.value))
+            print(_decimal_text(value))
             return 0
         v = value_of_float(operand.fmt, operand.word) if isinstance(operand, RnFloat) else value_of(operand)
         if isinstance(v, FloatClass):
@@ -162,7 +162,7 @@ def cmd_convert(args) -> int:
         print(f"{format_hex_literal(RnFloat(fmt, word))} {'inexact' if inexact else 'exact'}")
         return 0
     if target.startswith("rn@"):
-        out = _convert_to_fixed(_operand_value(operand), target, args.prefer_round_bit)
+        out = _convert_to_fixed(_operand_value(operand), target, prefer_round_bit)
         print(format_literal(out))
         return 0
     raise CliError(f"unknown conversion target {target!r}")
@@ -223,8 +223,11 @@ def _evaluate(tokens: list[str], mode: fa.RoundingMode) -> tuple[RnFixed | RnFlo
     return term, inexact
 
 
-def cmd_eval(args) -> int:
-    result, inexact = _evaluate(args.expr.split(), _MODES[args.mode])
+def cmd_eval(expr: str, options: dict) -> int:
+    mode = _MODES.get(options["mode"])
+    if mode is None:
+        raise CliError(f"--mode must be one of {', '.join(_MODES)}, not {options['mode']!r}")
+    result, inexact = _evaluate(expr.split(), mode)
     tag = "inexact" if inexact else "exact"
     if isinstance(result, RnFixed):
         print(f"{format_literal(result)} {tag} (= {value_of(result)})")
@@ -239,8 +242,8 @@ def cmd_eval(args) -> int:
 # inspect
 
 
-def cmd_inspect(args) -> int:
-    f = parse_float_literal(args.value)
+def cmd_inspect(value: str, options: dict) -> int:
+    f = parse_float_literal(value)
     fmt = f.fmt
     u = unpack(fmt, f.word)
     _, _, x, scale = decode(fmt, f.word)
@@ -263,26 +266,28 @@ def cmd_inspect(args) -> int:
 # verify
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(suite: str, options: dict) -> int:
     from .verify import SUITES  # loaded by the command, not by importing the CLI
-    run = SUITES.get(args.suite)
+    run = SUITES.get(suite)
     if run is None:
-        raise CliError(f"unknown suite {args.suite!r}")
-    code = run.__code__  # each suite is a lambda; its parameters are the options it takes
-    takes = code.co_varnames[:code.co_argcount]
-    kwargs = {}
-    if args.width is not None:
-        if "width" not in takes:
-            raise CliError(f"suite {args.suite!r} takes no --width")
-        if args.width < 1:
-            raise CliError(f"--width must be at least 1, not {args.width}")
-        kwargs["width"] = args.width
-    if args.format is not None:
-        if "fmt" not in takes:
-            raise CliError(f"suite {args.suite!r} takes no --format")
-        if args.format not in FORMATS:
-            raise CliError(f"unknown format {args.format!r}")
-        kwargs["fmt"] = FORMATS[args.format]
+        raise CliError(f"unknown suite {suite!r}")
+    # a fixed-* suite takes --width, a float-* suite --format
+    width, name, kwargs = options["width"], options["format"], {}
+    if width is not None:
+        if not suite.startswith("fixed-"):
+            raise CliError(f"suite {suite!r} takes no --width")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and len(width) > limit:
+            raise CliError(f"--width has more than the {limit}-digit limit on integers")
+        if not (width.isascii() and width.isdigit()) or int(width) < 1:
+            raise CliError(f"--width must be at least 1, not {width}")
+        kwargs["width"] = int(width)
+    if name is not None:
+        if not suite.startswith("float-"):
+            raise CliError(f"suite {suite!r} takes no --format")
+        if name not in FORMATS:
+            raise CliError(f"unknown format {name!r}")
+        kwargs["fmt"] = FORMATS[name]
     reports = run(**kwargs)
     failed = False
     for rep in reports:
@@ -294,96 +299,85 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# argparse's own negative-number pattern (CPython 3.11 Lib/argparse.py,
-# ArgumentParser._negative_number_matcher): no option here looks like one, so
-# argparse reads a token starting with "-" as a positional only if it matches
-_NEGATIVE_NUMBER = re.compile(r'^-\d+$|^-\d*\.\d+$').match
+# each command: its function, the name of its one positional, and its
+# options with their defaults, where a default of False marks a flag
+_COMMANDS = {
+    "convert": (cmd_convert, "VALUE", {"to": None, "prefer-round-bit": False}),
+    "eval": (cmd_eval, "EXPR", {"mode": "rn"}),
+    "inspect": (cmd_inspect, "VALUE", {}),
+    "verify": (cmd_verify, "SUITE", {"width": None, "format": None}),
+}
+
+_USAGE = f"""\
+usage: rnarith convert VALUE --to TARGET [--prefer-round-bit]
+       rnarith eval EXPR [--mode MODE]
+       rnarith inspect VALUE
+       rnarith verify SUITE [--width N] [--format NAME]
+
+VALUE is an rn: literal, an rnf literal or a decimal; TARGET is sd, decimal,
+float:<format> or rn@<lsb>,w=<width>; EXPR is literals and + - * / split by
+spaces; MODE is one of {", ".join(_MODES)} (default rn). The fixed-* suites
+take --width, the float-* suites --format. Options come in any order, as
+--opt VALUE, --opt=VALUE or a unique prefix of --opt; -- ends them."""
 
 
-def _positional(token: str) -> bool:
-    """Whether argparse reads a nonempty ``token`` as a positional."""
-    return token != "" and (token[0] != "-" or _NEGATIVE_NUMBER(token) is not None)
+def cmd_help(command: str | None, options: dict) -> int:
+    print(_USAGE)
+    if command == "verify":
+        from .verify import SUITES  # only verify's help lists the suites
+        print(f"suites: {', '.join(sorted(SUITES))}")
+    return 0
 
 
-def _fast_args(argv) -> SimpleNamespace | None:
-    """The namespace argparse gives an argv of one of the common shapes,
-    ``eval EXPR``, ``eval EXPR --mode M``, ``convert V --to T`` and
-    ``inspect V``, read without it; None for any other argv (help,
-    ``verify``, ``--opt=value``, abbreviations, ``--``, any error)."""
-    n = len(argv)
-    command = argv[0] if n else None
-    if command == "eval" and (n == 2 or n == 4 and argv[2] == "--mode"):
-        mode = argv[3] if n == 4 else "rn"
-        if mode in _MODES and _positional(argv[1]):
-            return SimpleNamespace(func=cmd_eval, expr=argv[1], mode=mode)
-    elif command == "convert" and n == 4 and argv[2] == "--to" and _positional(argv[1]) and _positional(argv[3]):
-        return SimpleNamespace(func=cmd_convert, value=argv[1], to=argv[3], prefer_round_bit=False)
-    elif command == "inspect" and n == 2 and _positional(argv[1]):
-        return SimpleNamespace(func=cmd_inspect, value=argv[1])
-    return None
-
-
-@functools.cache
-def _build_parser():
-    """Built on the first argv that ``_fast_args`` declines, not at import,
-    and shared by every later one: ``parse_args`` writes only to a fresh
-    namespace."""
-    import argparse  # so an argv on the fast path never loads it
-    import shutil
-    from .verify import SUITES  # for the verify help, which lists the suites
-
-    class Parser(argparse.ArgumentParser):
-        """Formats each usage line once per terminal width, the one input of
-        argparse's ``HelpFormatter`` that can change after a parser is built;
-        ``add_subparsers`` gives the subparsers this class too."""
-
-        @functools.cache
-        def _usage(self, columns):  # columns only keys the cache
-            return super().format_usage()
-
-        def format_usage(self):
-            return self._usage(shutil.get_terminal_size().columns)
-
-    parser = Parser(
-        prog="rnarith",
-        description="Round-to-nearest-by-truncation arithmetic toolbox.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("convert", help="convert between representations")
-    p.add_argument("value", help="rn: literal, rnf literal, or decimal")
-    p.add_argument("--to", required=True, help="sd | canonical target rn@<lsb>,w=<width> | float:<fmt> | decimal")
-    p.add_argument(
-        "--prefer-round-bit",
-        action="store_true",
-        help="emit the round-bit-set spelling of exactly representable values",
-    )
-    p.set_defaults(func=cmd_convert)
-
-    p = sub.add_parser("eval", help="evaluate an infix expression over literals")
-    p.add_argument("expr", help="whitespace-separated literals and + - * /")
-    p.add_argument("--mode", choices=sorted(_MODES), default="rn", help="rounding mode for float ops")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("inspect", help="break a float word into fields")
-    p.add_argument("value", help="rnf literal, e.g. rnf8:0x30")
-    p.set_defaults(func=cmd_inspect)
-
-    p = sub.add_parser("verify", help="run a verification sweep")
-    p.add_argument("suite", help=f"one of: {', '.join(sorted(SUITES))}")
-    p.add_argument("--width", type=int, default=None, help="fixed-point width (or p for fixed-div)")
-    p.add_argument("--format", default=None, help="float format name, e.g. rnf8")
-    p.set_defaults(func=cmd_verify)
-
-    return parser
+def _read_argv(argv: list[str]) -> tuple:
+    """The function, positional and options that ``argv`` asks for, or
+    ``cmd_help`` where ``-h`` or a prefix of ``--help`` stands in place of
+    an option.  An option is its name or a prefix that no other option
+    name of the command starts with.  A usage error raises ``CliError``:
+    with no help asked for, the first one found."""
+    command = argv[0] if argv else ""
+    if command in ("-h", "--help"):
+        return cmd_help, None, {}
+    if command not in _COMMANDS:
+        raise CliError(f"expected a command, one of {', '.join(_COMMANDS)}, not {command!r}")
+    func, positional, defaults = _COMMANDS[command]
+    tokens, options, values, error = iter(argv[1:]), dict(defaults), [], None
+    for token in tokens:
+        if token == "--":
+            values += tokens
+            break
+        if token == "-h":
+            return cmd_help, command, {}
+        if not token.startswith("--"):
+            values.append(token)
+            continue
+        key, eq, value = token[2:].partition("=")
+        names = [key] if key in defaults else [n for n in (*defaults, "help") if n.startswith(key)] if key else []
+        name = names[0] if len(names) == 1 else None
+        if name is None:
+            error = error or f"{command} takes no option {token!r}"
+        elif name == "help":
+            return cmd_help, command, {}
+        elif defaults[name] is False:
+            options[name] = True
+            if eq:
+                error = error or f"--{name} takes no value"
+        else:
+            options[name] = value if eq else next(tokens, None)
+            if options[name] is None:
+                error = error or f"--{name} needs a value"
+    if error is None and len(values) != 1:
+        error = f"{command} takes one {positional}, got {len(values)}"
+    if error:
+        raise CliError(error)
+    return func, values[0], options
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = _fast_args(argv) or _build_parser().parse_args(argv)
+    """Run one command line and return its exit code, a usage error's too."""
     try:
-        return args.func(args)
+        func, positional, options = _read_argv(sys.argv[1:] if argv is None else argv)
+        return func(positional, options)
     except (CliError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -96,12 +96,6 @@ class DyadicRational(_Value):
         _set(self, "mantissa", mantissa)
         _set(self, "exp", exp)
 
-    def to_fraction(self) -> Fraction:
-        from fractions import Fraction  # only here: importing rnarith loads no fractions
-        if self.exp >= 0:
-            return Fraction(self.mantissa << self.exp)
-        return Fraction(self.mantissa, 1 << -self.exp)
-
     def __str__(self) -> str:
         """Exact decimal representation (always finite for dyadic values)."""
         m, e = self.mantissa, self.exp

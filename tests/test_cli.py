@@ -1,5 +1,5 @@
-import argparse
 import contextlib
+import hashlib
 import importlib.util
 import io
 import os
@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from rnarith import cli, floatfmt
-from rnarith.cli import _build_parser, main
+from rnarith.cli import main
 from rnarith.core import DyadicRational
 from rnarith.floatarith import RoundingMode, round_to_format
 from rnarith.floatfmt import RNF64
@@ -484,9 +484,8 @@ class TestVerify:
         assert [line.rsplit(" ", 1)[0] for line in lines if not line.startswith("verify ")] == statuses
 
     def test_seed_flag_is_gone(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "paper-examples", "--seed", "1"])
-        assert exc.value.code == 2
+        assert run(capsys, "verify", "paper-examples", "--seed", "1") == (
+            2, "", "error: verify takes no option '--seed'")
 
     def test_oversized_pair_sweep_is_refused(self, capsys):
         t0 = time.perf_counter()
@@ -548,11 +547,8 @@ class TestVerify:
 
 
 class TestParserReuse:
-    """Every main() call in a process shares one parser; no option, default
-    or error may leak from one call into the next."""
-
-    def test_parser_built_once(self):
-        assert _build_parser() is _build_parser()
+    """No option, default or error may leak from one main() call in a
+    process into the next."""
 
     def test_calls_in_sequence_match_single_calls(self, capsys):
         expr = "rnf8:0x30 + rnf8:0x01"
@@ -561,42 +557,36 @@ class TestParserReuse:
         target = ("convert", "12", "--to", "rn@0,w=5")
         assert run(capsys, *target, "--prefer-round-bit") == (0, "rn:01011:r1@0", "")
         assert run(capsys, *target) == (0, "rn:01100:r0@0", "")
-        with pytest.raises(SystemExit) as exc:
-            main(["eval", "--mode", "bogus", expr])
-        assert exc.value.code == 2
-        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        bogus = (2, "", "error: --mode must be one of rn, ru, rd, rz, ra, not 'bogus'")
+        assert run(capsys, "eval", "--mode", "bogus", expr) == bogus
         assert run(capsys, "eval", expr) == (0, "rnf8:0x30 inexact sticky=1 (= 1)", "")
-        # main reads the common shapes itself and leaves the rest to argparse:
-        # alternate the two, asserting which one reads each argv
         ru = (0, "rnf8:0x31 inexact sticky=1 (= 1.125)", "")
         rn = (0, "rnf8:0x30 inexact sticky=1 (= 1)", "")
         target_eq = ("convert", "12", "--to=rn@0,w=5")
         calls = [
-            (("eval", expr, "--mode", "ru"), True, ru),
-            (("eval", expr, "--mode=ru"), False, ru),
-            (("eval", expr), True, rn),
-            (("eval", "--mo", "ru", expr), False, ru),
-            (("eval", "--", expr), False, rn),
-            (("eval", "--mode", "ru", expr), False, ru),
-            (("eval", expr, "--mode", "rd"), True, rn),
-            ((*target, "--prefer-round-bit"), False, (0, "rn:01011:r1@0", "")),
-            (target_eq, False, (0, "rn:01100:r0@0", "")),
-            ((*target_eq, "--prefer-round-bit"), False, (0, "rn:01011:r1@0", "")),
-            (target, True, (0, "rn:01100:r0@0", "")),
-            (("convert", "-1.5", "--to", "float:rnf8"), True, (0, "rnf8:0xb7 exact", "")),
-            (("convert", "-1e5", "--to", "decimal"), False,
-             (2, "", "rnarith convert: error: the following arguments are required: value")),
-            (("convert", "1", "--to", "-x"), False, (2, "", "rnarith convert: error: argument --to: expected one argument")),
-            (("eval", "rnf8:0x30 +"), True, (2, "", "error: expression ends with an operator")),
-            (("eval", "-1 + 2"), False, (2, "", "error: eval operands must be rn: or rnf literals")),
-            (("eval", ""), False, (2, "", "error: empty expression")),
-            (("convert", "0.3", "--to", "rn@0,w=5"), True,
-             (2, "", "error: value is not representable at lsb exponent 0")),
-            (("inspect", "rnf8:0x30", "--to", "decimal", "--prefer-round-bit"), False,
-             (2, "", "rnarith: error: unrecognized arguments: --to decimal --prefer-round-bit")),
-            (("inspect", "rnf8:0x30"), True, (0, "fields: s=0 e=3 f=000 r=0", "")),
-            (("verify", "no-such-suite"), False, (2, "", "error: unknown suite 'no-such-suite'")),
-            (("eval", "--mode=ru", expr), False, ru),
+            (("eval", expr, "--mode", "ru"), ru),
+            (("eval", expr, "--mode=ru"), ru),
+            (("eval", expr), rn),
+            (("eval", "--mo", "ru", expr), ru),
+            (("eval", "--", expr), rn),
+            (("eval", "--mode", "ru", expr), ru),
+            (("eval", expr, "--mode", "rd"), rn),
+            ((*target, "--prefer-round-bit"), (0, "rn:01011:r1@0", "")),
+            (target_eq, (0, "rn:01100:r0@0", "")),
+            ((*target_eq, "--prefer-round-bit"), (0, "rn:01011:r1@0", "")),
+            (target, (0, "rn:01100:r0@0", "")),
+            (("convert", "-1.5", "--to", "float:rnf8"), (0, "rnf8:0xb7 exact", "")),
+            (("convert", "-1e5", "--to", "decimal"), (2, "", "error: unrecognized operand '-1e5'")),
+            (("convert", "1", "--to", "-x"), (2, "", "error: unknown conversion target '-x'")),
+            (("eval", "rnf8:0x30 +"), (2, "", "error: expression ends with an operator")),
+            (("eval", "-1 + 2"), (2, "", "error: eval operands must be rn: or rnf literals")),
+            (("eval", ""), (2, "", "error: empty expression")),
+            (("convert", "0.3", "--to", "rn@0,w=5"), (2, "", "error: value is not representable at lsb exponent 0")),
+            (("inspect", "rnf8:0x30", "--to", "decimal", "--prefer-round-bit"),
+             (2, "", "error: inspect takes no option '--to'")),
+            (("inspect", "rnf8:0x30"), (0, "fields: s=0 e=3 f=000 r=0", "")),
+            (("verify", "no-such-suite"), (2, "", "error: unknown suite 'no-such-suite'")),
+            (("eval", "--mode=ru", expr), ru),
         ]
 
         def call(argv):
@@ -605,13 +595,9 @@ class TestParserReuse:
             return code, out.strip().rpartition("\n")[2], err.strip().rpartition("\n")[2]
 
         for _ in range(2):
-            for argv, fast, want in calls:
-                assert (cli._fast_args(argv) is not None) == fast, argv
+            for argv, want in calls:
                 assert call(argv) == want, argv
-            with pytest.raises(SystemExit) as exc:
-                main(["eval", expr, "--mode", "ru", "--mode", "bogus"])
-            assert exc.value.code == 2
-            assert "invalid choice: 'bogus'" in capsys.readouterr().err
+            assert run(capsys, "eval", expr, "--mode", "ru", "--mode", "bogus") == bogus
             assert run(capsys, "eval", expr) == rn
 
 
@@ -631,112 +617,148 @@ def _cli_eval_argvs(monkeypatch, seeds):
     return [argv for seed in seeds for argv, _ in modules["workloads"].CliEval(seed).items]
 
 
-def _through_argparse(argv):
-    """``main`` with every argv read by argparse: the fast path's reference."""
-    args = _build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (cli.CliError, ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
 def _outcome(call, argv):
     """Exit code, stdout and stderr of one call, as a user sees them."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = call(list(argv))
-        except SystemExit as exc:
-            code = exc.code
+        code = call(list(argv))
     return code, out.getvalue(), err.getvalue()
 
 
 EXPR = "rnf8:0x30 + rnf8:0x01"
-# argv forms whose reading is argparse's alone, or close to the fast path's
-# edges: each must give what argparse gives
+# argv forms that argparse once read, or that sat at the edges of the fast
+# path that read the common shapes without it, each with the exit code it
+# gave then and must give now
 HAND_ARGV = [
-    [],
-    ["-h"],
-    ["eval", "-h"],
-    ["convert", "--help"],
-    ["inspect", "rnf8:0x30", "-h"],
-    ["eval", EXPR, "--mode=ru"],
-    ["eval", "--mode=ru", EXPR],
-    ["eval", EXPR, "--mo", "ru"],
-    ["eval", "--mo", "ru", EXPR],
-    ["convert", "1.5", "--t", "decimal"],
-    ["convert", "1.5", "--to=decimal"],
-    ["convert", "1.5", "--to", "rn@-1,w=4", "--prefer"],
-    ["convert", "1.5", "--to", "decimal", "--to", "sd"],
-    ["convert", "1.5", "--to", "rn@-1,w=4", "--prefer-round-bit", "--prefer-round-bit"],
-    ["eval", EXPR, "--mode", "ru", "--mode", "rd"],
-    ["eval", "--mode", "ru", "--mode", "rd", EXPR],
-    ["eval", "--mode", "ru", EXPR, "--mode", "rd"],
-    ["eval", "--mode", "rx", EXPR],
-    ["eval", EXPR, "--mode", "rx"],
-    ["eval", EXPR, "--mode", "RU"],
-    ["eval", EXPR, "--mode", ""],
-    ["eval", EXPR, "--mode"],
-    ["eval", "--mode", EXPR],
-    ["eval", "--mode", "--mode", "ru"],
-    ["eval", "--mode", "ru", "--mode"],
-    ["eval", "--", EXPR],
-    ["eval", EXPR, "--"],
-    ["convert", "-1.5", "--to", "float:rnf8"],
-    ["convert", "-.5", "--to", "decimal"],
-    ["convert", "-1e5", "--to", "decimal"],
-    ["convert", "-1", "--to", "rn@0,w=4", "--prefer-round-bit"],
-    ["convert", "-0", "--to", "decimal"],
-    ["convert", "-1\n", "--to", "decimal"],
-    ["convert", "-\u0661", "--to", "decimal"],
-    ["convert", "1", "--to", "-1"],
-    ["convert", "1", "--to", "-x"],
-    ["convert", "--to", "decimal", "1.5"],
-    ["convert", "1.5", "--prefer-round-bit", "--to", "rn@-1,w=4"],
-    ["convert", "1.5", "--to", "decimal", "--prefer-round-bit"],
-    ["convert", "1.5", "--to", "decimal", "extra"],
-    ["convert", "1.5", "--to"],
-    ["convert", "1.5"],
-    ["convert", "1.5", "--to", ""],
-    ["convert", "", "--to", "decimal"],
-    ["eval", ""],
-    ["inspect", ""],
-    ["eval", "-1 + 2"],
-    ["eval", "-"],
-    ["eval", "-1"],
-    ["eval", EXPR, "extra"],
-    ["eval", EXPR, "--to", "decimal"],
-    ["eval", "rnf8:0x30 / rnf8:0x00", "--mode", "rz"],
-    ["eval"],
-    ["inspect"],
-    ["convert"],
-    ["inspect", "-1"],
-    ["inspect", "rnf8:0x30", "rnf8:0x31"],
-    ["inspect", "rnf8:0x30", "--to", "decimal", "--prefer-round-bit"],
-    ["inspect", "rnf8:0x30", "--to", "decimal"],
-    ["convert", "1.5", "--mode", "ru"],
-    ["EVAL", EXPR],
-    ["frobnicate", "rnf8:0x30"],
-    ["verify"],
-    ["verify", "no-such-suite", "--width", "x"],
+    ([], 2),
+    (["-h"], 0),
+    (["eval", "-h"], 0),
+    (["convert", "--help"], 0),
+    (["inspect", "rnf8:0x30", "-h"], 0),
+    (["eval", EXPR, "--mode=ru"], 0),
+    (["eval", "--mode=ru", EXPR], 0),
+    (["eval", EXPR, "--mo", "ru"], 0),
+    (["eval", "--mo", "ru", EXPR], 0),
+    (["convert", "1.5", "--t", "decimal"], 0),
+    (["convert", "1.5", "--to=decimal"], 0),
+    (["convert", "1.5", "--to", "rn@-1,w=4", "--prefer"], 0),
+    (["convert", "1.5", "--to", "decimal", "--to", "sd"], 2),
+    (["convert", "1.5", "--to", "rn@-1,w=4", "--prefer-round-bit", "--prefer-round-bit"], 0),
+    (["eval", EXPR, "--mode", "ru", "--mode", "rd"], 0),
+    (["eval", "--mode", "ru", "--mode", "rd", EXPR], 0),
+    (["eval", "--mode", "ru", EXPR, "--mode", "rd"], 0),
+    (["eval", "--mode", "rx", EXPR], 2),
+    (["eval", EXPR, "--mode", "rx"], 2),
+    (["eval", EXPR, "--mode", "RU"], 2),
+    (["eval", EXPR, "--mode", ""], 2),
+    (["eval", EXPR, "--mode"], 2),
+    (["eval", "--mode", EXPR], 2),
+    (["eval", "--mode", "--mode", "ru"], 2),
+    (["eval", "--mode", "ru", "--mode"], 2),
+    (["eval", "--", EXPR], 0),
+    (["eval", EXPR, "--"], 0),
+    (["convert", "-1.5", "--to", "float:rnf8"], 0),
+    (["convert", "-.5", "--to", "decimal"], 2),
+    (["convert", "-1e5", "--to", "decimal"], 2),
+    (["convert", "-1", "--to", "rn@0,w=4", "--prefer-round-bit"], 0),
+    (["convert", "-0", "--to", "decimal"], 0),
+    (["convert", "-1\n", "--to", "decimal"], 2),
+    (["convert", "-\u0661", "--to", "decimal"], 2),
+    (["convert", "1", "--to", "-1"], 2),
+    (["convert", "1", "--to", "-x"], 2),
+    (["convert", "--to", "decimal", "1.5"], 0),
+    (["convert", "1.5", "--prefer-round-bit", "--to", "rn@-1,w=4"], 0),
+    (["convert", "1.5", "--to", "decimal", "--prefer-round-bit"], 2),
+    (["convert", "1.5", "--to", "decimal", "extra"], 2),
+    (["convert", "1.5", "--to"], 2),
+    (["convert", "1.5"], 2),
+    (["convert", "1.5", "--to", ""], 2),
+    (["convert", "", "--to", "decimal"], 2),
+    (["eval", ""], 2),
+    (["inspect", ""], 2),
+    (["eval", "-1 + 2"], 2),
+    (["eval", "-"], 2),
+    (["eval", "-1"], 2),
+    (["eval", EXPR, "extra"], 2),
+    (["eval", EXPR, "--to", "decimal"], 2),
+    (["eval", "rnf8:0x30 / rnf8:0x00", "--mode", "rz"], 0),
+    (["eval"], 2),
+    (["inspect"], 2),
+    (["convert"], 2),
+    (["inspect", "-1"], 2),
+    (["inspect", "rnf8:0x30", "rnf8:0x31"], 2),
+    (["inspect", "rnf8:0x30", "--to", "decimal", "--prefer-round-bit"], 2),
+    (["inspect", "rnf8:0x30", "--to", "decimal"], 2),
+    (["convert", "1.5", "--mode", "ru"], 2),
+    (["EVAL", EXPR], 2),
+    (["frobnicate", "rnf8:0x30"], 2),
+    (["verify"], 2),
+    (["verify", "no-such-suite", "--width", "x"], 2),
 ]
 
 
+def _usage_error(outcome) -> bool:
+    """Exit 2 with no stdout and exactly one line, ``error: ...``, on stderr."""
+    code, out, err = outcome
+    return code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestFastPath:
-    """``main`` reads the common argv shapes itself; every argv must give the
-    exit code, stdout and stderr argparse gives it."""
+    """Named for the argv fast path that once read the common shapes beside
+    argparse: ``main`` now reads every argv with one reader, and each argv
+    keeps the exit code and stdout the two parsers gave it."""
 
     def test_cli_eval_argvs_match_argparse(self, monkeypatch):
-        argvs = _cli_eval_argvs(monkeypatch, (1, 2, 3))
-        differ = [argv for argv in argvs if _outcome(main, argv) != _outcome(_through_argparse, argv)]
-        assert differ == []
-        # the check means something only if most of the workload takes the fast path
-        assert sum(cli._fast_args(argv) is not None for argv in argvs) > 0.9 * len(argvs)
+        # the exit codes and stdout of the 4,500 argvs hash as they did
+        # when argparse read every usage error among them
+        digest, usage_errors = hashlib.sha256(), 0
+        for argv in _cli_eval_argvs(monkeypatch, (1, 2, 3)):
+            code, out, err = outcome = _outcome(main, argv)
+            digest.update(f"{code}\n{out}\0".encode())
+            assert code == 0 and not err or _usage_error(outcome), argv
+            usage_errors += code == 2
+        assert digest.hexdigest() == "3f4b88e9e1c52b5c730915f2d25c7d31c18d53980a65d3d253e4bd62c8d29ab5"
+        assert usage_errors > 0
 
-    @pytest.mark.parametrize("argv", HAND_ARGV, ids=repr)
-    def test_hand_argvs_match_argparse(self, argv):
-        assert _outcome(main, argv) == _outcome(_through_argparse, argv)
+    @pytest.mark.parametrize("argv, code", HAND_ARGV, ids=[repr(argv) for argv, _ in HAND_ARGV])
+    def test_hand_argvs_match_argparse(self, argv, code):
+        outcome = _outcome(main, argv)
+        if code == 2:
+            assert _usage_error(outcome)
+        else:
+            assert outcome[0] == code and not outcome[2]
+            assert outcome[1].startswith("usage: rnarith") == ("-h" in argv or "--help" in argv)
+
+
+class TestArgvReader:
+    """Options in any order, as ``--opt VALUE``, ``--opt=VALUE`` or a prefix,
+    repeated (the last counts) or after ``--``: one reading for them all."""
+
+    @pytest.mark.parametrize("canonical, alternates", [
+        (["eval", EXPR, "--mode", "ru"], [
+            ["eval", EXPR, "--mode=ru"], ["eval", EXPR, "--mo", "ru"], ["eval", "--m=ru", EXPR],
+            ["eval", "--mode", "ru", EXPR], ["eval", "--mode", "ru", "--", EXPR],
+            ["eval", EXPR, "--mode", "rd", "--mode", "ru"], ["eval", "--mode=rz", EXPR, "--mo=ru"],
+        ]),
+        (["convert", "1.5", "--to", "rn@-1,w=4", "--prefer-round-bit"], [
+            ["convert", "--to", "rn@-1,w=4", "--prefer-round-bit", "1.5"],
+            ["convert", "1.5", "--t=rn@-1,w=4", "--p"], ["convert", "--to", "rn@-1,w=4", "--p", "--", "1.5"],
+            ["convert", "1.5", "--to", "decimal", "--to", "rn@-1,w=4", "--prefer", "--prefer-round-bit"],
+        ]),
+        (["verify", "fixed-negate", "--width", "5"], [
+            ["verify", "--width=5", "fixed-negate"], ["verify", "--w", "5", "--", "fixed-negate"],
+            ["verify", "fixed-negate", "--width", "9", "--wid=5"],
+        ]),
+    ], ids=["eval", "convert", "verify"])
+    def test_alternate_spellings_print_the_canonical_stdout(self, canonical, alternates):
+        def shown(argv):
+            code, out, err = _outcome(main, argv)
+            return code, re.sub(r" [0-9.]+$", "", out, flags=re.M), err  # less a verify run's seconds
+
+        want = shown(canonical)
+        assert want[0] == 0 and want[1]
+        for argv in alternates:
+            assert shown(argv) == want, argv
 
 
 USAGE_ERROR_ARGV = [
@@ -747,50 +769,23 @@ USAGE_ERROR_ARGV = [
     ["verify"],
     ["eval", EXPR, "--mode=rx"],
     ["inspect"],
+    [],
+    ["eval", EXPR, "--mode"],
+    ["eval", EXPR, "--bogus", "--mode", "rx", "extra"],
+    ["convert", "1.5", "--to", "sd", "--prefer-round-bit=1"],
+    ["convert", "1.5", "--to", "decimal", "--", "2.5"],
+    ["verify", "fixed-add", "--width", "1_0"],
+    ["verify", "fixed-add", "--format", "rnf8"],
+    ["--mode", "ru", "eval", EXPR],
 ]
 
 
-def _fresh_parser():
-    """A parser built anew, not the one ``main`` shares."""
-    return _build_parser.__wrapped__()
-
-
 class TestUsageErrors:
-    """The shared parser formats each usage line once per terminal width;
-    every usage error must still print what argparse itself prints."""
+    """``main`` returns 2 on every usage error, with one ``error:`` line."""
 
-    def test_usage_errors_match_a_fresh_parser(self, monkeypatch):
-        seen = {}
-        for columns in ("1000", "30", "1000"):  # 30 wraps every usage line
-            monkeypatch.setenv("COLUMNS", columns)
-            for argv in USAGE_ERROR_ARGV:
-                fresh = _fresh_parser()
-                # argparse's own format_usage, on this parser and its subparsers
-                monkeypatch.setattr(type(fresh), "format_usage", argparse.ArgumentParser.format_usage)
-                want = _outcome(fresh.parse_args, argv)
-                assert want[0] == 2 and want[2].count("error:") == 1, argv
-                outcomes = [_outcome(main, argv) for _ in range(3)]
-                assert outcomes[0] == want and outcomes[2] == want, (columns, argv)
-                seen.setdefault(tuple(argv), set()).add(want[2])
-        # the narrow width changed every message, so a stale line would show
-        assert all(len(errs) == 2 for errs in seen.values())
-
-    def test_usage_formatted_once_per_width(self, monkeypatch):
-        calls = []
-        format_usage = argparse.HelpFormatter._format_usage
-
-        def counting(self, *args):
-            calls.append(self._width)
-            return format_usage(self, *args)
-
-        parser = _fresh_parser()
-        monkeypatch.setattr(argparse.HelpFormatter, "_format_usage", counting)
-        argv = ["eval", EXPR, "--mode", "rx"]
-        for columns, formats in (("80", 1), ("80", 1), ("60", 2), ("80", 2)):
-            monkeypatch.setenv("COLUMNS", columns)
-            assert _outcome(parser.parse_args, argv)[0] == 2
-            assert len(calls) == formats, columns
-        assert calls == [78, 58]  # HelpFormatter's width is the terminal's less 2
+    def test_usage_errors_print_one_error_line(self):
+        for argv in USAGE_ERROR_ARGV:
+            assert _usage_error(_outcome(main, argv)), argv
 
 
 class TestLiteralRoundTrips:
@@ -829,11 +824,35 @@ def _extreme_tokens():
     return fixed, floats, decimals, [f"rn@{lsb},w={w}" for lsb in lsbs for w in widths]
 
 
+def _extreme_option_argvs():
+    """Option tokens at the edges of the argv reader: ``--width`` spellings
+    that ``int()`` takes or refuses, empty, unknown and ``=`` values, an
+    option with no value, abbreviations, ``--``, and ``-h`` at every
+    position."""
+    argvs = []
+    for width in ("x", "0", "-1", "+3", "1_0", "\u0663", " 3", "", "9" * 5000, str(10 ** 309)):
+        argvs += [["verify", "fixed-add", "--width", width], ["verify", f"--width={width}", "fixed-negate"],
+                  ["verify", "fixed-negate", "--wi", width]]
+    for command, positional, option in (("verify", "float-negate", "format"), ("eval", EXPR, "mode"),
+                                        ("convert", "1.5", "to")):
+        for value in ("", "=", "=x", "bogus", "rnf8", "ru", "decimal", "-h", "--", "--" + option):
+            argvs += [[command, positional, f"--{option}", value], [command, f"--{option}={value}", positional],
+                      [command, positional, f"--{option[0]}", value], [command, "--", positional, f"--{option}", value],
+                      [command, f"--{option}", value, "--", positional]]
+        argvs += [[command, positional, f"--{option}"], [command, f"--{option}"], [command, positional, "--"],
+                  [command, "--", "--", positional], [command, positional, "--", "--"], [command, f"--{option}="]]
+    for argv in (["eval", EXPR, "--mode", "ru"], ["convert", "1.5", "--to", "rn@-1,w=4", "--prefer-round-bit"],
+                 ["verify", "fixed-negate", "--width", "3"], ["inspect", "rnf8:0x30"], ["convert", "--", "1"]):
+        argvs += [[*argv[:i], "-h", *argv[i:]] for i in range(len(argv) + 1)]
+    return argvs
+
+
 class TestNoTraceback:
     def test_extreme_tokens_exit_cleanly(self):
         """Every ``eval`` (each op and mode), ``convert`` (each target kind)
-        and ``inspect`` of extreme tokens exits 0, 1 or 2, as a usage error
-        from argparse does; none ends in a traceback."""
+        and ``inspect`` of extreme tokens, and every argv of extreme option
+        tokens, exits 0, 1 or 2; none ends in a traceback or shows the text
+        of an ``int()`` refusal."""
         rng = random.Random(32)
         fixed, floats, decimals, fixed_targets = _extreme_tokens()
         argvs = []
@@ -850,13 +869,13 @@ class TestNoTraceback:
             argvs.append(["convert", value, "--to", rng.choice(fixed_targets), "--prefer-round-bit"])
             argvs.append(["inspect", value])
         unclean = []
-        for argv in argvs:
+        for argv in argvs + _extreme_option_argvs():
             try:
-                code = _outcome(main, argv)[0]
+                code, _, err = _outcome(main, argv)
             except Exception as exc:  # what would reach the user as a traceback
-                code = type(exc).__name__
-            if code not in (0, 1, 2):
-                unclean.append((" ".join(argv)[:80], code))
+                code, err = type(exc).__name__, ""
+            if code not in (0, 1, 2) or "int()" in err or "integer string conversion" in err:
+                unclean.append((" ".join(argv)[:80], code, err[:80]))
         assert unclean == []
 
 
@@ -875,7 +894,7 @@ def test_import_loads_no_introspection_modules():
     bring in) once made up most of it, ``argparse`` most of the rest, and
     then ``fractions`` (with ``decimal`` and ``numbers``) and the verifier.
     Neither the package nor the CLI may load them, nor ``shutil``, which
-    only the argparse parser's usage lines need."""
+    argparse's usage lines once needed."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     heavy = {"argparse", "shutil", "dataclasses", "inspect", "typing", "fractions", "decimal", "numbers",
              "rnarith.verify", "rnarith.oracle"}
@@ -894,13 +913,13 @@ INSPECT_0X35 = ("class=normal s=0 e=3(bias 3) hidden=1 f=010 r=1 sig=rn:01010:r1
     (["inspect", "rnf8:0x35"], INSPECT_0X35, []),
     (["convert", "0.3", "--to", "float:rnf8"], "rnf8:0x13 inexact\n", ["fractions"]),
     (["verify", "paper-examples"], "verify examples pinned\nPASS 1030 0 <s>\n", ["rnarith.verify"]),
-    (["eval", EXPR, "--mode=ru"], "rnf8:0x31 inexact sticky=1 (= 1.125)\n", ["rnarith.verify"]),
+    (["eval", EXPR, "--mode=ru"], "rnf8:0x31 inexact sticky=1 (= 1.125)\n", []),
 ], ids=["eval", "inspect", "convert-decimal", "verify", "argparse-fallback"])
 def test_each_command_loads_only_what_it_needs(argv, out, loads):
-    """``fractions`` comes with a decimal operand, and the verifier with
-    ``verify`` and with any argv that reaches argparse, whose help lists the
-    suites; literals load neither, and the verifier loads ``fractions`` only
-    to build a value."""
+    """``fractions`` comes with a decimal operand and the verifier with
+    ``verify``; literals load neither, in every spelling of the options
+    (``argparse-fallback`` is an argv that once went to argparse), and the
+    verifier loads ``fractions`` only to build a value."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = (f"import sys; sys.path.insert(0, {src!r}); from rnarith.cli import main; code = main({argv!r}); "
             "print(code, sorted({'fractions', 'rnarith.verify'} & set(sys.modules)))")
@@ -920,21 +939,31 @@ def test_decimal_eval_operand_refused_without_fractions():
         0, "2 False\n", "error: eval operands must be rn: or rnf literals\n")
 
 
-def test_verify_help_names_every_suite(capsys, monkeypatch):
+def test_verify_help_names_every_suite(capsys):
     from rnarith.verify import SUITES
 
-    monkeypatch.setenv("COLUMNS", "1000")  # one line, no hyphen breaks
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "-h"])
-    listed = re.search(r"one of: (.*)", capsys.readouterr().out).group(1)
-    assert (exc.value.code, listed) == (0, ", ".join(sorted(SUITES)))
+    code, out, err = run(capsys, "verify", "-h")
+    assert out.startswith("usage: rnarith")
+    assert (code, out.splitlines()[-1], err) == (0, f"suites: {', '.join(sorted(SUITES))}", "")
 
 
 def test_fast_path_call_loads_no_argparse():
+    """No argv loads ``argparse`` or ``shutil``, and of the argvs that do not
+    run ``verify`` only ``verify -h`` loads the verifier, to list the suites."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    code = (f"import sys; sys.path.insert(0, {src!r}); from rnarith.cli import main; "
-            "main(['eval', 'rnf8:0x30 + rnf8:0x01', '--mode', 'ru']); print('argparse' in sys.modules); "
-            "main(['eval', 'rnf8:0x30 + rnf8:0x01', '--mode=ru']); print('argparse' in sys.modules)")
+    code = "\n".join([
+        "import contextlib, io, sys",
+        f"sys.path.insert(0, {src!r})",
+        "from rnarith.cli import main",
+        "def loaded(argvs):",
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
+        "        codes = [main(argv) for argv in argvs]",
+        "    print(codes, sorted({'argparse', 'shutil', 'rnarith.verify'} & set(sys.modules)))",
+        f"loaded({[argv for argv, _ in HAND_ARGV if argv[:1] != ['verify']]!r})",
+        "loaded([['verify', '-h']])",
+        f"loaded({[argv for argv, _ in HAND_ARGV if argv[:1] == ['verify']]!r})",
+    ])
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
-    line = "rnf8:0x31 inexact sticky=1 (= 1.125)\n"
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{line}False\n{line}True\n", "")
+    others = [code for argv, code in HAND_ARGV if argv[:1] != ["verify"]]
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, f"{others} []\n[0] ['rnarith.verify']\n[2, 2] ['rnarith.verify']\n", "")

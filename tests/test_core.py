@@ -29,6 +29,11 @@ EXAMPLE_WORD = -718  # 110100110010 as a 12-bit two's complement word
 EXAMPLE_DIGITS = (0, -1, 1, -1, 0, 1, 0, -1, 0, 1, -1, 0)
 
 
+def fraction(v):
+    """The exact value of a ``DyadicRational`` as a ``Fraction``."""
+    return v.mantissa * Fraction(2) ** v.exp
+
+
 def val(x, lsb=0):
     """Value of encoding ``x = 2*bits + round`` with lsb exponent ``lsb``."""
     return Fraction((x + 1) >> 1) * Fraction(2) ** lsb
@@ -158,10 +163,10 @@ class TestSdOfCanonical:
 
 class TestValueOf:
     def test_worked_operand(self):
-        assert value_of(RnFixed(11, 5, 1)).to_fraction() == 12
+        assert fraction(value_of(RnFixed(11, 5, 1))) == 12
 
     def test_round_bit_clear(self):
-        assert value_of(RnFixed(11, 5, 0, -2)).to_fraction() == Fraction(11, 4)
+        assert fraction(value_of(RnFixed(11, 5, 0, -2))) == Fraction(11, 4)
 
     def test_spelling_equivalence_exhaustive(self):
         for bits in range(-128, 127):
@@ -241,7 +246,7 @@ class TestIntervalOf:
         # encoding inside that interval, and no other, truncates to it
         r = RnFixed(119, 9, 1)
         assert 2 * r.bits + r.round == 239
-        assert value_of(r).to_fraction() == 120  # the end the round bit points at
+        assert fraction(value_of(r)) == 120  # the end the round bit points at
         inside = [x for x in range(1900, 1940)  # 16ths: [x, x + 1] / 16
                   if Fraction(239, 2) <= Fraction(x, 16) and Fraction(x + 1, 16) <= 120]
         assert inside == list(range(1912, 1920))
@@ -250,11 +255,11 @@ class TestIntervalOf:
     def test_round_bit_clear_formula(self):
         # RnFixed(6, 5, 0, -1) is x = 12 at half-ulp 2**-2: [3, 3.25], and
         # its value is the low end; with the round bit set, the high end
-        assert value_of(RnFixed(6, 5, 0, -1)).to_fraction() == 3 == Fraction(12, 4)
+        assert fraction(value_of(RnFixed(6, 5, 0, -1))) == 3 == Fraction(12, 4)
         for bits, rnd in itertools.product(range(-16, 16), (0, 1)):
             x = 2 * bits + rnd
             lo, hi = Fraction(x, 4), Fraction(x + 1, 4)
-            assert value_of(RnFixed(bits, 5, rnd, -1)).to_fraction() == (hi if rnd else lo)
+            assert fraction(value_of(RnFixed(bits, 5, rnd, -1))) == (hi if rnd else lo)
 
     def test_adjacent_encodings_tile(self, capsys):
         # the intervals ``inspect`` prints for the finite rnf8 words, in

@@ -32,7 +32,8 @@ def div_lits(p):
 
 @functools.cache
 def exact(x):
-    return value_of(x).to_fraction()
+    v = value_of(x)
+    return v.mantissa * Fraction(2) ** v.exp
 
 
 class TestAdd:
@@ -363,15 +364,7 @@ class TestOneResultShape:
         assert args.vararg is None and args.kwarg is None
 
     def test_cli_defines_only_its_error(self):
-        # besides its error, only the argparse parser class, local to
-        # _build_parser, whose methods format the usage line
-        classes = self._defined(cli, ast.ClassDef)
-        assert set(classes) == {"CliError", "Parser"}
-        assert "Parser" in {n.name for n in ast.walk(self._defined(cli, ast.FunctionDef)["_build_parser"])
-                            if isinstance(n, ast.ClassDef)}
-        assert [ast.unparse(b) for b in classes["Parser"].bases] == ["argparse.ArgumentParser"]
-        assert {n.name for n in classes["Parser"].body if isinstance(n, ast.FunctionDef)} == {
-            "_usage", "format_usage"}
+        assert set(self._defined(cli, ast.ClassDef)) == {"CliError"}
 
 
 class TestRnFixedIsTheLiteral:

@@ -12,7 +12,7 @@ import rnarith.fixed as fixed
 import rnarith.floatarith as fa
 import rnarith.oracle as oracle
 import rnarith.verify as verify
-from rnarith.core import DyadicRational, RnFixed
+from rnarith.core import RnFixed
 from rnarith.floatarith import RoundingMode
 from rnarith.floatfmt import RNF8, RNF16, RNF32, RNF64, FloatClass, FloatFormat
 from rnarith.oracle import (
@@ -545,7 +545,6 @@ class TestIntegerOracle:
 
         # every Fraction built, wherever verify imports the class
         monkeypatch.setattr(Fraction, "__new__", counted("Fraction", Fraction.__new__))
-        monkeypatch.setattr(DyadicRational, "to_fraction", counted("to_fraction", DyadicRational.to_fraction))
         monkeypatch.setattr(RnFixed, "__init__", counted("RnFixed", RnFixed.__init__))
         on_ints = [
             verify.fixed_add_sweep(3, "add"), verify.fixed_mul_sweep(4), verify.fixed_mul_sign_sweep(4),

@@ -107,7 +107,7 @@ def main(argv: list[str]) -> int:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = cli_main(list(argv))
-            except SystemExit as exc:  # argparse's usage errors
+            except SystemExit as exc:  # a usage error in an older checkout, whose CLI used argparse
                 code = exc.code
         digest.update(f"{code}\n{out.getvalue()}{err.getvalue()}\0".encode())
     print(f"cli {len(argvs)}")
