@@ -13,7 +13,9 @@ from . import fixed, floatarith as fa
 from .core import (
     DyadicRational,
     RnFixed,
+    digit_limit,
     format_literal,
+    int_of_field,
     parse_literal,
     sd_of_canonical,
     value_of,
@@ -96,20 +98,14 @@ def _decimal_text(text: str) -> str:
 
 
 def _convert_to_fixed(value: DyadicRational | Fraction, spec: str, prefer_round_bit: bool) -> RnFixed:
-    bad = f"bad fixed-point target {spec!r} (expected rn@<lsb>,w=<width>)"
     m = _FIXED_TARGET_RE.fullmatch(spec)
-    if m is None:
-        raise CliError(bad)
-    try:
-        lsb, width = int(m.group(1)), int(m.group(2))
-    except ValueError:  # more digits than the interpreter's int() limit
-        raise CliError(bad) from None
+    lsb, width = (int_of_field(m[1]), int_of_field(m[2])) if m else (None, None)
+    if lsb is None or width is None:  # None past the digit limit
+        raise CliError(f"bad fixed-point target {spec!r} (expected rn@<lsb>,w=<width>)")
     if width < 1:
         raise CliError("width must be at least 1")
-    # the literal has one digit per bit: a width past the interpreter's digit
-    # limit is refused, as a decimal would be, before the word is built
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and width > limit:
+    # one printed digit per bit: a width past the digit limit is refused before the word is built
+    if width > (limit := digit_limit()):
         raise CliError(f"width {width} is more than the {limit}-digit limit on printed integers")
     # decided on mantissa and exponent, before any shift builds the word
     n = value.mantissa if isinstance(value, DyadicRational) else None
@@ -138,10 +134,8 @@ def cmd_convert(value: str, options: dict) -> int:
     if target == "sd":
         if not isinstance(operand, RnFixed):
             raise CliError("signed-digit output needs a fixed-point literal")
-        digits = list(sd_of_canonical(2 * operand.bits + operand.round, operand.width))
-        while len(digits) > 1 and digits[0] == 0:
-            digits.pop(0)
-        print(" ".join(str(d) for d in digits))
+        digits = sd_of_canonical(2 * operand.bits + operand.round, operand.width)
+        print(" ".join(map(str, digits)).lstrip("0 ") or "0")  # only the digit 0 starts with 0
         return 0
     if target == "decimal":
         if not isinstance(operand, (RnFixed, RnFloat)):  # a decimal
@@ -276,12 +270,12 @@ def cmd_verify(suite: str, options: dict) -> int:
     if width is not None:
         if not suite.startswith("fixed-"):
             raise CliError(f"suite {suite!r} takes no --width")
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and len(width) > limit:
-            raise CliError(f"--width has more than the {limit}-digit limit on integers")
-        if not (width.isascii() and width.isdigit()) or int(width) < 1:
+        n = int_of_field(width) if width.isascii() and width.isdigit() else 0
+        if n is None:
+            raise CliError(f"--width has more than the {digit_limit()}-digit limit on integers")
+        if n < 1:
             raise CliError(f"--width must be at least 1, not {width}")
-        kwargs["width"] = int(width)
+        kwargs["width"] = n
     if name is not None:
         if not suite.startswith("float-"):
             raise CliError(f"suite {suite!r} takes no --format")

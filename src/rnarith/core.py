@@ -97,18 +97,20 @@ class DyadicRational(_Value):
         _set(self, "exp", exp)
 
     def __str__(self) -> str:
-        """Exact decimal representation (always finite for dyadic values)."""
+        """Exact decimal representation; ``ValueError`` past ``digit_limit()`` digits."""
         m, e = self.mantissa, self.exp
-        # str() enforces the interpreter's digit limit only after the number
-        # is built (5**-e in superlinear time, m << e in memory); refuse when
-        # 2**e or 5**-e alone exceeds it.  Both logs exceed 1/4, so an
-        # exponent of 4 * limit or more is refused before it meets a float
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and (abs(e) >= 4 * limit or abs(e) * math.log10(2 if e >= 0 else 5) >= limit):
-            raise ValueError(f"exact decimal of 2**{e} has more than {limit} digits")
+        # 5**-e has under 3*|e| bits; below 2,000 bits (603 digits) no limit is reached
+        if wide := m.bit_length() + 3 * abs(e) > 2000:
+            limit = digit_limit()
+            # 2**e or 5**-e alone is judged before it is built (5**-e takes superlinear time,
+            # m << e memory); both logs exceed 1/4, so |e| >= 4 * limit never meets a float
+            if abs(e) >= 4 * limit or abs(e) * math.log10(2 if e >= 0 else 5) >= limit:
+                raise ValueError(f"exact decimal of 2**{e} has more than {limit} digits")
+        digits = m << e if e >= 0 else m * 5 ** -e
+        if wide and 3 * limit < digits.bit_length() and abs(digits) >= 10 ** limit:  # 10**limit has more bits
+            raise ValueError(f"exact decimal of a {m.bit_length()}-bit mantissa * 2**{e} has more than {limit} digits")
         if e >= 0:
-            return str(m << e)
-        digits = m * 5 ** (-e)
+            return str(digits)
         sign = "-" if digits < 0 else ""
         text = str(abs(digits)).rjust(-e + 1, "0")
         return f"{sign}{text[:e]}.{text[e:]}"
@@ -213,8 +215,22 @@ def negate(x: int) -> int:
     return ~x
 
 
+def digit_limit() -> int:
+    """The most decimal digits that a literal's field or a printed integer may
+    have: the interpreter's ``int()`` limit, or 4300 where that is 0 (off) or absent."""
+    return getattr(sys, "get_int_max_str_digits", int)() or 4300  # int() is 0
+
+
+def int_of_field(field: str) -> int | None:
+    """The integer of an ASCII ``-?[0-9]+`` field, or ``None`` past ``digit_limit()`` digits, leading
+    zeros included; up to 640 characters, the lowest limit an interpreter takes, without reading it."""
+    return int(field) if len(field) <= 640 or len(field.lstrip("-")) <= digit_limit() else None
+
+
 def format_literal(x: RnFixed) -> str:
-    """Textual form ``rn:<word bits>:r<round>@<lsb_exp>``."""
+    """Textual form ``rn:<word bits>:r<round>@<lsb_exp>``; ``ValueError`` past ``digit_limit()`` exponent digits."""
+    if x.lsb_exp.bit_length() > 2000 and abs(x.lsb_exp) >= 10 ** (limit := digit_limit()):  # past 603 digits
+        raise ValueError(f"lsb exponent has more than {limit} digits")
     return f"rn:{x.bits & ((1 << x.width) - 1):0{x.width}b}:r{x.round}@{x.lsb_exp}"
 
 
@@ -227,14 +243,11 @@ def parse_literal(text: str) -> RnFixed:
     """Parse the output of :func:`format_literal`, bit-exactly."""
     text = text.strip()
     m = _LITERAL_RE.fullmatch(text)
-    if m is None:
+    exp = int_of_field(m[3]) if m else None
+    if exp is None:
         raise ValueError(f"bad fixed-point literal: {text!r}")
-    word, rtxt, etxt = m.groups()
-    try:
-        exp = int(etxt)
-    except ValueError:  # more digits than the interpreter's int() limit
-        raise ValueError(f"bad fixed-point literal: {text!r}") from None
+    word = m[1]
     bits = int(word, 2)
     if word[0] == "1":
         bits -= 1 << len(word)
-    return RnFixed(bits, len(word), int(rtxt), exp)
+    return RnFixed(bits, len(word), int(m[2]), exp)

@@ -51,24 +51,19 @@ class RoundingMode(Enum):
     __hash__ = object.__hash__
 
 
-def directed_round_bit(rbit: int, sign_bit: int, mode: RoundingMode) -> int:
-    """Round-bit substitution table for the directed modes, for a result
-    whose truncated tail was nonzero (exact results never reach it)."""
-    if mode is _NEAREST:
-        return rbit
-    if mode is _UPWARD:
-        return 1
-    if mode is _DOWNWARD:
-        return 0
-    if mode is _TOWARD_ZERO:
-        return sign_bit
-    return 1 - sign_bit
-
-
 # read once: a member read through its enum class is a slow lookup (about
 # 0.1 us on CPython 3.11), and the sink tests the mode on every result
-_NEAREST, _UPWARD = RoundingMode.NEAREST, RoundingMode.UPWARD
-_DOWNWARD, _TOWARD_ZERO = RoundingMode.DOWNWARD, RoundingMode.TOWARD_ZERO
+_NEAREST = RoundingMode.NEAREST
+
+# the round bit of an inexact result in each directed mode, by sign bit
+_DIRECTED_BIT = {RoundingMode.UPWARD: (1, 1), RoundingMode.DOWNWARD: (0, 0),
+                 RoundingMode.TOWARD_ZERO: (0, 1), RoundingMode.AWAY_FROM_ZERO: (1, 0)}
+
+
+def directed_round_bit(rbit: int, sign_bit: int, mode: RoundingMode) -> int:
+    """Round-bit substitution for a result whose truncated tail was nonzero
+    (exact results never reach it): ``_DIRECTED_BIT``, or ``rbit`` in nearest."""
+    return _DIRECTED_BIT.get(mode, (rbit, rbit))[sign_bit]
 
 
 def _deliver(num: int, g: int, fmt: FloatFormat, mode: RoundingMode) -> tuple[int, bool]:
@@ -116,7 +111,7 @@ def _deliver(num: int, g: int, fmt: FloatFormat, mode: RoundingMode) -> tuple[in
     if sign:
         x = ~x
     if inexact and mode is not _NEAREST:
-        x = (x & ~1) | directed_round_bit(x & 1, sign, mode)
+        x = (x & ~1) | _DIRECTED_BIT[mode][sign]
     biased_exp = 0 if e_val < fmt.e_min else e_tgt + fmt.bias
     return _assemble(fmt, sign, biased_exp, x & fmt.low_mask), inexact
 

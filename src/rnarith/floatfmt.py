@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 
-from .core import DyadicRational, RnFixed, _set, _Value
+from .core import DyadicRational, RnFixed, _set, _Value, int_of_field
 
 
 class FloatFormat(_Value):
@@ -259,11 +259,8 @@ def parse_float_literal(text: str) -> RnFloat:
     s, r = fields["s"], fields["r"]
     if s not in ("0", "1") or r not in ("0", "1"):
         raise ValueError(f"bad bit field in literal: {text!r}")
-    try:
-        e = int(fields["e"])
-    except ValueError:  # more digits than the interpreter's int() limit
-        raise ValueError(f"field out of range in literal: {text!r}") from None
+    e = int_of_field(fields["e"])  # None past the digit limit
     frac = int(fields["f"], 2)
-    if not 0 <= e <= fmt.exp_mask or not 0 <= frac <= fmt.frac_mask:
+    if e is None or not 0 <= e <= fmt.exp_mask or not 0 <= frac <= fmt.frac_mask:
         raise ValueError(f"field out of range in literal: {text!r}")
     return RnFloat(fmt, _assemble(fmt, int(s), e, (frac << 1) | int(r)))

@@ -216,6 +216,13 @@ class TestConvert:
         assert time.perf_counter() - t0 < 0.5
         assert got == (0, "rnf64:0x3fefffffffffffff inexact", "")
 
+    def test_wide_signed_digit_output_quick(self, capsys):
+        # 120,000 digits, all but two of them leading zeros
+        t0 = time.perf_counter()
+        got = run(capsys, "convert", "rn:" + "0" * 119999 + "1:r0@0", "--to", "sd")
+        assert time.perf_counter() - t0 < 0.5
+        assert got == (0, "1 -1", "")
+
     def test_decimal_beyond_digit_limit_refused_quickly(self, capsys):
         for argv in (("convert", "rn:01:r1@-100000000", "--to", "decimal"),
                      ("convert", "rn:01:r1@-10000000000", "--to", "decimal"),
@@ -317,6 +324,49 @@ class TestConvert:
         assert peak < 5 << 20
         assert [f"{word:x}" for word, _ in got] == list(words)
         assert all(inexact for _, inexact in got)
+
+
+_WIDE = "rn:" + "01" * 8000 + ":r1@0"  # a 15,998-bit mantissa * 2**1
+_DEEP = "rn:01:r0@-5" + "0" * 4299  # lsb -5 * 10**4299; a product's has 4,301 digits
+# argvs at the digit limit: under a limit of 0 the first three ended in a
+# traceback, ran on or printed 2,000,009 bytes, and at the default limit the
+# last three printed Python's text about sys.set_int_max_str_digits
+_DIGIT_ARGVS = {
+    "exponent": ["convert", f"rn:01:r1@{10 ** 309}", "--to", "decimal"],
+    "negative-exponent": ["convert", f"rn:01:r1@-{10 ** 309}", "--to", "decimal"],
+    "width": ["convert", "1", "--to", "rn@0,w=2000000"],
+    "mantissa": ["convert", _WIDE, "--to", "decimal"],
+    "mantissa-sum": ["eval", f"{_WIDE} + {_WIDE}"],
+    "lsb-product": ["eval", f"{_DEEP} * {_DEEP}"],
+}
+
+
+class TestDigitRule:
+    """Every literal field and printed integer is bounded by one rule: the
+    interpreter's digit limit, or 4300 where that limit is 0."""
+
+    @pytest.mark.parametrize("limit", [None, "0"], ids=["default-limit", "limit-0"])
+    @pytest.mark.parametrize("name", list(_DIGIT_ARGVS))
+    def test_refused_in_a_process_under_either_limit(self, name, limit):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        if limit is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        proc = subprocess.run([sys.executable, "-m", "rnarith", *_DIGIT_ARGVS[name]],
+                              capture_output=True, text=True, env=env, timeout=5)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "set_int_max_str_digits" not in proc.stderr
+
+    @pytest.mark.parametrize("name, err", [
+        ("mantissa", "exact decimal of a 15998-bit mantissa * 2**1 has more than {} digits"),
+        ("mantissa-sum", "exact decimal of a 15998-bit mantissa * 2**2 has more than {} digits"),
+        ("lsb-product", "lsb exponent has more than {} digits"),
+    ], ids=["mantissa", "mantissa-sum", "lsb-product"])
+    def test_printer_refusal_names_what_is_too_long(self, capsys, name, err):
+        limit = sys.get_int_max_str_digits()
+        assert run(capsys, *_DIGIT_ARGVS[name]) == (2, "", f"error: {err.format(limit)}")
 
 
 class TestEval:
@@ -868,6 +918,8 @@ class TestNoTraceback:
                 argvs.append(["convert", value, "--to", target])
             argvs.append(["convert", value, "--to", rng.choice(fixed_targets), "--prefer-round-bit"])
             argvs.append(["inspect", value])
+        # a mantissa and a product's lsb exponent past the digit limit
+        argvs += [["convert", _WIDE, "--to", "decimal"], ["eval", f"{_WIDE} + {_WIDE}"], ["eval", f"{_DEEP} * {_DEEP}"]]
         unclean = []
         for argv in argvs + _extreme_option_argvs():
             try:

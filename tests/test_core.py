@@ -1,19 +1,25 @@
+import ast
 import copy
 import itertools
 import pickle
+import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import rnarith
 from rnarith.core import (
     DyadicRational,
     RnFixed,
     booth_recode,
     canonical_of_sd,
+    digit_limit,
     format_literal,
+    int_of_field,
     negate,
     parse_literal,
     sd_of_canonical,
@@ -367,6 +373,97 @@ class TestLiterals:
         bits, w, r, e = parts
         x = RnFixed(bits, w, r, e)
         assert parse_literal(format_literal(x)) == x
+
+
+@pytest.fixture
+def set_int_limit():
+    """``sys.set_int_max_str_digits``, with the limit restored after the
+    test."""
+    saved = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(saved)
+
+
+def _owners(tree, name):
+    """Name of the function around each mention of ``name``, as a name, an
+    attribute or a string (None at module level)."""
+    owners = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if name in (getattr(child, "id", None), getattr(child, "attr", None), getattr(child, "value", None)):
+                owners.append(owner)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+    visit(tree, None)
+    return owners
+
+
+class TestDigitRule:
+    """One rule bounds every literal field and printed integer: at most
+    ``digit_limit()`` decimal digits, the interpreter's limit or 4300 where
+    that limit is 0 or absent."""
+
+    @pytest.mark.parametrize("limit, want", [(0, 4300), (640, 640), (4300, 4300), (10000, 10000)])
+    def test_limit_read_from_the_interpreter(self, set_int_limit, limit, want):
+        set_int_limit(limit)
+        assert digit_limit() == want
+
+    def test_absent_limit_is_the_default(self, monkeypatch):
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert digit_limit() == 4300
+
+    @pytest.mark.parametrize("limit", [0, 640, 4300])
+    def test_field_read_up_to_the_limit(self, set_int_limit, limit):
+        set_int_limit(limit)
+        n = digit_limit()
+        assert int_of_field("9" * n) == 10 ** n - 1
+        assert int_of_field("-" + "9" * n) == 1 - 10 ** n
+        assert int_of_field("0" * (n + 1)) is None  # leading zeros count
+        assert int_of_field("-" + "0" * (n + 1)) is None
+
+    @pytest.mark.parametrize("limit", [0, 640, 4300])
+    def test_decimal_printed_up_to_the_limit(self, set_int_limit, limit):
+        set_int_limit(limit)
+        n = digit_limit()
+        assert str(DyadicRational(10 ** n - 1)) == "9" * n
+        assert str(DyadicRational(1 - 10 ** n)) == "-" + "9" * n
+        big = 10 ** n + 1
+        with pytest.raises(ValueError, match=rf"^exact decimal of a {big.bit_length()}-bit mantissa \* 2\*\*0 "
+                                             rf"has more than {n} digits$"):
+            str(DyadicRational(big))
+
+    def test_mantissa_and_fraction_bounded_together(self):
+        # 3**5000 has 2,386 digits and 5**3000 2,098: each is short, their
+        # product past 4,300
+        m = 3 ** 5000
+        assert str(DyadicRational(m, -2000)).endswith("5")
+        with pytest.raises(ValueError, match=rf"^exact decimal of a {m.bit_length()}-bit mantissa \* 2\*\*-3000 "
+                                             r"has more than 4300 digits$"):
+            str(DyadicRational(m, -3000))
+
+    @pytest.mark.parametrize("limit", [0, 4300])
+    def test_lsb_exponent_printed_up_to_the_limit(self, set_int_limit, limit):
+        set_int_limit(limit)
+        assert format_literal(RnFixed(1, 2, 0, 1 - 10 ** 4300)).endswith("@-" + "9" * 4300)
+        with pytest.raises(ValueError, match="^lsb exponent has more than 4300 digits$"):
+            format_literal(RnFixed(1, 2, 0, -10 ** 4300))
+
+    def test_limit_read_in_one_function(self):
+        src = Path(rnarith.__file__).parent
+        owners = [f"{path.stem}.{owner}" for path in sorted(src.glob("*.py"))
+                  for owner in _owners(ast.parse(path.read_text()), "get_int_max_str_digits")]
+        assert owners == ["core.digit_limit"]
+
+    def test_no_int_refusal_caught(self):
+        """Literal fields are read by ``int_of_field``, so no reader catches
+        a refusal of ``int()``: the one ``try`` in ``core``, ``floatfmt``
+        and ``cli`` is ``cli.main``'s."""
+        src = Path(rnarith.__file__).parent
+        tries = [f"{name}.{fn.name}" for name in ("core", "floatfmt", "cli")
+                 for fn in ast.walk(ast.parse((src / f"{name}.py").read_text()))
+                 if isinstance(fn, ast.FunctionDef) and any(isinstance(n, ast.Try) for n in ast.walk(fn))]
+        assert tries == ["cli.main"]
 
 
 class TestRoundTripSweep:

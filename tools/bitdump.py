@@ -105,10 +105,7 @@ def main(argv: list[str]) -> int:
     for argv in argvs:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli_main(list(argv))
-            except SystemExit as exc:  # a usage error in an older checkout, whose CLI used argparse
-                code = exc.code
+            code = cli_main(list(argv))
         digest.update(f"{code}\n{out.getvalue()}{err.getvalue()}\0".encode())
     print(f"cli {len(argvs)}")
     print(f"sha256 {digest.hexdigest()}")

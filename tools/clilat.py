@@ -4,11 +4,11 @@
 
 Reads ``rnarith`` and the cli-eval argvs (``CliEval(seed).items``, seeds
 1-3) from each checkout, as ``tools/bitdump.py`` does. Every argv runs once
-untimed, so lazy imports (and an older checkout's parser) are ready, then
-``ROUNDS`` timed times, the checkouts taking turns. Prints the median per argv kind (a
-malformed argv's kind is its text, hex masked) and which kinds make up each
-checkout's slowest 1% of calls: the layer view of cli-eval's p99. Stdlib
-only; nothing in a checkout is written.
+untimed, so lazy imports are ready, then ``ROUNDS`` timed times, the
+checkouts taking turns. Prints the median per argv kind (a malformed argv's
+kind is its text, hex masked) and which kinds make up each checkout's
+slowest 1% of calls: the layer view of cli-eval's p99. Stdlib only; nothing
+in a checkout is written.
 """
 
 import importlib
@@ -30,8 +30,6 @@ def _call(main, argv) -> float:
     t = time.perf_counter()
     try:
         main(list(argv))
-    except SystemExit:  # a usage error in an older checkout, whose CLI used argparse
-        pass
     finally:
         t = time.perf_counter() - t
         sys.stdout, sys.stderr = saved
