@@ -44,17 +44,15 @@ class CliError(Exception):
     pass
 
 
-def _parse_operand(text: str):
-    """Classify a token as a fixed literal, a float literal or a decimal."""
+def _parse_operand(text: str) -> RnFixed | RnFloat | str:
+    """Classify a token as a fixed literal, a float literal or a decimal,
+    which stays text until a target needs its value."""
     if text.startswith("rn:"):
         return parse_literal(text)
     if _FLOAT_PREFIX_RE.match(text):
         return parse_float_literal(text)
     if _DECIMAL_RE.fullmatch(text):
-        from fractions import Fraction  # only a decimal operand loads it
-        whole, _, frac = text.lstrip("+-").partition(".")
-        n = _int_of_digits(whole + frac)
-        return Fraction(-n if text[0] == "-" else n, 10 ** len(frac))
+        return text
     raise CliError(f"unrecognized operand {text!r}")
 
 
@@ -67,21 +65,20 @@ def _int_of_digits(digits: str) -> int:
     return _int_of_digits(digits[:half]) * 10 ** (len(digits) - half) + _int_of_digits(digits[half:])
 
 
-def _operand_value(op) -> DyadicRational | Fraction:
-    """Exact value of an operand: dyadic for literals and for decimals whose
-    denominator is a power of two (never expanded to ``2**|exp|``), a
-    Fraction for any other decimal."""
+def _operand_value(op: RnFixed | RnFloat | str) -> tuple[int, int, int]:
+    """Exact value of an operand as ``(n, d, k)``, meaning ``n/d * 2**k``:
+    ``d`` is 1 for a literal, whose exponent is never expanded into
+    ``2**|k|``, and ``5**f`` for a decimal with ``f`` fraction digits."""
     if isinstance(op, RnFixed):
-        return value_of(op)
+        return op.bits + op.round, 1, op.lsb_exp
     if isinstance(op, RnFloat):
         v = value_of_float(op.fmt, op.word)
         if isinstance(v, FloatClass):
             raise CliError(f"{format_hex_literal(op)} has no finite value")
-        return v
-    den = op.denominator
-    if den & (den - 1):
-        return op
-    return DyadicRational(op.numerator, 1 - den.bit_length())
+        return v.mantissa, 1, v.exp
+    whole, _, frac = op.lstrip("+-").partition(".")
+    n = _int_of_digits(whole + frac)
+    return -n if op[0] == "-" else n, 5 ** len(frac), -len(frac)
 
 
 def _decimal_text(text: str) -> str:
@@ -97,7 +94,7 @@ def _decimal_text(text: str) -> str:
 # convert
 
 
-def _convert_to_fixed(value: DyadicRational | Fraction, spec: str, prefer_round_bit: bool) -> RnFixed:
+def _convert_to_fixed(value: tuple[int, int, int], spec: str, prefer_round_bit: bool) -> RnFixed:
     m = _FIXED_TARGET_RE.fullmatch(spec)
     lsb, width = (int_of_field(m[1]), int_of_field(m[2])) if m else (None, None)
     if lsb is None or width is None:  # None past the digit limit
@@ -107,15 +104,17 @@ def _convert_to_fixed(value: DyadicRational | Fraction, spec: str, prefer_round_
     # one printed digit per bit: a width past the digit limit is refused before the word is built
     if width > (limit := digit_limit()):
         raise CliError(f"width {width} is more than the {limit}-digit limit on printed integers")
-    # decided on mantissa and exponent, before any shift builds the word
-    n = value.mantissa if isinstance(value, DyadicRational) else None
-    if n is None or (n and value.exp < lsb):
+    # decided on the odd mantissa and its exponent, before any shift builds the word
+    n, d, k = value
+    v = DyadicRational(n // d, k) if n % d == 0 else None
+    if v is None or (v.mantissa and v.exp < lsb):
         raise CliError(f"value is not representable at lsb exponent {lsb}")
+    n = v.mantissa
     misfit = f"value does not fit {width} bits at lsb exponent {lsb}"
     if n:
-        if n.bit_length() + value.exp - lsb > width:  # |value| >= 2**width ulps
+        if n.bit_length() + v.exp - lsb > width:  # |value| >= 2**width ulps
             raise CliError(misfit)
-        n <<= value.exp - lsb
+        n <<= v.exp - lsb
     # the stored word, the value less its round bit, must be width-bit two's
     # complement
     bits, r = (n - 1, 1) if prefer_round_bit else (n, 0)
@@ -138,7 +137,7 @@ def cmd_convert(value: str, options: dict) -> int:
         print(" ".join(map(str, digits)).lstrip("0 ") or "0")  # only the digit 0 starts with 0
         return 0
     if target == "decimal":
-        if not isinstance(operand, (RnFixed, RnFloat)):  # a decimal
+        if isinstance(operand, str):  # a decimal
             print(_decimal_text(value))
             return 0
         v = value_of_float(operand.fmt, operand.word) if isinstance(operand, RnFloat) else value_of(operand)
@@ -169,7 +168,7 @@ def cmd_convert(value: str, options: dict) -> int:
 def _operand(tokens: list[str], i: int) -> RnFixed | RnFloat:
     if i >= len(tokens):
         raise CliError("expression ends with an operator")
-    if _DECIMAL_RE.fullmatch(tokens[i]):  # refused before a Fraction is built
+    if _DECIMAL_RE.fullmatch(tokens[i]):
         raise CliError("eval operands must be rn: or rnf literals")
     return _parse_operand(tokens[i])
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from operator import attrgetter
+from operator import attrgetter, sub
 
 # writes a field of a _Value in its __init__, past the base's refusal
 _set = object.__setattr__
@@ -105,7 +105,7 @@ class DyadicRational(_Value):
             # 2**e or 5**-e alone is judged before it is built (5**-e takes superlinear time,
             # m << e memory); both logs exceed 1/4, so |e| >= 4 * limit never meets a float
             if abs(e) >= 4 * limit or abs(e) * math.log10(2 if e >= 0 else 5) >= limit:
-                raise ValueError(f"exact decimal of 2**{e} has more than {limit} digits")
+                raise ValueError(f"exact decimal of 2**e with |e| of {e.bit_length()} bits has more than {limit} digits")
         digits = m << e if e >= 0 else m * 5 ** -e
         if wide and 3 * limit < digits.bit_length() and abs(digits) >= 10 ** limit:  # 10**limit has more bits
             raise ValueError(f"exact decimal of a {m.bit_length()}-bit mantissa * 2**{e} has more than {limit} digits")
@@ -155,7 +155,8 @@ def sd_of_canonical(x: int, width: int) -> tuple[int, ...]:
     the lsb of the word.  Consecutive nonzero digits alternate in sign, and
     the digits sum to the value ``(x + 1) >> 1``.
     """
-    return tuple(((x >> i) & 1) - ((x >> (i + 1)) & 1) for i in range(width - 1, -1, -1))
+    b = format(x & ((2 << width) - 1), f"0{width + 1}b").encode()  # bits width..0 as ASCII codes
+    return tuple(map(sub, b[1:], b))  # each code less the one before: bit i less bit i + 1
 
 
 def booth_recode(word: int, width: int) -> tuple[int, ...]:

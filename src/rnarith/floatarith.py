@@ -21,8 +21,8 @@ fields.  Add and multiply are exact on these integer values: add aligns
 them by shifting, multiply multiplies them.  Division's reference value is
 the quotient of the operands' ``x`` themselves (the midpoints of their
 half-ulp intervals), each complemented when negative and scaled by
-``fixed.shift_left`` into one binade, and cut by ``fixed.long_divide``, the
-library's one divider, to ``p + 3`` bits and a sticky bit.
+``fixed.shift_left`` into one binade; ``round_to_format`` cuts it, as every
+rational, by ``fixed.long_divide`` to ``p + 3`` bits and a sticky bit.
 
 Directed roundings never increment: when the truncated tail was nonzero
 bit 0 of ``x``, the round bit, is simply replaced according to the mode.
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .core import DyadicRational, _set, _Value
+from .core import _set, _Value
 from .fixed import long_divide, shift_left
 from .floatfmt import _INFINITY, _NAN, FloatFormat, RnFloat, _assemble, decode
 
@@ -116,17 +116,13 @@ def _deliver(num: int, g: int, fmt: FloatFormat, mode: RoundingMode) -> tuple[in
     return _assemble(fmt, sign, biased_exp, x & fmt.low_mask), inexact
 
 
-def round_to_format(value: Fraction | DyadicRational, fmt: FloatFormat, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[int, bool]:
-    """An exact rational rounded into ``fmt``: the word and whether it is
-    inexact.
-
-    A ``DyadicRational`` reaches the sink as ``mantissa * 2**exp``, so a huge
-    exponent is never expanded into an integer."""
-    if isinstance(value, DyadicRational):
-        return _deliver(value.mantissa, value.exp, fmt, mode)
-    n = value.numerator
-    q2, k = long_divide(abs(n), value.denominator, fmt.precision + 3)
-    return _deliver(-q2 if n < 0 else q2, -k - 1, fmt, mode)
+def round_to_format(exact: tuple[int, int, int], fmt: FloatFormat, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[int, bool]:
+    """``exact = (n, d, k)``, the value ``n/d * 2**k`` with ``d > 0``, rounded
+    into ``fmt``: the word and whether it is inexact.  ``long_divide`` hands
+    the sink ``p + 3`` bits of ``|n|/d`` and a sticky bit; ``k`` is a shift."""
+    n, d, k = exact
+    q2, j = long_divide(abs(n), d, fmt.precision + 3)
+    return _deliver(-q2 if n < 0 else q2, k - j - 1, fmt, mode)
 
 
 def fadd_words(fmt: FloatFormat, a: int, b: int, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[int, bool]:
@@ -235,8 +231,7 @@ def fdiv_words(fmt: FloatFormat, a: int, b: int, mode: RoundingMode = RoundingMo
     na, ea = _divider_word(xa, ea, p)
     nb, eb = _divider_word(xb, eb, p)
     # reference value: quotient of the operands' encoding integers
-    q2, k = long_divide(na, nb, p + 3)
-    return _deliver(-q2 if sign else q2, ea - eb - k - 1, fmt, mode)
+    return round_to_format((-na if sign else na, nb, ea - eb), fmt, mode)
 
 
 # ---------------------------------------------------------------------------

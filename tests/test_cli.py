@@ -9,14 +9,12 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from rnarith import cli, floatfmt
 from rnarith.cli import main
-from rnarith.core import DyadicRational
 from rnarith.floatarith import RoundingMode, round_to_format
 from rnarith.floatfmt import RNF64
 
@@ -215,13 +213,30 @@ class TestConvert:
         got = run(capsys, "convert", "0." + "9" * 131069, "--to", "float:rnf64")
         assert time.perf_counter() - t0 < 0.5
         assert got == (0, "rnf64:0x3fefffffffffffff inexact", "")
+        # random digits: the value is never reduced, so no gcd runs on it
+        rng = random.Random(1)
+        digits = "".join(rng.choice("0123456789") for _ in range(131069))
+        for target, budget, want in (
+            ("decimal", 0.1, (0, "0." + digits.rstrip("0"), "")),
+            ("float:rnf64", 0.1, (0, "rnf64:0x3fd2a696beb04f64 inexact", "")),
+            ("rn@-8,w=16", 0.5, (2, "", "error: value is not representable at lsb exponent -8")),
+        ):
+            t0 = time.perf_counter()
+            got = run(capsys, "convert", "0." + digits, "--to", target)
+            assert time.perf_counter() - t0 < budget, target
+            assert got == want
 
     def test_wide_signed_digit_output_quick(self, capsys):
-        # 120,000 digits, all but two of them leading zeros
-        t0 = time.perf_counter()
-        got = run(capsys, "convert", "rn:" + "0" * 119999 + "1:r0@0", "--to", "sd")
-        assert time.perf_counter() - t0 < 0.5
-        assert got == (0, "1 -1", "")
+        for literal, want in (
+            # 120,000 digits, all but two of them leading zeros
+            ("rn:" + "0" * 119999 + "1:r0@0", "1 -1"),
+            # 120,000 digits, every one of them nonzero but the last
+            ("rn:" + "01" * 60000 + ":r1@0", " ".join(["1", "-1"] * 59999 + ["1", "0"])),
+        ):
+            t0 = time.perf_counter()
+            got = run(capsys, "convert", literal, "--to", "sd")
+            assert time.perf_counter() - t0 < 0.2
+            assert got == (0, want, "")
 
     def test_decimal_beyond_digit_limit_refused_quickly(self, capsys):
         for argv in (("convert", "rn:01:r1@-100000000", "--to", "decimal"),
@@ -233,13 +248,20 @@ class TestConvert:
             assert code == 2 and not out
             assert err.startswith("error:") and "Traceback" not in err
 
-    @pytest.mark.parametrize("k", [308, 309])
-    def test_exponent_past_a_float_gets_the_digit_message(self, capsys, k):
-        # from k = 309 the exponent has no float: the guard decides in ints
-        e, limit = 10 ** k, sys.get_int_max_str_digits()
-        lit = f"rn:01:r1@{e}"  # the value 2**(e + 1)
+    @pytest.mark.parametrize("field", [
+        str(10 ** 308), str(10 ** 309), "9" * 4299, "9" * 4300, "-" + "9" * 4299, "-" + "9" * 4300,
+    ], ids=["308", "309", "4299-nines", "4300-nines", "-4299-nines", "-4300-nines"])
+    def test_exponent_past_a_float_gets_the_digit_message(self, capsys, field):
+        # from 10**309 the exponent has no float: the guard decides in ints;
+        # 10**4300 has more digits than Python prints, so the message names
+        # the exponent by its bit count
+        e, limit = int(field), sys.get_int_max_str_digits()
+        lit = f"rn:01:r1@{field}"  # the value 2**(e + 1)
         for argv, exp in ((("convert", lit, "--to", "decimal"), e + 1), (("eval", f"{lit} + {lit}"), e + 2)):
-            assert run(capsys, *argv) == (2, "", f"error: exact decimal of 2**{exp} has more than {limit} digits")
+            code, out, err = run(capsys, *argv)
+            want = f"error: exact decimal of 2**e with |e| of {exp.bit_length()} bits has more than {limit} digits"
+            assert (code, out, err) == (2, "", want)
+            assert len(err) < 200 and "set_int_max_str_digits" not in err
 
     def test_fixed_width_beyond_digit_limit_refused_quickly(self, capsys):
         tracemalloc.start()
@@ -295,7 +317,7 @@ class TestConvert:
         tracemalloc.start()
         t0 = time.perf_counter()
         try:
-            got = [round_to_format(DyadicRational(mantissa, exp), RNF64, mode) for mode in RoundingMode]
+            got = [round_to_format((mantissa, 1, exp), RNF64, mode) for mode in RoundingMode]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -305,9 +327,9 @@ class TestConvert:
         assert all(inexact for _, inexact in got)
 
     @pytest.mark.parametrize("value, words", [
-        (Fraction(1, 3 ** 20000), ("0", "1", "0", "0", "1")),
-        (Fraction(3 ** 20000, 7), ("7ff0000000000000",) * 5),
-        (Fraction(-3 ** 20000, 7), ("fff0000000000000",) * 5),
+        ((1, 3 ** 20000, 0), ("0", "1", "0", "0", "1")),
+        ((3 ** 20000, 7, 0), ("7ff0000000000000",) * 5),
+        ((-3 ** 20000, 7, 0), ("fff0000000000000",) * 5),
     ], ids=["tiny", "huge", "-huge"])
     def test_huge_fraction_reaches_the_sink_as_a_shift(self, value, words):
         # words in rn, ru, rd, rz, ra; every one is inexact: the divider
@@ -963,15 +985,16 @@ INSPECT_0X35 = ("class=normal s=0 e=3(bias 3) hidden=1 f=010 r=1 sig=rn:01010:r1
 @pytest.mark.parametrize("argv, out, loads", [
     (["eval", EXPR, "--mode", "ru"], "rnf8:0x31 inexact sticky=1 (= 1.125)\n", []),
     (["inspect", "rnf8:0x35"], INSPECT_0X35, []),
-    (["convert", "0.3", "--to", "float:rnf8"], "rnf8:0x13 inexact\n", ["fractions"]),
+    (["convert", "0.3", "--to", "float:rnf8"], "rnf8:0x13 inexact\n", []),
     (["verify", "paper-examples"], "verify examples pinned\nPASS 1030 0 <s>\n", ["rnarith.verify"]),
     (["eval", EXPR, "--mode=ru"], "rnf8:0x31 inexact sticky=1 (= 1.125)\n", []),
 ], ids=["eval", "inspect", "convert-decimal", "verify", "argparse-fallback"])
 def test_each_command_loads_only_what_it_needs(argv, out, loads):
-    """``fractions`` comes with a decimal operand and the verifier with
-    ``verify``; literals load neither, in every spelling of the options
-    (``argparse-fallback`` is an argv that once went to argparse), and the
-    verifier loads ``fractions`` only to build a value."""
+    """The verifier comes with ``verify``, and ``fractions`` with nothing
+    here: a decimal operand reaches the sink as ``(n, 5**f, -f)``, and the
+    verifier loads ``fractions`` only to build a value for a failure's text.
+    Literals load neither, in every spelling of the options
+    (``argparse-fallback`` is an argv that once went to argparse)."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = (f"import sys; sys.path.insert(0, {src!r}); from rnarith.cli import main; code = main({argv!r}); "
             "print(code, sorted({'fractions', 'rnarith.verify'} & set(sys.modules)))")
@@ -981,8 +1004,8 @@ def test_each_command_loads_only_what_it_needs(argv, out, loads):
 
 
 def test_decimal_eval_operand_refused_without_fractions():
-    """A decimal ``eval`` operand is refused on its spelling, before any
-    ``Fraction`` of it is built."""
+    """A decimal ``eval`` operand is refused on its spelling, before its
+    digits are read."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = (f"import sys; sys.path.insert(0, {src!r}); from rnarith.cli import main; "
             "code = main(['eval', '1.5 + 2']); print(code, 'fractions' in sys.modules)")

@@ -464,6 +464,59 @@ class TestRoundingFault:
         assert "/" in want and "," not in want  # a fraction, not a raw (n, d, k) tuple
 
 
+def _decimal_triples(rng, fmt, count):
+    """Seeded decimals ``n / 10**f`` as ``(n, 5**f, -f)``, meaning
+    ``n/5**f * 2**-f``: up to 25 digits, signs mixed and zeros among them,
+    at magnitudes from past the overflow edge down past the least
+    subnormal (log10(2) lies between 0.3 and 0.4)."""
+    hi = (fmt.e_max + 1) * 4 // 10 + 2
+    lo = (fmt.e_min - fmt.precision) * 4 // 10 - 2
+    out = []
+    for _ in range(count):
+        digits = rng.randint(1, 25)
+        n = rng.randrange(10 ** digits) * rng.choice((1, -1))
+        f = digits - rng.randint(lo, hi)
+        if f < 0:  # a whole number with trailing zeros
+            n, f = n * 10 ** -f, 0
+        out.append((n, 5 ** f, -f))
+    return out
+
+
+class TestRoundToFormat:
+    """``round_to_format`` judged by the oracle on the very triple it is
+    given, and the divider's word ops ending in it."""
+
+    def test_every_small_exact_result(self):
+        fmt = SMALL
+        finite = [(w, u) for w in enumerate_format(fmt) if (u := verify._units(fmt, w)) is not None]
+        faults, divs = [], 0
+        for (wa, ua), (wb, ub) in itertools.product(finite, repeat=2):
+            for op in ("add", "mul", "div"):
+                exact = verify._float_exact(fmt, op, wa, wb, ua, ub)
+                if exact is None:  # divided by zero
+                    continue
+                for mode in RoundingMode:
+                    got = fa.round_to_format(exact, fmt, mode)
+                    if op == "div":
+                        assert got == fa.fdiv_words(fmt, wa, wb, mode), (wa, wb, mode)
+                        divs += 1
+                    fault = verify.rounding_fault(fmt, exact, mode, *got)
+                    if fault:
+                        faults.append((op, wa, wb, mode.value, fault))
+        assert faults == []
+        assert divs > 0
+
+    @pytest.mark.parametrize("fmt", [RNF16, RNF32, RNF64], ids=lambda f: f.name)
+    def test_seeded_decimals(self, fmt):
+        faults = []
+        for exact in _decimal_triples(random.Random(fmt.total_bits), fmt, 2000):
+            for mode in RoundingMode:
+                fault = verify.rounding_fault(fmt, exact, mode, *fa.round_to_format(exact, fmt, mode))
+                if fault:
+                    faults.append((exact, mode.value, fault))
+        assert faults == []
+
+
 def _fraction_representable(x, fmt):
     """``representable`` stated in Fractions: floor(log2(|x|)), then the grid
     of that binade."""

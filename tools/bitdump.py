@@ -25,7 +25,9 @@ The command line (``cli``, ``sha256``): the exit code, stdout and stderr of
 ``workloads.CliEval(seed).items`` for seeds 1-3.
 
 A change that keeps behaviour prints the same six lines on its parent's
-checkout and on its own.  Stdlib only; nothing in the checkout is written.
+checkout and on its own, each checkout run by its own copy of this tool,
+since the tool calls the library's API and a change may reshape it.
+Stdlib only; nothing in the checkout is written.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ def main(argv: list[str]) -> int:
         if isinstance(v, FloatClass):
             continue
         for mode in modes:
-            word, inexact = fa.round_to_format(v, RNF8, mode)
+            word, inexact = fa.round_to_format((v.mantissa, 1, v.exp), RNF8, mode)
             digest.update(f"{word:x} {inexact:d}\n".encode())
             printed += 1
     print(f"printed {printed}")
