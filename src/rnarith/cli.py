@@ -34,7 +34,6 @@ from .floatfmt import (
 )
 
 _DECIMAL_RE = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")
-_FLOAT_PREFIX_RE = re.compile(r"^rnf\d+:")
 _FIXED_TARGET_RE = re.compile(r"rn@(-?[0-9]+),w=([0-9]+)")
 _MODES = {m.value: m for m in fa.RoundingMode}
 _FLOAT_OPS = {"+": fa.fadd_words, "-": fa.fadd_words, "*": fa.fmul_words, "/": fa.fdiv_words}
@@ -49,7 +48,7 @@ def _parse_operand(text: str) -> RnFixed | RnFloat | str:
     which stays text until a target needs its value."""
     if text.startswith("rn:"):
         return parse_literal(text)
-    if _FLOAT_PREFIX_RE.match(text):
+    if text.startswith("rnf"):
         return parse_float_literal(text)
     if _DECIMAL_RE.fullmatch(text):
         return text
@@ -372,7 +371,10 @@ def main(argv: list[str] | None = None) -> int:
         func, positional, options = _read_argv(sys.argv[1:] if argv is None else argv)
         return func(positional, options)
     except (CliError, ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        line = f"error: {exc}"
+        if len(line) > 200:  # a refusal echoes its token: a long one keeps its head
+            line = f"{line[:160]}... ({len(line) - 160} characters cut)"
+        print(line, file=sys.stderr)
         return 2
 
 

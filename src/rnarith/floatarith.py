@@ -60,12 +60,6 @@ _DIRECTED_BIT = {RoundingMode.UPWARD: (1, 1), RoundingMode.DOWNWARD: (0, 0),
                  RoundingMode.TOWARD_ZERO: (0, 1), RoundingMode.AWAY_FROM_ZERO: (1, 0)}
 
 
-def directed_round_bit(rbit: int, sign_bit: int, mode: RoundingMode) -> int:
-    """Round-bit substitution for a result whose truncated tail was nonzero
-    (exact results never reach it): ``_DIRECTED_BIT``, or ``rbit`` in nearest."""
-    return _DIRECTED_BIT.get(mode, (rbit, rbit))[sign_bit]
-
-
 def _deliver(num: int, g: int, fmt: FloatFormat, mode: RoundingMode) -> tuple[int, bool]:
     """Round the value ``num * 2**g`` into the format: the result word and
     whether it differs from the value.
@@ -237,7 +231,7 @@ def fdiv_words(fmt: FloatFormat, a: int, b: int, mode: RoundingMode = RoundingMo
 # ---------------------------------------------------------------------------
 # RnFloat shims.  Nothing in the package calls them; they stay only because
 # the benchmark under ``perfbench/`` calls, traces and pins them.  Once the
-# benchmark calls the word ops (ROADMAP item 3, step 1), this block goes.
+# benchmark calls the word ops (ROADMAP item 1, step 2), this block goes.
 
 
 class StickyTail(_Value):

@@ -72,10 +72,8 @@ class FloatFormat(_Value):
         _set(self, "hidden_pos", 1 << p)
         _set(self, "hidden_neg", -(2 << p))
         _set(self, "word_end", 1 << total_bits)
-        _set(self, "inf_words", (self.inf_word(0), self.inf_word(1)))
-
-    def inf_word(self, sign: int = 0) -> int:
-        return (sign << (self.total_bits - 1)) | (self.exp_mask << self.precision)
+        inf = exp_mask << p  # all-ones exponent, zero fraction and round bit
+        _set(self, "inf_words", (inf, (1 << (total_bits - 1)) | inf))
 
     def nan_word(self) -> int:
         # don't-care bits are zero on output; the round bit marks it non-infinite

@@ -150,10 +150,12 @@ class TestConvert:
         ("rnf8:s=0,e=9,f=000,r=0", "field out of range in literal: 'rnf8:s=0,e=9,f=000,r=0'"),
         ("rn:01:r1@x", "bad fixed-point literal: 'rn:01:r1@x'"),
         ("rn:01011:r2@0", "bad fixed-point literal: 'rn:01011:r2@0'"),
+        *((t, f"bad float literal: {t!r}") for t in ("rnf", "rnf8", "rnfoo", "rnf:1")),
     ])
     def test_grammar_checked_before_the_value(self, capsys, literal, err):
         # the ASCII grammar comes first; the fit and range checks after it
-        # keep their messages
+        # keep their messages; any token that starts with rnf is read as a
+        # float literal
         assert run(capsys, "convert", literal, "--to", "decimal") == (2, "", f"error: {err}")
 
     def test_no_refusal_shows_int_text(self, capsys):
@@ -859,6 +861,30 @@ class TestUsageErrors:
         for argv in USAGE_ERROR_ARGV:
             assert _usage_error(_outcome(main, argv)), argv
 
+    @pytest.mark.parametrize("argv", [
+        ("convert", "rn:01:r1@" + "9" * 5000, "--to", "decimal"),
+        ("convert", "1" * 5000 + "x", "--to", "decimal"),
+        ("convert", "1", "--to", "z" * 5000),
+        ("verify", "z" * 5000),
+        ("eval", "rnf8:0x30 + " + "q" * 5000),
+        ("inspect", "rnf8:" + "q" * 5000),
+    ], ids=["exponent", "decimal", "target", "suite", "eval-operand", "inspect"])
+    def test_long_refusal_is_cut_to_one_bounded_line(self, argv):
+        """A refusal echoes its token; past 200 characters the line keeps
+        its head and says how many characters it cut."""
+        code, out, err = _outcome(main, argv)
+        assert _usage_error((code, out, err)) and len(err) - 1 <= 200
+        head, _, cut = err.rstrip("\n").rpartition("... (")
+        assert head.startswith("error: ") and cut.endswith(" characters cut)")
+        assert len(head) + int(cut.split()[0]) > 5000
+
+    def test_error_line_of_200_characters_is_whole(self):
+        # "error: unknown suite '" and "'" are 23 characters
+        for n, whole in ((177, True), (178, False)):
+            _, _, err = _outcome(main, ["verify", "z" * n])
+            assert (err == f"error: unknown suite '{'z' * n}'\n") == whole
+            assert len(err) - 1 == (200 if whole else 160 + len("... (41 characters cut)"))
+
 
 class TestLiteralRoundTrips:
     def test_printed_fixed_literals_reparse(self, capsys):
@@ -885,8 +911,8 @@ def _extreme_tokens():
     for name, fmt in floatfmt.FORMATS.items():
         ones = fmt.low_mask  # fraction and round bit all ones
         sign = 1 << (fmt.total_bits - 1)
-        words = (0, sign | ones, 1, sign | 1, fmt.inf_word(0) - 1, fmt.inf_word(1) - 1, *fmt.inf_words,
-                 fmt.nan_word(), sign | fmt.inf_word(0) | ones)
+        words = (0, sign | ones, 1, sign | 1, fmt.inf_words[0] - 1, fmt.inf_words[1] - 1, *fmt.inf_words,
+                 fmt.nan_word(), sign | fmt.inf_words[0] | ones)
         floats += [f"{name}:{w:#x}" for w in words]
         floats += [f"{name}:s={s},e={e},f={'1' * fmt.frac_bits},r=1"
                    for s in (0, 1) for e in (0, fmt.exp_mask, 10 ** 309)]

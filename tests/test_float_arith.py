@@ -12,7 +12,6 @@ import rnarith.floatarith as fa
 import rnarith.verify as verify
 from rnarith.floatarith import (
     RoundingMode,
-    directed_round_bit,
     fadd_with_sticky,
     fadd_words,
     far_shortcut,
@@ -41,7 +40,7 @@ ONE = 0x30
 TWO = 0x40
 TINY = 0x01  # smallest positive subnormal, 2**-5
 ZERO = 0x00
-INF, NEG_INF, NAN = RNF8.inf_word(0), RNF8.inf_word(1), RNF8.nan_word()
+INF, NEG_INF, NAN = *RNF8.inf_words, RNF8.nan_word()
 
 
 def neg(word):
@@ -284,17 +283,14 @@ class TestFdiv:
 
 class TestDirectedRounding:
     def test_table(self):
-        # (rbit, sign_bit) -> substituted round bit of an inexact result
-        want = {
-            RoundingMode.NEAREST: {(0, 0): 0, (1, 0): 1, (0, 1): 0, (1, 1): 1},
-            RoundingMode.UPWARD: {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1},
-            RoundingMode.DOWNWARD: {(0, 0): 0, (1, 0): 0, (0, 1): 0, (1, 1): 0},
-            RoundingMode.TOWARD_ZERO: {(0, 0): 0, (1, 0): 0, (0, 1): 1, (1, 1): 1},
-            RoundingMode.AWAY_FROM_ZERO: {(0, 0): 1, (1, 0): 1, (0, 1): 0, (1, 1): 0},
+        # the round bit that replaces bit 0 of an inexact result, by sign bit
+        # (positive, negative); nearest never substitutes, so it has no entry
+        assert fa._DIRECTED_BIT == {
+            RoundingMode.UPWARD: (1, 1),
+            RoundingMode.DOWNWARD: (0, 0),
+            RoundingMode.TOWARD_ZERO: (0, 1),
+            RoundingMode.AWAY_FROM_ZERO: (1, 0),
         }
-        for mode, table in want.items():
-            for (rbit, sign_bit), r in table.items():
-                assert directed_round_bit(rbit, sign_bit, mode) == r
 
     def test_modes_hash_by_identity_and_key_every_table(self):
         for mode in RoundingMode:

@@ -86,7 +86,7 @@ class TestFormatLayout:
             assert (fmt.hidden_pos, fmt.hidden_neg) == (2 ** p, -(2 ** (p + 1)))
             assert fmt.word_end == 1 << fmt.total_bits == 2 ** total
             inf = (2 ** e - 1) * 2 ** p
-            assert fmt.inf_words == (fmt.inf_word(0), fmt.inf_word(1)) == (inf, 2 ** (total - 1) + inf)
+            assert fmt.inf_words == (inf, 2 ** (total - 1) + inf)
             for word in (-1, fmt.word_end):
                 with pytest.raises(ValueError, match="word does not fit the format"):
                     decode(fmt, word)
@@ -290,7 +290,7 @@ class TestNegate:
         assert float_negate(RNF8, 0x8F) == 0
 
     def test_specials(self):
-        assert float_negate(RNF8, RNF8.inf_word(0)) == RNF8.inf_word(1)
+        assert float_negate(RNF8, RNF8.inf_words[0]) == RNF8.inf_words[1]
         assert unpack(RNF8, float_negate(RNF8, RNF8.nan_word())).cls is FloatClass.NAN
 
     def test_value_antisymmetry_exhaustive(self):

@@ -125,7 +125,7 @@ def _plant(monkeypatch, fault):
 
 
 def _is_inf(fmt, word):
-    return word in (fmt.inf_word(0), fmt.inf_word(1))
+    return word in fmt.inf_words
 
 
 def _flip_bit(when, bit=0):
@@ -190,7 +190,7 @@ class TestSweepsCatchFaults:
         assert _float_sweep_failures(SMALL) == [354, 548, 204, 1416, 2192, 816]
 
     def test_overflow_with_wrong_sign(self, monkeypatch):
-        _plant(monkeypatch, lambda w, s, fmt, mode: (fmt.inf_word(1) if w == fmt.inf_word(0) else w, s))
+        _plant(monkeypatch, lambda w, s, fmt, mode: (fmt.inf_words[1] if w == fmt.inf_words[0] else w, s))
         assert _float_sweep_failures(SMALL) == [177, 274, 102, 708, 1096, 408]
 
     def test_overflow_flagged_exact(self, monkeypatch):
@@ -202,7 +202,7 @@ class TestSweepsCatchFaults:
         # there must be its finite word, not +inf flagged inexact
         def fault(w, s, fmt, mode):
             edge = not s and verify.float_value(fmt, w) == 2 ** (fmt.e_max + 1)
-            return (fmt.inf_word(0), True) if edge else (w, s)
+            return (fmt.inf_words[0], True) if edge else (w, s)
 
         _plant(monkeypatch, fault)
         assert _float_sweep_failures(SMALL) == [28, 16, 24, 112, 64, 96]
@@ -222,7 +222,7 @@ class TestSweepsCatchFaults:
         _plant(monkeypatch, _flip_bit(lambda v, inexact, mode: inexact and mode is RoundingMode.NEAREST))
         assert _float_sweep_failures(SMALL) == [0, 352, 1188, 0, 0, 0]
 
-    def test_inexact_directed_round_bit_flipped(self, monkeypatch):
+    def test_inexact_directed_mode_round_bit_flipped(self, monkeypatch):
         _plant(monkeypatch, _flip_bit(lambda v, inexact, mode: inexact and mode is not RoundingMode.NEAREST))
         assert _float_sweep_failures(SMALL) == [0, 0, 0, 1536, 3136, 5456]
 
@@ -275,7 +275,7 @@ class TestSweepsCatchFaults:
         # [57848, 57872, 57872])
         def fault(w, s, fmt, a, b, mode):
             nan = mode is not RoundingMode.NEAREST and verify._units(fmt, w) is None and w & fmt.low_mask
-            return (fmt.inf_word(0) if nan else w), s
+            return (fmt.inf_words[0] if nan else w), s
 
         _plant_ops(monkeypatch, fault)
         reports = verify.SUITES["float-all"](fmt=SMALL)
@@ -618,6 +618,44 @@ class TestIntegerOracle:
         verify.float_value(SMALL, 0x10)  # the counters do see verify's Fractions
         assert set(used) == {"Fraction"}
         assert not hasattr(verify, "value_of")  # nor can a sweep reach it
+
+    ORACLE = ("_sig", "_units", "_sig_units", "float_value", "float_ulp", "_value_class", "representable",
+              "_half_interval", "_div_operand", "_div_quotient", "_div_exact", "_div_reference", "_fraction",
+              "_float_exact", "rounding_fault", "_judge", "_word_table")
+
+    def test_oracle_names_no_library_code(self):
+        """The oracle functions read words by their own field reading: they
+        name nothing from ``core`` or ``floatfmt`` but ``FloatFormat``, and
+        of ``fixed`` and ``floatarith`` only ``fa.RoundingMode``.  So do the
+        module-level tables they read, and they call no verify function
+        outside the oracle."""
+        tree = ast.parse(inspect.getsource(verify))
+        imported, modules = set(), set()
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = {a.asname or a.name for a in node.names}
+                if node.module in ("core", "floatfmt"):
+                    imported |= names - {"FloatFormat"}
+                elif node.module is None:
+                    modules |= names & {"fixed", "fa"}
+        assert imported and modules == {"fixed", "fa"}
+        funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+        tables = {t.id: n.value for n in tree.body if isinstance(n, ast.Assign) for t in n.targets
+                  if isinstance(t, ast.Name)}
+        assert set(self.ORACLE) <= funcs.keys()
+
+        def library_names(node):
+            allowed = {id(a.value) for a in ast.walk(node) if isinstance(a, ast.Attribute)
+                       and isinstance(a.value, ast.Name) and (a.value.id, a.attr) == ("fa", "RoundingMode")}
+            return [n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+                    and (n.id in imported or n.id in modules and id(n) not in allowed)]
+
+        for name in self.ORACLE:
+            used = {n.id for n in ast.walk(funcs[name]) if isinstance(n, ast.Name)}
+            assert library_names(funcs[name]) == [], name
+            assert used & funcs.keys() <= set(self.ORACLE), name
+            for table in used & tables.keys():
+                assert library_names(tables[table]) == [], (name, table)
 
 
 # rnf8 and three smaller shapes whose exponent range holds far pairs
