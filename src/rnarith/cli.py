@@ -44,8 +44,10 @@ class CliError(Exception):
 
 
 def _parse_operand(text: str) -> RnFixed | RnFloat | str:
-    """Classify a token as a fixed literal, a float literal or a decimal,
-    which stays text until a target needs its value."""
+    """Classify a token, less its surrounding blanks (spaces and tabs), as a
+    fixed literal, a float literal or a decimal, which stays text until a
+    target needs its value."""
+    text = text.strip(" \t")
     if text.startswith("rn:"):
         return parse_literal(text)
     if text.startswith("rnf"):
@@ -137,7 +139,7 @@ def cmd_convert(value: str, options: dict) -> int:
         return 0
     if target == "decimal":
         if isinstance(operand, str):  # a decimal
-            print(_decimal_text(value))
+            print(_decimal_text(operand))
             return 0
         v = value_of_float(operand.fmt, operand.word) if isinstance(operand, RnFloat) else value_of(operand)
         if isinstance(v, FloatClass):

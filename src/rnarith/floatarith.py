@@ -17,12 +17,15 @@ bits are those of ``x``.
 Each operand is read once, from its raw fields (``floatfmt.decode``), as
 the same encoding integer ``x``: a finite operand's value is ``(x + 1) >>
 1`` times a power of two, and the result word is written directly from its
-fields.  Add and multiply are exact on these integer values: add aligns
-them by shifting, multiply multiplies them.  Division's reference value is
-the quotient of the operands' ``x`` themselves (the midpoints of their
-half-ulp intervals), each complemented when negative and scaled by
-``fixed.shift_left`` into one binade; ``round_to_format`` cuts it, as every
-rational, by ``fixed.long_divide`` to ``p + 3`` bits and a sticky bit.
+fields.  Each public op decodes its words and passes them with their
+``decode`` tuples to its body (``_fadd``, ``_fmul``, ``_fdiv``), which the
+verifier's sweeps call on one decode list per format.  Add and multiply
+are exact on these integer values: add aligns them by shifting, multiply
+multiplies them.  Division's reference value is the quotient of the
+operands' ``x`` themselves (the midpoints of their half-ulp intervals),
+each complemented when negative and scaled by ``fixed.shift_left`` into
+one binade; ``round_to_format`` cuts it, as every rational, by
+``fixed.long_divide`` to ``p + 3`` bits and a sticky bit.
 
 Directed roundings never increment: when the truncated tail was nonzero
 bit 0 of ``x``, the round bit, is simply replaced according to the mode.
@@ -121,8 +124,14 @@ def round_to_format(exact: tuple[int, int, int], fmt: FloatFormat, mode: Roundin
 
 def fadd_words(fmt: FloatFormat, a: int, b: int, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[int, bool]:
     """Sum of two words of ``fmt``: the result word and whether it is inexact."""
-    ca, sa, xa, ea = decode(fmt, a)
-    cb, sb, xb, eb = decode(fmt, b)
+    return _fadd(fmt, a, b, mode, decode(fmt, a), decode(fmt, b))
+
+
+def _fadd(fmt: FloatFormat, a: int, b: int, mode: RoundingMode, da: tuple, db: tuple) -> tuple[int, bool]:
+    """``fadd_words`` on words ``a`` and ``b`` whose ``decode`` tuples are
+    ``da`` and ``db``; a zero operand returns the other word unchanged."""
+    ca, sa, xa, ea = da
+    cb, sb, xb, eb = db
     if ca is _NAN or cb is _NAN:
         return fmt.nan_word(), False
     if ca is _INFINITY and cb is _INFINITY:
@@ -166,8 +175,13 @@ def far_shortcut(fmt: FloatFormat, a: int, b: int) -> int:
 
 def fmul_words(fmt: FloatFormat, a: int, b: int, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[int, bool]:
     """Product of two words of ``fmt``: the result word and whether it is inexact."""
-    ca, sa, xa, ea = decode(fmt, a)
-    cb, sb, xb, eb = decode(fmt, b)
+    return _fmul(fmt, a, b, mode, decode(fmt, a), decode(fmt, b))
+
+
+def _fmul(fmt: FloatFormat, a: int, b: int, mode: RoundingMode, da: tuple, db: tuple) -> tuple[int, bool]:
+    """``fmul_words`` on words whose ``decode`` tuples are ``da`` and ``db``."""
+    ca, sa, xa, ea = da
+    cb, sb, xb, eb = db
     if ca is _NAN or cb is _NAN:
         return fmt.nan_word(), False
     ma, mb = (xa + 1) >> 1, (xb + 1) >> 1
@@ -203,8 +217,13 @@ def _divider_word(x: int, e: int, p: int) -> tuple[int, int]:
 
 def fdiv_words(fmt: FloatFormat, a: int, b: int, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[int, bool]:
     """Quotient of two words of ``fmt``: the result word and whether it is inexact."""
-    ca, sa, xa, ea = decode(fmt, a)
-    cb, sb, xb, eb = decode(fmt, b)
+    return _fdiv(fmt, a, b, mode, decode(fmt, a), decode(fmt, b))
+
+
+def _fdiv(fmt: FloatFormat, a: int, b: int, mode: RoundingMode, da: tuple, db: tuple) -> tuple[int, bool]:
+    """``fdiv_words`` on words whose ``decode`` tuples are ``da`` and ``db``."""
+    ca, sa, xa, ea = da
+    cb, sb, xb, eb = db
     if ca is _NAN or cb is _NAN:
         return fmt.nan_word(), False
     sign = sa ^ sb

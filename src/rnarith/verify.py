@@ -7,16 +7,17 @@ in integer arithmetic on the raw fields (the float rounding contract is
 No sweep builds a Fraction except to print a failure.  The fixed sweeps,
 the divider and the signed-digit views included, call the ``fixed`` and
 ``core`` ops on the encoding integers ``x = 2*bits + round`` and build an
-``RnFixed`` only to print a failure.  The float sweeps call the word ops
-(``floatarith.fadd_words`` and its twins) on int words; the nearest add
-and mul sweeps call them once per ordered pair and judge commutativity
-from the two results of each unordered pair.  Each float sweep that
-judges values decodes each word once, by its own field reading, into the
-same kind of integer ``x = 2*w + r`` (``_sig``): it builds ``_word_table``
-(value, ``_sig`` pair, divider operand) when it starts, judges each result
-through ``_judge`` on its entry, and forms a quotient from two entries;
-the symmetry sweep compares words and decodes none.  These back the tests
-and the ``verify`` command.
+``RnFixed`` only to print a failure.  The float sweeps call the word ops'
+bodies (``floatarith._fadd`` and its twins) on int words and their
+``decode`` tuples, from one list per sweep of every word's; the nearest
+add and mul sweeps call them once per ordered pair and judge
+commutativity from the two results of each unordered pair.  Each float
+sweep that judges values also decodes each word once, by its own field
+reading, into the same kind of integer ``x = 2*w + r`` (``_sig``): it
+builds ``_word_table`` (value, ``_sig`` pair, divider operand) when it
+starts, judges each result through ``_judge`` on its entry, and forms a
+quotient from two entries; the symmetry sweep compares words and builds no
+``_word_table``.  These back the tests and the ``verify`` command.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .floatfmt import (
     RNF16,
     FloatClass,
     FloatFormat,
+    decode,
     float_negate,
     pack,
     unpack,
@@ -334,10 +336,11 @@ def roundtrip_sweep(width: int) -> VerifyReport:
 # ---------------------------------------------------------------------------
 # floating-point sweeps
 
+# each op's body, called as func(fmt, a, b, mode, decode(fmt, a), decode(fmt, b))
 _FLOAT_OPS = {
-    "add": (fa.fadd_words, "fadd"),
-    "mul": (fa.fmul_words, "fmul"),
-    "div": (fa.fdiv_words, "fdiv"),
+    "add": (fa._fadd, "fadd"),
+    "mul": (fa._fmul, "fmul"),
+    "div": (fa._fdiv, "fdiv"),
 }
 
 
@@ -446,20 +449,21 @@ def float_nearest_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
     func, name = _FLOAT_OPS[op]
     rep = VerifyReport(name, f"format={fmt.name}")
     values, sigs, divs = _word_table(fmt)
+    dec = [decode(fmt, w) for w in range(fmt.word_end)]
     if op == "div":
         for a, va in enumerate(values):
             for b, vb in enumerate(values):
                 if vb == 0:
                     continue
                 rep.cases += 1
-                out, inexact = func(fmt, a, b)
+                out, inexact = func(fmt, a, b, _NEAREST, dec[a], dec[b])
                 exact = _float_exact(fmt, op, a, b, va, vb, divs)
                 if exact is not None and (fault := _judge(fmt, exact, _NEAREST, sigs[out], inexact)):
                     rep.record(f"{a:#x},{b:#x}", f"{fault} ({_fraction(exact)})", f"{out:#x}")
         return rep.done()
     for a, va in enumerate(values):
         for b in range(a, len(values)):
-            ab, ba = func(fmt, a, b), func(fmt, b, a)
+            ab, ba = func(fmt, a, b, _NEAREST, dec[a], dec[b]), func(fmt, b, a, _NEAREST, dec[b], dec[a])
             exact = _float_exact(fmt, op, a, b, va, values[b])
             if ab[0] != ba[0]:
                 fault = fault_ba = "commutative"
@@ -489,6 +493,7 @@ def float_directed_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
     func, name = _FLOAT_OPS[op]
     rep = VerifyReport(f"{name}-directed", f"format={fmt.name}")
     values, sigs, divs = _word_table(fmt)
+    dec = [decode(fmt, w) for w in range(fmt.word_end)]
     # each directed mode and whether it sets bit 0 of the substituted word,
     # indexed by whether the exact value is negative
     ups = [[(mode, _ROUNDS_UP[mode][negative]) for mode in _DIRECTED_MODES] for negative in (False, True)]
@@ -497,11 +502,12 @@ def float_directed_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
             exact = _float_exact(fmt, op, a, b, va, vb, divs)
             if exact is None:
                 continue
-            near, inexact = func(fmt, a, b)
+            da, db = dec[a], dec[b]
+            near, inexact = func(fmt, a, b, _NEAREST, da, db)
             substituted = inexact and sigs[near][1] <= fmt.e_max  # finite: overflow saturates
             for mode, rounds_up in ups[exact[0] < 0]:
                 rep.cases += 1
-                out, out_inexact = func(fmt, a, b, mode)
+                out, out_inexact = func(fmt, a, b, mode, da, db)
                 if out != ((near & ~1) | rounds_up if substituted else near):
                     fault = "substitution"
                 else:
@@ -531,13 +537,16 @@ def float_sign_symmetry_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
     check_space(f"{rep.op} {rep.space}", len(fa.RoundingMode), 2 * fmt.total_bits)
     words = range(fmt.word_end)
     neg = [float_negate(fmt, w) for w in words]
+    dec = [decode(fmt, w) for w in words]
     for mode in fa.RoundingMode:
         mirror = _MIRROR.get(mode, mode)
         for a in words:
+            na = neg[a]
             for b in words:
                 rep.cases += 1
-                out = func(fmt, neg[a], neg[b] if op == "add" else b, mode)
-                ref, inexact = func(fmt, a, b, mirror)
+                nb = neg[b] if op == "add" else b
+                out = func(fmt, na, nb, mode, dec[na], dec[nb])
+                ref, inexact = func(fmt, a, b, mirror, dec[a], dec[b])
                 want = (neg[ref] if ref or inexact else 0), inexact
                 if out != want:
                     rep.record(f"{a:#x},{b:#x},{mode.value}", f"{want[0]:#x} sticky={want[1]:d}",

@@ -139,6 +139,19 @@ class TestConvert:
         field, though ``int`` and ``Fraction`` take each of these."""
         assert run(capsys, *argv) == (2, "", f"error: {err}")
 
+    @pytest.mark.parametrize("blanked", [" {}", "{} ", "  {}\t"], ids=["leading", "trailing", "both"])
+    @pytest.mark.parametrize("command, token", [
+        ("convert", "rnf8:0x30"), ("convert", "rn:01:r0@0"), ("convert", "-01.50"),
+        ("eval", "rnf8:0x30"), ("eval", "rn:01:r0@0"), ("inspect", "rnf8:0x30"),
+    ])
+    def test_surrounding_blanks_read_as_none(self, capsys, command, token, blanked):
+        # every command reads an operand less its surrounding blanks, before
+        # it classifies it
+        extra = ("--to", "decimal") if command == "convert" else ()
+        want = run(capsys, command, token, *extra)
+        assert want[0] == 0
+        assert run(capsys, command, blanked.format(token), *extra) == want
+
     @pytest.mark.parametrize("literal, err", [
         ("rnf8:0x", "bad float literal: 'rnf8:0x'"),
         ("rnf8:0xg", "bad float literal: 'rnf8:0xg'"),

@@ -140,11 +140,11 @@ def _flip_bit(when, bit=0):
 
 
 def _plant_ops(monkeypatch, fault):
-    """Pass every result of the swept word ops through
-    ``fault(word, inexact, fmt, a, b, mode)``, which sees the operands."""
+    """Pass every result of the swept op bodies through
+    ``fault(word, inexact, fmt, a, b, mode)``, which sees the operand words."""
     for op, (func, name) in list(verify._FLOAT_OPS.items()):
-        def faulty(fmt, a, b, mode=RoundingMode.NEAREST, func=func):
-            return fault(*func(fmt, a, b, mode), fmt, a, b, mode)
+        def faulty(fmt, a, b, mode, da, db, func=func):
+            return fault(*func(fmt, a, b, mode, da, db), fmt, a, b, mode)
 
         monkeypatch.setitem(verify._FLOAT_OPS, op, (faulty, name))
 
@@ -368,9 +368,9 @@ class TestSweepWork:
         for op, (func, name) in list(verify._FLOAT_OPS.items()):
             calls = Counter()
 
-            def counted(fmt, a, b, func=func, calls=calls):
+            def counted(fmt, a, b, mode, da, db, func=func, calls=calls):
                 calls[a, b] += 1
-                return func(fmt, a, b)
+                return func(fmt, a, b, mode, da, db)
 
             monkeypatch.setitem(verify._FLOAT_OPS, op, (counted, name))
             rep = verify.float_nearest_sweep(SMALL, op)
@@ -396,6 +396,44 @@ class TestSweepWork:
             assert run().passed
             counts[name] = len(calls)
         assert counts == {"add": 256, "div-directed": 256, "shortcut": 256, "mul-symmetry": 0}
+
+    def test_float_sweeps_decode_each_operand_once(self, monkeypatch):
+        # the op bodies take decode tuples from one list per sweep: one
+        # library decode per word, whatever the number of op calls
+        calls = []
+        good = fa.decode
+
+        def counted(fmt, word):
+            calls.append(word)
+            return good(fmt, word)
+
+        monkeypatch.setattr(fa, "decode", counted)
+        monkeypatch.setattr(verify, "decode", counted)
+        counts = {}
+        for name, run in [("add", lambda: verify.float_nearest_sweep(RNF8, "add")),
+                          ("div-directed", lambda: verify.float_directed_sweep(RNF8, "div")),
+                          ("mul-symmetry", lambda: verify.float_sign_symmetry_sweep(SMALL, "mul"))]:
+            calls.clear()
+            assert run().passed
+            counts[name] = len(calls)
+        assert counts == {"add": 256, "div-directed": 256, "mul-symmetry": 64}
+
+    def test_directed_sweep_calls_the_op_five_times_per_pair(self, monkeypatch):
+        # once in nearest, then once in each directed mode, for every pair
+        # with a finite exact value; other pairs are not called
+        calls = Counter()
+        func, name = verify._FLOAT_OPS["mul"]
+
+        def counted(fmt, a, b, mode, da, db):
+            calls[a, b] += 1
+            return func(fmt, a, b, mode, da, db)
+
+        monkeypatch.setitem(verify._FLOAT_OPS, "mul", (counted, name))
+        rep = verify.float_directed_sweep(SMALL, "mul")
+        finite = [w for w in range(SMALL.word_end) if verify.float_value(SMALL, w) is not None]
+        assert set(calls) == set(itertools.product(finite, finite))
+        assert set(calls.values()) == {5}
+        assert (rep.cases, len(rep.failures)) == (4 * len(finite) ** 2, 0)
 
 
 # (exact, mode, word, inexact, clause): each clause of the contract on rnf8
