@@ -44,10 +44,10 @@ class CliError(Exception):
 
 
 def _parse_operand(text: str) -> RnFixed | RnFloat | str:
-    """Classify a token, less its surrounding blanks (spaces and tabs), as a
-    fixed literal, a float literal or a decimal, which stays text until a
-    target needs its value."""
-    text = text.strip(" \t")
+    """Classify a token, less its surrounding whitespace (``str.strip()``, as
+    the literal readers strip it), as a fixed literal, a float literal or a
+    decimal, which stays text until a target needs its value."""
+    text = text.strip()
     if text.startswith("rn:"):
         return parse_literal(text)
     if text.startswith("rnf"):

@@ -133,10 +133,10 @@ def _fadd(fmt: FloatFormat, a: int, b: int, mode: RoundingMode, da: tuple, db: t
     ca, sa, xa, ea = da
     cb, sb, xb, eb = db
     if ca is _NAN or cb is _NAN:
-        return fmt.nan_word(), False
+        return fmt.nan_word, False
     if ca is _INFINITY and cb is _INFINITY:
         if sa != sb:
-            return fmt.nan_word(), False
+            return fmt.nan_word, False
         return fmt.inf_words[sa], False
     if ca is _INFINITY:
         return fmt.inf_words[sa], False
@@ -183,12 +183,12 @@ def _fmul(fmt: FloatFormat, a: int, b: int, mode: RoundingMode, da: tuple, db: t
     ca, sa, xa, ea = da
     cb, sb, xb, eb = db
     if ca is _NAN or cb is _NAN:
-        return fmt.nan_word(), False
+        return fmt.nan_word, False
     ma, mb = (xa + 1) >> 1, (xb + 1) >> 1
     if ca is _INFINITY or cb is _INFINITY:
         other_cls, other_m = (cb, mb) if ca is _INFINITY else (ca, ma)
         if other_cls is not _INFINITY and other_m == 0:
-            return fmt.nan_word(), False
+            return fmt.nan_word, False
         return fmt.inf_words[sa ^ sb], False
     return _deliver(ma * mb, ea + eb + 2 - 2 * fmt.precision, fmt, mode)
 
@@ -225,17 +225,17 @@ def _fdiv(fmt: FloatFormat, a: int, b: int, mode: RoundingMode, da: tuple, db: t
     ca, sa, xa, ea = da
     cb, sb, xb, eb = db
     if ca is _NAN or cb is _NAN:
-        return fmt.nan_word(), False
+        return fmt.nan_word, False
     sign = sa ^ sb
     if ca is _INFINITY:
         if cb is _INFINITY:
-            return fmt.nan_word(), False
+            return fmt.nan_word, False
         return fmt.inf_words[sign], False
     if cb is _INFINITY:
         return 0, False
     a_zero, b_zero = xa in (0, -1), xb in (0, -1)
     if a_zero and b_zero:
-        return fmt.nan_word(), False
+        return fmt.nan_word, False
     if b_zero:
         return fmt.inf_words[sign], False
     if a_zero:
@@ -270,27 +270,22 @@ _EXACT = StickyTail(False)
 _INEXACT = StickyTail(True)
 
 
-def _require_same_format(a: RnFloat, b: RnFloat) -> FloatFormat:
-    if a.fmt is not b.fmt and a.fmt != b.fmt:
+def _shim(op, a: RnFloat, b: RnFloat, mode: RoundingMode) -> tuple[RnFloat, StickyTail]:
+    """``op``, a word op, on two floats of one format, its result wrapped."""
+    fmt = a.fmt
+    if fmt is not b.fmt and fmt != b.fmt:
         raise ValueError("operands must share a format")
-    return a.fmt
-
-
-def _wrap(fmt: FloatFormat, result: tuple[int, bool]) -> tuple[RnFloat, StickyTail]:
-    word, inexact = result
+    word, inexact = op(fmt, a.word, b.word, mode)
     return RnFloat(fmt, word), _INEXACT if inexact else _EXACT
 
 
 def fadd_with_sticky(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[RnFloat, StickyTail]:
-    fmt = _require_same_format(a, b)
-    return _wrap(fmt, fadd_words(fmt, a.word, b.word, mode))
+    return _shim(fadd_words, a, b, mode)
 
 
 def fmul_with_sticky(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[RnFloat, StickyTail]:
-    fmt = _require_same_format(a, b)
-    return _wrap(fmt, fmul_words(fmt, a.word, b.word, mode))
+    return _shim(fmul_words, a, b, mode)
 
 
 def fdiv_with_sticky(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[RnFloat, StickyTail]:
-    fmt = _require_same_format(a, b)
-    return _wrap(fmt, fdiv_words(fmt, a.word, b.word, mode))
+    return _shim(fdiv_words, a, b, mode)

@@ -35,16 +35,16 @@ class FloatFormat(_Value):
     ``sign_shift``; ``frac_mask`` and ``low_mask``, the fraction field's
     mask and the word's low p bits (fraction and round bit); the offsets
     ``hidden_pos`` and ``hidden_neg`` that add a normal word's hidden bit
-    for either sign; ``word_end``, one past the widest word; and
-    ``inf_words``, the infinity of each sign.  They follow from the two
-    sizes, so they are not part of equality, hashing, the repr or the
-    constructor.
+    for either sign; ``word_end``, one past the widest word;
+    ``inf_words``, the infinity of each sign; and ``nan_word``, the NaN
+    every op returns.  They follow from the two sizes, so they are not part
+    of equality, hashing, the repr or the constructor.
     """
 
     _fields = ("exp_bits", "precision", "name")
     __slots__ = _fields + (
         "total_bits", "bias", "e_min", "e_max", "exp_mask", "frac_bits", "sign_shift",
-        "frac_mask", "low_mask", "hidden_pos", "hidden_neg", "word_end", "inf_words",
+        "frac_mask", "low_mask", "hidden_pos", "hidden_neg", "word_end", "inf_words", "nan_word",
     )
 
     def __init__(self, exp_bits: int, precision: int, name: str = "") -> None:
@@ -74,10 +74,8 @@ class FloatFormat(_Value):
         _set(self, "word_end", 1 << total_bits)
         inf = exp_mask << p  # all-ones exponent, zero fraction and round bit
         _set(self, "inf_words", (inf, (1 << (total_bits - 1)) | inf))
-
-    def nan_word(self) -> int:
         # don't-care bits are zero on output; the round bit marks it non-infinite
-        return (self.exp_mask << self.precision) | 1
+        _set(self, "nan_word", inf | 1)
 
 
 RNF8 = FloatFormat(3, 4, "rnf8")
@@ -211,7 +209,7 @@ def float_negate(fmt: FloatFormat, word: int) -> int:
     """
     cls, s, _, _ = decode(fmt, word)
     if cls is _NAN:
-        return fmt.nan_word()
+        return fmt.nan_word
     if cls is _INFINITY:
         return fmt.inf_words[1 - s]
     # sign bit, then the fraction and round bit: the low p bits

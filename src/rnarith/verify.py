@@ -158,15 +158,9 @@ def _div_quotient(da: tuple[int, int], db: tuple[int, int]) -> tuple[int, int, i
     return (na, nb, ea - eb) if nb > 0 else (-na, -nb, ea - eb)
 
 
-def _div_exact(fmt: FloatFormat, word_a: int, word_b: int) -> tuple[int, int, int]:
-    """``(n, d, k)`` with ``d > 0``: the quotient ``n/d * 2**k`` of the
-    round-bit-extended, divider-normalized operands."""
-    return _div_quotient(_div_operand(fmt, _sig(fmt, word_a)), _div_operand(fmt, _sig(fmt, word_b)))
-
-
 def _div_reference(fmt: FloatFormat, word_a: int, word_b: int) -> Fraction:
     """Quotient of the round-bit-extended, divider-normalized operands."""
-    return _fraction(_div_exact(fmt, word_a, word_b))
+    return _fraction(_div_quotient(_div_operand(fmt, _sig(fmt, word_a)), _div_operand(fmt, _sig(fmt, word_b))))
 
 
 def _fraction(exact: tuple[int, int, int] | None) -> Fraction | None:
@@ -345,11 +339,11 @@ _FLOAT_OPS = {
 
 
 def _float_exact(fmt: FloatFormat, op: str, wa: int, wb: int, va: int | None, vb: int | None,
-                 divs: list[tuple[int, int]] | None = None) -> tuple[int, int, int] | None:
+                 divs: list[tuple[int, int]]) -> tuple[int, int, int] | None:
     """Exact ``a op b`` from the operands' ``_units`` as ``(n, d, k)``, meaning
     ``n/d * 2**k`` with ``d > 0``; None if not finite or divided by zero.
-    A quotient composes the operands' ``divs`` entries, a sweep's
-    ``_word_table``, when given, and decodes both words when not."""
+    A quotient composes the operands' ``divs`` entries, a ``_word_table``'s
+    divider operands."""
     if va is None or vb is None:
         return None
     u = fmt.e_min + 1 - fmt.precision
@@ -359,7 +353,7 @@ def _float_exact(fmt: FloatFormat, op: str, wa: int, wb: int, va: int | None, vb
         return va * vb, 1, 2 * u
     if vb == 0:
         return None
-    return _div_exact(fmt, wa, wb) if divs is None else _div_quotient(divs[wa], divs[wb])
+    return _div_quotient(divs[wa], divs[wb])
 
 
 _NEAREST = fa.RoundingMode.NEAREST  # read once, as in floatarith
@@ -382,10 +376,10 @@ def rounding_fault(fmt: FloatFormat, exact: tuple[int, int, int], mode: fa.Round
     the first clause it breaks.  Every clause compares integers.
 
     Overflow: only the infinity of exact's sign, flagged inexact, and only
-    when ``|exact| > 2**(e_max+1)``: the edge itself has a finite word.  Sticky flag: ``value != exact``, in
-    every mode.  Nearest: within half an ulp, and the round bit set exactly
-    when the value lies above ``exact``, at zero too.  Directed: on the
-    mode's side and less than an ulp away.
+    when ``|exact| > 2**(e_max+1)``: the edge itself has a finite word.
+    Sticky flag: ``value != exact``, in every mode.  Nearest: within half an
+    ulp, and the round bit set exactly when the value lies above ``exact``,
+    at zero too.  Directed: on the mode's side and less than an ulp away.
 
     The nearest clauses return a representable ``exact`` exactly
     (``tests/test_oracle.py::TestImpliedClauses``).  The clauses are
@@ -464,7 +458,7 @@ def float_nearest_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
     for a, va in enumerate(values):
         for b in range(a, len(values)):
             ab, ba = func(fmt, a, b, _NEAREST, dec[a], dec[b]), func(fmt, b, a, _NEAREST, dec[b], dec[a])
-            exact = _float_exact(fmt, op, a, b, va, values[b])
+            exact = _float_exact(fmt, op, a, b, va, values[b], divs)
             if ab[0] != ba[0]:
                 fault = fault_ba = "commutative"
             elif exact is None:

@@ -139,13 +139,14 @@ class TestConvert:
         field, though ``int`` and ``Fraction`` take each of these."""
         assert run(capsys, *argv) == (2, "", f"error: {err}")
 
-    @pytest.mark.parametrize("blanked", [" {}", "{} ", "  {}\t"], ids=["leading", "trailing", "both"])
+    @pytest.mark.parametrize("blanked", [" {}", "{} ", "  {}\t", "{}\n", "\r\n{}\r\n"],
+                             ids=["leading", "trailing", "both", "newline", "crlf"])
     @pytest.mark.parametrize("command, token", [
         ("convert", "rnf8:0x30"), ("convert", "rn:01:r0@0"), ("convert", "-01.50"),
         ("eval", "rnf8:0x30"), ("eval", "rn:01:r0@0"), ("inspect", "rnf8:0x30"),
     ])
     def test_surrounding_blanks_read_as_none(self, capsys, command, token, blanked):
-        # every command reads an operand less its surrounding blanks, before
+        # every command reads an operand less its surrounding whitespace, before
         # it classifies it
         extra = ("--to", "decimal") if command == "convert" else ()
         want = run(capsys, command, token, *extra)
@@ -749,7 +750,7 @@ HAND_ARGV = [
     (["convert", "-1e5", "--to", "decimal"], 2),
     (["convert", "-1", "--to", "rn@0,w=4", "--prefer-round-bit"], 0),
     (["convert", "-0", "--to", "decimal"], 0),
-    (["convert", "-1\n", "--to", "decimal"], 2),
+    (["convert", "-1\n", "--to", "decimal"], 0),  # read less its newline, as a literal is
     (["convert", "-\u0661", "--to", "decimal"], 2),
     (["convert", "1", "--to", "-1"], 2),
     (["convert", "1", "--to", "-x"], 2),
@@ -925,7 +926,7 @@ def _extreme_tokens():
         ones = fmt.low_mask  # fraction and round bit all ones
         sign = 1 << (fmt.total_bits - 1)
         words = (0, sign | ones, 1, sign | 1, fmt.inf_words[0] - 1, fmt.inf_words[1] - 1, *fmt.inf_words,
-                 fmt.nan_word(), sign | fmt.inf_words[0] | ones)
+                 fmt.nan_word, sign | fmt.inf_words[0] | ones)
         floats += [f"{name}:{w:#x}" for w in words]
         floats += [f"{name}:s={s},e={e},f={'1' * fmt.frac_bits},r=1"
                    for s in (0, 1) for e in (0, fmt.exp_mask, 10 ** 309)]

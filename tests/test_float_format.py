@@ -87,6 +87,7 @@ class TestFormatLayout:
             assert fmt.word_end == 1 << fmt.total_bits == 2 ** total
             inf = (2 ** e - 1) * 2 ** p
             assert fmt.inf_words == (inf, 2 ** (total - 1) + inf)
+            assert fmt.nan_word == fmt.inf_words[0] | 1
             for word in (-1, fmt.word_end):
                 with pytest.raises(ValueError, match="word does not fit the format"):
                     decode(fmt, word)
@@ -291,7 +292,7 @@ class TestNegate:
 
     def test_specials(self):
         assert float_negate(RNF8, RNF8.inf_words[0]) == RNF8.inf_words[1]
-        assert unpack(RNF8, float_negate(RNF8, RNF8.nan_word())).cls is FloatClass.NAN
+        assert unpack(RNF8, float_negate(RNF8, RNF8.nan_word)).cls is FloatClass.NAN
 
     def test_value_antisymmetry_exhaustive(self):
         for word in range(1 << 8):

@@ -186,7 +186,7 @@ class TestSweepsCatchFaults:
         assert (rep.cases, len(rep.failures)) == (256, 2)
 
     def test_overflow_returned_as_nan(self, monkeypatch):
-        _plant(monkeypatch, lambda w, s, fmt, mode: (fmt.nan_word() if _is_inf(fmt, w) else w, s))
+        _plant(monkeypatch, lambda w, s, fmt, mode: (fmt.nan_word if _is_inf(fmt, w) else w, s))
         assert _float_sweep_failures(SMALL) == [354, 548, 204, 1416, 2192, 816]
 
     def test_overflow_with_wrong_sign(self, monkeypatch):
@@ -527,10 +527,11 @@ class TestRoundToFormat:
     def test_every_small_exact_result(self):
         fmt = SMALL
         finite = [(w, u) for w in enumerate_format(fmt) if (u := verify._units(fmt, w)) is not None]
+        table = verify._word_table(fmt)[2]
         faults, divs = [], 0
         for (wa, ua), (wb, ub) in itertools.product(finite, repeat=2):
             for op in ("add", "mul", "div"):
-                exact = verify._float_exact(fmt, op, wa, wb, ua, ub)
+                exact = verify._float_exact(fmt, op, wa, wb, ua, ub, table)
                 if exact is None:  # divided by zero
                     continue
                 for mode in RoundingMode:
@@ -572,16 +573,16 @@ def _fraction_representable(x, fmt):
     return (x / grid).denominator == 1
 
 
-def _check_exact_triples(fmt, pairs):
+def _check_exact_triples(fmt, pairs, divs):
     """``_float_exact``'s ``(n, d, k)`` is the Fraction statement of the
     exact value, and ``representable`` agrees with its Fraction restatement
-    on it."""
+    on it.  ``divs`` maps each word to its divider operand."""
     for wa, wb in pairs:
         va, vb = verify.float_value(fmt, wa), verify.float_value(fmt, wb)
         ua, ub = verify._units(fmt, wa), verify._units(fmt, wb)
         assert (ua is None) == (va is None) and (ub is None) == (vb is None)
         for op in ("add", "mul", "div"):
-            exact = verify._float_exact(fmt, op, wa, wb, ua, ub)
+            exact = verify._float_exact(fmt, op, wa, wb, ua, ub, divs)
             if va is None or vb is None or (op == "div" and vb == 0):
                 assert exact is None
                 continue
@@ -604,7 +605,7 @@ class TestIntegerOracle:
     @pytest.mark.parametrize("fmt", [RNF8, SMALL], ids=["rnf8", "e2p3"])
     def test_exact_triples_every_pair(self, fmt):
         n = 1 << fmt.total_bits
-        _check_exact_triples(fmt, ((wa, wb) for wa in range(n) for wb in range(n)))
+        _check_exact_triples(fmt, ((wa, wb) for wa in range(n) for wb in range(n)), verify._word_table(fmt)[2])
 
     @pytest.mark.parametrize("fmt", [RNF16, RNF32, RNF64], ids=lambda f: f.name)
     def test_exact_triples_seeded_pairs(self, fmt):
@@ -616,11 +617,11 @@ class TestIntegerOracle:
         for _ in range(1000):
             wa = rng.randrange(n)
             pairs += [(wa, rng.randrange(n)), (wa, wa ^ rng.randrange(1 << 6) ^ (rng.getrandbits(1) << (fmt.total_bits - 1)))]
-        _check_exact_triples(fmt, pairs)
+        divs = {w: verify._div_operand(fmt, verify._sig(fmt, w)) for w in itertools.chain(*pairs)}
+        _check_exact_triples(fmt, pairs, divs)
 
     def test_zero_dividend_spelled_all_ones(self):
         # rnf8 0x8f is sign 1, exponent 0, fraction and round bit all ones: 0
-        assert verify._div_exact(RNF8, 0x8f, 0x30)[0] == 0
         assert verify._div_reference(RNF8, 0x8f, 0x30) == 0
 
     def test_sweeps_build_no_fraction(self, monkeypatch):
@@ -658,7 +659,7 @@ class TestIntegerOracle:
         assert not hasattr(verify, "value_of")  # nor can a sweep reach it
 
     ORACLE = ("_sig", "_units", "_sig_units", "float_value", "float_ulp", "_value_class", "representable",
-              "_half_interval", "_div_operand", "_div_quotient", "_div_exact", "_div_reference", "_fraction",
+              "_half_interval", "_div_operand", "_div_quotient", "_div_reference", "_fraction",
               "_float_exact", "rounding_fault", "_judge", "_word_table")
 
     def test_oracle_names_no_library_code(self):
