@@ -7,10 +7,12 @@ in integer arithmetic on the raw fields (the float rounding contract is
 No sweep builds a Fraction except to print a failure.  The fixed sweeps,
 the divider and the signed-digit views included, call the ``fixed`` and
 ``core`` ops on the encoding integers ``x = 2*bits + round`` and build an
-``RnFixed`` only to print a failure.  The float sweeps call the word ops'
-bodies (``floatarith._fadd`` and its twins) on int words and their
-``decode`` tuples, from one list per sweep of every word's; the nearest
-add and mul sweeps call them once per ordered pair and judge
+``RnFixed`` only to print a failure.  Their inner loops do only per-case
+work, one op call and its checks: operand values come from a list built
+once per sweep, and cases are counted once per row.  The float sweeps call
+the word ops' bodies (``floatarith._fadd`` and its twins) on int words and
+their ``decode`` tuples, from one list per sweep of every word's; the
+nearest add and mul sweeps call them once per ordered pair and judge
 commutativity from the two results of each unordered pair.  Each float
 sweep that judges values also decodes each word once, by its own field
 reading, into the same kind of integer ``x = 2*w + r`` (``_sig``): it
@@ -189,18 +191,17 @@ def fixed_add_sweep(width: int, variant: str = "add") -> VerifyReport:
     op = {"add": fixed.add, "add_alt": fixed.add_alt, "sub": fixed.sub}[variant]
     rep = VerifyReport(variant, f"width={width}")
     check_space(f"{rep.op} {rep.space}", 1, 2 * width + 2)
-    encs = list(enumerate_fixed(width))
-    sub = variant == "sub"
-    for a in encs:
-        va = (a + 1) >> 1
-        for b in encs:
-            rep.cases += 1
+    encs = [(x, (x + 1) >> 1) for x in enumerate_fixed(width)]  # each encoding and its value
+    sign = -1 if variant == "sub" else 1
+    # each b with the value and the interval's low end of the operand added: b, or -b for sub
+    bs = [(b, sign * vb, b if sign > 0 else -b - 1) for b, vb in encs]
+    for a, va in encs:
+        rep.cases += len(bs)
+        for b, vb, lb in bs:
             out = op(a, b)
-            vb = (b + 1) >> 1
-            want = va - vb if sub else va + vb
-            lo = a + (-b - 1 if sub else b)  # the operands' intervals add up to [lo, lo + 2]
-            if (out + 1) >> 1 != want:
-                fault = str(want)
+            lo = a + lb  # the operands' intervals add up to [lo, lo + 2]
+            if (out + 1) >> 1 != va + vb:
+                fault = str(va + vb)
             elif not lo <= out <= lo + 1:
                 fault = "interval inclusion"
             else:
@@ -216,13 +217,12 @@ def fixed_mul_sweep(width: int) -> VerifyReport:
     interval fits inside [0, u*u/4]."""
     rep = VerifyReport("mul", f"width={width}")
     check_space(f"{rep.op} {rep.space}", 1, 2 * width + 2)
-    encs = list(enumerate_fixed(width))
-    for a in encs:
-        va = (a + 1) >> 1
-        for b in encs:
-            rep.cases += 1
+    encs = [(x, (x + 1) >> 1) for x in enumerate_fixed(width)]  # each encoding and its value
+    for a, va in encs:
+        rep.cases += len(encs)
+        for b, vb in encs:
             out = fixed.mul(a, b)
-            want = va * ((b + 1) >> 1)
+            want = va * vb
             if (out + 1) >> 1 != want:
                 fault = str(want)
             elif a >= 0 and b >= 0 and (a or b) and not check_inclusion(out, a, b):
@@ -240,8 +240,8 @@ def fixed_mul_sign_sweep(width: int) -> VerifyReport:
     encs = list(enumerate_fixed(width))
     for a in encs:
         na = negate(a)
+        rep.cases += len(encs)
         for b in encs:
-            rep.cases += 1
             lhs = fixed.mul(a, b)
             rhs = negate(fixed.mul(na, b))
             if lhs != rhs:
@@ -279,12 +279,13 @@ def double_rounding_sweep(width: int) -> VerifyReport:
     check_space(f"{rep.op} {rep.space}", width * (width + 1), width)
     for x in enumerate_fixed(width):
         once = [truncate_at(x, k) for k in range(width)]  # each target, and each inner grid
-        for j in range(width):
-            for k in range(j, width):
-                rep.cases += 1
-                twice = truncate_at(once[j], k - j)
-                if twice != once[k]:
-                    rep.record(f"{_text(x, width)},j={j},k={k}", _text(once[k], width - k, k),
+        for j, inner in enumerate(once):
+            rep.cases += width - j
+            for i, target in enumerate(once[j:]):  # the target at grid k = j + i
+                twice = truncate_at(inner, i)
+                if twice != target:
+                    k = j + i
+                    rep.record(f"{_text(x, width)},j={j},k={k}", _text(target, width - k, k),
                                _text(twice, width - k, k))
     return rep.done()
 
@@ -295,8 +296,8 @@ def negation_sweep(max_width: int) -> VerifyReport:
     if max_width > 1:  # widths 2..max_width hold 2**(max_width + 2) - 8 encodings
         check_space(f"{rep.op} {rep.space}", 1, max_width + 2)
     for width in range(2, max_width + 1):
+        rep.cases += 2 << width  # the width's encodings
         for x in enumerate_fixed(width):
-            rep.cases += 1
             nx = negate(x)
             if negate(nx) != x or (nx + 1) >> 1 != -((x + 1) >> 1):
                 rep.record(_text(x, width), "negation", _text(nx, width))
@@ -312,8 +313,9 @@ def roundtrip_sweep(width: int) -> VerifyReport:
     a nonzero value's round bit is 1 exactly when its last nonzero digit is
     +1."""
     rep = VerifyReport("roundtrip", f"width={width}")
-    for x in enumerate_fixed(width):
-        rep.cases += 1
+    encs = enumerate_fixed(width)  # refuses an oversized width before 2 << width is built
+    rep.cases += 2 << width
+    for x in encs:
         sd = sd_of_canonical(x, width)
         value = (x + 1) >> 1
         ok = (

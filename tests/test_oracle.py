@@ -1,4 +1,5 @@
 import ast
+import functools
 import inspect
 import itertools
 import random
@@ -323,6 +324,13 @@ class TestSweepsCatchFaults:
         assert (rep.cases, len(rep.failures)) == counts
 
     @pytest.mark.parametrize("module, name, fault, sweep, arg, counts, clause", [
+        *(pytest.param(fixed, v, fault, functools.partial(verify.fixed_add_sweep, variant=v), 4, counts, clause,
+                       id=f"{v}-{kind}")
+          for kind, fault, counts, clause in (
+              ("round-bit", lambda r, *_: r ^ 1, (1024, 1024), None),
+              # the other spelling of the sum's value: outside the operands' interval sum
+              ("respelled", lambda r, *_: _respelled(r, 5), (1024, 510), "interval inclusion"))
+          for v in ("add", "add_alt", "sub")),
         pytest.param(fixed, "mul", lambda r, *_: r ^ 1, verify.fixed_mul_sweep, 6,
                      (16384, 16384), None, id="mul-round-bit"),
         pytest.param(fixed, "mul", lambda r, *_: _respelled(r, 11), verify.fixed_mul_sweep, 6,
@@ -335,6 +343,9 @@ class TestSweepsCatchFaults:
         # spellings at each width still negate and involute
         pytest.param(verify, "negate", lambda r, x: 2 * r + (r & 1),
                      verify.negation_sweep, 12, (16376, 16354), None, id="negate-value-doubled"),
+        # two's-complement negation, -x = ~x + 1, in place of the complement
+        pytest.param(verify, "negate", lambda r, x: -x, verify.fixed_mul_sign_sweep, 4,
+                     (1024, 872), None, id="mul-sign-twos-complement"),
         pytest.param(verify, "truncate_at", lambda r, x, s: r ^ 1 if s >= 2 else r,
                      verify.double_rounding_sweep, 8, (18432, 3072), None, id="truncate-round-bit"),
         pytest.param(verify, "sd_of_canonical", lambda r, *_: tuple(-d for d in r),
@@ -350,6 +361,24 @@ class TestSweepsCatchFaults:
 
 
 class TestSweepWork:
+    @pytest.mark.parametrize("w", range(1, 7))
+    def test_cases_in_closed_form(self, w):
+        # each sweep counts its cases once per row; the totals are the sizes
+        # of the spaces it walks (negation's is empty at width 1)
+        got = {v: verify.fixed_add_sweep(w, v).cases for v in ("add", "add_alt", "sub")}
+        got |= {
+            "mul": verify.fixed_mul_sweep(w).cases,
+            "mul-sign": verify.fixed_mul_sign_sweep(w).cases,
+            "double-rounding": verify.double_rounding_sweep(w).cases,
+            "negate": verify.negation_sweep(w).cases,
+            "roundtrip": verify.roundtrip_sweep(w).cases,
+            "div": verify.fixed_div_sweep(w).cases,
+        }
+        pairs = 4 ** (w + 1)
+        assert got == {"add": pairs, "add_alt": pairs, "sub": pairs, "mul": pairs, "mul-sign": pairs,
+                       "double-rounding": 2 ** w * w * (w + 1), "negate": 2 ** (w + 2) - 8,
+                       "roundtrip": 2 ** (w + 1), "div": pairs}
+
     def test_double_rounding_truncates_once_per_target(self, monkeypatch):
         # per encoding: one truncation to each of the 6 grids, reused as
         # both target and inner result, then one for each pair j <= k
