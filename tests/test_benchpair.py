@@ -29,17 +29,17 @@ def _rows(runs):
 
 
 def test_summary_of_five_pairs():
-    parent = [100, 104, 102, 98, 110]  # sorted 98 100 102 104 110: q1 100, q3 104
+    parent = [100, 104, 102, 98, 110]  # sorted 98 100 102 104 110: q1 99, q3 107 (exclusive method)
     change = [120, 103, 125, 130, 118]  # pair 1 loses
     runs = [_run("parent", i, v, 2.0) for i, v in enumerate(parent)]
     runs += [_run("change", i, v, 1.5, failed=i == 4) for i, v in enumerate(change)]
     ops = _rows(runs)["fixed-exact", "ops_per_s"]
     assert (ops["pairs"], ops["change_wins"], ops["change_losses"]) == (5, 4, 1)
-    assert (ops["parent_median"], ops["parent_q1"], ops["parent_q3"]) == (102, 100, 104)
-    assert (ops["change_median"], ops["change_q1"], ops["change_q3"]) == (120, 118, 125)
+    assert (ops["parent_median"], ops["parent_q1"], ops["parent_q3"]) == (102, 99, 107)
+    assert (ops["change_median"], ops["change_q1"], ops["change_q3"]) == (120, 110.5, 127.5)
     assert ops["ratio_change_over_parent"] == pytest.approx(120 / 102)
     assert ops["relative_worsening"] == pytest.approx(-18 / 102)
-    assert ops["within_bound"] and ops["median_gap_beats_parent_iqr"]  # 18 > 104 - 100
+    assert ops["within_bound"] and ops["median_gap_beats_parent_iqr"]  # 18 > 107 - 99
     assert ops["failed"] == [0, 1]
     p50 = _rows(runs)["fixed-exact", "latency_p50_us"]
     assert (p50["change_wins"], p50["change_losses"], p50["relative_worsening"]) == (5, 0, -0.25)
@@ -48,7 +48,7 @@ def test_summary_of_five_pairs():
 
 def test_a_gap_equal_to_the_iqr_does_not_beat_it():
     runs = [_run("parent", i, v, 1.0) for i, v in enumerate([98, 100, 102, 104, 110])]
-    runs += [_run("change", i, 106, 1.0) for i in range(5)]  # a gap of 4, the parent's IQR
+    runs += [_run("change", i, 110, 1.0) for i in range(5)]  # a gap of 8, the parent's IQR
     assert not _rows(runs)["fixed-exact", "ops_per_s"]["median_gap_beats_parent_iqr"]
 
 

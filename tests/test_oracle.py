@@ -50,6 +50,18 @@ class TestEnumerationGuard:
     """Every fixed sweep asks the guard about its whole case count, not
     only about the enumerations it draws from."""
 
+    # each sweep's case count in closed form, the size of the space it walks
+    # (negation walks widths 2..w, none at w = 1; the divider's argument is p)
+    CASES = {
+        "fixed_add_sweep": lambda w, _variant: 4 ** (w + 1),
+        "fixed_mul_sweep": lambda w: 4 ** (w + 1),
+        "fixed_mul_sign_sweep": lambda w: 4 ** (w + 1),
+        "double_rounding_sweep": lambda w: 2 ** w * w * (w + 1),
+        "negation_sweep": lambda w: 2 ** (w + 2) - 8,
+        "roundtrip_sweep": lambda w: 2 ** (w + 1),
+        "fixed_div_sweep": lambda p: 4 ** (p + 1),
+    }
+
     @pytest.mark.parametrize("sweep, args", [
         *((verify.fixed_add_sweep, (w, v)) for v in ("add", "add_alt", "sub") for w in range(1, 7)),
         *((f, (w,)) for f in (
@@ -68,6 +80,7 @@ class TestEnumerationGuard:
         monkeypatch.setattr(oracle, "check_space", recording)
         monkeypatch.setattr(verify, "check_space", recording)
         rep = sweep(*args)
+        assert rep.cases == self.CASES[sweep.__name__](*args)
         assert rep.cases <= max(counts, default=0) <= 2 * rep.cases
 
     @pytest.mark.parametrize("count, shift, refused", [
@@ -361,24 +374,6 @@ class TestSweepsCatchFaults:
 
 
 class TestSweepWork:
-    @pytest.mark.parametrize("w", range(1, 7))
-    def test_cases_in_closed_form(self, w):
-        # each sweep counts its cases once per row; the totals are the sizes
-        # of the spaces it walks (negation's is empty at width 1)
-        got = {v: verify.fixed_add_sweep(w, v).cases for v in ("add", "add_alt", "sub")}
-        got |= {
-            "mul": verify.fixed_mul_sweep(w).cases,
-            "mul-sign": verify.fixed_mul_sign_sweep(w).cases,
-            "double-rounding": verify.double_rounding_sweep(w).cases,
-            "negate": verify.negation_sweep(w).cases,
-            "roundtrip": verify.roundtrip_sweep(w).cases,
-            "div": verify.fixed_div_sweep(w).cases,
-        }
-        pairs = 4 ** (w + 1)
-        assert got == {"add": pairs, "add_alt": pairs, "sub": pairs, "mul": pairs, "mul-sign": pairs,
-                       "double-rounding": 2 ** w * w * (w + 1), "negate": 2 ** (w + 2) - 8,
-                       "roundtrip": 2 ** (w + 1), "div": pairs}
-
     def test_double_rounding_truncates_once_per_target(self, monkeypatch):
         # per encoding: one truncation to each of the 6 grids, reused as
         # both target and inner result, then one for each pair j <= k

@@ -1,11 +1,12 @@
 """Alternating benchmark pairs on two checkouts, with a BENCH_*.json summary.
 
     python3 tools/benchpair.py <parent> <change> --workload fixed-exact:4-13 \\
-        [--workload verify-rnf8:1-3 ...] [--seconds 20] --out BENCH_<n>.json
+        [--workload verify-rnf8:1-3 ...] --out BENCH_<n>.json
 
 Each ``--workload NAME:FIRST-LAST`` (or ``NAME:SEED``) runs one pair per
 seed: each checkout's own ``perfbench/run.py --workload NAME --seed SEED
---seconds S --trace 0``, one run at a time.  Pair 0 of each workload runs
+--seconds S --trace 0``, one run at a time, with S the ``run_seconds`` of
+the change's ``BENCHMARK.json``.  Pair 0 of each workload runs
 the parent first, pair 1 the change first, and so on.  The output file is
 rewritten after every pair, so an interrupted command keeps the pairs it
 ran.  It holds ``command``, ``machine``, ``order``, ``runs`` (each run's
@@ -15,9 +16,9 @@ line), ``digests`` (both trees' digest per workload and seed) and
 ``BENCHMARK.json``, with both trees' medians and quartiles, the change's
 wins and losses over the pairs, its relative worsening against the
 metric's bound, and whether the median gap in the change's favour exceeds
-the parent's interquartile range.  Quartiles are
-``statistics.quantiles(n=4, method='inclusive')``.  Stdlib only; nothing
-in either checkout is written but what the benchmark itself writes.
+the parent's interquartile range.  The quartiles and the CPU model are
+``perfbench/spread.py``'s.  Stdlib only; nothing in either checkout is
+written but what the benchmark itself writes.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import statistics
 import subprocess
 import sys
 
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 TREES = ("parent", "change")
 RUN_TIMEOUT_S = 600
 
@@ -50,9 +52,10 @@ def bounds_of(benchmark: dict) -> dict[str, tuple[str, float]]:
 
 
 def _quartiles(values: list[float]) -> tuple[float, float]:
+    """Q1 and Q3 as ``perfbench/spread.py`` takes them; one value is both."""
     if len(values) < 2:
         return values[0], values[0]
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, _, q3 = statistics.quantiles(values, n=4)
     return q1, q3
 
 
@@ -121,35 +124,26 @@ def run_one(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     return run
 
 
-def machine() -> dict:
-    model = None
-    try:
-        with open("/proc/cpuinfo") as f:
-            model = next((ln.split(":", 1)[1].strip() for ln in f if ln.startswith("model name")), None)
-    except OSError:
-        pass
-    return {"cpu_count": os.cpu_count(), "python": platform.python_version(),
-            "platform": platform.platform(), "cpu_model": model}
-
-
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent", help="checkout of the parent commit")
     ap.add_argument("change", help="checkout of the change")
     ap.add_argument("--workload", type=parse_workload, action="append", required=True,
                     help="NAME:FIRST-LAST seeds, one pair per seed; repeatable")
-    ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
     args = ap.parse_args(argv)
+    sys.path.insert(0, PERFBENCH)  # only here, so a test that loads this file imports no perfbench module
+    from spread import cpu_model
     checkouts = dict(zip(TREES, (args.parent, args.change)))
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
-        bounds = bounds_of(json.load(f))
+        benchmark = json.load(f)
+    bounds, seconds = bounds_of(benchmark), benchmark["run_seconds"]
     plan = "; ".join(f"{name} seeds {seeds[0]}-{seeds[-1]} ({len(seeds)} pairs)" for name, seeds in args.workload)
     doc = {
-        "command": f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {args.seconds:g} --trace 0",
-        "machine": machine(),
+        "command": f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {seconds} --trace 0",
+        "machine": {"nproc": os.cpu_count(), "cpu_model": cpu_model(), "python": platform.python_version()},
         "order": f"pairs alternate which tree runs first (pair 0 parent first); {plan}; one run at a time; "
-                 "quartiles are statistics.quantiles(n=4, method='inclusive'); timings are perfbench's "
+                 "quartiles are statistics.quantiles(n=4), as in perfbench/spread.py; timings are perfbench's "
                  "speed-scaled figures; failed is [parent, change] operations failed over all pairs",
         "summary": [],
         "digests": {},
@@ -159,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
         for pair, seed in enumerate(seeds):
             order = TREES if pair % 2 == 0 else TREES[::-1]
             for i, tree in enumerate(order):
-                run = run_one(checkouts[tree], name, seed, args.seconds)
+                run = run_one(checkouts[tree], name, seed, seconds)
                 doc["runs"].append({"tree": tree, "workload": name, "seed": seed, "pair": pair,
                                     "ran_first": i == 0, **run})
                 ops = run["result"]["metrics"]["ops_per_s"]["value"] if run["result"] else None
