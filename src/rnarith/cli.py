@@ -11,14 +11,14 @@ import sys
 
 from . import fixed, floatarith as fa
 from .core import (
-    DyadicRational,
     RnFixed,
+    decimal_of,
     digit_limit,
     format_literal,
     int_of_field,
+    odd_part,
     parse_literal,
     sd_of_canonical,
-    value_of,
 )
 from .floatfmt import (
     FORMATS,
@@ -76,14 +76,23 @@ def _operand_value(op: RnFixed | RnFloat | str) -> tuple[int, int, int]:
         v = value_of_float(op.fmt, op.word)
         if isinstance(v, FloatClass):
             raise CliError(f"{format_hex_literal(op)} has no finite value")
-        return v.mantissa, 1, v.exp
+        return v
     whole, _, frac = op.lstrip("+-").partition(".")
     n = _int_of_digits(whole + frac)
     return -n if op[0] == "-" else n, 5 ** len(frac), -len(frac)
 
 
+def _value_text(op: RnFixed | RnFloat) -> str:
+    """The exact decimal of a literal's value; ``nan``, or ``inf`` of either
+    sign, for a float word that has none."""
+    v = value_of_float(op.fmt, op.word) if isinstance(op, RnFloat) else _operand_value(op)
+    if isinstance(v, FloatClass):
+        return "nan" if v is FloatClass.NAN else "inf"
+    return decimal_of(v[0], v[2])
+
+
 def _decimal_text(text: str) -> str:
-    """A decimal operand's token spelled as ``DyadicRational`` prints: no
+    """A decimal operand's token spelled as ``decimal_of`` prints: no
     exponent, no needless zeros and no sign on zero, at any length."""
     whole, _, frac = text.lstrip("+-").partition(".")
     whole, frac = whole.lstrip("0") or "0", frac.rstrip("0")
@@ -107,15 +116,15 @@ def _convert_to_fixed(value: tuple[int, int, int], spec: str, prefer_round_bit: 
         raise CliError(f"width {width} is more than the {limit}-digit limit on printed integers")
     # decided on the odd mantissa and its exponent, before any shift builds the word
     n, d, k = value
-    v = DyadicRational(n // d, k) if n % d == 0 else None
-    if v is None or (v.mantissa and v.exp < lsb):
+    rest = n % d
+    n, k = odd_part(n // d, k)
+    if rest or (n and k < lsb):
         raise CliError(f"value is not representable at lsb exponent {lsb}")
-    n = v.mantissa
     misfit = f"value does not fit {width} bits at lsb exponent {lsb}"
     if n:
-        if n.bit_length() + v.exp - lsb > width:  # |value| >= 2**width ulps
+        if n.bit_length() + k - lsb > width:  # |value| >= 2**width ulps
             raise CliError(misfit)
-        n <<= v.exp - lsb
+        n <<= k - lsb
     # the stored word, the value less its round bit, must be width-bit two's
     # complement
     bits, r = (n - 1, 1) if prefer_round_bit else (n, 0)
@@ -141,11 +150,8 @@ def cmd_convert(value: str, options: dict) -> int:
         if isinstance(operand, str):  # a decimal
             print(_decimal_text(operand))
             return 0
-        v = value_of_float(operand.fmt, operand.word) if isinstance(operand, RnFloat) else value_of(operand)
-        if isinstance(v, FloatClass):
-            print("nan" if v is FloatClass.NAN else ("-inf" if decode(operand.fmt, operand.word)[1] else "inf"))
-        else:
-            print(v)
+        text = _value_text(operand)
+        print("-inf" if text == "inf" and decode(operand.fmt, operand.word)[1] else text)
         return 0
     if target.startswith("float:"):
         name = target.split(":", 1)[1]
@@ -224,11 +230,9 @@ def cmd_eval(expr: str, options: dict) -> int:
     result, inexact = _evaluate(expr.split(), mode)
     tag = "inexact" if inexact else "exact"
     if isinstance(result, RnFixed):
-        print(f"{format_literal(result)} {tag} (= {value_of(result)})")
-        return 0
-    v = value_of_float(result.fmt, result.word)
-    shown = v if isinstance(v, DyadicRational) else ("nan" if v is FloatClass.NAN else "inf")
-    print(f"{format_hex_literal(result)} {tag} sticky={int(inexact)} (= {shown})")
+        print(f"{format_literal(result)} {tag} (= {_value_text(result)})")
+    else:
+        print(f"{format_hex_literal(result)} {tag} sticky={int(inexact)} (= {_value_text(result)})")
     return 0
 
 
@@ -249,8 +253,9 @@ def cmd_inspect(value: str, options: dict) -> int:
     if u.cls in (FloatClass.NORMAL, FloatClass.SUBNORMAL, FloatClass.ZERO):
         pieces.append(f"sig={format_literal(u.significand)}")
         h = scale - fmt.precision  # the exponent of half the word's ulp
-        pieces.append(f"value={DyadicRational((x + 1) >> 1, h + 1)}")
-        pieces.append(f"interval=[{DyadicRational(x, h)} ; {DyadicRational(x + 1, h)}]")
+        lo, hi = decimal_of(x, h), decimal_of(x + 1, h)
+        # the value is the interval end that the round bit names
+        pieces.append(f"value={hi if x & 1 else lo} interval=[{lo} ; {hi}]")
     print(" ".join(pieces))
     print(f"fields: {format_fields(u)}")
     return 0

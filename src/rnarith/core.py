@@ -77,43 +77,10 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class DyadicRational(_Value):
-    """Exact value ``mantissa * 2**exp``, normalized to an odd mantissa.
-
-    Zero is canonically ``DyadicRational(0, 0)``, so equal values compare
-    equal regardless of how they were produced.
-    """
-
-    __slots__ = _fields = ("mantissa", "exp")
-
-    def __init__(self, mantissa: int, exp: int = 0) -> None:
-        if mantissa == 0:
-            exp = 0
-        else:
-            k = (mantissa & -mantissa).bit_length() - 1  # trailing zero bits
-            mantissa >>= k
-            exp += k
-        _set(self, "mantissa", mantissa)
-        _set(self, "exp", exp)
-
-    def __str__(self) -> str:
-        """Exact decimal representation; ``ValueError`` past ``digit_limit()`` digits."""
-        m, e = self.mantissa, self.exp
-        # 5**-e has under 3*|e| bits; below 2,000 bits (603 digits) no limit is reached
-        if wide := m.bit_length() + 3 * abs(e) > 2000:
-            limit = digit_limit()
-            # 2**e or 5**-e alone is judged before it is built (5**-e takes superlinear time,
-            # m << e memory); both logs exceed 1/4, so |e| >= 4 * limit never meets a float
-            if abs(e) >= 4 * limit or abs(e) * math.log10(2 if e >= 0 else 5) >= limit:
-                raise ValueError(f"exact decimal of 2**e with |e| of {e.bit_length()} bits has more than {limit} digits")
-        digits = m << e if e >= 0 else m * 5 ** -e
-        if wide and 3 * limit < digits.bit_length() and abs(digits) >= 10 ** limit:  # 10**limit has more bits
-            raise ValueError(f"exact decimal of a {m.bit_length()}-bit mantissa * 2**{e} has more than {limit} digits")
-        if e >= 0:
-            return str(digits)
-        sign = "-" if digits < 0 else ""
-        text = str(abs(digits)).rjust(-e + 1, "0")
-        return f"{sign}{text[:e]}.{text[e:]}"
+class DyadicRational:
+    """Empty stand-in: exact values are ``(n, d, k)`` triples, printed by
+    :func:`decimal_of`.  Only ``perfbench/tracing.py`` names this class, as a
+    traced boundary; ROADMAP item 1 step 2 deletes it with the shims."""
 
 
 def _check_fields(bits: int, width: int, round_bit: int = 0) -> None:
@@ -195,11 +162,6 @@ def canonical_of_sd(digits: tuple[int, ...]) -> int:
     return 2 * value - (next((d for d in reversed(digits) if d), 0) == 1)
 
 
-def value_of(x: RnFixed) -> DyadicRational:
-    """Exact value ``(bits + round) * 2**lsb_exp``."""
-    return DyadicRational(x.bits + x.round, x.lsb_exp)
-
-
 def truncate_at(x: int, s: int) -> int:
     """Round encoding ``x`` to a grid ``2**s`` times coarser by truncation.
 
@@ -226,6 +188,34 @@ def int_of_field(field: str) -> int | None:
     """The integer of an ASCII ``-?[0-9]+`` field, or ``None`` past ``digit_limit()`` digits, leading
     zeros included; up to 640 characters, the lowest limit an interpreter takes, without reading it."""
     return int(field) if len(field) <= 640 or len(field.lstrip("-")) <= digit_limit() else None
+
+
+def odd_part(m: int, e: int) -> tuple[int, int]:
+    """``m * 2**e`` as ``(m, e)`` with an odd ``m``, or ``(0, 0)`` for zero."""
+    if m == 0:
+        return 0, 0
+    k = (m & -m).bit_length() - 1  # trailing zero bits
+    return m >> k, e + k
+
+
+def decimal_of(m: int, e: int) -> str:
+    """Exact decimal text of ``m * 2**e``; ``ValueError`` past ``digit_limit()`` digits."""
+    m, e = odd_part(m, e)
+    # 5**-e has under 3*|e| bits; below 2,000 bits (603 digits) no limit is reached
+    if wide := m.bit_length() + 3 * abs(e) > 2000:
+        limit = digit_limit()
+        # 2**e or 5**-e alone is judged before it is built (5**-e takes superlinear time,
+        # m << e memory); both logs exceed 1/4, so |e| >= 4 * limit never meets a float
+        if abs(e) >= 4 * limit or abs(e) * math.log10(2 if e >= 0 else 5) >= limit:
+            raise ValueError(f"exact decimal of 2**e with |e| of {e.bit_length()} bits has more than {limit} digits")
+    digits = m << e if e >= 0 else m * 5 ** -e
+    if wide and 3 * limit < digits.bit_length() and abs(digits) >= 10 ** limit:  # 10**limit has more bits
+        raise ValueError(f"exact decimal of a {m.bit_length()}-bit mantissa * 2**{e} has more than {limit} digits")
+    if e >= 0:
+        return str(digits)
+    sign = "-" if digits < 0 else ""
+    text = str(abs(digits)).rjust(-e + 1, "0")
+    return f"{sign}{text[:e]}.{text[e:]}"
 
 
 def format_literal(x: RnFixed) -> str:

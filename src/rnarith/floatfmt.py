@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 
-from .core import DyadicRational, RnFixed, _set, _Value, int_of_field
+from .core import RnFixed, _set, _Value, int_of_field
 
 
 class FloatFormat(_Value):
@@ -192,12 +192,13 @@ def pack(u: UnpackedFloat) -> int:
     return word
 
 
-def value_of_float(fmt: FloatFormat, word: int) -> DyadicRational | FloatClass:
-    """Exact value of a finite word; the class marker for infinities/NaNs."""
+def value_of_float(fmt: FloatFormat, word: int) -> tuple[int, int, int] | FloatClass:
+    """Exact value ``(n, 1, k)``, meaning ``n * 2**k``, of a finite word; the
+    class marker for infinities/NaNs."""
     cls, _, x, scale = decode(fmt, word)
     if cls is _INFINITY or cls is _NAN:
         return cls
-    return DyadicRational((x + 1) >> 1, scale + 1 - fmt.precision)
+    return (x + 1) >> 1, 1, scale + 1 - fmt.precision
 
 
 def float_negate(fmt: FloatFormat, word: int) -> int:

@@ -534,13 +534,14 @@ def float_sign_symmetry_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
     words = range(fmt.word_end)
     neg = [float_negate(fmt, w) for w in words]
     dec = [decode(fmt, w) for w in words]
+    second = neg if op == "add" else words  # add negates both operands
     for mode in fa.RoundingMode:
         mirror = _MIRROR.get(mode, mode)
         for a in words:
             na = neg[a]
             for b in words:
                 rep.cases += 1
-                nb = neg[b] if op == "add" else b
+                nb = second[b]
                 out = func(fmt, na, nb, mode, dec[na], dec[nb])
                 ref, inexact = func(fmt, a, b, mirror, dec[a], dec[b])
                 want = (neg[ref] if ref or inexact else 0), inexact
@@ -616,7 +617,7 @@ def pack_unpack_sweep(fmt: FloatFormat) -> VerifyReport:
             want = FloatClass.NAN if _value_class(fmt, word) == "nan" else FloatClass.INFINITY
             if v is not want:
                 rep.record(f"{word:#x}", str(want), str(v))
-        elif isinstance(v, FloatClass) or v.mantissa << max(v.exp - e, 0) != units << max(e - v.exp, 0):
+        elif isinstance(v, FloatClass) or v[0] << max(v[2] - e, 0) != units << max(e - v[2], 0):
             rep.record(f"{word:#x}", str(float_value(fmt, word)), str(v))
     return rep.done()
 

@@ -510,6 +510,34 @@ class TestInspect:
         code, out, _ = run(capsys, "inspect", f"rnf8:{word}")
         assert code == 0 and out.splitlines()[0] == first
 
+    def test_value_is_the_named_end_and_the_printed_decimal(self, capsys):
+        # every rnf8 word and 200 seeded rnf64 words each of a random normal
+        # and a zero exponent field: ``value=`` is the interval end that the
+        # round bit (the word's bit 0) names, and ``convert --to decimal``
+        # prints it; a word with no interval is one that prints nan or inf
+        rng = random.Random(40)
+        fmt = RNF64
+        normal = [(rng.randrange(1, fmt.exp_mask) << fmt.precision) | rng.getrandbits(fmt.precision)
+                  for _ in range(200)]
+        subnormal = [rng.getrandbits(fmt.precision) for _ in range(200)]
+        words = [f"rnf8:{w:#x}" for w in range(256)]
+        words += [f"rnf64:{(rng.getrandbits(1) << fmt.sign_shift) | w:#x}" for w in normal + subnormal]
+        shown = re.compile(r"value=(\S+) interval=\[(\S+) ; (\S+)\]")
+        checked = 0
+        for word in words:
+            code, out, _ = run(capsys, "inspect", word)
+            m = shown.search(out.splitlines()[0])
+            code2, decimal, _ = run(capsys, "convert", word, "--to", "decimal")
+            assert code == code2 == 0
+            if m is None:
+                assert decimal in ("nan", "inf", "-inf"), word
+                continue
+            value, lo, hi = m.groups()
+            assert value == (hi if int(word.partition(":")[2], 16) & 1 else lo), word
+            assert value == decimal, word
+            checked += 1
+        assert checked == 256 - 32 + 400  # rnf8 has 32 infinity and NaN words
+
     def test_zero_word(self, capsys):
         code, out, _ = run(capsys, "inspect", "rnf8:0x00")
         assert code == 0 and "class=zero" in out
@@ -634,9 +662,9 @@ class TestVerify:
         assert out.splitlines()[-1].startswith("SKIP 0 0 ")
 
 
-class TestParserReuse:
+class TestCallsInSequence:
     """No option, default or error may leak from one main() call in a
-    process into the next."""
+    process into the next: calls in sequence give what single calls give."""
 
     def test_calls_in_sequence_match_single_calls(self, capsys):
         expr = "rnf8:0x30 + rnf8:0x01"

@@ -12,20 +12,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 import rnarith
+from rnarith.cli import _operand_value
 from rnarith.core import (
-    DyadicRational,
     RnFixed,
     booth_recode,
     canonical_of_sd,
+    decimal_of,
     digit_limit,
     format_literal,
     int_of_field,
     negate,
+    odd_part,
     parse_literal,
     sd_of_canonical,
     truncate_at,
     validate_rn,
-    value_of,
 )
 from rnarith.floatarith import StickyTail
 from rnarith.floatfmt import RNF8, FloatFormat, RnFloat, unpack
@@ -36,8 +37,9 @@ EXAMPLE_DIGITS = (0, -1, 1, -1, 0, 1, 0, -1, 0, 1, -1, 0)
 
 
 def fraction(v):
-    """The exact value of a ``DyadicRational`` as a ``Fraction``."""
-    return v.mantissa * Fraction(2) ** v.exp
+    """The exact value of an ``(n, d, k)`` triple, ``n/d * 2**k``, as a ``Fraction``."""
+    n, d, k = v
+    return Fraction(n, d) * Fraction(2) ** k
 
 
 def val(x, lsb=0):
@@ -46,25 +48,28 @@ def val(x, lsb=0):
 
 
 class TestDyadicRational:
+    """The exact dyadic value ``m * 2**e``: ``odd_part`` normalizes it and
+    ``decimal_of`` prints it."""
+
     def test_normalization(self):
-        assert DyadicRational(12, 0) == DyadicRational(3, 2)
-        assert DyadicRational(0, 17) == DyadicRational(0, 0)
-        x = DyadicRational(-12)
-        assert (x.mantissa, x.exp) == (-3, 2)
+        assert odd_part(12, 0) == odd_part(3, 2) == (3, 2)
+        assert odd_part(0, 17) == (0, 0)
+        assert odd_part(-12, 0) == (-3, 2)
 
     def test_normalization_of_long_mantissa_is_fast(self):
         t0 = time.perf_counter()
         for _ in range(10):
-            x = DyadicRational(1 << 40000)
-        assert (x.mantissa, x.exp) == (1, 40000)
+            x = odd_part(1 << 40000, 0)
+        assert x == (1, 40000)
         assert time.perf_counter() - t0 < 0.1
 
     @pytest.mark.parametrize(
         "m,e,text",
-        [(0, 0, "0"), (12, 0, "12"), (1, -1, "0.5"), (-13, -2, "-3.25"), (3, 4, "48")],
+        [(0, 0, "0"), (12, 0, "12"), (1, -1, "0.5"), (-13, -2, "-3.25"), (3, 4, "48"),
+         (0, -7, "0"), (24, -3, "3"), (-52, -4, "-3.25")],
     )
     def test_decimal_string(self, m, e, text):
-        assert str(DyadicRational(m, e)) == text
+        assert decimal_of(m, e) == text
 
 
 def sd_value(digits):
@@ -168,15 +173,17 @@ class TestSdOfCanonical:
 
 
 class TestValueOf:
+    """A literal's value ``(bits + round) * 2**lsb_exp``, as the CLI reads it."""
+
     def test_worked_operand(self):
-        assert fraction(value_of(RnFixed(11, 5, 1))) == 12
+        assert _operand_value(RnFixed(11, 5, 1)) == (12, 1, 0)
 
     def test_round_bit_clear(self):
-        assert fraction(value_of(RnFixed(11, 5, 0, -2))) == Fraction(11, 4)
+        assert fraction(_operand_value(RnFixed(11, 5, 0, -2))) == Fraction(11, 4)
 
     def test_spelling_equivalence_exhaustive(self):
         for bits in range(-128, 127):
-            assert value_of(RnFixed(bits, 8, 1)) == value_of(RnFixed(bits + 1, 8, 0))
+            assert _operand_value(RnFixed(bits, 8, 1)) == _operand_value(RnFixed(bits + 1, 8, 0))
 
 
 class TestTruncateAt:
@@ -252,7 +259,7 @@ class TestIntervalOf:
         # encoding inside that interval, and no other, truncates to it
         r = RnFixed(119, 9, 1)
         assert 2 * r.bits + r.round == 239
-        assert fraction(value_of(r)) == 120  # the end the round bit points at
+        assert fraction(_operand_value(r)) == 120  # the end the round bit points at
         inside = [x for x in range(1900, 1940)  # 16ths: [x, x + 1] / 16
                   if Fraction(239, 2) <= Fraction(x, 16) and Fraction(x + 1, 16) <= 120]
         assert inside == list(range(1912, 1920))
@@ -261,11 +268,11 @@ class TestIntervalOf:
     def test_round_bit_clear_formula(self):
         # RnFixed(6, 5, 0, -1) is x = 12 at half-ulp 2**-2: [3, 3.25], and
         # its value is the low end; with the round bit set, the high end
-        assert fraction(value_of(RnFixed(6, 5, 0, -1))) == 3 == Fraction(12, 4)
+        assert fraction(_operand_value(RnFixed(6, 5, 0, -1))) == 3 == Fraction(12, 4)
         for bits, rnd in itertools.product(range(-16, 16), (0, 1)):
             x = 2 * bits + rnd
             lo, hi = Fraction(x, 4), Fraction(x + 1, 4)
-            assert fraction(value_of(RnFixed(bits, 5, rnd, -1))) == (hi if rnd else lo)
+            assert fraction(_operand_value(RnFixed(bits, 5, rnd, -1))) == (hi if rnd else lo)
 
     def test_adjacent_encodings_tile(self, capsys):
         # the intervals ``inspect`` prints for the finite rnf8 words, in
@@ -426,21 +433,21 @@ class TestDigitRule:
     def test_decimal_printed_up_to_the_limit(self, set_int_limit, limit):
         set_int_limit(limit)
         n = digit_limit()
-        assert str(DyadicRational(10 ** n - 1)) == "9" * n
-        assert str(DyadicRational(1 - 10 ** n)) == "-" + "9" * n
+        assert decimal_of(10 ** n - 1, 0) == "9" * n
+        assert decimal_of(1 - 10 ** n, 0) == "-" + "9" * n
         big = 10 ** n + 1
         with pytest.raises(ValueError, match=rf"^exact decimal of a {big.bit_length()}-bit mantissa \* 2\*\*0 "
                                              rf"has more than {n} digits$"):
-            str(DyadicRational(big))
+            decimal_of(big, 0)
 
     def test_mantissa_and_fraction_bounded_together(self):
         # 3**5000 has 2,386 digits and 5**3000 2,098: each is short, their
         # product past 4,300
         m = 3 ** 5000
-        assert str(DyadicRational(m, -2000)).endswith("5")
+        assert decimal_of(m, -2000).endswith("5")
         with pytest.raises(ValueError, match=rf"^exact decimal of a {m.bit_length()}-bit mantissa \* 2\*\*-3000 "
                                              r"has more than 4300 digits$"):
-            str(DyadicRational(m, -3000))
+            decimal_of(m, -3000)
 
     @pytest.mark.parametrize("limit", [0, 4300])
     def test_lsb_exponent_printed_up_to_the_limit(self, set_int_limit, limit):
@@ -477,7 +484,6 @@ class TestRoundTripSweep:
 # (build, repr, fields) for each immutable value type: ``build`` makes a
 # fresh instance on each call, and the repr is pinned as it has always read
 VALUE_TYPES = [
-    (lambda: DyadicRational(12, -3), "DyadicRational(mantissa=3, exp=-1)", ("mantissa", "exp")),
     (lambda: RnFixed(-5, 4, 1, -2), "RnFixed(bits=-5, width=4, round=1, lsb_exp=-2)",
      ("bits", "width", "round", "lsb_exp")),
     (lambda: FloatFormat(3, 4, "rnf8"), "FloatFormat(exp_bits=3, precision=4, name='rnf8')",

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 import rnarith
 from rnarith import cli, core, fixed, floatarith, floatfmt, oracle, verify
-from rnarith.core import RnFixed, negate, value_of
+from rnarith.core import RnFixed, negate
 from rnarith.fixed import add, add_alt, apply, div, long_divide, mul, shift_left, sub
 from rnarith.oracle import enumerate_fixed
 
@@ -32,8 +32,8 @@ def div_lits(p):
 
 @functools.cache
 def exact(x):
-    v = value_of(x)
-    return v.mantissa * Fraction(2) ** v.exp
+    """The value ``(bits + round) * 2**lsb_exp`` of a literal."""
+    return (x.bits + x.round) * Fraction(2) ** x.lsb_exp
 
 
 class TestAdd:

@@ -52,7 +52,7 @@ NEG_ONE = neg(ONE)
 
 def finite_value(word):
     v = value_of_float(RNF8, word)
-    return None if isinstance(v, FloatClass) else v.mantissa * Fraction(2) ** v.exp
+    return None if isinstance(v, FloatClass) else Fraction(v[0], v[1]) * Fraction(2) ** v[2]
 
 
 def word_class(word):
@@ -486,7 +486,7 @@ class TestAgainstIndependentValues:
             if isinstance(v, FloatClass):
                 assert ref is None
             else:
-                assert v.mantissa * Fraction(2) ** v.exp == ref
+                assert Fraction(v[0], v[1]) * Fraction(2) ** v[2] == ref
 
 
 def _finite_nonzero_word(fmt):

@@ -39,8 +39,9 @@ from rnarith.floatfmt import (
 
 
 def fraction(v):
-    """The exact value of a ``DyadicRational`` as a ``Fraction``."""
-    return v.mantissa * Fraction(2) ** v.exp
+    """The exact value of an ``(n, d, k)`` triple, ``n/d * 2**k``, as a ``Fraction``."""
+    n, d, k = v
+    return Fraction(n, d) * Fraction(2) ** k
 
 
 ONE = 0x30  # rnf8: s=0 e=011 f=000 r=0

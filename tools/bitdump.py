@@ -10,8 +10,9 @@ over them.  The float layer (``results``, ``sha256``):
 - the word and inexact flag of ``fadd_words``, ``fmul_words`` and
   ``fdiv_words`` in all five rounding modes, on every rnf8 pair and on
   20,000 seed-1 ``gen_pair`` pairs per rnf16, rnf32 and rnf64;
-- ``unpack``, ``value_of_float`` and ``float_negate`` of every rnf8 and
-  rnf16 word.
+- the ``repr`` of ``unpack`` and of ``value_of_float`` (the ``(n, 1, k)``
+  triple of a finite word, the ``FloatClass`` of another) and the
+  ``float_negate`` word of every rnf8 and rnf16 word.
 
 The printers and the narrowing (``printed``, ``sha256``):
 
@@ -96,7 +97,7 @@ def main(argv: list[str]) -> int:
         if isinstance(v, FloatClass):
             continue
         for mode in modes:
-            word, inexact = fa.round_to_format((v.mantissa, 1, v.exp), RNF8, mode)
+            word, inexact = fa.round_to_format(v, RNF8, mode)
             digest.update(f"{word:x} {inexact:d}\n".encode())
             printed += 1
     print(f"printed {printed}")
