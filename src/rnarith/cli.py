@@ -29,7 +29,6 @@ from .floatfmt import (
     format_fields,
     format_hex_literal,
     parse_float_literal,
-    unpack,
     value_of_float,
 )
 
@@ -242,22 +241,22 @@ def cmd_eval(expr: str, options: dict) -> int:
 
 def cmd_inspect(value: str, options: dict) -> int:
     f = parse_float_literal(value)
-    fmt = f.fmt
-    u = unpack(fmt, f.word)
-    _, _, x, scale = decode(fmt, f.word)
-    pieces = [f"class={u.cls.value}", f"s={u.sign}", f"e={u.biased_exp}(bias {fmt.bias})"]
-    if u.cls is FloatClass.NORMAL:
-        pieces.append(f"hidden={1 - u.sign}")
-    pieces.append(f"f={u.frac:0{fmt.frac_bits}b}")
-    pieces.append(f"r={u.significand.round}")
-    if u.cls in (FloatClass.NORMAL, FloatClass.SUBNORMAL, FloatClass.ZERO):
-        pieces.append(f"sig={format_literal(u.significand)}")
-        h = scale - fmt.precision  # the exponent of half the word's ulp
+    fmt, word, p = f.fmt, f.word, f.fmt.precision
+    cls, s, x, scale = decode(fmt, word)
+    pieces = [f"class={cls.value}", f"s={s}", f"e={(word >> p) & fmt.exp_mask}(bias {fmt.bias})"]
+    if cls is FloatClass.NORMAL:
+        pieces.append(f"hidden={1 - s}")
+    pieces.append(f"f={(word >> 1) & fmt.frac_mask:0{fmt.frac_bits}b}")
+    pieces.append(f"r={word & 1}")
+    if cls in (FloatClass.NORMAL, FloatClass.SUBNORMAL, FloatClass.ZERO):
+        sig = RnFixed(x >> 1, p + 1 if cls is FloatClass.NORMAL else p, x & 1, 1 - p)
+        pieces.append(f"sig={format_literal(sig)}")
+        h = scale - p  # the exponent of half the word's ulp
         lo, hi = decimal_of(x, h), decimal_of(x + 1, h)
         # the value is the interval end that the round bit names
         pieces.append(f"value={hi if x & 1 else lo} interval=[{lo} ; {hi}]")
     print(" ".join(pieces))
-    print(f"fields: {format_fields(u)}")
+    print(f"fields: {format_fields(fmt, word)}")
     return 0
 
 

@@ -6,15 +6,14 @@ round bit.  A normal significand is the two's complement string
 implied by the sign and not stored.  Subnormals store ``s . f`` at the
 minimum exponent; negative subnormals naturally carry leading ones.
 
-A float is a format and an int word: ``decode``, ``unpack``,
-``value_of_float`` and ``float_negate`` take ``(fmt, word)``, and ``pack``
-returns a word.  ``RnFloat`` is only the literal: ``parse_float_literal``
-makes one and ``format_hex_literal`` prints one; ``format_fields`` prints
-the fields of an ``unpack``ed word.
+A float is a format and an int word, and ``decode`` is its one reading:
+``decode``, ``value_of_float``, ``float_negate`` and ``format_fields`` take
+``(fmt, word)``.  ``RnFloat`` is only the literal: ``parse_float_literal``
+makes one and ``format_hex_literal`` prints one.
 
-``FloatFormat``, ``RnFloat`` and ``UnpackedFloat`` are immutable slotted
-classes on ``core``'s value base: compared, hashed and printed by their
-constructor fields, and refusing assignment.
+``FloatFormat`` and ``RnFloat`` are immutable slotted classes on
+``core``'s value base: compared, hashed and printed by their constructor
+fields, and refusing assignment.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 
-from .core import RnFixed, _set, _Value, int_of_field
+from .core import _set, _Value, int_of_field
 
 
 class FloatFormat(_Value):
@@ -112,30 +111,6 @@ class FloatClass(Enum):
     NAN = "nan"
 
 
-class UnpackedFloat(_Value):
-    """Classified view of a word; packing it restores the word bit-exactly.
-
-    For normals the significand is the full p+1-bit word with the hidden bit
-    reconstituted; for every other class it is the raw p-bit ``s.f`` string.
-    The round bit always rides on the significand.
-    """
-
-    __slots__ = _fields = ("fmt", "cls", "sign", "biased_exp", "significand")
-
-    def __init__(self, fmt: FloatFormat, cls: FloatClass, sign: int, biased_exp: int,
-                 significand: RnFixed) -> None:
-        _set(self, "fmt", fmt)
-        _set(self, "cls", cls)
-        _set(self, "sign", sign)
-        _set(self, "biased_exp", biased_exp)
-        _set(self, "significand", significand)
-
-    @property
-    def frac(self) -> int:
-        """The stored fraction field: the significand's low p-1 bits."""
-        return self.significand.bits & self.fmt.frac_mask
-
-
 # read once: a member read through its enum class is a slow lookup (about
 # 0.1 us on CPython 3.11), and every float op decodes two words
 _NORMAL, _SUBNORMAL, _ZERO = FloatClass.NORMAL, FloatClass.SUBNORMAL, FloatClass.ZERO
@@ -173,23 +148,16 @@ def _assemble(fmt: FloatFormat, sign: int, biased_exp: int, low: int) -> int:
     return (sign << fmt.sign_shift) | (biased_exp << fmt.precision) | low
 
 
-def unpack(fmt: FloatFormat, word: int) -> UnpackedFloat:
-    cls, s, x, _ = decode(fmt, word)
-    p = fmt.precision
-    sig = RnFixed(x >> 1, p + 1 if cls is _NORMAL else p, x & 1, 1 - p)
-    return UnpackedFloat(fmt, cls, s, (word >> p) & fmt.exp_mask, sig)
+def unpack(*args):
+    """Stand-in: :func:`decode` reads a word.  Only ``perfbench/tracing.py`` names
+    this; ROADMAP item 1 step 2 deletes it with ``DyadicRational`` and the shims."""
+    raise NotImplementedError("use floatfmt.decode")
 
 
-def pack(u: UnpackedFloat) -> int:
-    """Inverse of :func:`unpack`; a view that no word has raises ``ValueError``.
-
-    The layout is stated once, in :func:`decode`: the fields are assembled
-    into a word, and ``unpack`` of that word must be ``u``."""
-    sig = u.significand
-    word = _assemble(u.fmt, u.sign, u.biased_exp, (u.frac << 1) | sig.round)
-    if unpack(u.fmt, word) != u:
-        raise ValueError(f"no word unpacks to {u.cls.value} s={u.sign} e={u.biased_exp} {sig}")
-    return word
+def pack(*args):
+    """Stand-in: :func:`decode` reads a word.  Only ``perfbench/tracing.py`` names
+    this; ROADMAP item 1 step 2 deletes it with ``DyadicRational`` and the shims."""
+    raise NotImplementedError("use floatfmt.decode")
 
 
 def value_of_float(fmt: FloatFormat, word: int) -> tuple[int, int, int] | FloatClass:
@@ -222,8 +190,10 @@ def format_hex_literal(f: RnFloat) -> str:
     return f"{f.fmt.name}:0x{f.word:0{digits}x}"
 
 
-def format_fields(u: UnpackedFloat) -> str:
-    return f"s={u.sign} e={u.biased_exp} f={u.frac:0{u.fmt.frac_bits}b} r={u.significand.round}"
+def format_fields(fmt: FloatFormat, word: int) -> str:
+    """The word's fields as the field literal reads them: ``s=_ e=_ f=_ r=_``."""
+    e, f = (word >> fmt.precision) & fmt.exp_mask, (word >> 1) & fmt.frac_mask
+    return f"s={word >> fmt.sign_shift} e={e} f={f:0{fmt.frac_bits}b} r={word & 1}"
 
 
 # the ASCII grammar of a hex word and of the fields, in a fixed order; int()

@@ -40,10 +40,9 @@ from .floatfmt import (
     RNF16,
     FloatClass,
     FloatFormat,
+    _assemble,
     decode,
     float_negate,
-    pack,
-    unpack,
     value_of_float,
 )
 from .oracle import (
@@ -600,21 +599,38 @@ def float_negate_sweep(fmt: FloatFormat) -> VerifyReport:
     return rep.done()
 
 
-def pack_unpack_sweep(fmt: FloatFormat) -> VerifyReport:
-    """Bit-exact pack/unpack round trip and value-formula agreement over the
-    whole word space."""
-    rep = VerifyReport("pack-unpack", f"format={fmt.name}")
+def decode_sweep(fmt: FloatFormat) -> VerifyReport:
+    """Over the whole word space, ``decode``'s fields assemble back into the
+    word, its class and ``x`` agree with the oracle's ``_value_class`` and
+    ``_sig``, and ``value_of_float`` agrees with ``_units``."""
+    rep = VerifyReport("decode", f"format={fmt.name}")
+    e = fmt.e_min + 1 - fmt.precision  # units count 2**e; compare at the lower exponent
+    special = {"nan": FloatClass.NAN, "+inf": FloatClass.INFINITY, "-inf": FloatClass.INFINITY}
     for word in enumerate_format(fmt):
         rep.cases += 1
-        u = unpack(fmt, word)
-        if pack(u) != word:
-            rep.record(f"{word:#x}", "round trip", str(u))
+        cls, s, x, scale = decode(fmt, word)
+        # the biased exponent field: 0 below the normals, all ones above them
+        if cls is FloatClass.NORMAL:
+            biased = scale + fmt.bias
+        else:
+            biased = fmt.exp_mask if cls in (FloatClass.INFINITY, FloatClass.NAN) else 0
+        if _assemble(fmt, s, biased, x & fmt.low_mask) != word:
+            rep.record(f"{word:#x}", "round trip", f"{cls.value} s={s} e={biased} x={x}")
+            continue
+        kind, (sx, sscale) = _value_class(fmt, word), _sig(fmt, word)
+        if kind in special:
+            want, ok = special[kind], kind == "nan" or s == (kind == "-inf")
+        else:
+            # a normal x has its hidden bit, so it does not fit p+1 bits
+            small = -1 << fmt.precision <= sx < 1 << fmt.precision
+            want = FloatClass.NORMAL if not small else FloatClass.ZERO if sx == 0 else FloatClass.SUBNORMAL
+            ok = (x, scale) == (sx, sscale)
+        if cls is not want or not ok:
+            rep.record(f"{word:#x}", f"{want.value} s={s} x={sx}", f"{cls.value} s={s} x={x}")
             continue
         v = value_of_float(fmt, word)
         units = _units(fmt, word)
-        e = fmt.e_min + 1 - fmt.precision  # units count 2**e; compare at the lower exponent
         if units is None:
-            want = FloatClass.NAN if _value_class(fmt, word) == "nan" else FloatClass.INFINITY
             if v is not want:
                 rep.record(f"{word:#x}", str(want), str(v))
         elif isinstance(v, FloatClass) or v[0] << max(v[2] - e, 0) != units << max(e - v[2], 0):
@@ -678,7 +694,7 @@ SUITES = {
     ],
     "float-shortcut": lambda fmt=RNF8: [far_shortcut_sweep(fmt)],
     "float-negate": lambda fmt=RNF8: [float_negate_sweep(fmt)],
-    "float-roundtrip": lambda fmt=RNF16: [pack_unpack_sweep(fmt)],
+    "float-roundtrip": lambda fmt=RNF16: [decode_sweep(fmt)],
 }
 # every other float-* suite, on one format
 SUITES["float-all"] = lambda fmt=RNF8: [

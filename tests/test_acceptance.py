@@ -139,5 +139,5 @@ def test_criterion_8_round_bit_direction():
 
 def test_criterion_9_format_bijection():
     t0 = time.perf_counter()
-    reports = [verify.pack_unpack_sweep(RNF16)]
+    reports = [verify.decode_sweep(RNF16)]
     _finish("9 format-bijection", reports, 3.0, t0)

@@ -542,9 +542,9 @@ class TestInspect:
         code, out, _ = run(capsys, "inspect", "rnf8:0x00")
         assert code == 0 and "class=zero" in out
 
-    def test_word_decoded_twice(self, capsys, monkeypatch):
-        # once by ``unpack`` and once for the scale; value, interval and
-        # fields all come from the one unpacked view
+    def test_word_decoded_once(self, capsys, monkeypatch):
+        # class, sign, significand, value and interval all come from one
+        # ``decode``; the fields are the word's own bits
         calls = []
         good = floatfmt.decode
 
@@ -556,7 +556,7 @@ class TestInspect:
         monkeypatch.setattr(cli, "decode", counted)
         code, out, _ = run(capsys, "inspect", "rnf8:0x35")
         assert code == 0 and out.startswith("class=normal")
-        assert calls == [(floatfmt.RNF8, 0x35)] * 2
+        assert calls == [(floatfmt.RNF8, 0x35)]
 
     def test_nan(self, capsys):
         code, out, _ = run(capsys, "inspect", "rnf8:0x71")

@@ -29,7 +29,7 @@ from rnarith.core import (
     validate_rn,
 )
 from rnarith.floatarith import StickyTail
-from rnarith.floatfmt import RNF8, FloatFormat, RnFloat, unpack
+from rnarith.floatfmt import FloatFormat, RnFloat
 from rnarith.oracle import enumerate_fixed
 
 EXAMPLE_WORD = -718  # 110100110010 as a 12-bit two's complement word
@@ -490,11 +490,6 @@ VALUE_TYPES = [
      ("exp_bits", "precision", "name")),
     (lambda: RnFloat(FloatFormat(3, 4, "rnf8"), 0x30),
      "RnFloat(fmt=FloatFormat(exp_bits=3, precision=4, name='rnf8'), word=48)", ("fmt", "word")),
-    (lambda: unpack(RNF8, 0xb5),
-     "UnpackedFloat(fmt=FloatFormat(exp_bits=3, precision=4, name='rnf8'), "
-     "cls=<FloatClass.NORMAL: 'normal'>, sign=1, biased_exp=3, "
-     "significand=RnFixed(bits=-14, width=5, round=1, lsb_exp=-3))",
-     ("fmt", "cls", "sign", "biased_exp", "significand")),
     (lambda: StickyTail(True), "StickyTail(nonzero=True)", ("nonzero",)),
 ]
 

@@ -303,8 +303,8 @@ class TestLongDivide:
 
 
 def _call_owners(tree, name):
-    """Name of the function around each call of ``name`` (None at module
-    level)."""
+    """Name of the function around each call of ``name`` or ``<module>.name``
+    (None at module level)."""
     owners = []
 
     def visit(node, owner):
@@ -312,7 +312,7 @@ def _call_owners(tree, name):
             if isinstance(child, ast.FunctionDef):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == name:
+            if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None), getattr(child.func, "attr", None)):
                 owners.append(owner)
             visit(child, owner)
 
@@ -348,6 +348,34 @@ class TestOneDivider:
         assert ops == []
 
 
+class TestStandInsHaveNoCaller:
+    """``floatfmt.unpack``, ``floatfmt.pack`` and ``core.DyadicRational`` are
+    stand-ins that only ``perfbench/tracing.py`` names, as traced boundaries.
+    No module of the package or its tools calls, builds or imports them, and
+    the package exports none, so they stay stand-ins until ROADMAP item 1
+    step 2 deletes them."""
+
+    STAND_INS = ("unpack", "pack", "DyadicRational")
+
+    def test_no_module_calls_or_imports_them(self):
+        root = Path(__file__).resolve().parents[1]
+        paths = sorted([*(root / "src" / "rnarith").glob("*.py"), *(root / "tools").glob("*.py")])
+        assert {"floatfmt.py", "cli.py", "verify.py", "bitdump.py"} <= {p.name for p in paths}
+        found = []
+        for path in paths:
+            tree = ast.parse(path.read_text())
+            found += [(path.name, name, owner) for name in self.STAND_INS for owner in _call_owners(tree, name)]
+            found += [(path.name, alias.name, "import") for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                      for alias in node.names if alias.name in self.STAND_INS]
+        assert found == []
+
+    def test_not_exported(self):
+        assert not set(self.STAND_INS) & set(rnarith.__all__)
+        for stub in (floatfmt.unpack, floatfmt.pack):
+            with pytest.raises(NotImplementedError, match="use floatfmt.decode"):
+                stub(floatfmt.RNF8, 0)
+
+
 class TestOneResultShape:
     """Division returns ``(quotient, inexact)`` like every float op, reading
     ``p`` from its operands; the CLI evaluates with functions, not state."""
@@ -370,7 +398,7 @@ class TestOneResultShape:
 class TestRnFixedIsTheLiteral:
     """Below the literal parser and printer a fixed value is the integer
     ``x = 2*bits + round``: ``RnFixed`` is built only where a literal is
-    parsed, checked, converted to, unpacked for ``inspect`` or printed for a
+    parsed, checked, converted to, shown by ``inspect`` or printed for a
     failure."""
 
     def test_built_only_at_the_literal_sites(self):
@@ -379,7 +407,7 @@ class TestRnFixedIsTheLiteral:
             f"{m.__name__.split('.')[-1]}.{owner}" for m in modules for owner in _call_owners(_tree(m), "RnFixed")
         )
         assert owners == [
-            "cli._convert_to_fixed", "core.parse_literal", "fixed.apply", "floatfmt.unpack", "verify._text",
+            "cli._convert_to_fixed", "cli.cmd_inspect", "core.parse_literal", "fixed.apply", "verify._text",
         ]
 
     def test_no_signed_digit_type(self):

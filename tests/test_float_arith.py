@@ -30,7 +30,6 @@ from rnarith.floatfmt import (
     RnFloat,
     decode,
     float_negate,
-    unpack,
     value_of_float,
 )
 from rnarith.verify import _div_operand, _float_exact, _sig, _units, _word_table, rounding_fault
@@ -56,7 +55,7 @@ def finite_value(word):
 
 
 def word_class(word):
-    return unpack(RNF8, word).cls
+    return decode(RNF8, word)[0]
 
 
 # the word ops on rnf8 words
@@ -150,16 +149,14 @@ class TestNearFarPaths:
             va = finite_value(a)
             if va in (None, 0):
                 continue
-            ua = unpack(RNF8, a)
-            ea = (ua.biased_exp - RNF8.bias) if ua.cls is FloatClass.NORMAL else RNF8.e_min
+            _, sa, _, ea = decode(RNF8, a)
             for b in range(256):
                 vb = finite_value(b)
                 if vb in (None, 0):
                     continue
-                ub = unpack(RNF8, b)
-                if ua.sign == ub.sign:
+                _, sb, _, eb = decode(RNF8, b)
+                if sa == sb:
                     continue
-                eb = (ub.biased_exp - RNF8.bias) if ub.cls is FloatClass.NORMAL else RNF8.e_min
                 if abs(ea - eb) > 1:
                     continue
                 exact = va + vb
@@ -244,11 +241,10 @@ class TestFdiv:
         # the all-ones boundary spelling is renormalized to the next power's
         # plain word before division, so only its value survives
         for f in range(256):
-            u = unpack(RNF8, f)
-            if u.cls is not FloatClass.NORMAL:
+            cls, _, x, _ = decode(RNF8, f)
+            if cls is not FloatClass.NORMAL:
                 continue
-            sig = u.significand
-            if abs(sig.bits + sig.round) == 1 << RNF8.precision:
+            if abs((x + 1) >> 1) == 1 << RNF8.precision:
                 assert finite_value(fdiv(f, ONE)[0]) == finite_value(f)
             else:
                 assert fdiv(f, ONE)[0] == f
@@ -352,6 +348,15 @@ class TestSmallFormats:
         ((2, 4), 404_736), ((3, 3), 445_760), ((4, 2), 471_504),
     ])
     def test_float_all_passes_on_every_5_to_7_bit_shape(self, shape, cases):
+        self._float_all_passes(shape, cases)
+
+    # the fourth 8-bit shape, rnf8 = FloatFormat(3, 4), runs its sweeps one by one in the acceptance criteria
+    @pytest.mark.parametrize("shape, cases", [((2, 5), 1_620_480), ((4, 3), 1_885_248), ((5, 2), 1_941_200)])
+    def test_float_all_passes_on_the_other_8_bit_shapes(self, shape, cases):
+        self._float_all_passes(shape, cases)
+
+    @staticmethod
+    def _float_all_passes(shape, cases):
         from rnarith.verify import SUITES
 
         reports = SUITES["float-all"](fmt=FloatFormat(*shape))

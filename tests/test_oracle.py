@@ -196,8 +196,26 @@ class TestSweepsCatchFaults:
             return FloatClass.NAN if v is FloatClass.INFINITY else v
 
         monkeypatch.setattr(verify, "value_of_float", faulty)
-        rep = verify.pack_unpack_sweep(RNF8)
+        rep = verify.decode_sweep(RNF8)
         assert (rep.cases, len(rep.failures)) == (256, 2)
+
+    @pytest.mark.parametrize("fault, failures", [
+        # each normal word's x loses its hidden bit: x no longer agrees with _sig
+        (lambda cls, x: (cls, x & RNF8.low_mask if cls is FloatClass.NORMAL else x), 192),
+        # the all-ones negative zero, 0x8f, read as the class of the word 0
+        (lambda cls, x: (FloatClass.ZERO if cls is FloatClass.SUBNORMAL and x == -1 else cls, x), 1),
+    ], ids=["hidden-bit-dropped", "all-ones-zero-as-zero"])
+    def test_decode_fault_reported(self, monkeypatch, fault, failures):
+        good = verify.decode
+
+        def faulty(fmt, word):
+            cls, s, x, scale = good(fmt, word)
+            cls, x = fault(cls, x)
+            return cls, s, x, scale
+
+        monkeypatch.setattr(verify, "decode", faulty)
+        rep = verify.decode_sweep(RNF8)
+        assert (rep.cases, len(rep.failures)) == (256, failures)
 
     def test_overflow_returned_as_nan(self, monkeypatch):
         _plant(monkeypatch, lambda w, s, fmt, mode: (fmt.nan_word if _is_inf(fmt, w) else w, s))
@@ -649,8 +667,9 @@ class TestIntegerOracle:
         assert verify._div_reference(RNF8, 0x8f, 0x30) == 0
 
     def test_sweeps_build_no_fraction(self, monkeypatch):
-        """No sweep judges through a Fraction or the library's value types,
-        and the fixed sweeps on encoding integers build no ``RnFixed``."""
+        """No sweep judges through a Fraction or the library's value types:
+        the fixed sweeps on encoding integers and the float sweeps on words
+        build no ``RnFixed``."""
         used = []
 
         def counted(name, func):
@@ -673,10 +692,10 @@ class TestIntegerOracle:
             *(sweep(SMALL, op)
               for sweep in (verify.float_nearest_sweep, verify.float_directed_sweep)
               for op in ("add", "mul", "div")),
-            verify.pack_unpack_sweep(SMALL),
+            verify.decode_sweep(SMALL),
         ]
         assert all(rep.cases and rep.passed for rep in reports)
-        assert set(used) == {"RnFixed"}  # unpack's significand
+        assert used == []
         used.clear()
         verify.float_value(SMALL, 0x10)  # the counters do see verify's Fractions
         assert set(used) == {"Fraction"}

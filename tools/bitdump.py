@@ -10,9 +10,10 @@ over them.  The float layer (``results``, ``sha256``):
 - the word and inexact flag of ``fadd_words``, ``fmul_words`` and
   ``fdiv_words`` in all five rounding modes, on every rnf8 pair and on
   20,000 seed-1 ``gen_pair`` pairs per rnf16, rnf32 and rnf64;
-- the ``repr`` of ``unpack`` and of ``value_of_float`` (the ``(n, 1, k)``
-  triple of a finite word, the ``FloatClass`` of another) and the
-  ``float_negate`` word of every rnf8 and rnf16 word.
+- the ``repr`` of the ``decode`` tuple ``(cls, sign, x, scale)`` and of
+  ``value_of_float`` (the ``(n, 1, k)`` triple of a finite word, the
+  ``FloatClass`` of another) and the ``float_negate`` word of every rnf8
+  and rnf16 word.
 
 The printers and the narrowing (``printed``, ``sha256``):
 
@@ -53,7 +54,7 @@ def main(argv: list[str]) -> int:
     import workloads
     from rnarith import floatarith as fa
     from rnarith.cli import main as cli_main
-    from rnarith.floatfmt import RNF8, RNF16, RNF32, RNF64, FloatClass, float_negate, unpack, value_of_float
+    from rnarith.floatfmt import RNF8, RNF16, RNF32, RNF64, FloatClass, decode, float_negate, value_of_float
 
     ops = (fa.fadd_words, fa.fmul_words, fa.fdiv_words)
     modes = tuple(fa.RoundingMode)
@@ -78,7 +79,7 @@ def main(argv: list[str]) -> int:
         dump(fmt, [workloads.gen_pair(rng, fmt) for _ in range(PAIRS_PER_FORMAT)])
     for fmt in (RNF8, RNF16):
         for w in range(1 << fmt.total_bits):
-            line = f"{unpack(fmt, w)!r} {value_of_float(fmt, w)!r} {float_negate(fmt, w):x}\n"
+            line = f"{decode(fmt, w)!r} {value_of_float(fmt, w)!r} {float_negate(fmt, w):x}\n"
             digest.update(line.encode())
     print(f"results {results}")
     print(f"sha256 {digest.hexdigest()}")
