@@ -17,9 +17,9 @@ bits are those of ``x``.
 Each operand is read once, from its raw fields (``floatfmt.decode``), as
 the same encoding integer ``x``: a finite operand's value is ``(x + 1) >>
 1`` times a power of two, and the result word is written directly from its
-fields.  Each public op decodes its words and passes them with their
-``decode`` tuples to its body (``_fadd``, ``_fmul``, ``_fdiv``), which the
-verifier's sweeps call on one decode list per format.  Add and multiply
+fields.  Each public op, and each ``RnFloat`` shim, decodes its words and
+passes them with their ``decode`` tuples to its body (``_fadd``, ``_fmul``,
+``_fdiv``), which the verifier's sweeps call on one decode list per format.  Add and multiply
 are exact on these integer values: add aligns them by shifting, multiply
 multiplies them.  Division's reference value is the quotient of the
 operands' ``x`` themselves (the midpoints of their half-ulp intervals),
@@ -80,36 +80,33 @@ def _deliver(num: int, g: int, fmt: FloatFormat, mode: RoundingMode) -> tuple[in
     """
     if num == 0:
         return 0, False
-    p = fmt.precision
-    sign = 1 if num < 0 else 0
-    mag = -num if sign else num
+    p, e_min, e_max = fmt.precision, fmt.e_min, fmt.e_max
+    if num < 0:
+        sign, mag = 1, -num
+    else:
+        sign, mag = 0, num
     e_val = mag.bit_length() - 1 + g
-    e_max = fmt.e_max
-    if e_val > e_max + 1:
+    # the target exponent and the biased exponent field, from one clamp
+    if e_val < e_min:
+        e_tgt, biased_exp = e_min, 0
+    elif e_val <= e_max:
+        e_tgt, biased_exp = e_val, e_val + fmt.bias
+    elif e_val == e_max + 1 and mag & (mag - 1) == 0:
+        # the exact edge is x = 2**(p+1) - 1 at e_max: low p bits all ones,
+        # none in its complement
+        return _assemble(fmt, sign, e_max + fmt.bias, 0 if sign else fmt.low_mask), False
+    else:
         return fmt.inf_words[sign], True
-    if e_val < fmt.e_min:
-        e_tgt = fmt.e_min
-    elif e_val > e_max:
-        e_tgt = e_max
-    else:
-        e_tgt = e_val
     s = g + p - e_tgt  # the round bit's source position weighs 2**(e_tgt - p)
-    if s >= 0:
-        x, rem = mag << s, 0
-    else:
+    if s > 0:
+        x, inexact = mag << s, False
+    else:  # inexact when a bit below the word, the round bit's source or lower, is set
         x = mag >> -s
-        rem = mag - (x << -s)  # x is 0 whenever -s is past the top bit
-    inexact = x & 1 == 1 or rem != 0
-    if e_val > e_max:
-        # beyond e_max only the exact edge is finite: all-ones word, r=1
-        if x != 1 << (p + 1) or inexact:
-            return fmt.inf_words[sign], True
-        x -= 1
+        inexact = (x >> 1) << (1 - s) != mag  # x is 0 when -s is past the top bit
     if sign:
         x = ~x
     if inexact and mode is not _NEAREST:
         x = (x & ~1) | _DIRECTED_BIT[mode][sign]
-    biased_exp = 0 if e_val < fmt.e_min else e_tgt + fmt.bias
     return _assemble(fmt, sign, biased_exp, x & fmt.low_mask), inexact
 
 
@@ -271,21 +268,23 @@ _INEXACT = StickyTail(True)
 
 
 def _shim(op, a: RnFloat, b: RnFloat, mode: RoundingMode) -> tuple[RnFloat, StickyTail]:
-    """``op``, a word op, on two floats of one format, its result wrapped."""
+    """``op``, a word op's body, on two floats of one format and their
+    ``decode`` tuples, its result wrapped."""
     fmt = a.fmt
     if fmt is not b.fmt and fmt != b.fmt:
         raise ValueError("operands must share a format")
-    word, inexact = op(fmt, a.word, b.word, mode)
+    wa, wb = a.word, b.word
+    word, inexact = op(fmt, wa, wb, mode, decode(fmt, wa), decode(fmt, wb))
     return RnFloat(fmt, word), _INEXACT if inexact else _EXACT
 
 
 def fadd_with_sticky(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[RnFloat, StickyTail]:
-    return _shim(fadd_words, a, b, mode)
+    return _shim(_fadd, a, b, mode)
 
 
 def fmul_with_sticky(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[RnFloat, StickyTail]:
-    return _shim(fmul_words, a, b, mode)
+    return _shim(_fmul, a, b, mode)
 
 
 def fdiv_with_sticky(a: RnFloat, b: RnFloat, mode: RoundingMode = RoundingMode.NEAREST) -> tuple[RnFloat, StickyTail]:
-    return _shim(fdiv_words, a, b, mode)
+    return _shim(_fdiv, a, b, mode)

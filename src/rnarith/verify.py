@@ -10,20 +10,26 @@ the divider and the signed-digit views included, call the ``fixed`` and
 ``RnFixed`` only to print a failure.  Their inner loops do only per-case
 work, one op call and its checks: the add and mul sweeps read operand
 values from a list built once per sweep, and the pair and grid sweeps count
-their cases once per row.  The float sweeps call the word ops'
-bodies (``floatarith._fadd`` and its twins) on int words and their
-``decode`` tuples, from one list per sweep of every word's; the nearest
-add and mul sweeps call them once per ordered pair and judge
-commutativity from the two results of each unordered pair.  Each float
-sweep that judges values also decodes each word once, by its own field
-reading, into the same kind of integer ``x = 2*w + r`` (``_sig``): it
-builds ``_word_table`` (value, ``_sig`` pair, divider operand) when it
-starts, judges each result through ``_judge`` on its entry, and forms a
-quotient from two entries; the symmetry sweep compares words and builds no
-``_word_table``.  These back the tests and the ``verify`` command.
+their cases once per row.  The float sweeps keep the same rule: each reads
+a row's operand once per row and counts its cases once per row, and the
+nearest and directed sweeps build one operand list per sweep, of every
+word's ``decode`` tuple and ``_float_exact`` entry, and pick the op's
+exact-value rule once per sweep.  They call the word ops' bodies
+(``floatarith._fadd`` and its twins) on int words and their ``decode``
+tuples from that list; the nearest add and mul sweeps call them once per
+ordered pair and judge commutativity from the two results of each
+unordered pair.  Each float sweep that judges
+values also decodes each word once, by its own field reading, into the
+same kind of integer ``x = 2*w + r`` (``_sig``): it builds ``_word_table``
+(value, ``_sig`` pair, divider operand) when it starts, judges each result
+through ``_judge`` on its entry, and forms an exact value from two
+entries; the symmetry sweep compares words and builds no ``_word_table``.
+These back the tests and the ``verify`` command.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 from . import fixed, floatarith as fa
 from .core import (
@@ -339,22 +345,21 @@ _FLOAT_OPS = {
 }
 
 
-def _float_exact(fmt: FloatFormat, op: str, wa: int, wb: int, va: int | None, vb: int | None,
-                 divs: list[tuple[int, int]]) -> tuple[int, int, int] | None:
-    """Exact ``a op b`` from the operands' ``_units`` as ``(n, d, k)``, meaning
-    ``n/d * 2**k`` with ``d > 0``; None if not finite or divided by zero.
-    A quotient composes the operands' ``divs`` entries, a ``_word_table``'s
+def _float_exact(fmt: FloatFormat, op: str, table: tuple) -> tuple[list, Callable]:
+    """The exact ``a op b`` as ``(n, d, k)``, meaning ``n/d * 2**k`` with
+    ``d > 0``: the operands' entries in a ``_word_table`` ``table`` and the
+    op's rule on them, picked once per sweep.  ``rule(entries[a],
+    entries[b])`` is the triple of finite operands, ``b`` nonzero for div:
+    the sum or product of their ``_units`` values, or the quotient of their
     divider operands."""
-    if va is None or vb is None:
-        return None
-    u = fmt.e_min + 1 - fmt.precision
+    values, _, divs = table
+    u = fmt.e_min + 1 - fmt.precision  # _units count 2**u
     if op == "add":
-        return va + vb, 1, u
+        return values, lambda va, vb: (va + vb, 1, u)
     if op == "mul":
-        return va * vb, 1, 2 * u
-    if vb == 0:
-        return None
-    return _div_quotient(divs[wa], divs[wb])
+        u2 = 2 * u
+        return values, lambda va, vb: (va * vb, 1, u2)
+    return divs, _div_quotient
 
 
 _NEAREST = fa.RoundingMode.NEAREST  # read once, as in floatarith
@@ -431,6 +436,18 @@ def _word_table(fmt: FloatFormat) -> tuple[list[int | None], list[tuple[int, int
     return values, sigs, [_div_operand(fmt, sig) for sig in sigs]
 
 
+def _operands(fmt: FloatFormat, values: list[int | None], entries: list) -> list[tuple[int, tuple, object]]:
+    """A float sweep's one operand list: every word with its ``decode``
+    tuple and its ``_float_exact`` entry, None when the word is not finite."""
+    return [(w, decode(fmt, w), None if v is None else entries[w]) for w, v in enumerate(values)]
+
+
+def _want(clause: str, exact: tuple[int, int, int] | None) -> str:
+    """A float failure's ``want`` text: the clause, and the exact value when
+    the pair has a finite one."""
+    return clause if exact is None else f"{clause} ({_fraction(exact)})"
+
+
 def float_nearest_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
     """Nearest mode over every operand pair: the rounding contract
     (``rounding_fault``) on every finite exact value, and commutativity for
@@ -443,38 +460,40 @@ def float_nearest_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
     in either order, so two equal results share one verdict."""
     func, name = _FLOAT_OPS[op]
     rep = VerifyReport(name, f"format={fmt.name}")
-    values, sigs, divs = _word_table(fmt)
-    dec = [decode(fmt, w) for w in range(fmt.word_end)]
+    table = _word_table(fmt)
+    values, sigs, _ = table
+    entries, exact_of = _float_exact(fmt, op, table)
+    cols = _operands(fmt, values, entries)
     if op == "div":
-        for a, va in enumerate(values):
-            for b, vb in enumerate(values):
-                if vb == 0:
+        divisors = [col for col in cols if values[col[0]] != 0]  # a zero divisor is no case
+        for a, da, qa in cols:
+            rep.cases += len(divisors)
+            for b, db, qb in divisors:
+                out, inexact = func(fmt, a, b, _NEAREST, da, db)
+                if qa is None or qb is None:
                     continue
-                rep.cases += 1
-                out, inexact = func(fmt, a, b, _NEAREST, dec[a], dec[b])
-                exact = _float_exact(fmt, op, a, b, va, vb, divs)
-                if exact is not None and (fault := _judge(fmt, exact, _NEAREST, sigs[out], inexact)):
-                    rep.record(f"{a:#x},{b:#x}", f"{fault} ({_fraction(exact)})", f"{out:#x}")
+                exact = exact_of(qa, qb)
+                if fault := _judge(fmt, exact, _NEAREST, sigs[out], inexact):
+                    rep.record(f"{a:#x},{b:#x}", _want(fault, exact), f"{out:#x}")
         return rep.done()
-    for a, va in enumerate(values):
-        for b in range(a, len(values)):
-            ab, ba = func(fmt, a, b, _NEAREST, dec[a], dec[b]), func(fmt, b, a, _NEAREST, dec[b], dec[a])
-            exact = _float_exact(fmt, op, a, b, va, values[b], divs)
+    for a, da, va in cols:
+        row = cols[a:]
+        rep.cases += 2 * len(row) - 1  # both orders, the diagonal pair once
+        for b, db, vb in row:
+            ab, ba = func(fmt, a, b, _NEAREST, da, db), func(fmt, b, a, _NEAREST, db, da)
+            exact = None if va is None or vb is None else exact_of(va, vb)
             if ab[0] != ba[0]:
                 fault = fault_ba = "commutative"
             elif exact is None:
-                fault = fault_ba = None
+                continue
             else:
                 out, inexact = ab
                 fault = _judge(fmt, exact, _NEAREST, sigs[out], inexact)
                 fault_ba = fault if ba == ab else _judge(fmt, exact, _NEAREST, sigs[out], ba[1])
-            rep.cases += 1
             if fault:
-                rep.record(f"{a:#x},{b:#x}", f"{fault} ({_fraction(exact)})", f"{ab[0]:#x}")
-            if a != b:
-                rep.cases += 1
-                if fault_ba:
-                    rep.record(f"{b:#x},{a:#x}", f"{fault_ba} ({_fraction(exact)})", f"{ba[0]:#x}")
+                rep.record(f"{a:#x},{b:#x}", _want(fault, exact), f"{ab[0]:#x}")
+            if fault_ba and a != b:
+                rep.record(f"{b:#x},{a:#x}", _want(fault_ba, exact), f"{ba[0]:#x}")
     return rep.done()
 
 
@@ -487,28 +506,28 @@ def float_directed_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
     it rounds down, either spelling of zero included."""
     func, name = _FLOAT_OPS[op]
     rep = VerifyReport(f"{name}-directed", f"format={fmt.name}")
-    values, sigs, divs = _word_table(fmt)
-    dec = [decode(fmt, w) for w in range(fmt.word_end)]
+    table = _word_table(fmt)
+    values, sigs, _ = table
+    entries, exact_of = _float_exact(fmt, op, table)
+    rows = [col for col in _operands(fmt, values, entries) if col[2] is not None]  # the finite operands
+    cols = rows if op != "div" else [col for col in rows if values[col[0]] != 0]  # nonzero divisors
     # each directed mode and whether it sets bit 0 of the substituted word,
     # indexed by whether the exact value is negative
     ups = [[(mode, _ROUNDS_UP[mode][negative]) for mode in _DIRECTED_MODES] for negative in (False, True)]
-    for a, va in enumerate(values):
-        for b, vb in enumerate(values):
-            exact = _float_exact(fmt, op, a, b, va, vb, divs)
-            if exact is None:
-                continue
-            da, db = dec[a], dec[b]
+    for a, da, qa in rows:
+        rep.cases += len(_DIRECTED_MODES) * len(cols)
+        for b, db, qb in cols:
+            exact = exact_of(qa, qb)
             near, inexact = func(fmt, a, b, _NEAREST, da, db)
-            substituted = inexact and sigs[near][1] <= fmt.e_max  # finite: overflow saturates
+            substituted = inexact and values[near] is not None  # finite: overflow saturates
             for mode, rounds_up in ups[exact[0] < 0]:
-                rep.cases += 1
                 out, out_inexact = func(fmt, a, b, mode, da, db)
                 if out != ((near & ~1) | rounds_up if substituted else near):
                     fault = "substitution"
                 else:
                     fault = _judge(fmt, exact, mode, sigs[out], out_inexact)
                 if fault:
-                    rep.record(f"{a:#x},{b:#x},{mode.value}", f"{fault} ({_fraction(exact)})", f"{out:#x}")
+                    rep.record(f"{a:#x},{b:#x},{mode.value}", _want(fault, exact), f"{out:#x}")
     return rep.done()
 
 
@@ -534,19 +553,20 @@ def float_sign_symmetry_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
     neg = [float_negate(fmt, w) for w in words]
     dec = [decode(fmt, w) for w in words]
     second = neg if op == "add" else words  # add negates both operands
+    # each b, the word that stands for it in the negated call, and both decode tuples
+    cols = [(b, nb, dec[b], dec[nb]) for b, nb in zip(words, second)]
     for mode in fa.RoundingMode:
         mirror = _MIRROR.get(mode, mode)
-        for a in words:
-            na = neg[a]
-            for b in words:
-                rep.cases += 1
-                nb = second[b]
-                out = func(fmt, na, nb, mode, dec[na], dec[nb])
-                ref, inexact = func(fmt, a, b, mirror, dec[a], dec[b])
-                want = (neg[ref] if ref or inexact else 0), inexact
-                if out != want:
-                    rep.record(f"{a:#x},{b:#x},{mode.value}", f"{want[0]:#x} sticky={want[1]:d}",
-                               f"{out[0]:#x} sticky={out[1]:d}")
+        for a, na in enumerate(neg):
+            da, dna = dec[a], dec[na]
+            rep.cases += len(cols)
+            for b, nb, db, dnb in cols:
+                out, out_inexact = func(fmt, na, nb, mode, dna, dnb)
+                ref, inexact = func(fmt, a, b, mirror, da, db)
+                want = neg[ref] if ref or inexact else 0
+                if out != want or out_inexact != inexact:
+                    rep.record(f"{a:#x},{b:#x},{mode.value}", f"{want:#x} sticky={inexact:d}",
+                               f"{out:#x} sticky={out_inexact:d}")
     return rep.done()
 
 
@@ -561,19 +581,22 @@ def far_shortcut_sweep(fmt: FloatFormat) -> VerifyReport:
     """
     rep = VerifyReport("far-shortcut", f"format={fmt.name}")
     values, sigs, _ = _word_table(fmt)
-    for a, va in enumerate(values):
-        if va in (None, 0):
-            continue
-        for b, vb in enumerate(values):
-            if vb in (None, 0) or sigs[a][1] <= sigs[b][1] + fmt.precision:
-                continue
-            rep.cases += 1
+    halves = [_half_interval(fmt, sig) for sig in sigs]  # each result's interval, read by word
+    # the finite nonzero words, each with its scale and whether it is positive
+    nonzero = [(w, sigs[w][1], v > 0) for w, v in enumerate(values) if v not in (None, 0)]
+    p = fmt.precision
+    for a, scale_a, _ in nonzero:
+        cols = [(b, positive) for b, scale_b, positive in nonzero if scale_a > scale_b + p]
+        rep.cases += len(cols)
+        # half is u/2 in the intervals' units of 2**(e_min-p); the result
+        # interval's bounds for a positive smaller operand, then a negative one
+        lo_a, half = halves[a]
+        bounds = (lo_a - half, lo_a + half), (lo_a, lo_a + 2 * half)
+        for b, positive in cols:
             out = fa.far_shortcut(fmt, a, b)
-            # half is u/2 in the intervals' units of 2**(e_min-p)
-            lo_r, width_r = _half_interval(fmt, sigs[out])
-            lo_a, half = _half_interval(fmt, sigs[a])
-            lo_b, hi_b = (0, half) if vb > 0 else (-half, 0)
-            if not (lo_a + lo_b <= lo_r and lo_r + width_r <= lo_a + half + hi_b):
+            lo_r, width_r = halves[out]
+            lo, hi = bounds[positive]
+            if not (lo <= lo_r and lo_r + width_r <= hi):
                 rep.record(f"{a:#x},{b:#x}", "shortcut soundness", f"{out:#x}")
     return rep.done()
 

@@ -105,13 +105,13 @@ def _rnf8_nearest_reports() -> tuple[VerifyReport, ...]:
 def test_criterion_6_float_correct_rounding():
     t0 = time.perf_counter()
     reports = [*_rnf8_nearest_reports(), verify.far_shortcut_sweep(RNF8)]
-    _finish("6 float-correct-rounding", reports, 1.5, t0)
+    _finish("6 float-correct-rounding", reports, 0.6, t0)
 
 
 def test_criterion_7_directed_roundings():
     t0 = time.perf_counter()
     reports = [verify.float_directed_sweep(RNF8, op) for op in ("add", "mul", "div")]
-    _finish("7 directed-roundings", reports, 4.0, t0)
+    _finish("7 directed-roundings", reports, 2.5, t0)
 
 
 def test_criterion_8_round_bit_direction():

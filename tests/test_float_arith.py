@@ -133,12 +133,12 @@ class TestFaddBasics:
         assert finite_value(fadd(neg(eight), neg(eight))[0]) == -16
 
     def test_half_ulp_sample(self):
-        values, _, divs = _word_table(RNF8)
+        values, rule = _float_exact(RNF8, "add", _word_table(RNF8))
         for wa in range(0, 256, 7):
             for wb in range(0, 256, 5):
-                exact = _float_exact(RNF8, "add", wa, wb, values[wa], values[wb], divs)
-                if exact is None:
+                if values[wa] is None or values[wb] is None:
                     continue
+                exact = rule(values[wa], values[wb])
                 out, inexact = fadd(wa, wb)
                 assert rounding_fault(RNF8, exact, RoundingMode.NEAREST, out, inexact) is None
 
@@ -380,12 +380,14 @@ class TestWiderFormats:
             n = 1 << fmt.total_bits
             for _ in range(1200):
                 wa, wb = rng.randrange(n), rng.randrange(n)
-                va, vb = _units(fmt, wa), _units(fmt, wb)
-                divs = {w: _div_operand(fmt, _sig(fmt, w)) for w in (wa, wb)}
+                sigs = {w: _sig(fmt, w) for w in (wa, wb)}
+                table = ({w: _units(fmt, w) for w in sigs}, sigs, {w: _div_operand(fmt, sig) for w, sig in sigs.items()})
+                va, vb = table[0][wa], table[0][wb]
                 for name, fn in ops:
-                    exact = _float_exact(fmt, name, wa, wb, va, vb, divs)
-                    if exact is None:
+                    if va is None or vb is None or (name == "div" and vb == 0):
                         continue
+                    entries, rule = _float_exact(fmt, name, table)
+                    exact = rule(entries[wa], entries[wb])
                     near, near_inexact = fn(fmt, wa, wb)
                     for mode in RoundingMode:
                         out, inexact = fn(fmt, wa, wb, mode)

@@ -289,6 +289,22 @@ class TestSweepsCatchFaults:
             failed = {tuple(inputs.split(",")) for inputs, _, _ in rep.failures}
             assert failed == {(b, a) for a, b in failed}
 
+    def test_commutative_failure_text(self, monkeypatch):
+        # bit 0 of every result flips when a < b: all 4,032 pairs of
+        # distinct words fail in both orders, and a pair with an infinity or
+        # a NaN operand has no finite exact value to show beside the clause
+        _plant_ops(monkeypatch, lambda w, s, fmt, a, b, mode: (w ^ (a < b), s))
+        for op in ("add", "mul"):
+            rep = verify.float_nearest_sweep(SMALL, op)
+            finite = {f"{w:#x}" for w in range(SMALL.word_end) if verify._units(SMALL, w) is not None}
+            bare = [inputs for inputs, want, _ in rep.failures if want == "commutative"]
+            shown = [(inputs, want) for inputs, want, _ in rep.failures if want != "commutative"]
+            assert (len(bare), len(shown)) == (1776, 2256)
+            assert not any(set(inputs.split(",")) <= finite for inputs in bare)
+            # a finite pair shows its exact value, a fraction
+            assert all(set(inputs.split(",")) <= finite and want.startswith("commutative (") and "None" not in want
+                       for inputs, want in shown)
+
     def test_zero_result_spelled_as_word_0(self, monkeypatch):
         # the same value, but for a negative result rounded up to zero the
         # word 0's r=0 says that it went down: the round-bit direction clause
@@ -422,6 +438,32 @@ class TestSweepWork:
                 assert all(count == 1 + (a == b) for (a, b), count in calls.items())
         assert work == {"add": (4096, 0, 4160), "mul": (4096, 0, 4160), "div": (3968, 0, 3968)}
 
+
+    def test_float_sweeps_judge_each_case_once(self, monkeypatch):
+        # nearest add judges each unordered pair of the 48 finite words once
+        # when both orders agree (48*49/2); nearest div judges each finite
+        # pair with a nonzero divisor, directed mul every finite pair in
+        # four modes; the shortcut sweep judges by intervals, one
+        # far_shortcut call per case, and FloatFormat(2, 3) has no far pair
+        judged = []
+        good = verify._judge
+        monkeypatch.setattr(verify, "_judge", lambda *args: judged.append(args) or good(*args))
+        shortcuts = []
+        good_shortcut = fa.far_shortcut
+        monkeypatch.setattr(fa, "far_shortcut", lambda fmt, a, b: shortcuts.append((a, b)) or good_shortcut(fmt, a, b))
+        counts = {}
+        for name, run in [("add", lambda: verify.float_nearest_sweep(SMALL, "add")),
+                          ("div", lambda: verify.float_nearest_sweep(SMALL, "div")),
+                          ("mul-directed", lambda: verify.float_directed_sweep(SMALL, "mul")),
+                          ("shortcut", lambda: verify.far_shortcut_sweep(SMALL)),
+                          ("shortcut-e3p2", lambda: verify.far_shortcut_sweep(FloatFormat(3, 2)))]:
+            judged.clear()
+            shortcuts.clear()
+            rep = run()
+            assert rep.passed
+            counts[name] = (rep.cases, len(judged), len(shortcuts))
+        assert counts == {"add": (4096, 1176, 0), "div": (3968, 2208, 0), "mul-directed": (9216, 9216, 0),
+                          "shortcut": (0, 0, 0), "shortcut-e3p2": (528, 0, 528)}
 
     def test_float_sweeps_decode_each_word_once(self, monkeypatch):
         # one _word_table per sweep, 256 _sig calls on rnf8; the symmetry
@@ -569,13 +611,14 @@ class TestRoundToFormat:
     def test_every_small_exact_result(self):
         fmt = SMALL
         finite = [(w, u) for w in enumerate_format(fmt) if (u := verify._units(fmt, w)) is not None]
-        table = verify._word_table(fmt)[2]
+        table = verify._word_table(fmt)
         faults, divs = [], 0
         for (wa, ua), (wb, ub) in itertools.product(finite, repeat=2):
             for op in ("add", "mul", "div"):
-                exact = verify._float_exact(fmt, op, wa, wb, ua, ub, table)
-                if exact is None:  # divided by zero
+                if op == "div" and ub == 0:  # divided by zero
                     continue
+                entries, rule = verify._float_exact(fmt, op, table)
+                exact = rule(entries[wa], entries[wb])
                 for mode in RoundingMode:
                     got = fa.round_to_format(exact, fmt, mode)
                     if op == "div":
@@ -615,20 +658,23 @@ def _fraction_representable(x, fmt):
     return (x / grid).denominator == 1
 
 
-def _check_exact_triples(fmt, pairs, divs):
-    """``_float_exact``'s ``(n, d, k)`` is the Fraction statement of the
-    exact value, and ``representable`` agrees with its Fraction restatement
-    on it.  ``divs`` maps each word to its divider operand."""
+def _check_exact_triples(fmt, pairs, table):
+    """The ``(n, d, k)`` of ``_float_exact``'s rule, on the entries the
+    sweeps read, is the Fraction statement of the exact value, and
+    ``representable`` agrees with its Fraction restatement on it.
+    ``table`` is a ``_word_table`` or the same three maps over the words of
+    ``pairs``.  The sweeps apply the rule to finite operands only, and to a
+    nonzero divisor."""
+    rules = {op: verify._float_exact(fmt, op, table) for op in ("add", "mul", "div")}
     for wa, wb in pairs:
         va, vb = verify.float_value(fmt, wa), verify.float_value(fmt, wb)
         ua, ub = verify._units(fmt, wa), verify._units(fmt, wb)
         assert (ua is None) == (va is None) and (ub is None) == (vb is None)
-        for op in ("add", "mul", "div"):
-            exact = verify._float_exact(fmt, op, wa, wb, ua, ub, divs)
+        assert (table[0][wa], table[0][wb]) == (ua, ub)
+        for op, (entries, rule) in rules.items():
             if va is None or vb is None or (op == "div" and vb == 0):
-                assert exact is None
                 continue
-            n, d, k = exact
+            n, d, k = rule(entries[wa], entries[wb])
             assert d > 0
             x = Fraction(n, d) * Fraction(2) ** k
             if op == "add":
@@ -647,7 +693,7 @@ class TestIntegerOracle:
     @pytest.mark.parametrize("fmt", [RNF8, SMALL], ids=["rnf8", "e2p3"])
     def test_exact_triples_every_pair(self, fmt):
         n = 1 << fmt.total_bits
-        _check_exact_triples(fmt, ((wa, wb) for wa in range(n) for wb in range(n)), verify._word_table(fmt)[2])
+        _check_exact_triples(fmt, ((wa, wb) for wa in range(n) for wb in range(n)), verify._word_table(fmt))
 
     @pytest.mark.parametrize("fmt", [RNF16, RNF32, RNF64], ids=lambda f: f.name)
     def test_exact_triples_seeded_pairs(self, fmt):
@@ -659,8 +705,10 @@ class TestIntegerOracle:
         for _ in range(1000):
             wa = rng.randrange(n)
             pairs += [(wa, rng.randrange(n)), (wa, wa ^ rng.randrange(1 << 6) ^ (rng.getrandbits(1) << (fmt.total_bits - 1)))]
-        divs = {w: verify._div_operand(fmt, verify._sig(fmt, w)) for w in itertools.chain(*pairs)}
-        _check_exact_triples(fmt, pairs, divs)
+        sigs = {w: verify._sig(fmt, w) for w in itertools.chain(*pairs)}
+        table = ({w: verify._sig_units(fmt, sig) for w, sig in sigs.items()}, sigs,
+                 {w: verify._div_operand(fmt, sig) for w, sig in sigs.items()})
+        _check_exact_triples(fmt, pairs, table)
 
     def test_zero_dividend_spelled_all_ones(self):
         # rnf8 0x8f is sign 1, exponent 0, fraction and round bit all ones: 0
