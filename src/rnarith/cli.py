@@ -157,7 +157,11 @@ def cmd_convert(value: str, options: dict) -> int:
         if name not in FORMATS:
             raise CliError(f"unknown format {name!r}")
         fmt = FORMATS[name]
-        word, inexact = fa.round_to_format(_operand_value(operand), fmt)
+        cls, s = decode(operand.fmt, operand.word)[:2] if isinstance(operand, RnFloat) else (None, 0)
+        if cls is FloatClass.NAN or cls is FloatClass.INFINITY:  # class to class, an infinity keeps its sign
+            word, inexact = fmt.nan_word if cls is FloatClass.NAN else fmt.inf_words[s], False
+        else:
+            word, inexact = fa.round_to_format(_operand_value(operand), fmt)
         print(f"{format_hex_literal(RnFloat(fmt, word))} {'inexact' if inexact else 'exact'}")
         return 0
     if target.startswith("rn@"):

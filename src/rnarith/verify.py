@@ -11,19 +11,19 @@ the divider and the signed-digit views included, call the ``fixed`` and
 work, one op call and its checks: the add and mul sweeps read operand
 values from a list built once per sweep, and the pair and grid sweeps count
 their cases once per row.  The float sweeps keep the same rule: each reads
-a row's operand once per row and counts its cases once per row, and the
-nearest and directed sweeps build one operand list per sweep, of every
-word's ``decode`` tuple and ``_float_exact`` entry, and pick the op's
-exact-value rule once per sweep.  They call the word ops' bodies
-(``floatarith._fadd`` and its twins) on int words and their ``decode``
-tuples from that list; the nearest add and mul sweeps call them once per
-ordered pair and judge commutativity from the two results of each
-unordered pair.  Each float sweep that judges
-values also decodes each word once, by its own field reading, into the
-same kind of integer ``x = 2*w + r`` (``_sig``): it builds ``_word_table``
-(value, ``_sig`` pair, divider operand) when it starts, judges each result
-through ``_judge`` on its entry, and forms an exact value from two
-entries; the symmetry sweep compares words and builds no ``_word_table``.
+a row's operand once per row and counts its cases once per row.  Each float
+sweep that judges values decodes each word once, by its own field reading,
+into the same kind of integer ``x = 2*w + r`` (``_sig``) and its ``_units``
+value (``_word_table``).  The nearest and directed sweeps take their whole
+setup from one ``_operands`` call: those lists, one operand list of every
+word's ``decode`` tuple and ``_float_exact`` entry, and the op's rule.
+``_float_exact`` alone says which entry an op reads, so one pair needs no
+table: ``rule(entry(_sig(fmt, a)), entry(_sig(fmt, b)))``.  The sweeps call
+the word ops' bodies (``floatarith._fadd`` and its twins) on int words and
+their ``decode`` tuples from that list; the nearest add and mul sweeps call
+them once per ordered pair and judge commutativity from the two results of
+each unordered pair.  Each result is judged through ``_judge`` on its ``_sig``
+pair; the symmetry sweep compares words and builds no ``_word_table``.
 These back the tests and the ``verify`` command.
 """
 
@@ -345,21 +345,20 @@ _FLOAT_OPS = {
 }
 
 
-def _float_exact(fmt: FloatFormat, op: str, table: tuple) -> tuple[list, Callable]:
+def _float_exact(fmt: FloatFormat, op: str) -> tuple[Callable, Callable]:
     """The exact ``a op b`` as ``(n, d, k)``, meaning ``n/d * 2**k`` with
-    ``d > 0``: the operands' entries in a ``_word_table`` ``table`` and the
-    op's rule on them, picked once per sweep.  ``rule(entries[a],
-    entries[b])`` is the triple of finite operands, ``b`` nonzero for div:
-    the sum or product of their ``_units`` values, or the quotient of their
-    divider operands."""
-    values, _, divs = table
+    ``d > 0``: ``(entry, rule)``, the one place that says which per-word
+    entry each op reads.  ``entry(sig)`` is an operand's entry from its
+    ``_sig`` pair, its ``_units`` value for add and mul and its divider
+    operand for div; ``rule(entry(sig_a), entry(sig_b))`` is the triple of
+    finite operands, ``b`` nonzero for div."""
     u = fmt.e_min + 1 - fmt.precision  # _units count 2**u
     if op == "add":
-        return values, lambda va, vb: (va + vb, 1, u)
+        return lambda sig: _sig_units(fmt, sig), lambda va, vb: (va + vb, 1, u)
     if op == "mul":
         u2 = 2 * u
-        return values, lambda va, vb: (va * vb, 1, u2)
-    return divs, _div_quotient
+        return lambda sig: _sig_units(fmt, sig), lambda va, vb: (va * vb, 1, u2)
+    return lambda sig: _div_operand(fmt, sig), _div_quotient
 
 
 _NEAREST = fa.RoundingMode.NEAREST  # read once, as in floatarith
@@ -425,21 +424,25 @@ def _judge(fmt: FloatFormat, exact: tuple[int, int, int], mode: fa.RoundingMode,
     return "one ulp" if abs(diff) >= ulp else None
 
 
-def _word_table(fmt: FloatFormat) -> tuple[list[int | None], list[tuple[int, int]], list[tuple[int, int]]]:
-    """Each word's ``_units`` value (None when not finite), ``_sig`` pair and
-    divider operand (``_div_operand``), indexed by the word: a sweep decodes
-    each word once, here, and reads operands and results from these lists.
-    Refuses a format whose operand pairs cannot be enumerated."""
+def _word_table(fmt: FloatFormat) -> tuple[list[int | None], list[tuple[int, int]]]:
+    """Each word's ``_units`` value (None when not finite) and ``_sig`` pair,
+    indexed by the word: a sweep decodes each word once, here, and reads
+    operands and results from these lists.  Refuses a format whose operand
+    pairs cannot be enumerated."""
     check_space(f"{fmt.name or 'format'} operand pairs", 1, 2 * fmt.total_bits)
     sigs = [_sig(fmt, w) for w in range(1 << fmt.total_bits)]
-    values = [_sig_units(fmt, sig) for sig in sigs]
-    return values, sigs, [_div_operand(fmt, sig) for sig in sigs]
+    return [_sig_units(fmt, sig) for sig in sigs], sigs
 
 
-def _operands(fmt: FloatFormat, values: list[int | None], entries: list) -> list[tuple[int, tuple, object]]:
-    """A float sweep's one operand list: every word with its ``decode``
-    tuple and its ``_float_exact`` entry, None when the word is not finite."""
-    return [(w, decode(fmt, w), None if v is None else entries[w]) for w, v in enumerate(values)]
+def _operands(fmt: FloatFormat, op: str) -> tuple[list[int | None], list[tuple[int, int]], list, Callable]:
+    """A nearest or directed sweep's setup: the ``_word_table`` lists, one
+    operand list of every word with its ``decode`` tuple and its
+    ``_float_exact`` entry (None when the word is not finite), and the op's
+    exact-value rule."""
+    values, sigs = _word_table(fmt)
+    entry, rule = _float_exact(fmt, op)
+    cols = [(w, decode(fmt, w), None if v is None else entry(sigs[w])) for w, v in enumerate(values)]
+    return values, sigs, cols, rule
 
 
 def _want(clause: str, exact: tuple[int, int, int] | None) -> str:
@@ -460,10 +463,7 @@ def float_nearest_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
     in either order, so two equal results share one verdict."""
     func, name = _FLOAT_OPS[op]
     rep = VerifyReport(name, f"format={fmt.name}")
-    table = _word_table(fmt)
-    values, sigs, _ = table
-    entries, exact_of = _float_exact(fmt, op, table)
-    cols = _operands(fmt, values, entries)
+    values, sigs, cols, exact_of = _operands(fmt, op)
     if op == "div":
         divisors = [col for col in cols if values[col[0]] != 0]  # a zero divisor is no case
         for a, da, qa in cols:
@@ -506,10 +506,8 @@ def float_directed_sweep(fmt: FloatFormat, op: str) -> VerifyReport:
     it rounds down, either spelling of zero included."""
     func, name = _FLOAT_OPS[op]
     rep = VerifyReport(f"{name}-directed", f"format={fmt.name}")
-    table = _word_table(fmt)
-    values, sigs, _ = table
-    entries, exact_of = _float_exact(fmt, op, table)
-    rows = [col for col in _operands(fmt, values, entries) if col[2] is not None]  # the finite operands
+    values, sigs, cols, exact_of = _operands(fmt, op)
+    rows = [col for col in cols if col[2] is not None]  # the finite operands
     cols = rows if op != "div" else [col for col in rows if values[col[0]] != 0]  # nonzero divisors
     # each directed mode and whether it sets bit 0 of the substituted word,
     # indexed by whether the exact value is negative
@@ -580,7 +578,7 @@ def far_shortcut_sweep(fmt: FloatFormat) -> VerifyReport:
     sum (``tests/test_oracle.py::TestImpliedClauses``).
     """
     rep = VerifyReport("far-shortcut", f"format={fmt.name}")
-    values, sigs, _ = _word_table(fmt)
+    values, sigs = _word_table(fmt)
     halves = [_half_interval(fmt, sig) for sig in sigs]  # each result's interval, read by word
     # the finite nonzero words, each with its scale and whether it is positive
     nonzero = [(w, sigs[w][1], v > 0) for w, v in enumerate(values) if v not in (None, 0)]

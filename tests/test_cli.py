@@ -58,6 +58,13 @@ class TestConvert:
         code, out, _ = run(capsys, "convert", "rnf8:0x30", "--to", "decimal")
         assert code == 0 and out == "1"
 
+    # an infinity keeps its sign, and any NaN becomes the target's NaN word; a fixed target has neither
+    @pytest.mark.parametrize("value, want", [("rnf8:0x70", "rnf16:0x7c00"), ("rnf8:0xf0", "rnf16:0xfc00"),
+                                             ("rnf8:0xf7", "rnf16:0x7c01"), ("rnf16:0xfe01", "rnf8:0x71")])
+    def test_special_float_to_float_keeps_its_class(self, capsys, value, want):
+        assert run(capsys, "convert", value, "--to", "float:" + want.split(":")[0]) == (0, f"{want} exact", "")
+        assert run(capsys, "convert", value, "--to", "rn@0,w=8") == (2, "", f"error: {value} has no finite value")
+
     @pytest.mark.parametrize("value, want", [
         ("0.3", "0.3"), ("-3.25", "-3.25"), ("12", "12"), ("+0.300", "0.3"), ("-0.0", "0"), ("007.10", "7.1"),
     ])
@@ -742,9 +749,9 @@ def _outcome(call, argv):
 
 
 EXPR = "rnf8:0x30 + rnf8:0x01"
-# argv forms that argparse once read, or that sat at the edges of the fast
-# path that read the common shapes without it, each with the exit code it
-# gave then and must give now
+# argv forms at the edges of the argv reader: help, option spellings and
+# repeats, missing and stray values, and refused operands and commands, each
+# with its pinned exit code
 HAND_ARGV = [
     ([], 2),
     (["-h"], 0),
@@ -1056,13 +1063,13 @@ INSPECT_0X35 = ("class=normal s=0 e=3(bias 3) hidden=1 f=010 r=1 sig=rn:01010:r1
     (["convert", "0.3", "--to", "float:rnf8"], "rnf8:0x13 inexact\n", []),
     (["verify", "paper-examples"], "verify examples pinned\nPASS 1030 0 <s>\n", ["rnarith.verify"]),
     (["eval", EXPR, "--mode=ru"], "rnf8:0x31 inexact sticky=1 (= 1.125)\n", []),
-], ids=["eval", "inspect", "convert-decimal", "verify", "argparse-fallback"])
+], ids=["eval", "inspect", "convert-decimal", "verify", "eval-option-equals"])
 def test_each_command_loads_only_what_it_needs(argv, out, loads):
     """The verifier comes with ``verify``, and ``fractions`` with nothing
     here: a decimal operand reaches the sink as ``(n, 5**f, -f)``, and the
     verifier loads ``fractions`` only to build a value for a failure's text.
     Literals load neither, in every spelling of the options
-    (``argparse-fallback`` is an argv that once went to argparse)."""
+    (``eval-option-equals`` spells its option ``--mode=ru``)."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = (f"import sys; sys.path.insert(0, {src!r}); from rnarith.cli import main; code = main({argv!r}); "
             "print(code, sorted({'fractions', 'rnarith.verify'} & set(sys.modules)))")
@@ -1090,7 +1097,7 @@ def test_verify_help_names_every_suite(capsys):
     assert (code, out.splitlines()[-1], err) == (0, f"suites: {', '.join(sorted(SUITES))}", "")
 
 
-def test_fast_path_call_loads_no_argparse():
+def test_no_argv_loads_argparse():
     """No argv loads ``argparse`` or ``shutil``, and of the argvs that do not
     run ``verify`` only ``verify -h`` loads the verifier, to list the suites."""
     src = str(Path(__file__).resolve().parent.parent / "src")

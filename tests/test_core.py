@@ -172,7 +172,7 @@ class TestSdOfCanonical:
             assert sd_of_canonical(back, 8) == sd
 
 
-class TestValueOf:
+class TestOperandValue:
     """A literal's value ``(bits + round) * 2**lsb_exp``, as the CLI reads it."""
 
     def test_worked_operand(self):

@@ -168,7 +168,7 @@ class TestUnpack:
             assert 1 <= mag <= 2
 
 
-class TestPack:
+class TestAssemble:
     def test_roundtrip_all_rnf8_words(self):
         """``_assemble`` packs ``decode``'s fields back into the word: the
         exponent field follows from the class and the scale, and the low p

@@ -467,19 +467,20 @@ class TestSweepWork:
 
     def test_float_sweeps_decode_each_word_once(self, monkeypatch):
         # one _word_table per sweep, 256 _sig calls on rnf8; the symmetry
-        # sweep compares words and decodes none, on any format
-        calls = []
-        good = verify._sig
-        monkeypatch.setattr(verify, "_sig", lambda fmt, word: calls.append(word) or good(fmt, word))
-        counts = {}
-        for name, run in [("add", lambda: verify.float_nearest_sweep(RNF8, "add")),
-                          ("div-directed", lambda: verify.float_directed_sweep(RNF8, "div")),
-                          ("shortcut", lambda: verify.far_shortcut_sweep(RNF8)),
-                          ("mul-symmetry", lambda: verify.float_sign_symmetry_sweep(SMALL, "mul"))]:
-            calls.clear()
+        # sweep compares words and decodes none, on any format.  _float_exact
+        # picks each op's one kind of per-word entry: a divider operand for
+        # each finite rnf8 word (224) in the div sweeps, and none elsewhere
+        sigs, divs = Counter(), Counter()  # calls by the name of the sweep that makes them
+        good_sig, good_div = verify._sig, verify._div_operand
+        monkeypatch.setattr(verify, "_sig", lambda fmt, word: sigs.update([name]) or good_sig(fmt, word))
+        monkeypatch.setattr(verify, "_div_operand", lambda fmt, sig: divs.update([name]) or good_div(fmt, sig))
+        runs = [(f"{op}{suffix}", functools.partial(sweep, RNF8, op)) for op in ("add", "mul", "div")
+                for suffix, sweep in (("", verify.float_nearest_sweep), ("-directed", verify.float_directed_sweep))]
+        for name, run in runs + [("shortcut", functools.partial(verify.far_shortcut_sweep, RNF8)),
+                                 ("mul-symmetry", functools.partial(verify.float_sign_symmetry_sweep, SMALL, "mul"))]:
             assert run().passed
-            counts[name] = len(calls)
-        assert counts == {"add": 256, "div-directed": 256, "shortcut": 256, "mul-symmetry": 0}
+        assert sigs == dict.fromkeys([name for name, _ in runs] + ["shortcut"], 256)  # and none for mul-symmetry
+        assert divs == {"div": 224, "div-directed": 224}
 
     def test_float_sweeps_decode_each_operand_once(self, monkeypatch):
         # the op bodies take decode tuples from one list per sweep: one
@@ -611,14 +612,13 @@ class TestRoundToFormat:
     def test_every_small_exact_result(self):
         fmt = SMALL
         finite = [(w, u) for w in enumerate_format(fmt) if (u := verify._units(fmt, w)) is not None]
-        table = verify._word_table(fmt)
+        exacts = {op: verify._float_exact(fmt, op) for op in ("add", "mul", "div")}
         faults, divs = [], 0
         for (wa, ua), (wb, ub) in itertools.product(finite, repeat=2):
-            for op in ("add", "mul", "div"):
+            for op, (entry, rule) in exacts.items():
                 if op == "div" and ub == 0:  # divided by zero
                     continue
-                entries, rule = verify._float_exact(fmt, op, table)
-                exact = rule(entries[wa], entries[wb])
+                exact = rule(entry(verify._sig(fmt, wa)), entry(verify._sig(fmt, wb)))
                 for mode in RoundingMode:
                     got = fa.round_to_format(exact, fmt, mode)
                     if op == "div":
@@ -658,25 +658,30 @@ def _fraction_representable(x, fmt):
     return (x / grid).denominator == 1
 
 
-def _check_exact_triples(fmt, pairs, table):
+def _check_exact_triples(fmt, pairs):
     """The ``(n, d, k)`` of ``_float_exact``'s rule, on the entries the
     sweeps read, is the Fraction statement of the exact value, and
-    ``representable`` agrees with its Fraction restatement on it.
-    ``table`` is a ``_word_table`` or the same three maps over the words of
-    ``pairs``.  The sweeps apply the rule to finite operands only, and to a
+    ``representable`` agrees with its Fraction restatement on each distinct
+    one.  The sweeps apply the rule to finite operands only, and to a
     nonzero divisor."""
-    rules = {op: verify._float_exact(fmt, op, table) for op in ("add", "mul", "div")}
+    exacts = {op: verify._float_exact(fmt, op) for op in ("add", "mul", "div")}
+    pairs, words, seen = list(pairs), {}, set()
+    for w in {w for pair in pairs for w in pair}:
+        v, sig = verify.float_value(fmt, w), verify._sig(fmt, w)
+        words[w] = v, {op: entry(sig) for op, (entry, _) in exacts.items()}
+        # the add and mul entry is the word's _units, None exactly when it has no value
+        assert words[w][1]["add"] == words[w][1]["mul"] == verify._units(fmt, w)
+        assert (v is None) == (words[w][1]["add"] is None)
     for wa, wb in pairs:
-        va, vb = verify.float_value(fmt, wa), verify.float_value(fmt, wb)
-        ua, ub = verify._units(fmt, wa), verify._units(fmt, wb)
-        assert (ua is None) == (va is None) and (ub is None) == (vb is None)
-        assert (table[0][wa], table[0][wb]) == (ua, ub)
-        for op, (entries, rule) in rules.items():
-            if va is None or vb is None or (op == "div" and vb == 0):
+        (va, ea), (vb, eb) = words[wa], words[wb]
+        if va is None or vb is None:
+            continue
+        for op, (_, rule) in exacts.items():
+            if op == "div" and vb == 0:
                 continue
-            n, d, k = rule(entries[wa], entries[wb])
+            n, d, k = rule(ea[op], eb[op])
             assert d > 0
-            x = Fraction(n, d) * Fraction(2) ** k
+            x = Fraction(n << k, d) if k >= 0 else Fraction(n, d << -k)
             if op == "add":
                 assert x == va + vb
             elif op == "mul":
@@ -684,7 +689,9 @@ def _check_exact_triples(fmt, pairs, table):
             else:
                 assert x == verify._div_reference(fmt, wa, wb)
                 assert va != 0 or x == 0  # every spelling of a zero dividend
-            assert verify.representable(x, fmt) == _fraction_representable(x, fmt)
+            if x not in seen:
+                seen.add(x)
+                assert verify.representable(x, fmt) == _fraction_representable(x, fmt)
 
 
 class TestIntegerOracle:
@@ -692,8 +699,10 @@ class TestIntegerOracle:
 
     @pytest.mark.parametrize("fmt", [RNF8, SMALL], ids=["rnf8", "e2p3"])
     def test_exact_triples_every_pair(self, fmt):
-        n = 1 << fmt.total_bits
-        _check_exact_triples(fmt, ((wa, wb) for wa in range(n) for wb in range(n)), verify._word_table(fmt))
+        words = range(1 << fmt.total_bits)
+        values, sigs = verify._word_table(fmt)
+        assert values == [verify._units(fmt, w) for w in words] and sigs == [verify._sig(fmt, w) for w in words]
+        _check_exact_triples(fmt, itertools.product(words, repeat=2))
 
     @pytest.mark.parametrize("fmt", [RNF16, RNF32, RNF64], ids=lambda f: f.name)
     def test_exact_triples_seeded_pairs(self, fmt):
@@ -705,10 +714,7 @@ class TestIntegerOracle:
         for _ in range(1000):
             wa = rng.randrange(n)
             pairs += [(wa, rng.randrange(n)), (wa, wa ^ rng.randrange(1 << 6) ^ (rng.getrandbits(1) << (fmt.total_bits - 1)))]
-        sigs = {w: verify._sig(fmt, w) for w in itertools.chain(*pairs)}
-        table = ({w: verify._sig_units(fmt, sig) for w, sig in sigs.items()}, sigs,
-                 {w: verify._div_operand(fmt, sig) for w, sig in sigs.items()})
-        _check_exact_triples(fmt, pairs, table)
+        _check_exact_triples(fmt, pairs)
 
     def test_zero_dividend_spelled_all_ones(self):
         # rnf8 0x8f is sign 1, exponent 0, fraction and round bit all ones: 0
@@ -823,7 +829,7 @@ class TestImpliedClauses:
         words = [(verify._half_interval(fmt, verify._sig(fmt, w)), v)
                  for w in enumerate_format(fmt) if (v := verify._units(fmt, w)) is not None]
         pairs = 0
-        values, _, _ = verify._word_table(fmt)
+        values, _ = verify._word_table(fmt)
         for (a, va), (b, vb) in itertools.product(enumerate(values), repeat=2):
             if va in (None, 0) or vb in (None, 0):
                 continue
